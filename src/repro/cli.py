@@ -158,6 +158,68 @@ def _scenario_arg(text: str) -> str | None:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _add_engine_args(
+    parser: argparse.ArgumentParser, *, jobs_help: str, cache: bool = True
+) -> None:
+    """Attach the flag block every engine-backed command shares:
+    ``--jobs/-j`` and ``--quiet``, plus — for the commands that run
+    through the result cache (everything but ``fuzz``, whose store is
+    its corpus) — ``--cache-dir``, ``--no-cache`` and ``--bench-json``."""
+    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                        help=jobs_help)
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-job progress lines")
+    if cache:
+        parser.add_argument("--cache-dir", type=str, default=None,
+                            help="result cache directory (default "
+                                 "$REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
+        parser.add_argument("--no-cache", action="store_true",
+                            help="neither read nor write the result cache")
+        parser.add_argument("--bench-json", type=str, default=None,
+                            help="append a JSON record of this run's engine "
+                                 "stats and wall time to PATH")
+
+
+def _open_cache(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> "ResultCache | None":
+    """The cache ``--cache-dir``/``--no-cache`` select, proven writable
+    (a usage error otherwise) before anything depends on it."""
+    if args.no_cache:
+        return None
+    cache = ResultCache(args.cache_dir)
+    try:
+        cache.version_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot use cache directory {cache.root}: {exc}")
+    return cache
+
+
+def _make_engine(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, *,
+    progress: bool, recover: bool = True,
+) -> ExperimentEngine:
+    """The engine the :func:`_add_engine_args` flags describe.
+
+    Anything wrong with the request — an unusable cache directory, a
+    service with no address, a malformed ``$REPRO_*`` variable — is a
+    usage error here, before any job runs.  ``recover=False`` still
+    exports ``--max-attempts`` (the oracles read it) but leaves the
+    engine's own auto-recovery off.
+    """
+    cache = _open_cache(parser, args)
+    try:
+        recovery = _recovery_kwargs(args)
+        return ExperimentEngine(
+            jobs=args.jobs, cache=cache, progress=progress,
+            backend=_chosen_backend(args),
+            **_dispatch_kwargs(args),
+            **(recovery if recover else {}),
+        )
+    except (DispatchError, ValueError) as exc:
+        parser.error(str(exc))
+
+
 def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--backend`` execution-backend selector."""
     parser.add_argument(
@@ -216,18 +278,18 @@ def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
 def _recovery_kwargs(args: argparse.Namespace) -> dict:
     """Map the recovery flags to engine kwargs.
 
-    ``--max-attempts`` also sets the process default policy *and*
-    ``$REPRO_RECOVERY_ATTEMPTS``, so spawned pool workers — which start
-    from fresh interpreters — resolve the same budget (service workers
-    are remote processes and keep their own environment).
+    ``--max-attempts`` is also exported as ``$REPRO_RECOVERY_ATTEMPTS``,
+    so everything that resolves a policy from the environment — the
+    oracles in this process, spawned pool workers starting from fresh
+    interpreters — sees the same budget (service workers are remote
+    processes and keep their own environment).
     """
-    from .harness.recovery import RecoveryPolicy, set_default_policy
+    from .harness.recovery import RecoveryPolicy
 
     policy = None
     if getattr(args, "max_attempts", None) is not None:
         policy = RecoveryPolicy(max_attempts=args.max_attempts)
         os.environ["REPRO_RECOVERY_ATTEMPTS"] = str(args.max_attempts)
-        set_default_policy(policy)
     if getattr(args, "recover", False):
         return {"recovery": policy if policy is not None else True}
     return {}
@@ -445,16 +507,12 @@ def _sweep_main(argv: list[str]) -> int:
                         help="process counts for --study scale_grid")
     parser.add_argument("--nprocs", type=_positive_int, default=None,
                         help="process count for --study ckpt_freq/restart_chain")
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1)
+    _add_engine_args(
+        parser, jobs_help="parallel simulation worker processes (default 1)"
+    )
     _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
-    parser.add_argument("--cache-dir", type=str, default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--quiet", action="store_true")
-    parser.add_argument("--bench-json", type=str, default=None,
-                        help="append a JSON record of this sweep's engine "
-                             "stats and wall time to PATH")
     args = parser.parse_args(argv)
 
     if args.study is not None:
@@ -539,20 +597,7 @@ def _sweep_main(argv: list[str]) -> int:
     except (SweepError, ValueError) as exc:
         parser.error(str(exc))
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is not None:
-        try:
-            cache.version_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {cache.root}: {exc}")
-    try:
-        engine = ExperimentEngine(jobs=args.jobs, cache=cache,
-                                  progress=not args.quiet,
-                                  backend=_chosen_backend(args),
-                                  **_dispatch_kwargs(args),
-                                  **_recovery_kwargs(args))
-    except (DispatchError, ValueError) as exc:
-        parser.error(str(exc))
+    engine = _make_engine(parser, args, progress=not args.quiet)
     t0 = time.time()
     with engine:
         results = run_plans([plan], engine)
@@ -591,41 +636,24 @@ def _verify_main(argv: list[str]) -> int:
     parser.add_argument("--oracle", choices=sorted(ORACLES), action="append",
                         default=[],
                         help="oracle to run (repeatable; default: all)")
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                        help="parallel (oracle, seed) checks in worker "
-                             "processes; the report sequence is "
-                             "byte-identical to a serial sweep (default 1)")
+    _add_engine_args(
+        parser,
+        jobs_help="parallel (oracle, seed) checks in worker processes; the "
+                  "report sequence is byte-identical to a serial sweep "
+                  "(default 1)",
+    )
     _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
-    parser.add_argument("--cache-dir", type=str, default=None)
-    parser.add_argument("--no-cache", action="store_true")
-    parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--artifact", type=str, default="verify-failures.json",
                         metavar="PATH",
                         help="failing-seed artifact path (written only on "
                              "mismatch; default verify-failures.json)")
-    parser.add_argument("--bench-json", type=str, default=None,
-                        help="append a JSON record of this run's verdicts "
-                             "and wall time to PATH")
     args = parser.parse_args(argv)
 
     names = args.oracle or sorted(ORACLES)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is not None:
-        try:
-            cache.version_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {cache.root}: {exc}")
-    try:
-        _recovery_kwargs(args)  # export --max-attempts before any fan-out
-        engine = ExperimentEngine(jobs=args.jobs, cache=cache,
-                                  progress=False,
-                                  backend=_chosen_backend(args),
-                                  **_dispatch_kwargs(args))
-    except (DispatchError, ValueError) as exc:
-        parser.error(str(exc))
+    engine = _make_engine(parser, args, progress=False, recover=False)
 
     def progress(report) -> None:
         if not args.quiet:
@@ -711,11 +739,12 @@ def _fuzz_main(argv: list[str]) -> int:
     parser.add_argument("--oracle", choices=sorted(ORACLES), action="append",
                         default=[],
                         help="oracle to fuzz (repeatable; default: all)")
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                        help="parallel oracle checks per iteration block "
-                             "through the dispatch seam; anomaly handling "
-                             "(shrinking, corpus writes) stays serial in "
-                             "this process (default 1)")
+    _add_engine_args(
+        parser, cache=False,
+        jobs_help="parallel oracle checks per iteration block through the "
+                  "dispatch seam; anomaly handling (shrinking, corpus "
+                  "writes) stays serial in this process (default 1)",
+    )
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--no-shrink", action="store_true",
@@ -725,7 +754,6 @@ def _fuzz_main(argv: list[str]) -> int:
                              "fuzzing")
     parser.add_argument("--list", action="store_true",
                         help="list corpus entries and exit")
-    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     corpus = CorpusDB(args.corpus)
@@ -774,7 +802,7 @@ def _fuzz_main(argv: list[str]) -> int:
             jobs=args.jobs,
             **_dispatch_kwargs(args),
         )
-    except DispatchError as exc:
+    except (DispatchError, ValueError) as exc:
         parser.error(str(exc))
     for entry in stats.anomalies:
         print(f"{entry.kind}: {entry.oracle} seed={entry.seed} -> "
@@ -846,14 +874,8 @@ def _serve_main(argv: list[str]) -> int:
     if args.lease is not None and args.lease <= 0:
         parser.error("--lease must be positive")
 
-    cache_dir = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir)
-        try:
-            cache.version_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {cache.root}: {exc}")
-        cache_dir = cache.root
+    cache = _open_cache(parser, args)
+    cache_dir = None if cache is None else cache.root
 
     server = ExperimentServer(
         args.host, args.port,
@@ -992,38 +1014,15 @@ def main(argv: list[str] | None = None) -> int:
                              "scenario (fat-tree, dragonfly, straggler, "
                              "jitter, degraded-link; e.g. "
                              "straggler:rank=1,factor=8.0)")
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                        help="parallel simulation worker processes (default 1)")
+    _add_engine_args(
+        parser, jobs_help="parallel simulation worker processes (default 1)"
+    )
     _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="result cache directory "
-                             "(default $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write the result cache")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress lines")
-    parser.add_argument("--bench-json", type=str, default=None,
-                        help="append a JSON record of this run's engine "
-                             "stats and wall time to PATH")
     args = parser.parse_args(argv)
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if cache is not None:
-        try:
-            cache.version_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            parser.error(f"cannot use cache directory {cache.root}: {exc}")
-    try:
-        engine = ExperimentEngine(
-            jobs=args.jobs, cache=cache, progress=not args.quiet,
-            backend=_chosen_backend(args),
-            **_dispatch_kwargs(args),
-            **_recovery_kwargs(args),
-        )
-    except (DispatchError, ValueError) as exc:
-        parser.error(str(exc))
+    engine = _make_engine(parser, args, progress=not args.quiet)
 
     names = sorted(PLANNERS) if args.experiment == "all" else [args.experiment]
     plans = [PLANNERS[name](**_planner_kwargs(name, args)) for name in names]

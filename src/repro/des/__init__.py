@@ -6,7 +6,7 @@ Public surface:
 * :class:`SimProcess` — a suspendable simulated process.
 * :mod:`repro.des.backends` — execution-backend selection
   (``threads``/``greenlet``/``inline``; :func:`resolve_backend`,
-  :func:`set_default_backend`, ``REPRO_SIM_BACKEND``).
+  ``REPRO_SIM_BACKEND``).
 * :mod:`repro.des.sync` — :class:`Waiter`, :class:`SimEvent`,
   :class:`Mailbox`, :class:`Gate` primitives.
 * :mod:`repro.des.errors` — kernel exception types.
@@ -14,10 +14,8 @@ Public surface:
 
 from .backends import (
     available_backends,
-    get_default_backend,
     greenlet_available,
     resolve_backend,
-    set_default_backend,
 )
 from .errors import (
     DeadlockError,
@@ -55,6 +53,4 @@ __all__ = [
     "available_backends",
     "greenlet_available",
     "resolve_backend",
-    "set_default_backend",
-    "get_default_backend",
 ]

@@ -23,13 +23,13 @@ Three mechanisms implement that suspension:
 
 Selection precedence (first match wins):
 
-1. explicit ``Simulator(backend=...)`` argument;
-2. process-wide default installed via :func:`set_default_backend`
-   (the ``--backend`` CLI flag lands here, and the experiment engine
-   forwards the *resolved* name to spawned workers so parallel runs
-   agree with serial);
-3. the ``REPRO_SIM_BACKEND`` environment variable;
-4. ``auto``: ``greenlet`` when importable, else ``threads``.
+1. an explicit name: ``Simulator(backend=...)``, which is where
+   ``ExperimentEngine(backend=...)`` / ``--backend`` arrive — the engine
+   resolves the name once and passes it down as a plain argument
+   (``execute`` -> ``launch_run`` -> ``Simulator``), in-process and in
+   spawned workers alike, so parallel runs agree with serial;
+2. the ``REPRO_SIM_BACKEND`` environment variable;
+3. ``auto``: ``greenlet`` when importable, else ``threads``.
 
 Every step accepts ``auto`` and the concrete names below; asking for
 ``greenlet`` explicitly when the package is missing is a loud error,
@@ -38,7 +38,7 @@ never a silent fallback.
 
 from __future__ import annotations
 
-import os
+from ..util.osenv import env_value
 
 __all__ = [
     "BACKENDS",
@@ -46,8 +46,6 @@ __all__ = [
     "available_backends",
     "greenlet_available",
     "resolve_backend",
-    "set_default_backend",
-    "get_default_backend",
 ]
 
 #: Concrete backend names, in documentation order.
@@ -55,8 +53,6 @@ BACKENDS = ("threads", "greenlet", "inline")
 
 #: Environment variable consulted when no explicit choice was made.
 ENV_VAR = "REPRO_SIM_BACKEND"
-
-_default_backend: str | None = None
 
 
 def greenlet_available() -> bool:
@@ -75,47 +71,26 @@ def available_backends() -> tuple[str, ...]:
     return tuple(b for b in BACKENDS if b != "greenlet")
 
 
-def set_default_backend(name: str | None) -> None:
-    """Install a process-wide default backend (``None`` clears it).
-
-    ``name`` may be ``auto`` or any concrete backend; it is validated
-    (and, for ``auto``, resolved) lazily at :func:`resolve_backend`
-    time so that installing a default never imports greenlet eagerly.
-    """
-    global _default_backend
-    if name is not None:
-        _check_name(name)
-    _default_backend = name
-
-
-def get_default_backend() -> str | None:
-    """The process-wide default installed via :func:`set_default_backend`."""
-    return _default_backend
-
-
 def resolve_backend(name: str | None = None) -> str:
     """Resolve a backend request to a concrete, validated name.
 
     Args:
         name: explicit request (``auto``/``threads``/``greenlet``/
-            ``inline``) or ``None`` to fall through the precedence
-            chain documented in the module docstring.
+            ``inline``) or ``None`` to fall through to the environment
+            variable and then ``auto``.
 
     Returns:
         One of :data:`BACKENDS`.
 
     Raises:
-        ValueError: unknown backend name.
+        ValueError: unknown backend name (one read from the
+            environment names the variable).
         ImportError: ``greenlet`` requested explicitly but not
             importable.
     """
-    if name is None:
-        name = _default_backend
-    if name is None:
-        name = os.environ.get(ENV_VAR) or None
+    name = env_value(ENV_VAR, _check_name) if name is None else _check_name(name)
     if name is None or name == "auto":
         return "greenlet" if greenlet_available() else "threads"
-    _check_name(name)
     if name == "greenlet" and not greenlet_available():
         raise ImportError(
             "execution backend 'greenlet' was requested but the greenlet "
@@ -125,9 +100,10 @@ def resolve_backend(name: str | None = None) -> str:
     return name
 
 
-def _check_name(name: str) -> None:
+def _check_name(name: str) -> str:
     if name != "auto" and name not in BACKENDS:
         raise ValueError(
             f"unknown execution backend {name!r}; expected 'auto' or one of "
             + ", ".join(repr(b) for b in BACKENDS)
         )
+    return name

@@ -637,7 +637,7 @@ class Simulator:
         backend: execution backend (``"threads"``, ``"greenlet"``,
             ``"inline"`` or ``"auto"``); ``None`` falls through the
             precedence chain in :mod:`repro.des.backends`
-            (process default, ``REPRO_SIM_BACKEND``, auto-detect).
+            (``REPRO_SIM_BACKEND``, auto-detect).
             All backends produce byte-identical event schedules.
     """
 

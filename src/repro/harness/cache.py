@@ -4,13 +4,13 @@ Layout: ``<cache_dir>/v<SCHEMA_VERSION>/<hh>/<spec_hash>.json`` — one
 JSON document per unique :class:`~repro.harness.spec.RunSpec`, fanned
 into 256 two-hex-digit shard directories (``<hh>`` is the hash's first
 two characters) so a long-lived shared cache never accumulates tens of
-thousands of files in one directory.  Caches written before sharding
-stored everything flat; the flat layout is still read transparently and
-migrated as it is touched (a legacy entry moves into its shard on the
-first hit), so no flag day is needed.  Bumping ``SCHEMA_VERSION`` (a
-change to spec semantics or result layout) silently orphans older
-entries rather than misreading them; corrupt or truncated files count
-as misses and are overwritten on the next store.
+thousands of files in one directory.  This is the only layout: files a
+pre-sharding version left directly under ``v<SCHEMA>/`` are never read,
+counted or rewritten (delete the directory to reclaim the space).
+Bumping ``SCHEMA_VERSION`` (a change to spec semantics or result
+layout) silently orphans older entries rather than misreading them;
+corrupt or truncated files count as misses and are overwritten on the
+next store.
 
 The cache stores the JSON form of :class:`RunResult`, which drops
 checkpoint-image payloads (see ``spec.py``); on its own, a cached
@@ -22,18 +22,17 @@ is packed (compressed pickle with a SHA-256 digest; see
 under ``v<SCHEMA>-images/blobs/<hh>/<sha256>.blob``, with a tiny
 per-spec pointer file
 ``v<SCHEMA>-images/<hh>/<spec_hash>.c<committed_index>.img``
-(sharded like entries, flat legacy locations still served and migrated
-on read) holding the digest — identical image sets reachable from several
-parent specs are stored once.  A warm restart then loads its parent's
-images straight from the tier instead of re-simulating the parent run.
-Integrity failures, truncations, dangling pointers, and blobs from
-older formats all read as misses (pointer files written before the
-dedupe hold the archive inline and are detected by magic, so legacy
-caches keep serving), and the tier can only ever make restarts faster,
-never wrong.  Pointers are evicted together with their spec's entry by
-``clear``/``prune`` (a blob falls when its last pointer does), payloads
-age out with ``prune_older_than``, and the tier's total footprint can
-be capped with :meth:`ResultCache.prune_images_to_max_bytes`.
+(sharded like entries) holding the digest — identical image sets
+reachable from several parent specs are stored once.  A warm restart
+then loads its parent's images straight from the tier instead of
+re-simulating the parent run.  Integrity failures, truncations,
+dangling pointers, and anything that is not a digest pointer or a
+verifiable archive all read as misses, and the tier can only ever make
+restarts faster, never wrong.  Pointers are evicted together with their
+spec's entry by ``clear``/``prune`` (a blob falls when its last pointer
+does), payloads age out with ``prune_older_than``, and the tier's total
+footprint can be capped with
+:meth:`ResultCache.prune_images_to_max_bytes`.
 
 Alongside results, the cache records each spec's **execution wall
 time** — both inside the entry document (``"elapsed"``) and in a small
@@ -54,7 +53,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,12 +60,12 @@ from typing import Iterable
 
 from ..mana import CheckpointImage
 from ..mana.image import (
-    ARCHIVE_MAGIC,
     ImageError,
     image_set_digest,
     pack_image_set,
     unpack_image_set,
 )
+from ..util.osenv import atomic_write
 from .runner import RunResult
 from .spec import (
     SCHEMA_VERSION,
@@ -117,8 +115,7 @@ class ResultCache:
         self.root = Path(directory) if directory is not None else default_cache_dir()
         self.stats = CacheStats()
         #: spec hash -> (wall seconds, record epoch); lazily loaded from
-        #: the sidecar on first use.  Legacy sidecars stored a bare float
-        #: per hash; those load with epoch 0 (first in line for eviction).
+        #: the sidecar on first use.
         self._timings: dict[str, tuple[float, float]] | None = None
         #: Hashes explicitly evicted this session — excluded when the
         #: sidecar write merges concurrent writers' entries back in, so
@@ -143,41 +140,29 @@ class ResultCache:
 
     # Entries and image pointers are fanned into 256 shard directories
     # named by the key's first two hex digits; blobs likewise under
-    # ``blobs/<hh>/``.  All reads fall back to the pre-sharding flat
-    # location and migrate what they find (atomic rename into the shard,
-    # best-effort: a read-only cache keeps serving flat files forever).
+    # ``blobs/<hh>/``.  Every method hashes its spec at most once and
+    # works on the key from there (``spec_hash`` canonicalises the whole
+    # restart chain, which makes it the dominant cost of a warm read).
+
+    _SHARD_GLOB = "[0-9a-f][0-9a-f]"
 
     @staticmethod
-    def _shard(key: str) -> str:
-        return key[:2]
+    def _key(spec_or_hash: "RunSpec | str") -> str:
+        if isinstance(spec_or_hash, str):
+            return spec_or_hash
+        return spec_hash(spec_or_hash)
+
+    def _entry_path(self, key: str) -> Path:
+        return self.version_dir / key[:2] / f"{key}.json"
 
     def path_for(self, spec: RunSpec) -> Path:
-        key = spec_hash(spec)
-        return self.version_dir / self._shard(key) / f"{key}.json"
-
-    def _legacy_entry_path(self, key: str) -> Path:
-        return self.version_dir / f"{key}.json"
-
-    @staticmethod
-    def _migrate(legacy: Path, sharded: Path) -> None:
-        """Move a flat-layout file into its shard (best-effort)."""
-        try:
-            sharded.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, sharded)
-        except OSError:
-            pass
+        return self._entry_path(spec_hash(spec))
 
     def get(self, spec: RunSpec) -> RunResult | None:
         """The cached result for ``spec``, or None on miss/corruption."""
-        path = self.path_for(spec)
-        legacy = self._legacy_entry_path(spec_hash(spec))
+        key = spec_hash(spec)
         try:
-            try:
-                raw = path.read_text()
-            except OSError:
-                raw = legacy.read_text()
-                self._migrate(legacy, path)
-            document = json.loads(raw)
+            document = json.loads(self._entry_path(key).read_text())
             result = run_result_from_dict(document["result"])
         except (OSError, ValueError, KeyError, TypeError):
             self.stats.misses += 1
@@ -190,7 +175,6 @@ class ResultCache:
             # harvest ever reaches the sidecar it must not sort as
             # ancient and be first out at the cap.
             timings = self._load_timings()
-            key = spec_hash(spec)
             stamp = max(
                 time.time(), timings[key][1] if key in timings else 0.0
             )
@@ -204,9 +188,7 @@ class ResultCache:
 
     @staticmethod
     def _parse_timing(value) -> "tuple[float, float] | None":
-        """One sidecar entry: either legacy ``seconds`` or ``[seconds, epoch]``."""
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return (float(value), 0.0) if value > 0 else None
+        """One sidecar entry, ``[seconds, epoch]``; anything else is dropped."""
         if (
             isinstance(value, (list, tuple))
             and len(value) == 2
@@ -254,33 +236,24 @@ class ResultCache:
             keep = sorted(timings.items(), key=lambda kv: kv[1][1], reverse=True)
             timings = dict(keep[:TIMINGS_MAX_ENTRIES])
             self._timings = timings
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(
-                    {k: [s, t] for k, (s, t) in timings.items()},
-                    fh,
-                    separators=(",", ":"),
-                )
-            os.replace(tmp, self.timings_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.timings_path,
+            json.dumps(
+                {k: [s, t] for k, (s, t) in timings.items()},
+                separators=(",", ":"),
+            ),
+        )
 
     def recorded_time(self, spec: RunSpec) -> float | None:
         """Last recorded execution wall time for ``spec``, if any."""
         entry = self._load_timings().get(spec_hash(spec))
         return None if entry is None else entry[0]
 
-    def record_time(self, spec: RunSpec, seconds: float) -> None:
-        """Record ``spec``'s execution wall time in the sidecar."""
+    def record_time(self, spec_or_hash: "RunSpec | str", seconds: float) -> None:
+        """Record a spec's execution wall time in the sidecar."""
         if seconds <= 0:
             return
-        key = spec_hash(spec)
+        key = self._key(spec_or_hash)
         self._load_timings()[key] = (seconds, time.time())
         self._dropped_timings.discard(key)
         self._write_timings()
@@ -319,9 +292,7 @@ class ResultCache:
     # digest — so identical image sets reachable from several parents
     # (the same committed state cached under different spec spellings,
     # or several commits snapshotting the same terminal world) are
-    # stored once.  Pointer files written by older versions hold the
-    # archive inline; readers detect the archive magic and keep serving
-    # them, so legacy caches never break.
+    # stored once.
     # ------------------------------------------------------------------ #
 
     @property
@@ -329,110 +300,41 @@ class ResultCache:
         return self.images_dir / "blobs"
 
     def _pointer_path(self, spec_or_hash: "RunSpec | str", index: int) -> Path:
-        key = (
-            spec_or_hash
-            if isinstance(spec_or_hash, str)
-            else spec_hash(spec_or_hash)
-        )
-        return self.images_dir / self._shard(key) / f"{key}.c{int(index)}.img"
-
-    def _legacy_pointer_path(
-        self, spec_or_hash: "RunSpec | str", index: int
-    ) -> Path:
-        key = (
-            spec_or_hash
-            if isinstance(spec_or_hash, str)
-            else spec_hash(spec_or_hash)
-        )
-        return self.images_dir / f"{key}.c{int(index)}.img"
-
-    def _read_pointer_bytes(
-        self, spec_or_hash: "RunSpec | str", index: int
-    ) -> "bytes | None":
-        """Raw pointer-file contents from the sharded location, else the
-        flat legacy one (migrating it); None when neither exists."""
-        path = self._pointer_path(spec_or_hash, index)
-        try:
-            return path.read_bytes()
-        except OSError:
-            pass
-        legacy = self._legacy_pointer_path(spec_or_hash, index)
-        try:
-            raw = legacy.read_bytes()
-        except OSError:
-            return None
-        self._migrate(legacy, path)
-        return raw
+        key = self._key(spec_or_hash)
+        return self.images_dir / key[:2] / f"{key}.c{int(index)}.img"
 
     def _blob_path(self, digest: str) -> Path:
-        return self.blobs_dir / self._shard(digest) / f"{digest}.blob"
-
-    def _legacy_blob_path(self, digest: str) -> Path:
-        return self.blobs_dir / f"{digest}.blob"
-
-    def _read_blob(self, digest: str) -> "bytes | None":
-        path = self._blob_path(digest)
-        try:
-            return path.read_bytes()
-        except OSError:
-            pass
-        legacy = self._legacy_blob_path(digest)
-        try:
-            raw = legacy.read_bytes()
-        except OSError:
-            return None
-        self._migrate(legacy, path)
-        return raw
+        return self.blobs_dir / digest[:2] / f"{digest}.blob"
 
     @staticmethod
     def _parse_pointer(raw: bytes) -> "str | None":
         """The digest a pointer file references, or None for anything
-        else (legacy inline archive, corruption)."""
-        if len(raw) > 200 or raw.startswith(ARCHIVE_MAGIC):
+        else (corruption, a foreign file)."""
+        if len(raw) > 200:
             return None
         text = raw.decode("ascii", "replace").strip()
         if len(text) == 64 and all(c in "0123456789abcdef" for c in text):
             return text
         return None
 
+    def _pointer_digest(self, pointer: Path) -> "str | None":
+        try:
+            return self._parse_pointer(pointer.read_bytes())
+        except OSError:
+            return None
+
     def image_path_for(self, spec_or_hash: "RunSpec | str", index: int) -> Path:
         """Path of the stored image data for a spec's ``index``-th
         *committed* checkpoint: the content-addressed blob when a
-        pointer exists, the file itself for legacy inline archives, or
-        the not-yet-written pointer location.  Note that with blob
-        dedupe this path may be shared by several specs."""
-        raw = self._read_pointer_bytes(spec_or_hash, index)
-        if raw is None:
-            return self._pointer_path(spec_or_hash, index)
-        digest = self._parse_pointer(raw)
-        if digest is None:
-            # Legacy inline archive: the pointer file is the data (it may
-            # still sit in either layout — report wherever it lives now).
-            pointer = self._pointer_path(spec_or_hash, index)
-            return (
-                pointer
-                if pointer.is_file()
-                else self._legacy_pointer_path(spec_or_hash, index)
-            )
-        blob = self._blob_path(digest)
-        return blob if blob.is_file() else self._legacy_blob_path(digest)
+        pointer exists, else the not-yet-written pointer location.
+        Note that with blob dedupe this path may be shared by several
+        specs."""
+        pointer = self._pointer_path(spec_or_hash, index)
+        digest = self._pointer_digest(pointer)
+        return pointer if digest is None else self._blob_path(digest)
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def put_images(self, spec: RunSpec, result: RunResult) -> int:
-        """Store every committed checkpoint's full images for ``spec``.
+    def put_images(self, spec_or_hash: "RunSpec | str", result: RunResult) -> int:
+        """Store every committed checkpoint's full images for a spec.
 
         Records without full images (e.g. a result that already crossed
         the JSON boundary) are skipped silently; returns the number of
@@ -440,6 +342,7 @@ class ResultCache:
         already present is not rewritten — that's the cross-spec dedupe.
         Writes are atomic for the same reason entry writes are.
         """
+        key = self._key(spec_or_hash)
         committed = [r for r in result.checkpoints if r.committed]
         written = 0
         for index, record in enumerate(committed):
@@ -448,8 +351,6 @@ class ResultCache:
             blob = pack_image_set(record.images)
             digest = image_set_digest(blob)
             blob_path = self._blob_path(digest)
-            blob_path.parent.mkdir(parents=True, exist_ok=True)
-            legacy_blob = self._legacy_blob_path(digest)
             if blob_path.is_file():
                 # Dedupe hit: refresh the payload's age so a blob a
                 # fresh put just pointed at doesn't get age-evicted on
@@ -458,25 +359,9 @@ class ResultCache:
                     os.utime(blob_path)
                 except OSError:
                     pass
-            elif legacy_blob.is_file():
-                # Dedupe hit in the flat legacy layout: migrate instead
-                # of duplicating the payload, refreshing its age.
-                self._migrate(legacy_blob, blob_path)
-                if not blob_path.is_file():
-                    self._atomic_write(blob_path, blob)
-                try:
-                    os.utime(blob_path)
-                except OSError:
-                    pass
             else:
-                self._atomic_write(blob_path, blob)
-            pointer = self._pointer_path(spec, index)
-            pointer.parent.mkdir(parents=True, exist_ok=True)
-            self._atomic_write(pointer, digest.encode() + b"\n")
-            try:
-                self._legacy_pointer_path(spec, index).unlink()
-            except OSError:
-                pass
+                atomic_write(blob_path, blob)
+            atomic_write(self._pointer_path(key, index), digest.encode() + b"\n")
             written += 1
             self.stats.image_stores += 1
         return written
@@ -488,22 +373,15 @@ class ResultCache:
 
         Misses cover everything that could be wrong — no pointer, a
         dangling or garbled pointer, a truncated or digest-mismatching
-        blob, a legacy/unknown format — so callers can always fall back
-        to re-simulating the parent.
+        blob, an unknown format — so callers can always fall back to
+        re-simulating the parent.
         """
-        raw = self._read_pointer_bytes(spec_or_hash, index)
-        if raw is None:
+        digest = self._pointer_digest(self._pointer_path(spec_or_hash, index))
+        if digest is None:
             return None
-        if not raw.startswith(ARCHIVE_MAGIC):
-            digest = self._parse_pointer(raw)
-            if digest is None:
-                return None
-            raw = self._read_blob(digest)
-            if raw is None:
-                return None
         try:
-            images = unpack_image_set(raw)
-        except ImageError:
+            images = unpack_image_set(self._blob_path(digest).read_bytes())
+        except (OSError, ImageError):
             return None
         self.stats.image_hits += 1
         return images
@@ -516,71 +394,37 @@ class ResultCache:
         re-simulation inside the job, so planning on existence alone is
         safe.
         """
-        return (
-            self._pointer_path(spec_or_hash, index).is_file()
-            or self._legacy_pointer_path(spec_or_hash, index).is_file()
-        )
-
-    _SHARD_GLOB = "[0-9a-f][0-9a-f]"
+        return self._pointer_path(spec_or_hash, index).is_file()
 
     def _pointer_files(self) -> "list[Path]":
-        if not self.images_dir.is_dir():
-            return []
-        files = list(self.images_dir.glob("*.img"))
-        files.extend(self.images_dir.glob(f"{self._SHARD_GLOB}/*.img"))
-        return files
+        return list(self.images_dir.glob(f"{self._SHARD_GLOB}/*.img"))
 
-    def _referenced_digests(self) -> set[str]:
+    def _referenced_digests(self) -> "set[str | None]":
         """Digests still referenced by at least one pointer file."""
-        referenced = set()
-        for pointer in self._pointer_files():
-            try:
-                digest = self._parse_pointer(pointer.read_bytes())
-            except OSError:
-                continue
-            if digest is not None:
-                referenced.add(digest)
-        return referenced
+        return {self._pointer_digest(p) for p in self._pointer_files()}
 
     def _gc_blobs(self, candidates: Iterable[str]) -> int:
         """Delete candidate blobs no pointer references any more."""
         candidates = {d for d in candidates if d is not None}
         if not candidates:
             return 0
-        candidates -= self._referenced_digests()
         removed = 0
-        for digest in candidates:
-            gone = False
-            for path in (self._blob_path(digest),
-                         self._legacy_blob_path(digest)):
-                try:
-                    path.unlink()
-                    gone = True
-                except OSError:
-                    pass
-            if gone:
+        for digest in candidates - self._referenced_digests():
+            try:
+                self._blob_path(digest).unlink()
                 removed += 1
+            except OSError:
+                pass
         return removed
 
     def _drop_images(self, hashes: Iterable[str]) -> int:
         """Delete the given spec hashes' pointers, then garbage-collect
         any blobs that lost their last reference."""
-        if not self.images_dir.is_dir():
-            return 0
         removed = 0
-        candidates: set[str] = set()
+        candidates: "set[str | None]" = set()
         for key in hashes:
-            locations = list(self.images_dir.glob(f"{key}.c*.img"))
-            shard_dir = self.images_dir / self._shard(key)
-            if shard_dir.is_dir():
-                locations.extend(shard_dir.glob(f"{key}.c*.img"))
-            for path in locations:
-                try:
-                    digest = self._parse_pointer(path.read_bytes())
-                except OSError:
-                    digest = None
-                if digest is not None:
-                    candidates.add(digest)
+            for path in (self.images_dir / key[:2]).glob(f"{key}.c*.img"):
+                candidates.add(self._pointer_digest(path))
                 try:
                     path.unlink()
                     removed += 1
@@ -589,36 +433,18 @@ class ResultCache:
         self._gc_blobs(candidates)
         return removed
 
-    def _legacy_inline_files(self) -> "list[Path]":
-        """Pointer-location files that hold a full archive inline
-        (written before blob dedupe)."""
-        inline = []
-        for path in self._pointer_files():
-            try:
-                with open(path, "rb") as fh:
-                    head = fh.read(len(ARCHIVE_MAGIC))
-            except OSError:
-                continue
-            if head == ARCHIVE_MAGIC:
-                inline.append(path)
-        return inline
-
     def _blob_files(self) -> "list[Path]":
-        if not self.blobs_dir.is_dir():
-            return []
-        files = list(self.blobs_dir.glob("*.blob"))
-        files.extend(self.blobs_dir.glob(f"{self._SHARD_GLOB}/*.blob"))
-        return files
+        return list(self.blobs_dir.glob(f"{self._SHARD_GLOB}/*.blob"))
 
     def image_count(self) -> int:
-        """Stored image sets: unique blobs plus legacy inline archives."""
-        return len(self._blob_files()) + len(self._legacy_inline_files())
+        """Stored image sets (unique blobs)."""
+        return len(self._blob_files())
 
     def image_bytes(self) -> int:
-        """On-disk footprint of the image tier's payload (blobs and
-        legacy inline archives; pointer files are noise-level)."""
+        """On-disk footprint of the image tier's payload (pointer files
+        are noise-level)."""
         total = 0
-        for entry in self._blob_files() + self._legacy_inline_files():
+        for entry in self._blob_files():
             try:
                 total += entry.stat().st_size
             except OSError:
@@ -626,22 +452,19 @@ class ResultCache:
         return total
 
     def _drop_blob_and_pointers(self, blob: Path) -> bool:
-        """Unlink one payload file and every pointer referencing it.
+        """Unlink one blob and every pointer referencing it.
         Returns True iff the payload actually came off disk (callers
         only account evicted bytes/counts for real removals)."""
-        digest = blob.name[: -len(".blob")] if blob.suffix == ".blob" else None
         try:
             blob.unlink()
         except OSError:
             return False
-        if digest is None:
-            return True  # legacy inline: the file was its own (only) pointer
         for pointer in self._pointer_files():
-            try:
-                if self._parse_pointer(pointer.read_bytes()) == digest:
+            if self._pointer_digest(pointer) == blob.stem:
+                try:
                     pointer.unlink()
-            except OSError:
-                pass
+                except OSError:
+                    pass
         return True
 
     def prune_images_older_than(self, max_age_seconds: float) -> int:
@@ -649,7 +472,7 @@ class ResultCache:
         along with the pointers that reference them."""
         cutoff = time.time() - max_age_seconds
         removed = 0
-        for entry in self._blob_files() + self._legacy_inline_files():
+        for entry in self._blob_files():
             try:
                 stale = entry.stat().st_mtime < cutoff
             except OSError:
@@ -672,7 +495,7 @@ class ResultCache:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         aged = []
         total = 0
-        for entry in self._blob_files() + self._legacy_inline_files():
+        for entry in self._blob_files():
             try:
                 st = entry.stat()
             except OSError:
@@ -700,8 +523,9 @@ class ResultCache:
         image tier (:meth:`put_images`) so later restarts of this spec
         skip re-simulating it.
         """
+        key = spec_hash(spec)
         try:
-            self.put_images(spec, result)
+            self.put_images(key, result)
         except OSError:
             # The tier is strictly an accelerator: a blob write failing
             # (disk full, permissions) must not cost the batch its
@@ -709,8 +533,7 @@ class ResultCache:
             # atomic tmp+rename writes mean no torn blob was left for
             # them to trip over.
             pass
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._entry_path(key)
         document = {
             # The spec rides along for debuggability (`cat` a cache entry
             # to see which job it belongs to); only the hash keys lookup.
@@ -719,33 +542,14 @@ class ResultCache:
         }
         if elapsed is not None and elapsed > 0:
             document["elapsed"] = elapsed
-            self.record_time(spec, elapsed)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(document, fh, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            # A re-store supersedes any flat legacy copy of the entry.
-            self._legacy_entry_path(spec_hash(spec)).unlink()
-        except OSError:
-            pass
+            self.record_time(key, elapsed)
+        atomic_write(path, json.dumps(document, separators=(",", ":")))
         self.stats.stores += 1
         return path
 
     def _entry_files(self) -> "list[Path]":
-        """Every current-schema entry file, sharded and flat legacy."""
-        if not self.version_dir.is_dir():
-            return []
-        files = list(self.version_dir.glob("*.json"))
-        files.extend(self.version_dir.glob(f"{self._SHARD_GLOB}/*.json"))
-        return files
+        """Every current-schema entry file."""
+        return list(self.version_dir.glob(f"{self._SHARD_GLOB}/*.json"))
 
     def clear(self) -> int:
         """Delete all entries for the current schema; returns the count.
@@ -760,12 +564,11 @@ class ResultCache:
                 removed += 1
             except OSError:
                 pass
-        if self.images_dir.is_dir():
-            for blob in self._pointer_files() + self._blob_files():
-                try:
-                    blob.unlink()
-                except OSError:
-                    pass
+        for blob in self._pointer_files() + self._blob_files():
+            try:
+                blob.unlink()
+            except OSError:
+                pass
         return removed
 
     def prune(self, specs: "Iterable[RunSpec]") -> int:
@@ -781,15 +584,11 @@ class ResultCache:
         for spec in specs:
             key = spec_hash(spec)
             requested_hashes.append(key)
-            gone = False
-            for path in (self.path_for(spec), self._legacy_entry_path(key)):
-                try:
-                    path.unlink()
-                    gone = True
-                except OSError:
-                    pass
-            if gone:
+            try:
+                self._entry_path(key).unlink()
                 removed += 1
+            except OSError:
+                pass
         # One batched image drop: _drop_images ends in a full pointer
         # scan for blob GC, so per-spec calls would cost O(specs ×
         # pointers) file reads.
@@ -820,9 +619,6 @@ class ResultCache:
         (re-)stored, not last read.  Image blobs age out on the same
         clock (their own mtime).  Returns the number of entries removed.
         """
-        if not self.version_dir.is_dir():
-            self.prune_images_older_than(max_age_seconds)
-            return 0
         cutoff = time.time() - max_age_seconds
         stale = []
         for entry in self._entry_files():

@@ -10,9 +10,10 @@ fanned out and collected.  Three backends implement the seam:
   ``ProcessPoolExecutor`` per wave (``jobs=N``), degrading to in-process
   execution for one-job waves or ``jobs=1``.  This is the differential
   reference every other backend must match byte-for-byte.
-* ``inline`` — every job runs in the submitting process, in submission
-  order.  Zero process overhead; the debugging backend (breakpoints and
-  tracebacks land in *your* interpreter).
+* ``inline`` — ``local-pool`` pinned to ``jobs=1``: every job runs in
+  the submitting process, in submission order.  Zero process overhead;
+  the debugging backend (breakpoints and tracebacks land in *your*
+  interpreter).
 * ``service`` — jobs are shipped over a socket to a long-lived
   experiment server (:mod:`repro.harness.service`) speaking a
   line-delimited JSON protocol.  Pull-model workers
@@ -31,9 +32,8 @@ Selection precedence mirrors :mod:`repro.des.backends` (first match
 wins):
 
 1. explicit ``ExperimentEngine(dispatch=...)`` / ``--dispatch`` flag;
-2. process-wide default via :func:`set_default_dispatch`;
-3. the ``REPRO_DISPATCH`` environment variable;
-4. ``auto``: ``service`` when a service address is known (the
+2. the ``REPRO_DISPATCH`` environment variable;
+3. ``auto``: ``service`` when a service address is known (the
    ``REPRO_SERVICE_ADDR`` environment variable), else ``local-pool``.
 
 Asking for ``service`` without an address is a loud error, never a
@@ -45,9 +45,11 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
+
+from ..util.osenv import env_value
 
 __all__ = [
     "DISPATCH_BACKENDS",
@@ -58,11 +60,9 @@ __all__ = [
     "DispatchError",
     "DispatchJob",
     "create_dispatch",
-    "get_default_dispatch",
     "parse_address",
     "resolve_dispatch",
     "resolve_service_addr",
-    "set_default_dispatch",
 ]
 
 #: Concrete dispatch backend names, in documentation order.
@@ -74,48 +74,31 @@ ENV_VAR = "REPRO_DISPATCH"
 #: Environment variable naming the experiment service (``HOST:PORT``).
 ENV_ADDR = "REPRO_SERVICE_ADDR"
 
-_default_dispatch: str | None = None
-
 
 class DispatchError(RuntimeError):
     """Misconfigured or failed job dispatch."""
 
 
-def set_default_dispatch(name: str | None) -> None:
-    """Install a process-wide default dispatch backend (``None`` clears)."""
-    global _default_dispatch
-    if name is not None:
-        _check_name(name)
-    _default_dispatch = name
-
-
-def get_default_dispatch() -> str | None:
-    return _default_dispatch
-
-
 def resolve_dispatch(name: str | None = None) -> str:
     """Resolve a dispatch request to a concrete, validated name.
 
-    Precedence: explicit ``name`` > :func:`set_default_dispatch` >
-    ``$REPRO_DISPATCH`` > auto (``service`` when ``$REPRO_SERVICE_ADDR``
-    is set, else ``local-pool``).
+    Precedence: explicit ``name`` > ``$REPRO_DISPATCH`` > auto
+    (``service`` when ``$REPRO_SERVICE_ADDR`` is set, else
+    ``local-pool``).
     """
-    if name is None:
-        name = _default_dispatch
-    if name is None:
-        name = os.environ.get(ENV_VAR) or None
+    name = env_value(ENV_VAR, _check_name) if name is None else _check_name(name)
     if name is None or name == "auto":
         return "service" if os.environ.get(ENV_ADDR) else "local-pool"
-    _check_name(name)
     return name
 
 
-def _check_name(name: str) -> None:
+def _check_name(name: str) -> str:
     if name != "auto" and name not in DISPATCH_BACKENDS:
         raise ValueError(
             f"unknown dispatch backend {name!r}; expected 'auto' or one of "
             + ", ".join(repr(b) for b in DISPATCH_BACKENDS)
         )
+    return name
 
 
 def parse_address(text: str) -> tuple[str, int]:
@@ -295,20 +278,6 @@ class DispatchBackend(ABC):
 # Job bodies (shared by every backend's workers)
 # --------------------------------------------------------------------- #
 
-def _run_sim_job(spec, deps, config: DispatchConfig):
-    """Execute one simulation job; returns (result, elapsed, served).
-
-    Goes through :func:`repro.harness.engine._execute_job` *via the
-    module attribute* so tests (and tools) that monkeypatch the engine's
-    job runner see every dispatch backend's in-process executions.
-    """
-    from . import engine as engine_mod
-
-    return engine_mod._execute_job(
-        spec, deps, config.guard, config.cache_dir, config.sim_backend
-    )
-
-
 def _run_check_job(oracle: str, schedule: dict) -> dict:
     """Execute one oracle check; returns the report as a dict with the
     worker-measured wall duration (the fuzzer's cost-model input)."""
@@ -322,47 +291,28 @@ def _run_check_job(oracle: str, schedule: dict) -> dict:
             "duration": time.perf_counter() - t0}
 
 
-def _pool_entry(payload_kind: str, a, b, guard, cache_dir, sim_backend):
-    """Top-level pool-worker entry point (picklable by name for spawn)."""
-    if payload_kind == "check":
-        return _run_check_job(a, b)
+def _run_job(payload: dict, config: DispatchConfig):
+    """Execute one queued payload to the value its handle resolves to.
+
+    The one body behind in-process execution and pool workers (a
+    top-level function, picklable by name for spawn).  Sim jobs go
+    through :func:`repro.harness.engine._execute_job` *via the module
+    attribute* so tests (and tools) that monkeypatch the engine's job
+    runner see every in-process execution.
+    """
+    if payload["kind"] == "check":
+        return _run_check_job(payload["oracle"], payload["schedule"])
     from . import engine as engine_mod
 
-    return engine_mod._execute_job(a, b, guard, cache_dir, sim_backend)
+    result, elapsed, served = engine_mod._execute_job(
+        payload["spec"], payload["deps"], config.guard, config.cache_dir,
+        config.sim_backend,
+    )
+    return result, elapsed, served, False
 
 
 # --------------------------------------------------------------------- #
-# inline
-# --------------------------------------------------------------------- #
-
-class InlineDispatch(DispatchBackend):
-    """Run every job in the submitting process, in submission order."""
-
-    name = "inline"
-
-    def __init__(self, config: DispatchConfig):
-        super().__init__(config)
-        self._queue: "list[tuple[DispatchJob, dict]]" = []
-
-    def _enqueue(self, job: DispatchJob, payload: dict) -> None:
-        self._queue.append((job, payload))
-
-    def _pump(self) -> DispatchJob:
-        if not self._queue:
-            raise DispatchError("no outstanding dispatch jobs")
-        job, payload = self._queue.pop(0)
-        if payload["kind"] == "check":
-            job._resolve(_run_check_job(payload["oracle"], payload["schedule"]))
-        else:
-            result, elapsed, served = _run_sim_job(
-                payload["spec"], payload["deps"], self.config
-            )
-            job._resolve((result, elapsed, served, False))
-        return job
-
-
-# --------------------------------------------------------------------- #
-# local-pool
+# local-pool (and inline, its jobs=1 configuration)
 # --------------------------------------------------------------------- #
 
 class LocalPoolDispatch(DispatchBackend):
@@ -393,32 +343,12 @@ class LocalPoolDispatch(DispatchBackend):
             )
         self._queue.append((job, payload))
 
-    def _resolve_inline(self, job: DispatchJob, payload: dict) -> DispatchJob:
-        if payload["kind"] == "check":
-            job._resolve(_run_check_job(payload["oracle"], payload["schedule"]))
-        else:
-            result, elapsed, served = _run_sim_job(
-                payload["spec"], payload["deps"], self.config
-            )
-            job._resolve((result, elapsed, served, False))
-        return job
-
     def _launch(self) -> None:
         ctx = get_context("spawn")
         workers = min(self.config.jobs, len(self._queue))
         self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
         for job, payload in self._queue:
-            if payload["kind"] == "check":
-                future = self._pool.submit(
-                    _pool_entry, "check", payload["oracle"],
-                    payload["schedule"], None, None, None,
-                )
-            else:
-                future = self._pool.submit(
-                    _pool_entry, "sim", payload["spec"], payload["deps"],
-                    self.config.guard, self.config.cache_dir,
-                    self.config.sim_backend,
-                )
+            future = self._pool.submit(_run_job, payload, self.config)
             self._futures[future] = job
         self._queue.clear()
 
@@ -428,17 +358,13 @@ class LocalPoolDispatch(DispatchBackend):
                 raise DispatchError("no outstanding dispatch jobs")
             if self.config.jobs == 1 or len(self._queue) == 1:
                 job, payload = self._queue.pop(0)
-                return self._resolve_inline(job, payload)
+                job._resolve(_run_job(payload, self.config))
+                return job
             self._launch()
         done, _ = wait(self._futures, return_when=FIRST_COMPLETED)
         future = next(iter(done))
         job = self._futures.pop(future)
-        value = future.result()
-        if job.kind == "check":
-            job._resolve(value)
-        else:
-            result, elapsed, served = value
-            job._resolve((result, elapsed, served, False))
+        job._resolve(future.result())
         if not self._futures and self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -453,7 +379,7 @@ class LocalPoolDispatch(DispatchBackend):
 def create_dispatch(name: str, config: DispatchConfig) -> DispatchBackend:
     """Instantiate a concrete backend for a *resolved* dispatch name."""
     if name == "inline":
-        return InlineDispatch(config)
+        return LocalPoolDispatch(replace(config, jobs=1))
     if name == "local-pool":
         return LocalPoolDispatch(config)
     if name == "service":

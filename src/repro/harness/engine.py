@@ -47,11 +47,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..des.backends import (
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from ..des.backends import resolve_backend
 from .cache import ResultCache
 from .dispatch import (
     DispatchBackend,
@@ -60,6 +56,7 @@ from .dispatch import (
     resolve_dispatch,
     resolve_service_addr,
 )
+from .recovery import RecoveryPolicy, resolve_policy, run_recovery
 from .runner import RunResult
 from .spec import RunSpec, execute
 
@@ -153,10 +150,9 @@ def _execute_job(
     ``cache_dir`` (a path, not a live cache — workers are spawned) roots
     a local :class:`ResultCache` whose image tier feeds restart parents
     without re-simulation.  ``backend`` is the *resolved* execution
-    backend forwarded from the parent engine: spawned workers start from
-    a fresh interpreter where a parent-side ``set_default_backend`` (the
-    ``--backend`` flag) would otherwise be lost, and parallel runs must
-    agree with serial byte-for-byte.  Returns ``(result,
+    backend the submitting engine chose, passed on to :func:`execute` as
+    a plain argument so in-process, pool-worker and service-worker
+    executions all simulate identically.  Returns ``(result,
     elapsed_seconds, images_served)`` — the wall time is measured in the
     worker so pool queueing delays never pollute the cost model, and
     ``images_served`` counts the parent image maps the tier *actually*
@@ -176,16 +172,11 @@ def _execute_job(
                 served += 1
             return found
 
-    previous_backend = get_default_backend()
-    if backend is not None:
-        set_default_backend(backend)
-    try:
-        t0 = time.perf_counter()
-        result = execute(spec, deps, max_events_guard=guard, images=images)
-        return result, time.perf_counter() - t0, served
-    finally:
-        if backend is not None:
-            set_default_backend(previous_backend)
+    t0 = time.perf_counter()
+    result = execute(
+        spec, deps, max_events_guard=guard, images=images, backend=backend
+    )
+    return result, time.perf_counter() - t0, served
 
 
 class ExperimentEngine:
@@ -197,28 +188,32 @@ class ExperimentEngine:
         max_events: per-job event guard for specs without their own.
         progress: emit one line per executed job on stderr.
         backend: kernel execution backend for every job (``None`` =
-            the process default / ``REPRO_SIM_BACKEND`` / auto).  The
-            name is resolved to a concrete backend *here* and forwarded
-            to spawned workers, so serial and parallel execution always
-            run the same backend.
-        dispatch: job-dispatch backend (``None`` = the process default
-            / ``REPRO_DISPATCH`` / auto — see
-            :mod:`repro.harness.dispatch`).  ``local-pool`` is the
+            ``$REPRO_SIM_BACKEND`` / auto).  The name is resolved to a
+            concrete backend *here* and travels with every job as an
+            argument, so serial and parallel execution always run the
+            same backend.
+        dispatch: job-dispatch backend (``None`` = ``$REPRO_DISPATCH``
+            / auto — see :mod:`repro.harness.dispatch`).  ``local-pool`` is the
             historical pool, ``inline`` runs in-process, ``service``
             ships jobs to a long-lived ``repro-mpi serve`` server.
         service: ``HOST:PORT`` of the experiment service (``service``
             dispatch only; falls back to ``$REPRO_SERVICE_ADDR``).
         recovery: automatic crash recovery for submitted specs whose
             results crashed.  ``None``/``False`` disables (callers can
-            still opt in per batch with ``run_batch(..., recover=True)``,
-            which resolves a policy through
-            :func:`repro.harness.recovery.resolve_policy`); ``True``
-            enables with the resolved default policy; a
+            still opt in per batch with ``run_batch(..., recover=True)``);
+            ``True`` enables with the policy
+            :func:`repro.harness.recovery.resolve_policy` finds in the
+            environment; a
             :class:`~repro.harness.recovery.RecoveryPolicy` enables with
             that budget.  Recovered specs' entries in the returned map
             are substituted with the chain's final (clean) result — the
             cache keeps every leg, including the crashed ones, under
             their own keys.
+
+    Every choice an environment variable can supply (``backend``,
+    ``dispatch``, the recovery budget) is resolved and validated here,
+    so a malformed variable is a ``ValueError`` naming it before any
+    job runs.
 
     The engine is a context manager; ``close()`` releases dispatch
     resources (the service connection).  Both are optional for the
@@ -248,7 +243,10 @@ class ExperimentEngine:
         self.service_addr = (
             resolve_service_addr(service) if self.dispatch == "service" else None
         )
-        self.recovery = recovery
+        self.recovery = bool(recovery)
+        self._policy = resolve_policy(
+            recovery if isinstance(recovery, RecoveryPolicy) else None
+        )
         self.last_stats: EngineStats | None = None
         self._dispatcher: DispatchBackend | None = None
 
@@ -422,20 +420,14 @@ class ExperimentEngine:
         # restart chain.  Only the *returned map* sees the substitution —
         # the cache keeps the crashed leg under its own key, and the
         # chain's legs cache under theirs.
-        do_recover = bool(self.recovery) if recover is None else recover
+        do_recover = self.recovery if recover is None else recover
         if do_recover:
-            from .recovery import RecoveryPolicy, resolve_policy, run_recovery
-
-            policy = resolve_policy(
-                self.recovery if isinstance(self.recovery, RecoveryPolicy)
-                else None
-            )
             for spec in unique:
                 result = resolved[spec]
                 if not result.crashed_ranks:
                     continue
                 outcome = run_recovery(
-                    spec, policy, engine=self, initial=result
+                    spec, self._policy, engine=self, initial=result
                 )
                 stats.recoveries += 1
                 stats.recovery_attempts += outcome.recovery_legs
@@ -456,8 +448,6 @@ class ExperimentEngine:
         """Run one spec under explicit crash recovery (see
         :func:`repro.harness.recovery.run_recovery`); legs execute
         through this engine's cache and dispatch backend."""
-        from .recovery import run_recovery
-
         return run_recovery(
             spec, policy, leg_faults=leg_faults, engine=self
         )

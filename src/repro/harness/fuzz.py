@@ -41,8 +41,6 @@ fails.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -50,6 +48,7 @@ from statistics import median
 from typing import Callable, Iterable, Sequence
 
 from ..util.hashing import stable_json_hash
+from ..util.osenv import atomic_write
 from .verify import (
     ORACLES,
     FaultSchedule,
@@ -167,28 +166,13 @@ class CorpusDB:
     def keys(self) -> "list[str]":
         return sorted(p.stem for p in self.entries_dir.glob("*.json"))
 
-    def _write_atomic(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def add(self, entry: CorpusEntry) -> bool:
         """Persist ``entry``; returns False when the key already exists
         (the same minimized anomaly was found before)."""
         path = self._path(entry.key)
         if path.exists():
             return False
-        self._write_atomic(
+        atomic_write(
             path, json.dumps(entry.as_dict(), indent=2, sort_keys=True) + "\n"
         )
         return True
@@ -224,7 +208,7 @@ class CorpusDB:
         # Keep a bounded tail per oracle: recent machine speed is the
         # model, not the all-time history.
         trimmed = {k: v[-64:] for k, v in sorted(model.items())}
-        self._write_atomic(
+        atomic_write(
             self.root / "cost_model.json",
             json.dumps(trimmed, indent=2, sort_keys=True) + "\n",
         )

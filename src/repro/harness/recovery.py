@@ -30,7 +30,7 @@ the other direction too: ``ExperimentEngine(recovery=...)`` or
 result crashed (see :meth:`ExperimentEngine.run_batch`).
 
 Policy resolution follows the same precedence ladder as the execution
-and dispatch backends: explicit argument > :func:`set_default_policy` >
+and dispatch backends: explicit argument >
 ``$REPRO_RECOVERY_ATTEMPTS`` / ``$REPRO_RECOVERY_BACKOFF`` > the
 defaults.  The environment rung means spawned pool workers inherit the
 CLI's ``--max-attempts`` without replumbing (service workers are remote
@@ -39,11 +39,11 @@ processes and keep their own environment).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from ..util.hashing import stable_json_hash
+from ..util.osenv import env_value
 from .runner import RunResult
 from .spec import RunSpec, spec_hash
 
@@ -57,15 +57,11 @@ __all__ = [
     "RecoveryOutcome",
     "run_recovery",
     "resolve_policy",
-    "set_default_policy",
-    "get_default_policy",
 ]
 
 #: Cap on the modelled exponential backoff (seconds of virtual wait a
 #: cluster scheduler would impose before relaunching; never slept).
 BACKOFF_CAP = 300.0
-
-_default_policy: "RecoveryPolicy | None" = None
 
 
 class RecoveryError(RuntimeError):
@@ -106,30 +102,20 @@ class RecoveryPolicy:
         return {"max_attempts": self.max_attempts, "backoff": self.backoff}
 
 
-def set_default_policy(policy: "RecoveryPolicy | None") -> None:
-    """Set the process-wide default recovery policy (``None`` clears)."""
-    global _default_policy
-    _default_policy = policy
-
-
-def get_default_policy() -> "RecoveryPolicy | None":
-    return _default_policy
-
-
 def resolve_policy(policy: "RecoveryPolicy | None" = None) -> RecoveryPolicy:
-    """Explicit > :func:`set_default_policy` > environment > defaults."""
+    """Explicit > environment > defaults (each variable fills its own
+    field, parsed and range-checked as that field)."""
     if policy is not None:
         return policy
-    if _default_policy is not None:
-        return _default_policy
-    attempts = os.environ.get("REPRO_RECOVERY_ATTEMPTS")
-    backoff = os.environ.get("REPRO_RECOVERY_BACKOFF")
-    if attempts or backoff:
-        return RecoveryPolicy(
-            max_attempts=int(attempts) if attempts else 3,
-            backoff=float(backoff) if backoff else 0.0,
-        )
-    return RecoveryPolicy()
+    policy = RecoveryPolicy()
+    for var, name, cast in (
+        ("REPRO_RECOVERY_ATTEMPTS", "max_attempts", int),
+        ("REPRO_RECOVERY_BACKOFF", "backoff", float),
+    ):
+        policy = env_value(
+            var, lambda raw: replace(policy, **{name: cast(raw)})
+        ) or policy
+    return policy
 
 
 @dataclass

@@ -110,6 +110,7 @@ def launch_run(
     max_events: int | None = None,
     crash_at: dict[int, float] | None = None,
     scenario: "str | Scenario | None" = None,
+    backend: str | None = None,
 ) -> RunResult:
     """Run one simulated MPI job to completion and return measurements.
 
@@ -133,6 +134,9 @@ def launch_run(
             noise, straggler compute factors.  The perturbations are a
             pure function of (scenario, seed), so equal specs stay
             byte-identical across execution and dispatch backends.
+        backend: kernel execution backend handed to the
+            :class:`~repro.des.Simulator` (``None`` =
+            ``$REPRO_SIM_BACKEND`` / auto).
     """
     scn = resolve_scenario(scenario)
     if topo is None:
@@ -166,7 +170,7 @@ def launch_run(
                 f"images were taken under {img_protocol!r}, cannot restart as {protocol!r}"
             )
 
-    sim = Simulator(seed=seed, max_events=max_events)
+    sim = Simulator(seed=seed, max_events=max_events, backend=backend)
     try:
         world = World(sim, topo)
         storage = storage or StorageModel()

@@ -62,13 +62,13 @@ import json
 import os
 import socket
 import sys
-import tempfile
 import threading
 import time
 from collections import deque
 from pathlib import Path
 
 from ..util.hashing import stable_json_hash
+from ..util.osenv import atomic_write
 from .cache import ResultCache
 from .dispatch import (
     DispatchBackend,
@@ -540,19 +540,13 @@ class ExperimentServer:
             doc["payload"] = job.payload
         elif job.key.startswith("check-"):
             doc["value"] = job.value
-        self.index_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.index_dir, prefix=job.key, suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, separators=(",", ":"))
-            os.replace(tmp, self.index_dir / f"{job.key}.json")
+            atomic_write(
+                self.index_dir / f"{job.key}.json",
+                json.dumps(doc, separators=(",", ":")),
+            )
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass  # best-effort: an unpersisted job is resubmitted, not lost
 
     def _quarantine(self, path: Path, why: str) -> None:
         """Move a broken index entry aside so it never wedges a resume.

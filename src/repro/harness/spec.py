@@ -515,6 +515,7 @@ def execute(
     *,
     max_events_guard: int | None = None,
     images: "Callable[[RunSpec, int], dict | None] | None" = None,
+    backend: str | None = None,
 ) -> RunResult:
     """Run one spec (resolving probe/restart chains) and return its result.
 
@@ -535,6 +536,11 @@ def execute(
             simulated at all — the warm-restart fast path.  Any miss
             falls back to the re-simulation path, so a loader can only
             make execution faster, never change a result.
+        backend: kernel execution backend for this job and every
+            ancestor it re-simulates, handed to each
+            :class:`~repro.des.Simulator` (``None`` =
+            ``$REPRO_SIM_BACKEND`` / auto).  Every backend produces the
+            same result.
 
     A job whose protocol cannot wrap the application (the paper's NA
     cells, e.g. 2PC with non-blocking collectives) returns a
@@ -542,7 +548,9 @@ def execute(
     batch execution records *why* the cell is NA instead of dying.
     """
     deps = deps if deps is not None else {}
-    return _execute(spec, deps, guard=max_events_guard, images=images)
+    return _execute(
+        spec, deps, guard=max_events_guard, images=images, backend=backend
+    )
 
 
 def _execute(
@@ -551,6 +559,7 @@ def _execute(
     *,
     guard: int | None,
     images: "Callable[[RunSpec, int], dict | None] | None" = None,
+    backend: str | None = None,
 ) -> RunResult:
     checkpoint_at = spec.checkpoint_at
     crash_at: dict[int, float] | None = None
@@ -561,6 +570,7 @@ def _execute(
             deps,
             guard=guard,
             images=images,
+            backend=backend,
             need_images=False,
             # Completion fractions anchor on per-rank finish instants; a
             # probe result cached before that field existed is unusable
@@ -601,7 +611,7 @@ def _execute(
         if restore_images is None:
             parent = _resolve_parent(
                 spec.restart_of, deps, guard=guard, images=images,
-                need_images=True,
+                backend=backend, need_images=True,
             )
             if parent.na_reason:
                 return _na_result(spec, parent.na_reason)
@@ -634,6 +644,7 @@ def _execute(
             max_events=max_events,
             crash_at=crash_at,
             scenario=spec.scenario,
+            backend=backend,
         )
     except ProcessFailed as exc:
         if isinstance(exc.original, UnsupportedOperationError):
@@ -652,6 +663,7 @@ def _resolve_parent(
     *,
     guard: int | None,
     images: "Callable[[RunSpec, int], dict | None] | None",
+    backend: str | None,
     need_images: bool,
     need_finish_times: bool = False,
 ) -> RunResult:
@@ -663,7 +675,7 @@ def _resolve_parent(
             known = None
     if known is not None:
         return known
-    fresh = _execute(parent, deps, guard=guard, images=images)
+    fresh = _execute(parent, deps, guard=guard, images=images, backend=backend)
     deps[parent] = fresh
     return fresh
 

@@ -268,9 +268,9 @@ class FaultSchedule:
             "memory_bytes": 1 << 20,
         }
 
-    def uninterrupted_spec(self) -> RunSpec:
-        """The baseline run (identical to the checkpoint spec's probe,
-        so the engine dedupes the two)."""
+    def _spec(self, **fields) -> RunSpec:
+        """This schedule's job (app shape, protocol, seed, storage,
+        scenario) with ``fields`` laid over it."""
         return RunSpec.create(
             "earlyexit",
             self.nprocs,
@@ -279,22 +279,18 @@ class FaultSchedule:
             seed=self.seed,
             storage=_storage(),
             scenario=self.scenario,
+            **fields,
         )
+
+    def uninterrupted_spec(self) -> RunSpec:
+        """The baseline run (identical to the checkpoint spec's probe,
+        so the engine dedupes the two)."""
+        return self._spec()
 
     def checkpoint_spec(self) -> RunSpec:
         """The perturbed run: requests racing rank completion (plus any
         mid-run requests)."""
-        return RunSpec.create(
-            "earlyexit",
-            self.nprocs,
-            app_kwargs=self._app_kwargs(),
-            protocol=self.protocol,
-            seed=self.seed,
-            checkpoint_fractions=self.mid_fracs,
-            checkpoint_completion_fracs=self.completion_fracs,
-            storage=_storage(),
-            scenario=self.scenario,
-        )
+        return self.crash_spec(())
 
     def crash_spec(
         self, crash_fracs: "tuple[tuple[int, float], ...] | None" = None
@@ -303,23 +299,26 @@ class FaultSchedule:
 
         ``crash_fracs`` overrides the drawn events (the crash oracle
         derives a deterministic fallback when the draw produced none).
-        Falls back to :meth:`checkpoint_spec` when there is no crash to
-        inject.
+        With no crash to inject this *is* :meth:`checkpoint_spec`.
         """
         fracs = self.crash_fracs if crash_fracs is None else tuple(crash_fracs)
-        if not fracs:
-            return self.checkpoint_spec()
-        return RunSpec.create(
-            "earlyexit",
-            self.nprocs,
-            app_kwargs=self._app_kwargs(),
-            protocol=self.protocol,
-            seed=self.seed,
+        return self._spec(
             checkpoint_fractions=self.mid_fracs,
             checkpoint_completion_fracs=self.completion_fracs,
             crash_fracs=fracs,
-            storage=_storage(),
-            scenario=self.scenario,
+        )
+
+    def restart_spec(
+        self,
+        parent: RunSpec,
+        index: int = 0,
+        *,
+        checkpoint_at: "tuple[float, ...]" = (),
+    ) -> RunSpec:
+        """A restart leg adopting ``parent``'s ``index``-th committed
+        checkpoint."""
+        return self._spec(
+            restart_of=parent, restart_ckpt=index, checkpoint_at=checkpoint_at
         )
 
     def restart_chain(self, base_runtime: float) -> "list[RunSpec]":
@@ -337,20 +336,13 @@ class FaultSchedule:
         for depth in range(self.restart_depth):
             last = depth == self.restart_depth - 1
             chain.append(
-                RunSpec.create(
-                    "earlyexit",
-                    self.nprocs,
-                    app_kwargs=self._app_kwargs(),
-                    protocol=self.protocol,
-                    seed=self.seed,
-                    storage=_storage(),
-                    restart_of=parent,
-                    restart_ckpt=ckpt_index,
+                self.restart_spec(
+                    parent,
+                    ckpt_index,
                     # Intermediate legs re-checkpoint (possibly past
                     # their own completion: a terminal snapshot is a
                     # legal parent now) so the chain can keep going.
                     checkpoint_at=() if last else (base_runtime * 1.5,),
-                    scenario=self.scenario,
                 )
             )
             parent = chain[-1]
@@ -562,9 +554,8 @@ class RankCompletionOracle(Oracle):
         base = schedule.uninterrupted_spec()
         ckpt = schedule.checkpoint_spec()
         results = engine.run_batch([base, ckpt])
-        base_res, ckpt_res = results[base], results[ckpt]
-        self._require(not base_res.na_reason, f"baseline NA: {base_res.na_reason}")
-        self._require(not ckpt_res.na_reason, f"ckpt run NA: {ckpt_res.na_reason}")
+        base_res = _checked("baseline", results[base])
+        ckpt_res = _checked("ckpt run", results[ckpt])
 
         n_requests = len(schedule.completion_fracs) + len(schedule.mid_fracs)
         self._require(
@@ -591,8 +582,7 @@ class RankCompletionOracle(Oracle):
 
         chain = schedule.restart_chain(base_res.runtime)
         chain_res = engine.run_batch(chain)
-        final = chain_res[chain[-1]]
-        self._require(not final.na_reason, f"restart NA: {final.na_reason}")
+        final = _checked("restart", chain_res[chain[-1]])
         got = result_fingerprint(final)
         self._require(
             got == want,
@@ -649,8 +639,7 @@ def _safe_cut_detail(
         storage=_storage(),
         scenario=scenario,
     )
-    result = execute(spec)
-    Oracle._require(not result.na_reason, f"run NA: {result.na_reason}")
+    result = _run("run", spec)
     committed = [r for r in result.checkpoints if r.committed]
     Oracle._require(bool(committed), "request did not commit")
 
@@ -677,17 +666,30 @@ def _safe_cut_detail(
 def _require_conserved(label: str, res: RunResult) -> None:
     """Per-rank drain conservation (restored + buffered == consumed +
     leftover) — shared by every oracle that sweeps run legs."""
-    for rank in range(res.nprocs):
-        restored = res.drain_restored[rank]
-        buffered = res.drain_buffered[rank]
-        consumed = res.drain_consumed[rank]
-        leftover = res.drain_leftover[rank]
+    counters = zip(
+        res.drain_restored, res.drain_buffered,
+        res.drain_consumed, res.drain_leftover,
+    )
+    for rank, (restored, buffered, consumed, leftover) in enumerate(counters):
         Oracle._require(
             restored + buffered == consumed + leftover,
             f"{label}: rank {rank} drain imbalance — restored {restored} "
             f"+ buffered {buffered} != consumed {consumed} + leftover "
             f"{leftover}",
         )
+
+
+def _checked(label: str, res: RunResult) -> RunResult:
+    """The gate every oracle leg passes before anything is compared:
+    the job actually ran (not an NA cell) and conserved its drains."""
+    Oracle._require(not res.na_reason, f"{label} NA: {res.na_reason}")
+    _require_conserved(label, res)
+    return res
+
+
+def _run(label: str, spec: RunSpec, deps: "dict | None" = None) -> RunResult:
+    """Execute one oracle leg in-process and gate it (:func:`_checked`)."""
+    return _checked(label, execute(spec, deps))
 
 
 class SafeCutOracle(Oracle):
@@ -727,16 +729,7 @@ class EngineEquivalenceOracle(Oracle):
     def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
         base = schedule.uninterrupted_spec()
         ckpt = schedule.checkpoint_spec()
-        restart = RunSpec.create(
-            "earlyexit",
-            schedule.nprocs,
-            app_kwargs=schedule._app_kwargs(),
-            protocol=schedule.protocol,
-            seed=schedule.seed,
-            storage=_storage(),
-            restart_of=ckpt,
-        )
-        specs = [base, ckpt, restart]
+        specs = [base, ckpt, schedule.restart_spec(ckpt)]
         if schedule.crash_fracs:
             # A crash run must be just as deterministic as a graceful
             # one: crashed_ranks, abort records, and drain counters all
@@ -772,18 +765,8 @@ class ImageTierOracle(Oracle):
 
     def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
         parent = schedule.checkpoint_spec()
-        restart = RunSpec.create(
-            "earlyexit",
-            schedule.nprocs,
-            app_kwargs=schedule._app_kwargs(),
-            protocol=schedule.protocol,
-            seed=schedule.seed,
-            storage=_storage(),
-            restart_of=parent,
-            restart_ckpt=schedule.restart_ckpt,
-        )
-        cold = execute(restart)
-        self._require(not cold.na_reason, f"cold restart NA: {cold.na_reason}")
+        restart = schedule.restart_spec(parent, schedule.restart_ckpt)
+        cold = _run("cold restart", restart)
         with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
             ExperimentEngine(cache=ResultCache(tmp)).run(parent)
             warm_engine = ExperimentEngine(cache=ResultCache(tmp))
@@ -825,33 +808,16 @@ class DrainConservationOracle(Oracle):
     )
     cache_aware = False
 
-    def _conserved(self, label: str, res: RunResult) -> None:
-        _require_conserved(label, res)
-
     def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
         parent = schedule.checkpoint_spec()
         deps: dict = {}
-        parent_res = execute(parent, deps)
-        self._require(not parent_res.na_reason, f"ckpt run NA: {parent_res.na_reason}")
-        self._conserved("ckpt run", parent_res)
+        parent_res = _run("ckpt run", parent, deps)
 
         committed = [r for r in parent_res.checkpoints if r.committed]
         self._require(bool(committed), "checkpoint run committed nothing")
         idx = min(schedule.restart_ckpt, len(committed) - 1)
-        restart = RunSpec.create(
-            "earlyexit",
-            schedule.nprocs,
-            app_kwargs=schedule._app_kwargs(),
-            protocol=schedule.protocol,
-            seed=schedule.seed,
-            storage=_storage(),
-            restart_of=parent,
-            restart_ckpt=idx,
-        )
         deps[parent] = parent_res
-        restart_res = execute(restart, deps)
-        self._require(not restart_res.na_reason, f"restart NA: {restart_res.na_reason}")
-        self._conserved("restart", restart_res)
+        restart_res = _run("restart", schedule.restart_spec(parent, idx), deps)
         images = committed[idx].images
         total = 0
         for rank in range(schedule.nprocs):
@@ -872,11 +838,7 @@ class DrainConservationOracle(Oracle):
 
         crash_note = ""
         if schedule.crash_fracs:
-            crash_res = execute(schedule.crash_spec(), deps)
-            self._require(
-                not crash_res.na_reason, f"crash run NA: {crash_res.na_reason}"
-            )
-            self._conserved("crash run", crash_res)
+            crash_res = _run("crash run", schedule.crash_spec(), deps)
             for rec in crash_res.checkpoints:
                 if rec.aborted:
                     self._require(
@@ -979,16 +941,14 @@ class CrashFaultOracle(Oracle):
         )
         deps: dict = {}
         base = schedule.uninterrupted_spec()
-        base_res = execute(base, deps)
-        self._require(not base_res.na_reason, f"baseline NA: {base_res.na_reason}")
+        base_res = _run("baseline", base, deps)
         deps[base] = base_res  # also the crash specs' probe
 
         # Leg 1 — the schedule's drawn crash (or an early fallback):
         # typically lands mid-protocol, before any round finishes its
         # storage write, so it exercises the abort/reclaim paths.
         early = schedule.crash_spec(early_fracs)
-        early_res = execute(early, deps)
-        self._require(not early_res.na_reason, f"crash run NA: {early_res.na_reason}")
+        early_res = _run("crash run", early, deps)
         times = {r: f * base_res.runtime for r, f in early_fracs}
         _committed, aborted = self._check_crash_run("early", early_res, times)
         early_note = (
@@ -1005,16 +965,12 @@ class CrashFaultOracle(Oracle):
         # crash).  The anchor comes from the graceful checkpoint run —
         # deterministic, so the derived spec is too.
         graceful = schedule.checkpoint_spec()
-        graceful_res = execute(graceful, deps)
-        self._require(
-            not graceful_res.na_reason, f"ckpt run NA: {graceful_res.na_reason}"
-        )
+        graceful_res = _run("ckpt run", graceful, deps)
         commits = [r for r in graceful_res.checkpoints if r.committed]
         self._require(bool(commits), "graceful checkpoint run committed nothing")
         late_frac = round(commits[0].t_resumed * 1.1 / base_res.runtime, 6)
         late = schedule.crash_spec(((fallback_rank, late_frac),))
-        late_res = execute(late, deps)
-        self._require(not late_res.na_reason, f"late-crash NA: {late_res.na_reason}")
+        late_res = _run("late-crash", late, deps)
         times = {fallback_rank: late_frac * base_res.runtime}
         committed, _ = self._check_crash_run("late", late_res, times)
         self._require(
@@ -1026,19 +982,8 @@ class CrashFaultOracle(Oracle):
         # Recovery: restart from the last committed image — which
         # excludes the crash — must reproduce the uninterrupted run.
         deps[late] = late_res
-        restart = RunSpec.create(
-            "earlyexit",
-            schedule.nprocs,
-            app_kwargs=schedule._app_kwargs(),
-            protocol=schedule.protocol,
-            seed=schedule.seed,
-            storage=_storage(),
-            restart_of=late,
-            restart_ckpt=len(committed) - 1,
-        )
-        restart_res = execute(restart, deps)
-        self._require(
-            not restart_res.na_reason, f"restart NA: {restart_res.na_reason}"
+        restart_res = _run(
+            "restart", schedule.restart_spec(late, len(committed) - 1), deps
         )
         want = result_fingerprint(base_res)
         got = result_fingerprint(restart_res)
@@ -1074,9 +1019,6 @@ class RecoveryChainOracle(Oracle):
     )
     cache_aware = False
 
-    def _conserved(self, label: str, res: RunResult) -> None:
-        _require_conserved(label, res)
-
     def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
         from .recovery import (
             RecoveryError,
@@ -1099,8 +1041,7 @@ class RecoveryChainOracle(Oracle):
 
         deps: dict = {}
         base = schedule.uninterrupted_spec()
-        base_res = execute(base, deps)
-        self._require(not base_res.na_reason, f"baseline NA: {base_res.na_reason}")
+        base_res = _run("baseline", base, deps)
         want = result_fingerprint(base_res)
 
         # Anchor the chain's first crash *after* the first round's commit
@@ -1113,10 +1054,7 @@ class RecoveryChainOracle(Oracle):
         # anchor comes from the graceful checkpoint run, deterministic,
         # so the chain specs are too.
         graceful = schedule.checkpoint_spec()
-        graceful_res = execute(graceful, deps)
-        self._require(
-            not graceful_res.na_reason, f"ckpt run NA: {graceful_res.na_reason}"
-        )
+        graceful_res = _run("ckpt run", graceful, deps)
         commits = [r for r in graceful_res.checkpoints if r.committed]
         self._require(bool(commits), "graceful checkpoint run committed nothing")
         instant = commits[0].t_resumed * 1.05
@@ -1182,9 +1120,7 @@ class RecoveryChainOracle(Oracle):
 
         for i, attempt in enumerate(outcome.attempts):
             label = f"leg {i} ({attempt.restarted_from})"
-            res = attempt.result
-            self._require(not res.na_reason, f"{label} NA: {res.na_reason}")
-            self._conserved(label, res)
+            res = _checked(label, attempt.result)
             for rec in res.checkpoints:
                 if rec.aborted:
                     self._require(

@@ -17,10 +17,8 @@ from repro.des import (
     ProcessFailed,
     Simulator,
     available_backends,
-    get_default_backend,
     greenlet_available,
     resolve_backend,
-    set_default_backend,
 )
 from repro.des.backends import ENV_VAR
 
@@ -161,20 +159,14 @@ class TestResolution:
         monkeypatch.setenv(ENV_VAR, "inline")
         assert resolve_backend("threads") == "threads"
 
-    def test_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "inline")
-        set_default_backend("threads")
-        try:
-            assert resolve_backend(None) == "threads"
-        finally:
-            set_default_backend(None)
-        assert get_default_backend() is None
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("fibers")
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            set_default_backend("fibers")
+
+    def test_malformed_env_var_names_itself(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "fibers")
+        with pytest.raises(ValueError, match=rf"\${ENV_VAR}='fibers'"):
+            resolve_backend(None)
 
     @pytest.mark.skipif(greenlet_available(), reason="greenlet is installed")
     def test_explicit_greenlet_missing_is_loud(self):
@@ -185,3 +177,46 @@ class TestResolution:
         avail = available_backends()
         assert "threads" in avail and "inline" in avail
         assert ("greenlet" in avail) == greenlet_available()
+
+
+class TestBackendIsAnArgument:
+    """The engine's backend choice travels with the job as a plain
+    argument — there is no ambient process-wide backend to leak into
+    (or out of) an execution."""
+
+    def test_execute_backend_argument_leaves_no_ambient_state(self, monkeypatch):
+        from repro.harness.spec import RunSpec, execute, run_result_to_dict
+
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        spec = RunSpec.create("comd", 2, app_kwargs={"niters": 3})
+        before = resolve_backend(None)
+        inline = execute(spec, backend="inline")
+        assert resolve_backend(None) == before
+        threads = execute(spec, backend="threads")
+        assert resolve_backend(None) == before
+        assert run_result_to_dict(inline) == run_result_to_dict(threads)
+
+    def test_backend_argument_reaches_the_simulator(self, monkeypatch):
+        from repro.des import kernel
+        from repro.harness.spec import RunSpec, execute
+
+        monkeypatch.setenv(ENV_VAR, "threads")
+        seen = []
+        real_init = kernel.Simulator.__init__
+
+        def spy(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            seen.append(self.backend)
+
+        monkeypatch.setattr(kernel.Simulator, "__init__", spy)
+        # A restart re-simulates its parent: both runs get the argument.
+        parent = RunSpec.create(
+            "comd", 2, app_kwargs={"niters": 3}, protocol="cc",
+            checkpoint_fractions=(0.5,),
+        )
+        restart = RunSpec.create(
+            "comd", 2, app_kwargs={"niters": 3}, protocol="cc",
+            restart_of=parent,
+        )
+        execute(restart, backend="inline")
+        assert seen and set(seen) == {"inline"}

@@ -101,21 +101,6 @@ class TestTimingEviction:
         cache.clear()
         assert ResultCache(tmp_path).recorded_time(spec) == 0.5
 
-    def test_legacy_float_sidecar_still_loads(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        spec = _spec()
-        from repro.harness.spec import spec_hash as _hash
-
-        cache.timings_path.parent.mkdir(parents=True, exist_ok=True)
-        cache.timings_path.write_text(json.dumps({_hash(spec): 1.5}))
-        assert cache.recorded_time(spec) == 1.5
-        # A new record upgrades the file format without losing the entry.
-        other = _spec(seed=7)
-        cache.record_time(other, 0.25)
-        fresh = ResultCache(tmp_path)
-        assert fresh.recorded_time(spec) == 1.5
-        assert fresh.recorded_time(other) == 0.25
-
     def test_sidecar_capped_oldest_first(self, tmp_path, monkeypatch):
         import repro.harness.cache as cache_mod
 
@@ -185,75 +170,23 @@ class TestAgeAndSizePrune:
         assert cache.prune_to_max_entries(0) == 0
 
 
-# --------------------------------------------------------------------- #
-# Sharded layout + transparent migration of flat legacy caches
-# --------------------------------------------------------------------- #
+def test_get_and_put_hash_the_spec_once(tmp_path, monkeypatch):
+    """``spec_hash`` canonicalises the whole restart chain and dominates
+    a warm read; each cache operation must pay for it exactly once."""
+    import repro.harness.cache as cache_mod
 
-def _flatten_entry(cache, spec):
-    """Rewrite ``spec``'s entry in the pre-sharding flat location, as a
-    cache written by an older version would have left it."""
-    sharded = cache.path_for(spec)
-    legacy = cache.version_dir / sharded.name
-    legacy.write_bytes(sharded.read_bytes())
-    sharded.unlink()
-    return legacy
+    calls = []
 
+    def counting(spec):
+        calls.append(spec)
+        return spec_hash(spec)
 
-def test_legacy_flat_entry_is_read_and_migrated(tmp_path):
+    monkeypatch.setattr(cache_mod, "spec_hash", counting)
     cache = ResultCache(tmp_path)
     spec = _spec()
     result = execute(spec)
-    cache.put(spec, result)
-    legacy = _flatten_entry(cache, spec)
-    assert not cache.path_for(spec).exists()
-
-    fresh = ResultCache(tmp_path)
-    cached = fresh.get(spec)
-    assert cached is not None
-    assert cached.runtime == result.runtime
-    # The hit moved the file into its shard; the flat copy is gone.
-    assert fresh.path_for(spec).exists()
-    assert not legacy.exists()
-    # A second read comes straight from the shard.
-    assert fresh.get(spec) is not None
-    assert fresh.stats.hits == 2 and fresh.stats.misses == 0
-
-
-def test_enumeration_spans_both_layouts(tmp_path):
-    cache = ResultCache(tmp_path)
-    a, b = _spec(seed=0), _spec(seed=1)
-    cache.put(a, execute(a))
-    cache.put(b, execute(b))
-    _flatten_entry(cache, a)
-
-    fresh = ResultCache(tmp_path)
-    assert len(fresh) == 2
-    assert fresh.total_bytes() > 0
-    # clear() sweeps flat and sharded entries alike.
-    assert fresh.clear() == 2
-    assert len(fresh) == 0
-
-
-def test_prune_removes_legacy_flat_entries(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = _spec()
-    cache.put(spec, execute(spec))
-    _flatten_entry(cache, spec)
-
-    fresh = ResultCache(tmp_path)
-    assert fresh.prune([spec]) == 1
-    assert len(fresh) == 0
-    assert fresh.get(spec) is None
-
-
-def test_restore_supersedes_legacy_copy(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = _spec()
-    cache.put(spec, execute(spec))
-    legacy = _flatten_entry(cache, spec)
-    # A re-store lands in the shard and drops the stale flat copy, so
-    # the entry is never double-counted.
-    cache.put(spec, execute(spec))
-    assert cache.path_for(spec).exists()
-    assert not legacy.exists()
-    assert len(cache) == 1
+    cache.put(spec, result, elapsed=0.25)
+    assert len(calls) == 1
+    del calls[:]
+    assert cache.get(spec) is not None
+    assert len(calls) == 1

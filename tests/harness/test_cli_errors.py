@@ -176,3 +176,30 @@ class TestTopLevelRejections:
             capsys, ["fig5a", "--procs", "4,eight"],
             "expected comma-separated integers",
         )
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("REPRO_RECOVERY_ATTEMPTS", "abc"),
+            ("REPRO_RECOVERY_BACKOFF", "soon"),
+            ("REPRO_SIM_BACKEND", "fibers"),
+            ("REPRO_DISPATCH", "carrier-pigeon"),
+        ],
+    )
+    def test_malformed_environment_is_a_usage_error_naming_the_variable(
+        self, capsys, monkeypatch, var, value
+    ):
+        # Rejected when the engine is constructed — before any job runs,
+        # not as a traceback after the batch.
+        from repro.harness import engine as engine_mod
+
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a job ran before the environment was checked")
+
+        monkeypatch.setattr(engine_mod, "_execute_job", no_jobs)
+        monkeypatch.setenv(var, value)
+        _expect_usage_error(
+            capsys,
+            ["table1", "--nprocs", "2", "--no-cache", "--recover"],
+            "repro-mpi: error:", f"${var}={value!r}",
+        )

@@ -2,13 +2,14 @@
 
 The seam's contract is absolute: dispatch may change *where* a job runs
 and *how long* the batch takes, never a result.  These tests pin the
-resolution precedence (explicit > process default > environment > auto)
+resolution precedence (explicit > environment > auto)
 and prove the `inline` and `local-pool` backends produce byte-identical
 batches; the network backend gets the same treatment (plus its
 service-only behaviors) in ``test_service.py``.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,12 +17,10 @@ from repro.harness.dispatch import (
     DISPATCH_BACKENDS,
     DispatchConfig,
     DispatchError,
-    InlineDispatch,
     create_dispatch,
     parse_address,
     resolve_dispatch,
     resolve_service_addr,
-    set_default_dispatch,
 )
 from repro.harness.engine import ExperimentEngine
 from repro.harness.spec import RunSpec, run_result_to_dict
@@ -31,9 +30,6 @@ from repro.harness.spec import RunSpec, run_result_to_dict
 def _clean_dispatch_state(monkeypatch):
     monkeypatch.delenv("REPRO_DISPATCH", raising=False)
     monkeypatch.delenv("REPRO_SERVICE_ADDR", raising=False)
-    set_default_dispatch(None)
-    yield
-    set_default_dispatch(None)
 
 
 def _specs(n=3):
@@ -62,13 +58,7 @@ class TestResolution:
     def test_explicit_beats_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH", "local-pool")
         monkeypatch.setenv("REPRO_SERVICE_ADDR", "127.0.0.1:7463")
-        set_default_dispatch("local-pool")
         assert resolve_dispatch("inline") == "inline"
-
-    def test_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISPATCH", "local-pool")
-        set_default_dispatch("inline")
-        assert resolve_dispatch(None) == "inline"
 
     def test_env_beats_auto(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISPATCH", "inline")
@@ -77,8 +67,11 @@ class TestResolution:
     def test_unknown_name_is_loud(self):
         with pytest.raises(ValueError, match="unknown dispatch backend"):
             resolve_dispatch("carrier-pigeon")
-        with pytest.raises(ValueError):
-            set_default_dispatch("carrier-pigeon")
+
+    def test_malformed_env_var_names_itself(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISPATCH", "carrier-pigeon")
+        with pytest.raises(ValueError, match=r"\$REPRO_DISPATCH='carrier-pigeon'"):
+            resolve_dispatch(None)
 
     def test_every_advertised_backend_instantiates(self):
         for name in DISPATCH_BACKENDS:
@@ -109,7 +102,7 @@ class TestResolution:
 
 class TestBackendMechanics:
     def test_drain_yields_every_handle_exactly_once(self):
-        backend = InlineDispatch(DispatchConfig())
+        backend = create_dispatch("inline", DispatchConfig())
         specs = _specs(3)
         handles = [backend.submit(spec, {}) for spec in specs]
         drained = list(backend.drain())
@@ -119,7 +112,7 @@ class TestBackendMechanics:
         assert all(job.done for job in handles)
 
     def test_result_mixes_with_drain(self):
-        backend = InlineDispatch(DispatchConfig())
+        backend = create_dispatch("inline", DispatchConfig())
         specs = _specs(2)
         first = backend.submit(specs[0], {})
         second = backend.submit(specs[1], {})
@@ -132,20 +125,58 @@ class TestBackendMechanics:
     def test_check_job_reports_duration(self):
         from repro.harness.verify import FaultSchedule, schedule_to_dict
 
-        backend = InlineDispatch(DispatchConfig())
+        backend = create_dispatch("inline", DispatchConfig())
         schedule = schedule_to_dict(FaultSchedule.draw(3))
         value = backend.submit_check("safe-cut", schedule).result()
         assert value["report"]["oracle"] == "safe-cut"
         assert value["duration"] > 0
 
     def test_pending_handles_do_not_accumulate(self):
-        backend = InlineDispatch(DispatchConfig())
+        backend = create_dispatch("inline", DispatchConfig())
         for spec in _specs(3):
             backend.submit(spec, {}).result()
         # Resolved handles are pruned at the next submission, so a fuzz
         # run submitting thousands of checks stays O(outstanding).
         backend.submit(_specs(1)[0], {})
         assert len(backend._pending) == 1
+
+
+class TestInlineIsLocalPoolAtOneJob:
+    """``inline`` is a configuration of ``local-pool``, not a second
+    implementation: same mixed submission list, same results, same
+    order."""
+
+    def test_mixed_submissions_resolve_identically(self):
+        from repro.harness.verify import FaultSchedule, schedule_to_dict
+
+        cfg = DispatchConfig(jobs=4, guard=10**8, sim_backend="inline")
+        schedule = schedule_to_dict(FaultSchedule.draw(3))
+        specs = _specs(3)
+
+        def run(backend):
+            with backend:
+                handles = [
+                    backend.submit(specs[0], {}),
+                    backend.submit_check("safe-cut", schedule),
+                    backend.submit(specs[1], {}),
+                    backend.submit_check("drain-conservation", schedule),
+                    backend.submit(specs[2], {}),
+                ]
+                order = [handles.index(job) for job in backend.drain()]
+            values = []
+            for job in handles:
+                value = job.result()
+                if job.kind == "check":
+                    values.append(value["report"])
+                else:
+                    result, _elapsed, served, cached = value
+                    values.append([run_result_to_dict(result), served, cached])
+            return order, json.dumps(values, sort_keys=True)
+
+        inline = run(create_dispatch("inline", cfg))
+        pool = run(create_dispatch("local-pool", replace(cfg, jobs=1)))
+        assert inline == pool
+        assert inline[0] == [0, 1, 2, 3, 4]  # submission order, in-process
 
 
 class TestInProcessDifferential:

@@ -329,25 +329,6 @@ def test_size_eviction_of_shared_blob_drops_every_pointer(tmp_path):
     assert not cache.has_images(abs_spec, 0)
 
 
-def test_legacy_inline_blob_still_served_and_counted(tmp_path):
-    """Pointer-location files written before the dedupe hold the archive
-    inline; they read, count, and age exactly as before."""
-    cache = ResultCache(tmp_path)
-    spec = _ckpt_spec()
-    result = execute(spec)
-    record = [r for r in result.checkpoints if r.committed][0]
-    legacy = cache._pointer_path(spec, 0)
-    legacy.parent.mkdir(parents=True, exist_ok=True)
-    legacy.write_bytes(pack_image_set(record.images))
-    assert cache.has_images(spec, 0)
-    assert cache.image_count() == 1
-    assert cache.image_bytes() == legacy.stat().st_size
-    served = cache.get_images(spec, 0)
-    assert served is not None and set(served) == set(record.images)
-    assert cache.prune_images_to_max_bytes(0) == 1
-    assert not legacy.exists()
-
-
 def test_dangling_pointer_is_a_miss_not_an_error(tmp_path):
     cache = ResultCache(tmp_path)
     spec = _ckpt_spec()
@@ -492,49 +473,54 @@ def test_no_cache_engine_unchanged(tmp_path):
     assert spec_hash(restart)  # smoke: hashing restart chains still works
 
 
-def test_flat_legacy_pointer_and_blob_migrate_on_read(tmp_path):
-    """A pre-sharding cache stored pointers and blobs flat; reads must
-    serve them, count them, and migrate them into their shards."""
+def test_pre_sharding_files_are_a_clean_miss(tmp_path):
+    """The sharded layout is the only one.  Whatever an older version
+    left behind — a flat entry, a flat pointer, a flat blob, a pointer
+    holding its archive inline, a bare-float timing — is not an error,
+    not served, not counted, and never rewritten."""
     cache = ResultCache(tmp_path)
     spec = _ckpt_spec()
-    cache.put(spec, execute(spec))
+    result = execute(spec)
+    cache.put(spec, result, elapsed=0.5)
+    key = spec_hash(spec)
 
-    # Demote the sharded tier files to the flat legacy layout.
+    # Demote every file to where (and how) older versions stored it.
+    entry = cache.path_for(spec)
     pointer = cache._pointer_path(spec, 0)
+    blob = cache.image_path_for(spec, 0)
+    flat_entry = cache.version_dir / entry.name
     flat_pointer = cache.images_dir / pointer.name
-    flat_pointer.write_bytes(pointer.read_bytes())
-    pointer.unlink()
-    digest = cache._parse_pointer(flat_pointer.read_bytes())
-    blob = cache._blob_path(digest)
     flat_blob = cache.blobs_dir / blob.name
-    flat_blob.write_bytes(blob.read_bytes())
-    blob.unlink()
-
-    fresh = ResultCache(tmp_path)
-    assert fresh.image_count() == 1
-    assert fresh.has_images(spec, 0)
-    images = fresh.get_images(spec, 0)
-    assert images is not None
-    # Both files moved into their shard directories.
-    assert fresh._pointer_path(spec, 0).is_file()
-    assert fresh._blob_path(digest).is_file()
-    assert not flat_pointer.exists()
-    assert not flat_blob.exists()
-    # And nothing was double-counted after migration.
-    assert fresh.image_count() == 1
-
-
-def test_prune_drops_flat_legacy_pointers_too(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = _ckpt_spec()
-    cache.put(spec, execute(spec))
-    pointer = cache._pointer_path(spec, 0)
-    flat_pointer = cache.images_dir / pointer.name
+    flat_entry.write_bytes(entry.read_bytes())
     flat_pointer.write_bytes(pointer.read_bytes())
-    pointer.unlink()
+    flat_blob.write_bytes(blob.read_bytes())
+    entry.unlink()
+    blob.unlink()
+    record = [r for r in result.checkpoints if r.committed][0]
+    pointer.write_bytes(pack_image_set(record.images))  # inline archive
+    cache.timings_path.write_text(json.dumps({key: 1.5}))
+    left_behind = {
+        path: path.read_bytes()
+        for path in (flat_entry, flat_pointer, flat_blob, pointer)
+    }
 
     fresh = ResultCache(tmp_path)
-    assert fresh.prune([spec]) == 1
-    assert fresh.image_count() == 0
-    assert not flat_pointer.exists()
+    assert fresh.get(spec) is None
     assert fresh.get_images(spec, 0) is None
+    assert fresh.recorded_time(spec) is None
+    assert len(fresh) == 0 and fresh.total_bytes() == 0
+    assert fresh.image_count() == 0 and fresh.image_bytes() == 0
+    assert fresh.prune([spec]) == 0
+    assert fresh.prune_to_max_entries(0) == 0
+    assert fresh.prune_images_to_max_bytes(0) == 0
+    assert fresh.clear() == 0
+    for path in (flat_entry, flat_pointer, flat_blob):
+        assert path.read_bytes() == left_behind[path]
+
+    # A fresh store lands in the shards and is served from there.
+    fresh.put(spec, result)
+    assert fresh.get(spec) is not None
+    assert fresh.get_images(spec, 0) is not None
+    assert len(fresh) == 1 and fresh.image_count() == 1
+    for path in (flat_entry, flat_pointer, flat_blob):
+        assert path.read_bytes() == left_behind[path]

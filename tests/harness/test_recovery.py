@@ -18,7 +18,6 @@ from repro.harness.recovery import (
     RecoveryPolicy,
     resolve_policy,
     run_recovery,
-    set_default_policy,
 )
 from repro.harness.service import ExperimentServer, run_worker
 from repro.harness.spec import RunSpec, execute, run_result_to_dict
@@ -52,8 +51,6 @@ def _crash_spec():
 def _clean_policy(monkeypatch):
     monkeypatch.delenv("REPRO_RECOVERY_ATTEMPTS", raising=False)
     monkeypatch.delenv("REPRO_RECOVERY_BACKOFF", raising=False)
-    yield
-    set_default_policy(None)
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +80,31 @@ class TestRecoveryPolicy:
         monkeypatch.setenv("REPRO_RECOVERY_ATTEMPTS", "7")
         monkeypatch.setenv("REPRO_RECOVERY_BACKOFF", "2.5")
         assert resolve_policy(None) == RecoveryPolicy(7, 2.5)
-        # ...process default above the environment...
-        set_default_policy(RecoveryPolicy(max_attempts=2))
-        assert resolve_policy(None) == RecoveryPolicy(max_attempts=2)
+        # ...each variable filling only its own field...
+        monkeypatch.delenv("REPRO_RECOVERY_ATTEMPTS")
+        assert resolve_policy(None) == RecoveryPolicy(backoff=2.5)
         # ...and the explicit argument wins outright.
         assert resolve_policy(RecoveryPolicy(9)) == RecoveryPolicy(9)
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("REPRO_RECOVERY_ATTEMPTS", "abc"),
+            ("REPRO_RECOVERY_ATTEMPTS", "0"),
+            ("REPRO_RECOVERY_BACKOFF", "soon"),
+            ("REPRO_RECOVERY_BACKOFF", "-1"),
+        ],
+    )
+    def test_malformed_environment_names_the_variable(
+        self, monkeypatch, var, value
+    ):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=rf"\${var}='{value}'"):
+            resolve_policy(None)
+        # The engine resolves its policy at construction: the typo is
+        # reported before any job runs, not after the batch.
+        with pytest.raises(ValueError, match=var):
+            ExperimentEngine()
 
 
 class TestRecoveryChains:
