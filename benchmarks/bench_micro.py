@@ -2,7 +2,7 @@
 
 Measures the wall-clock cost of the hot primitives: sequence-number
 increments (the CC steady-state cost), ggid hashing, the DES event loop
-(pure-callback dispatch, thread-handoff process resumes), the indexed
+(pure-callback dispatch, process suspend/resume), the indexed
 message-matching engine, and the collective cost solvers — the pieces
 whose cheapness the whole reproduction relies on.
 
@@ -16,10 +16,7 @@ Two entry points:
   --min-ratio 0.7`` exits non-zero if the kernel event rate regressed
   more than 30% versus the baseline's latest entry (the CI smoke gate).
 
-The emitter also runs ``bench_resume``, the per-execution-backend
-suspend/resume microbenchmark (``--gate-resume RATIO`` exits non-zero
-unless the best same-thread backend beats the ``threads`` reference by
-RATIO×), and ``bench_warm_restart``, the restart-chain
+The emitter also runs ``bench_warm_restart``, the restart-chain
 macrobenchmark: a cold probe → checkpoint → restart chain versus the
 image-tier warm path that re-executes only the restart cell.  It raises
 (and ``--gate-warm-restart`` exits non-zero) if the warm path simulated
@@ -34,7 +31,7 @@ import time
 from pathlib import Path
 
 from repro.core import SeqNumTable, compute_ggid
-from repro.des import Simulator, available_backends
+from repro.des import Simulator
 from repro.netmodel import CollectiveTuning, make_solver, make_topology
 from repro.simmpi.datatypes import ANY_SOURCE
 from repro.simmpi.matching import MatchingEngine
@@ -71,7 +68,8 @@ def _nowq_chain(n: int = 100_000) -> int:
 
 
 def _process_pingpong(n: int = 10_000) -> int:
-    """Thread-handoff cost: one process sleeping n times."""
+    """Suspend/resume cost: one process sleeping n times, so every
+    event is a process resume."""
     with Simulator() as sim:
         def body():
             for _ in range(n):
@@ -83,39 +81,9 @@ def _process_pingpong(n: int = 10_000) -> int:
 
 
 def _resume_loop(backend: str, n: int = 10_000) -> int:
-    """Suspend/resume round-trips under one execution backend.
-
-    Single process, n sleeps: every event is a process resume, so the
-    measured rate is almost pure backend transfer cost — two lock
-    handoffs (threads), one stack switch (greenlet), or a plain
-    function return (inline, where the resumed process *is* the
-    driver)."""
-    with Simulator(backend=backend) as sim:
-        def body():
-            for _ in range(n):
-                sim.sleep(1e-6)
-
-        sim.spawn(body)
-        sim.run()
-        return sim.event_count
-
-
-def bench_resume() -> "dict[str, float]":
-    """Per-backend resume throughput + speedup of the best same-thread
-    backend over the ``threads`` reference (the PR 6 headline)."""
-    metrics: dict[str, float] = {}
-    for backend in available_backends():
-        metrics[f"kernel_resume_{backend}_events_per_sec"] = round(
-            _rate(lambda: _resume_loop(backend))
-        )
-    threads = metrics["kernel_resume_threads_events_per_sec"]
-    fast = max(
-        value
-        for name, value in metrics.items()
-        if name != "kernel_resume_threads_events_per_sec"
-    )
-    metrics["resume_speedup_vs_threads"] = round(fast / threads, 2)
-    return metrics
+    """:func:`_process_pingpong` under the name and call shape
+    ``benchmarks/e2e/drivers.py`` (frozen) uses; ``backend`` is ignored."""
+    return _process_pingpong(n)
 
 
 def _matching_deep(depth: int = 256, rounds: int = 20) -> int:
@@ -259,7 +227,10 @@ def collect_metrics() -> "dict[str, float]":
         "matching_deep_ops_per_sec": round(_rate(_matching_deep)),
         "matching_wildcard_ops_per_sec": round(_rate(_matching_wildcard)),
     }
-    metrics.update(bench_resume())
+    # The suspend/resume column PR 6 started, continued under its name.
+    metrics["kernel_resume_inline_events_per_sec"] = metrics[
+        "kernel_process_events_per_sec"
+    ]
     metrics.update(bench_warm_restart())
     return metrics
 
@@ -307,15 +278,6 @@ def test_des_event_throughput(benchmark):
 
     count = benchmark(run_events)
     assert count >= 500
-
-
-def test_kernel_resume_fast_backend_throughput(benchmark):
-    """Resume round-trips on the fastest same-thread backend."""
-    backend = "greenlet" if "greenlet" in available_backends() else "inline"
-    count = benchmark.pedantic(
-        _resume_loop, args=(backend,), rounds=3, iterations=1
-    )
-    assert count >= 10_000
 
 
 def test_matching_deep_queue_throughput(benchmark):
@@ -438,26 +400,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run only the warm-restart macrobenchmark and "
                              "fail if the warm path re-simulated any parent "
                              "job (determinism gate, not a perf gate)")
-    parser.add_argument("--gate-resume", type=float, default=None,
-                        metavar="RATIO",
-                        help="run only the per-backend resume microbenchmark "
-                             "and fail unless the best same-thread backend "
-                             "reaches RATIO x the threads reference resume "
-                             "throughput (e.g. 5.0)")
     args = parser.parse_args(argv)
-    if args.gate_resume is not None:
-        metrics = bench_resume()
-        for name, value in sorted(metrics.items()):
-            print(f"  {name}: {value}")
-        speedup = metrics["resume_speedup_vs_threads"]
-        if speedup < args.gate_resume:
-            print(
-                f"resume gate: FAIL: {speedup:.2f}x < {args.gate_resume}x "
-                "required over the threads reference"
-            )
-            return 1
-        print(f"resume gate: ok ({speedup:.2f}x >= {args.gate_resume}x)")
-        return 0
     if args.gate_warm_restart:
         try:
             metrics = bench_warm_restart(repeats=1)

@@ -94,7 +94,6 @@ import os
 import sys
 import time
 
-from .des.backends import BACKENDS
 from .harness import (
     MASKS,
     ORACLES,
@@ -212,27 +211,11 @@ def _make_engine(
         recovery = _recovery_kwargs(args)
         return ExperimentEngine(
             jobs=args.jobs, cache=cache, progress=progress,
-            backend=_chosen_backend(args),
             **_dispatch_kwargs(args),
             **(recovery if recover else {}),
         )
     except (DispatchError, ValueError) as exc:
         parser.error(str(exc))
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--backend`` execution-backend selector."""
-    parser.add_argument(
-        "--backend", choices=("auto",) + BACKENDS, default=None,
-        help="simulation execution backend (default: auto — greenlet when "
-             "importable, else threads; or $REPRO_SIM_BACKEND)",
-    )
-
-
-def _chosen_backend(args: argparse.Namespace) -> str | None:
-    """Map the CLI flag to an engine backend override (``auto`` == unset)."""
-    backend = getattr(args, "backend", None)
-    return None if backend == "auto" else backend
 
 
 def _add_dispatch_args(parser: argparse.ArgumentParser) -> None:
@@ -510,7 +493,6 @@ def _sweep_main(argv: list[str]) -> int:
     _add_engine_args(
         parser, jobs_help="parallel simulation worker processes (default 1)"
     )
-    _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
     args = parser.parse_args(argv)
@@ -642,7 +624,6 @@ def _verify_main(argv: list[str]) -> int:
                   "report sequence is byte-identical to a serial sweep "
                   "(default 1)",
     )
-    _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--artifact", type=str, default="verify-failures.json",
@@ -917,7 +898,6 @@ def _worker_main(argv: list[str]) -> int:
     parser.add_argument("--connect", type=str, required=True,
                         metavar="HOST:PORT",
                         help="experiment service address")
-    _add_backend_arg(parser)
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="override the server-advertised artifact "
                              "store (rarely needed; must be shared with "
@@ -950,7 +930,6 @@ def _worker_main(argv: list[str]) -> int:
     try:
         executed = run_worker(
             addr,
-            sim_backend=_chosen_backend(args),
             cache_dir=args.cache_dir,
             max_jobs=args.max_jobs,
             connect_retries=args.connect_retries,
@@ -1017,7 +996,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_args(
         parser, jobs_help="parallel simulation worker processes (default 1)"
     )
-    _add_backend_arg(parser)
     _add_dispatch_args(parser)
     _add_recovery_args(parser)
     args = parser.parse_args(argv)

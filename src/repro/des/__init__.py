@@ -4,19 +4,11 @@ Public surface:
 
 * :class:`Simulator` — the event loop / virtual clock.
 * :class:`SimProcess` — a suspendable simulated process.
-* :mod:`repro.des.backends` — execution-backend selection
-  (``threads``/``greenlet``/``inline``; :func:`resolve_backend`,
-  ``REPRO_SIM_BACKEND``).
 * :mod:`repro.des.sync` — :class:`Waiter`, :class:`SimEvent`,
   :class:`Mailbox`, :class:`Gate` primitives.
 * :mod:`repro.des.errors` — kernel exception types.
 """
 
-from .backends import (
-    available_backends,
-    greenlet_available,
-    resolve_backend,
-)
 from .errors import (
     DeadlockError,
     NotInProcessError,
@@ -50,7 +42,4 @@ __all__ = [
     "SimClosedError",
     "NotInProcessError",
     "SchedulingError",
-    "available_backends",
-    "greenlet_available",
-    "resolve_backend",
 ]

@@ -1,33 +1,35 @@
-"""Deterministic discrete-event simulation kernel with pluggable backends.
+"""Deterministic discrete-event simulation kernel.
 
 The kernel lets ordinary *blocking-style* Python code (such as an MPI
 application calling ``comm.recv(...)``) run under a virtual clock.  Each
 simulated process owns a real call stack, but **exactly one process runs
-at a time**: the scheduler transfers control to the process whose
-wake-up event is next in virtual time, and the process hands control
-back whenever it performs a kernel call (``sleep``, blocking on a
-primitive, exiting).  Because every hand-off is mediated by the event
-queue, and entries are ordered by ``(time, sequence_number)``, execution
-is fully deterministic for a fixed program — no dependence on OS thread
-scheduling.
+at a time**: control goes to the process whose wake-up event is next in
+virtual time, and the process gives it up whenever it performs a kernel
+call (``sleep``, blocking on a primitive, exiting).  Because every
+hand-off is mediated by the event queue, and entries are ordered by
+``(time, sequence_number)``, execution is fully deterministic for a
+fixed program — no dependence on OS thread scheduling.
 
-*How* a process suspends is an execution-backend concern (see
-:mod:`repro.des.backends`): the ``threads`` backend parks one OS thread
-per process on a raw ``Lock`` pair (the seed design, kept as the
-differential reference), the ``greenlet`` backend stack-switches inside
-a single OS thread, and the ``inline`` backend keeps carrier threads but
-migrates the scheduler loop onto the blocked process's thread so that a
-process whose own wake event is next resumes with zero lock operations.
-All backends replay the *same* event schedule — ``event_count`` is the
-byte-identical determinism fingerprint across them.
+Suspension is a *baton* protocol.  Every process has a carrier OS
+thread (so its stack survives a suspension), and there is no dedicated
+scheduler thread: whichever thread holds the baton runs the event loop
+(:meth:`Simulator._drive`).  A process that suspends keeps driving on
+its own carrier; when its own wake event comes up — the common case for
+compute/sleep loops — resuming is a plain function return, zero lock
+operations.  Otherwise the driver releases the next process's
+``_resume`` lock and parks (one hand-off).  The thread inside
+:meth:`Simulator.run` drives until the first transfer, then parks until
+the loop reaches a terminal state.  The dedicated-scheduler-thread
+design this replaced lives on as the differential reference in
+``tests/des/reference_kernel.py``.
 
 Hot-path design (every simulated second is millions of these):
 
 * **Pure-callback events run inline** in the scheduler loop — timers,
   request completions, and coordinator callbacks never touch a process.
-  Only resuming a simulated *process* costs a control transfer, and the
-  threads/inline transfer uses raw ``threading.Lock`` pairs (C-level
-  acquire/release) rather than the Python-implemented ``Semaphore``.
+  Only resuming a simulated *process* can cost a control transfer, and
+  that uses raw ``threading.Lock`` objects (C-level acquire/release)
+  rather than the Python-implemented ``Semaphore``.
 * **Zero-delay events bypass the heap.**  Events scheduled at the
   current instant (process resumes, completion wakeups, mailbox
   deliveries) go to a FIFO *now-queue*; the run loop merges the two
@@ -72,7 +74,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import backends as _backends
 from .errors import (
     DeadlockError,
     NotInProcessError,
@@ -101,26 +102,13 @@ _KILLED = "killed"
 _CRASHED = "crashed"
 
 #: States in which a process still owns a runnable stack (hot-path
-#: membership test shared by ``SimProcess.alive`` and the schedulers).
+#: membership test shared by ``SimProcess.alive`` and the resume path).
 _ALIVE_STATES = (_NEW, _READY, _RUNNING, _BLOCKED)
 
 #: Default stack size for simulated process threads.  Simulated ranks are
 #: shallow (application loop + wrapper + kernel), so a small stack keeps
 #: memory bounded when simulating hundreds of ranks.
 _STACK_SIZE = 512 * 1024
-
-#: Lazily imported ``greenlet`` module (optional dependency).
-_greenlet = None
-
-
-def _load_greenlet():
-    global _greenlet
-    if _greenlet is None:
-        import greenlet as _mod
-
-        _greenlet = _mod
-    return _greenlet
-
 
 class Interrupted:
     """Sentinel type returned by interruptible sleeps that were cut short."""
@@ -162,14 +150,9 @@ class Timer:
 class SimProcess:
     """A simulated process: a suspendable call stack run only when scheduled.
 
-    Do not instantiate directly; use :meth:`Simulator.spawn`, which picks
-    the concrete subclass for the simulator's execution backend.  The
-    backend seam is four methods every subclass implements:
-
-    * ``_start`` — post-spawn setup (start a carrier thread, or nothing);
-    * ``_transfer_in`` — scheduler-side control transfer into the process;
-    * ``_yield_and_wait`` — process-side suspension back to the scheduler;
-    * ``_kill`` / ``_join`` — shutdown delivery and reclamation.
+    Do not instantiate directly; use :meth:`Simulator.spawn`.  The body
+    runs on a carrier OS thread parked on the raw ``_resume`` lock
+    whenever another thread holds the baton (see the module docstring).
     """
 
     __slots__ = (
@@ -190,6 +173,8 @@ class SimProcess:
         "_resume_at",
         "_resume_action",
         "_wake_action",
+        "_resume",
+        "_thread",
     )
 
     def __init__(
@@ -222,8 +207,26 @@ class SimProcess:
         # Preallocated hot-path callbacks: one per process for its
         # lifetime instead of one per resume/sleep.  partial() beats a
         # lambda here — the dispatch stays in C, no closure frame.
-        self._resume_action = _partial(sim._resume_process, self)
+        self._resume_action = self._resume_now
         self._wake_action = _partial(sim._make_ready, self)
+        # Raw Lock (not Semaphore): acquire/release are C-level, and the
+        # kernel's strict one-runner-at-a-time handoff never needs counts.
+        self._resume = threading.Lock()
+        self._resume.acquire()
+        old = threading.stack_size()
+        try:
+            threading.stack_size(_STACK_SIZE)
+        except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
+            pass
+        try:
+            self._thread = threading.Thread(
+                target=self._bootstrap, name=f"sim:{name}", daemon=True
+            )
+        finally:
+            try:
+                threading.stack_size(old)
+            except (ValueError, RuntimeError):  # pragma: no cover
+                pass
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -251,29 +254,75 @@ class SimProcess:
         return f"<SimProcess {self.name} state={self.state}>"
 
     # ------------------------------------------------------------------ #
-    # Backend seam (implemented by concrete subclasses)
+    # Control transfer
     # ------------------------------------------------------------------ #
 
-    def _start(self) -> None:
-        raise NotImplementedError
+    def _bootstrap(self) -> None:
+        """Carrier-thread main: wait for the first resume, run the body,
+        then keep the baton moving until it can be handed on."""
+        sim = self.sim
+        _tls.proc = self
+        self._resume.acquire()
+        if self._killed:
+            self.state = _KILLED
+        else:
+            self.state = _RUNNING
+            try:
+                self.result = self.fn(*self.args, **self.kwargs)
+            except ProcessKilled:
+                self.state = _KILLED
+            except BaseException as exc:  # noqa: BLE001 - reported via run()
+                self.state = _FAILED
+                self.exception = exc
+                sim._failed.append(self)
+                sim._trace_emit("fail", self.name, repr(exc))
+            else:
+                self.state = _DONE
+                sim._trace_emit("exit", self.name, "")
+            if self.state != _KILLED:
+                for waker in self._waiters_on_exit:
+                    waker()
+                self._waiters_on_exit.clear()
+            _tls.proc = None
+        if sim._closed:
+            # Unwound by close(): hand control straight back to it
+            # instead of driving the event loop during teardown.
+            sim._token.release()
+            return
+        # This thread still holds the baton — also when the body died of
+        # ProcessKilled mid-run (it crashed itself via kill_process and
+        # then suspended): the rest of the simulation must go on.
+        sim._pass_baton(*sim._drive(None))
 
-    def _transfer_in(self) -> None:
-        """Transfer control into this process (scheduler context)."""
-        raise NotImplementedError
+    def _resume_now(self) -> None:
+        """This process's resume event: name it as the next runner; the
+        drive loop does the transfer once this action returns."""
+        if self.state not in _ALIVE_STATES:
+            return
+        self._resume_at = -1.0
+        sim = self.sim
+        if sim._tracer is not None:
+            sim._trace_emit(
+                "start" if self.state == _READY else "wake", self.name, ""
+            )
+        sim._switch = self
 
     def _yield_and_wait(self) -> None:
-        """Give control back to the scheduler and wait to be resumed
-        (called from inside the process)."""
-        raise NotImplementedError
-
-    def _kill(self) -> None:
-        """Deliver :class:`ProcessKilled` and run the stack to completion
-        (called from :meth:`Simulator.close`)."""
-        raise NotImplementedError
-
-    def _join(self) -> None:
-        """Reclaim backend resources after :meth:`_kill`."""
-        raise NotImplementedError
+        """Suspend (called from inside the process): drive the event
+        loop right here on the carrier thread.  ``"resume"`` means our
+        own wake event came up — the transfer back is this plain
+        function return, no locks touched.  Otherwise pass the baton and
+        park until resumed."""
+        sim = self.sim
+        _tls.proc = None
+        kind, payload = sim._drive(self)
+        if kind != "resume":
+            sim._pass_baton(kind, payload)
+            self._resume.acquire()
+        _tls.proc = self
+        if self._killed:
+            raise ProcessKilled()
+        self.state = _RUNNING
 
     # ------------------------------------------------------------------ #
     # Cross-process operations (must run while holding control, i.e.
@@ -304,325 +353,6 @@ class SimProcess:
             self._waiters_on_exit.append(waker)
 
 
-class _ThreadBackedProcess(SimProcess):
-    """Shared machinery for backends that give each process an OS thread."""
-
-    __slots__ = ("_resume", "_thread")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        name: str,
-    ):
-        super().__init__(sim, fn, args, kwargs, name)
-        # Raw Lock (not Semaphore): acquire/release are C-level, and the
-        # kernel's strict one-runner-at-a-time handoff never needs counts.
-        self._resume = threading.Lock()
-        self._resume.acquire()
-        old = threading.stack_size()
-        try:
-            threading.stack_size(_STACK_SIZE)
-        except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
-            pass
-        try:
-            self._thread = threading.Thread(
-                target=self._bootstrap, name=f"sim:{name}", daemon=True
-            )
-        finally:
-            try:
-                threading.stack_size(old)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                pass
-
-    def _bootstrap(self) -> None:
-        raise NotImplementedError
-
-    def _start(self) -> None:
-        self._thread.start()
-
-    def _kill(self) -> None:
-        # Crashed processes (kill_process) still own a parked stack: the
-        # crash only marked them dead, so close() must unwind them here
-        # like any live process.
-        if (self.alive or self.state == _CRASHED) and self._thread.is_alive():
-            self._killed = True
-            self.sim._trace_emit("kill", self.name, "")
-            self._resume.release()
-            self.sim._token.acquire()
-
-    def _join(self) -> None:
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-
-
-class _ThreadProcess(_ThreadBackedProcess):
-    """``threads`` backend: the scheduler stays on the run() thread and
-    each transfer is a ``_resume``/``_token`` lock handoff (two OS
-    context switches per resume).  Seed semantics; differential
-    reference for the other backends."""
-
-    __slots__ = ()
-
-    def _bootstrap(self) -> None:
-        _tls.proc = self
-        self._resume.acquire()
-        if self._killed:
-            self.state = _KILLED
-            self.sim._token.release()
-            return
-        self.state = _RUNNING
-        try:
-            self.result = self.fn(*self.args, **self.kwargs)
-        except ProcessKilled:
-            self.state = _KILLED
-            self.sim._token.release()
-            return
-        except BaseException as exc:  # noqa: BLE001 - reported to scheduler
-            self.state = _FAILED
-            self.exception = exc
-            self.sim._failed.append(self)
-            self.sim._trace_emit("fail", self.name, repr(exc))
-        else:
-            self.state = _DONE
-            self.sim._trace_emit("exit", self.name, "")
-        for waker in self._waiters_on_exit:
-            waker()
-        self._waiters_on_exit.clear()
-        self.sim._token.release()
-
-    def _transfer_in(self) -> None:
-        sim = self.sim
-        previous = sim._current
-        sim._current = self
-        self._resume.release()
-        sim._token.acquire()
-        sim._current = previous
-
-    # Called from *inside* the process thread to give control back to the
-    # scheduler and wait to be resumed.
-    def _yield_and_wait(self) -> None:
-        self.sim._token.release()
-        self._resume.acquire()
-        if self._killed:
-            raise ProcessKilled()
-        self.state = _RUNNING
-
-
-class _InlineProcess(_ThreadBackedProcess):
-    """``inline`` backend: carrier threads plus a migrating scheduler.
-
-    Instead of bouncing control back to a dedicated scheduler thread on
-    every suspension, the *blocking process itself* becomes the
-    scheduler (:meth:`Simulator._inline_core`) and keeps dispatching
-    events on its own thread.  When the next process to run is the
-    driver itself — the overwhelmingly common case for compute/sleep
-    loops — the "transfer" is a plain function return: zero lock
-    operations and zero OS context switches.  A cross-process transfer
-    releases the target's ``_resume`` lock and parks the driver, one
-    lock handoff instead of the threads backend's two.  The thread
-    parked in :meth:`Simulator.run` only wakes when the event loop
-    reaches a terminal state (queue exhausted, ``until`` cutoff, or an
-    error to raise).
-    """
-
-    __slots__ = ()
-
-    def _bootstrap(self) -> None:
-        sim = self.sim
-        _tls.proc = self
-        self._resume.acquire()
-        if self._killed:
-            self.state = _KILLED
-            sim._token.release()
-            return
-        sim._current = self
-        self.state = _RUNNING
-        try:
-            self.result = self.fn(*self.args, **self.kwargs)
-        except ProcessKilled:
-            self.state = _KILLED
-            sim._token.release()
-            return
-        except BaseException as exc:  # noqa: BLE001 - reported to scheduler
-            self.state = _FAILED
-            self.exception = exc
-            sim._failed.append(self)
-            sim._trace_emit("fail", self.name, repr(exc))
-        else:
-            self.state = _DONE
-            sim._trace_emit("exit", self.name, "")
-        for waker in self._waiters_on_exit:
-            waker()
-        self._waiters_on_exit.clear()
-        _tls.proc = None
-        sim._current = None
-        if sim._closed:
-            # Killed during close() but the body caught ProcessKilled (or
-            # finished racing it): hand control straight back to close()
-            # instead of driving the event loop during teardown.
-            sim._token.release()
-            return
-        # This thread still holds the baton: keep dispatching events
-        # until control can be handed to the next process (or the
-        # terminal result delivered to the thread parked in run()),
-        # then let the carrier thread exit.
-        kind, payload = sim._inline_core(None, sim._inline_until)
-        sim._inline_handoff(kind, payload)
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        # One resume event fires per suspend; fold the generic
-        # _resume_process -> _transfer_in pair into a single bound
-        # method so the hottest path in this backend is one call.
-        self._resume_action = self._resume_inline
-
-    def _resume_inline(self) -> None:
-        # Mirrors Simulator._resume_process + _transfer_in exactly.
-        if self.state not in _ALIVE_STATES:
-            return
-        self._resume_at = -1.0
-        sim = self.sim
-        if sim._tracer is not None:
-            sim._trace_emit(
-                "start" if self.state == _READY else "wake", self.name, ""
-            )
-        sim._switch = self
-
-    def _transfer_in(self) -> None:
-        # Scheduler context *is* some carrier (or the run() caller's)
-        # thread; record the winner and let the drive loop do the baton
-        # pass after the current event's action returns.
-        self.sim._switch = self
-
-    def _yield_and_wait(self) -> None:
-        # This blocked process becomes the scheduler: _inline_core runs
-        # right here on its carrier thread.  Returning "resume" means
-        # our own wake event came up while driving — the transfer back
-        # is this plain function return, no locks touched.  Otherwise
-        # pass the baton (wake the next carrier, or deliver a terminal
-        # result to the thread parked in run()) and park until resumed.
-        sim = self.sim
-        _tls.proc = None
-        sim._current = None
-        kind, payload = sim._inline_core(self, sim._inline_until)
-        if kind != "resume":
-            sim._inline_handoff(kind, payload)
-            self._resume.acquire()
-        _tls.proc = self
-        sim._current = self
-        if self._killed:
-            raise ProcessKilled()
-        self.state = _RUNNING
-
-
-class _GreenletProcess(SimProcess):
-    """``greenlet`` backend: one greenlet per process, single OS thread.
-
-    Control transfer is a userspace stack switch — no locks, no kernel
-    scheduler — and a simulated world stops costing one OS thread per
-    rank.  Greenlets are created lazily at first resume, and the parent
-    link is re-pointed at the current scheduler greenlet on every
-    transfer so a finishing process always falls back into the
-    scheduler that resumed it.
-    """
-
-    __slots__ = ("_glet",)
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        name: str,
-    ):
-        super().__init__(sim, fn, args, kwargs, name)
-        self._glet = None
-
-    def _start(self) -> None:
-        pass  # the greenlet is created lazily at first resume
-
-    def _bootstrap(self) -> None:
-        sim = self.sim
-        if self._killed:
-            self.state = _KILLED
-            return
-        self.state = _RUNNING
-        try:
-            self.result = self.fn(*self.args, **self.kwargs)
-        except ProcessKilled:
-            self.state = _KILLED
-            return
-        except BaseException as exc:  # noqa: BLE001 - reported to scheduler
-            self.state = _FAILED
-            self.exception = exc
-            sim._failed.append(self)
-            sim._trace_emit("fail", self.name, repr(exc))
-        else:
-            self.state = _DONE
-            sim._trace_emit("exit", self.name, "")
-        for waker in self._waiters_on_exit:
-            waker()
-        self._waiters_on_exit.clear()
-        # Falling off ends the greenlet; control returns to the parent
-        # (the scheduler greenlet recorded at the last transfer).
-
-    def _transfer_in(self) -> None:
-        sim = self.sim
-        glet = self._glet
-        if glet is None:
-            glet = self._glet = _greenlet.greenlet(self._bootstrap)
-        here = _greenlet.getcurrent()
-        glet.parent = here
-        sim._sched_glet = here
-        previous = sim._current
-        prev_proc = getattr(_tls, "proc", None)
-        sim._current = self
-        # _tls is shared with the scheduler on this backend (same OS
-        # thread), so the current-process marker must swap per switch.
-        _tls.proc = self
-        glet.switch()
-        _tls.proc = prev_proc
-        sim._current = previous
-
-    def _yield_and_wait(self) -> None:
-        self.sim._sched_glet.switch()
-        if self._killed:
-            raise ProcessKilled()
-        self.state = _RUNNING
-
-    def _kill(self) -> None:
-        # Crashed (kill_process) greenlets still hold a suspended stack
-        # that must be unwound; every other non-alive state is final.
-        if not self.alive and self.state != _CRASHED:
-            return
-        self._killed = True
-        self.sim._trace_emit("kill", self.name, "")
-        glet = self._glet
-        if glet is None or glet.dead:
-            # Never started (or already unwound): nothing to deliver.
-            self.state = _KILLED
-            return
-        glet.parent = _greenlet.getcurrent()
-        prev_proc = getattr(_tls, "proc", None)
-        _tls.proc = self
-        glet.switch()  # resumes in _yield_and_wait -> raises ProcessKilled
-        _tls.proc = prev_proc
-
-    def _join(self) -> None:
-        pass
-
-
-_PROCESS_CLASSES: dict[str, type[SimProcess]] = {
-    "threads": _ThreadProcess,
-    "greenlet": _GreenletProcess,
-    "inline": _InlineProcess,
-}
-
-
 class Simulator:
     """The event loop: a queue of timed actions plus the process registry.
 
@@ -634,12 +364,11 @@ class Simulator:
         max_events: safety valve — :meth:`run` raises ``SchedulingError``
             after this many events (guards against runaway protocol loops
             in tests).
-        backend: execution backend (``"threads"``, ``"greenlet"``,
-            ``"inline"`` or ``"auto"``); ``None`` falls through the
-            precedence chain in :mod:`repro.des.backends`
-            (``REPRO_SIM_BACKEND``, auto-detect).
-            All backends produce byte-identical event schedules.
     """
+
+    #: The process class :meth:`spawn` builds.  With :meth:`_run_loop`,
+    #: one of the two points ``tests/des/reference_kernel.py`` overrides.
+    _process_cls = SimProcess
 
     def __init__(
         self,
@@ -647,13 +376,7 @@ class Simulator:
         seed: int = 0,
         tracer: Tracer | None = None,
         max_events: int | None = None,
-        backend: str | None = None,
     ):
-        self._backend = _backends.resolve_backend(backend)
-        if self._backend == "greenlet":
-            _load_greenlet()
-        self._process_cls = _PROCESS_CLASSES[self._backend]
-        self._inline = self._backend == "inline"
         #: Future events: ``(time, seq, timer_or_None, action)`` tuples
         #: so heap sifting compares in C without calling back into
         #: Python; the Timer slot is None for non-cancellable events.
@@ -673,9 +396,8 @@ class Simulator:
         self._now = 0.0
         self._processes: list[SimProcess] = []
         self._failed: list[SimProcess] = []
-        self._current: SimProcess | None = None
-        # Scheduler-side half of the handoff pair (threads/inline
-        # backends); see _ThreadBackedProcess._resume.
+        #: Held by every thread except the one parked in :meth:`run` (or
+        #: :meth:`close`); released to deliver a terminal result to it.
         self._token = threading.Lock()
         self._token.acquire()
         self._running = False
@@ -689,18 +411,15 @@ class Simulator:
         #: Logical events carried by batch entries beyond the entries
         #: themselves (see :meth:`defer_batch_at`).
         self._extra_events = 0
-        #: inline backend: process chosen by the last resume action,
-        #: consumed by the drive loop right after the action returns.
+        #: Process named by the last resume action, consumed by the
+        #: drive loop right after the action returns.
         self._switch: SimProcess | None = None
-        #: inline backend: ``until`` of the active run(), re-read by every
-        #: drive loop entered while that run is in flight.
-        self._inline_until: float | None = None
-        #: inline backend: terminal result/exception handed from whichever
-        #: thread finished driving back to the thread parked in run().
-        self._inline_result: Any = None
-        self._inline_exc: BaseException | None = None
-        #: greenlet backend: the scheduler greenlet to switch back to.
-        self._sched_glet = None
+        #: ``until`` of the active run(), read by every drive loop
+        #: entered while that run is in flight.
+        self._until: float | None = None
+        #: Terminal ``(kind, payload)`` handed from whichever thread
+        #: finished driving to the thread parked in run().
+        self._terminal: tuple[str, Any] = ("done", 0.0)
 
     # ------------------------------------------------------------------ #
     # Clock and RNG
@@ -713,11 +432,6 @@ class Simulator:
     @property
     def seed(self) -> int:
         return self._seed
-
-    @property
-    def backend(self) -> str:
-        """Concrete execution backend name (``threads``/``greenlet``/``inline``)."""
-        return self._backend
 
     def rng(self, name: str) -> np.random.Generator:
         """A named, deterministic random stream derived from the master seed.
@@ -917,7 +631,7 @@ class Simulator:
         self.defer_at(start, proc._resume_action)
         if self._tracer is not None:
             self._trace_emit("spawn", name, "start_at=%g", start)
-        proc._start()
+        proc._thread.start()
         return proc
 
     # ------------------------------------------------------------------ #
@@ -1014,9 +728,9 @@ class Simulator:
         cancelled, every future wake/resume aimed at it is inert, and
         exit waiters fire now — but its call stack is **not** unwound
         here.  Unwinding requires transferring control into the process
-        (and, on the inline backend, the killer may *be* running on the
-        victim's carrier thread), so the stack is reclaimed later by
-        :meth:`close` exactly like a normal shutdown kill.
+        (and the killer may *be* running on the victim's carrier
+        thread), so the stack is reclaimed later by :meth:`close`
+        exactly like a normal shutdown kill.
 
         Survivors blocked on the corpse (a collective, a recv) stay
         blocked; once no events remain, :meth:`run` raises
@@ -1060,149 +774,54 @@ class Simulator:
             * :class:`ProcessFailed` if any process raised an exception.
             * :class:`DeadlockError` if live processes remain blocked with
               no pending events (a genuine distributed deadlock).
+            * whatever an event callback raised, unchanged.
         """
         self._check_open()
         if self._running:
             raise SchedulingError("run() is not reentrant")
         self._running = True
         try:
-            if self._inline:
-                return self._run_inline(until)
-            return self._run_events(until)
+            return self._run_loop(until)
         finally:
             self._running = False
 
-    def _run_events(self, until: float | None) -> float:
-        """Scheduler-thread event loop (threads and greenlet backends):
-        a process resume (`_resume_process` action) transfers control
-        synchronously and returns once the process suspends again."""
-        heap = self._heap
-        nowq = self._nowq
-        heappop = _heappop
-        popleft = nowq.popleft
-        limit = self._max_events
-        if limit is None:
-            limit = float("inf")
-        count = self._event_count
-        failed = self._failed
-        while True:
-            # Merge the three event sources by (time, seq): identical
-            # global order to a single-heap kernel, but zero-delay
-            # events (the overwhelming majority in message-heavy
-            # runs) cost a deque append/popleft, and lone future
-            # events sit in the front slot without heap traffic.
-            # Future entries are never earlier than the current
-            # instant, so they preempt the now-queue only on an
-            # equal-time, smaller-seq head.
-            if nowq:
-                entry = nowq[0]
-                front = self._front
-                if front is not None:
-                    if front[0] > entry[0] or front[1] > entry[1]:
-                        popleft()
-                    else:
-                        self._front = None
-                        entry = front
-                elif heap:
-                    head = heap[0]
-                    if head[0] > entry[0] or head[1] > entry[1]:
-                        popleft()
-                    else:
-                        entry = heappop(heap)
-                else:
-                    popleft()
-            else:
-                entry = self._front
-                if entry is not None:
-                    self._front = None
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    break
-            time, _seq, timer, action = entry
-            if timer is not None and timer.cancelled:
-                # Lazy drop: cancelled entries are discarded when
-                # reached, never by rebuilding the heap.
-                continue
-            if until is not None and time > until:
-                # Push the entry back preserving the front-slot
-                # invariant (it usually was the global minimum, so
-                # the vacated front slot is the right place).
-                front = self._front
-                if front is None:
-                    self._front = entry
-                elif time < front[0] or (
-                    time == front[0] and entry[1] < front[1]
-                ):
-                    self._front = entry
-                    _heappush(heap, front)
-                else:
-                    _heappush(heap, entry)
-                self._now = until
-                return until
-            count += 1
-            self._event_count = count
-            if count > limit:
-                raise SchedulingError(
-                    f"exceeded max_events={self._max_events}; "
-                    "possible runaway protocol loop"
-                )
-            self._now = time
-            action()
-            if failed:
-                self._raise_if_failed()
-        blocked = [p for p in self._processes if p.alive]
-        if blocked:
-            lines = ", ".join(f"{p.name}<-[{p.blocked_on or p.state}]" for p in blocked)
-            raise DeadlockError(
-                f"no pending events at t={self._now:g} but "
-                f"{len(blocked)} process(es) blocked: {lines}"
-            )
-        return self._now
-
-    def _run_inline(self, until: float | None) -> float:
-        """run() entry for the inline backend.
-
-        Drives the loop on the calling thread until the first process
-        transfer, then parks; carrier threads keep the baton moving
-        among themselves and only wake this thread at a terminal state.
-        """
-        self._inline_until = until
-        kind, payload = self._inline_core(None, until)
+    def _run_loop(self, until: float | None) -> float:
+        """Drive the loop on the calling thread until the first process
+        transfer, then park; carrier threads keep the baton moving among
+        themselves and only wake this thread at a terminal state."""
+        self._until = until
+        kind, payload = self._drive(None)
         if kind == "switch":
             payload._resume.release()
             self._token.acquire()
-            exc = self._inline_exc
-            if exc is not None:
-                self._inline_exc = None
-                self._inline_result = None
-                raise exc
-            return self._inline_result
+            kind, payload = self._terminal
         if kind == "error":
             raise payload
         return payload
 
-    def _inline_core(
-        self, me: SimProcess | None, until: float | None
-    ) -> tuple[str, Any]:
-        """Inline-backend event loop body, runnable on any thread.
+    def _drive(self, me: SimProcess | None) -> tuple[str, Any]:
+        """The event loop, runnable on any thread that holds the baton.
 
-        Dispatches events exactly like :meth:`_run_events` (same
-        three-source merge, same counting — the determinism fingerprint
-        is shared) until control must leave this thread.  Returns:
+        Dispatches events in ``(time, seq)`` order until control must
+        leave this thread.  Returns:
 
         * ``("resume", None)`` — the next runner is ``me``: the caller
           simply returns into the process body.  No locks touched.
         * ``("switch", proc)`` — transfer to another process's carrier.
         * ``("done", time)`` — queue exhausted or ``until`` reached.
-        * ``("error", exc)`` — terminal exception for run()'s caller.
+        * ``("error", exc)`` — terminal exception for run()'s caller: a
+          failed process, a deadlock, the ``max_events`` guard, or
+          anything an event callback raised.  The callback case is why
+          the whole loop sits in a ``try``: the driver is usually some
+          process's carrier, and the exception must not unwind that
+          innocent process's stack.
         """
-        failed = self._failed
-        if failed:
-            try:
-                self._raise_if_failed()
-            except BaseException as exc:  # noqa: BLE001 - ferried to run()
-                return ("error", exc)
+        if self._failed:
+            p = self._failed.pop(0)
+            p.state = _KILLED  # report each failure once
+            exc = ProcessFailed(p.name, p.exception)
+            exc.__cause__ = p.exception
+            return ("error", exc)
         heap = self._heap
         nowq = self._nowq
         heappop = _heappop
@@ -1210,70 +829,83 @@ class Simulator:
         limit = self._max_events
         if limit is None:
             limit = float("inf")
+        until = self._until
         # Float sentinel so the per-event cutoff test is one compare.
         cutoff = float("inf") if until is None else until
         count = self._event_count
-        while True:
-            # Entry selection: byte-for-byte the merge in _run_events.
-            if nowq:
-                entry = nowq[0]
-                front = self._front
-                if front is not None:
-                    if front[0] > entry[0] or front[1] > entry[1]:
-                        popleft()
+        try:
+            while True:
+                # Merge the three event sources by (time, seq): identical
+                # global order to a single-heap kernel, but zero-delay
+                # events (the overwhelming majority in message-heavy
+                # runs) cost a deque append/popleft, and lone future
+                # events sit in the front slot without heap traffic.
+                # Future entries are never earlier than the current
+                # instant, so they preempt the now-queue only on an
+                # equal-time, smaller-seq head.
+                if nowq:
+                    entry = nowq[0]
+                    front = self._front
+                    if front is not None:
+                        if front[0] > entry[0] or front[1] > entry[1]:
+                            popleft()
+                        else:
+                            self._front = None
+                            entry = front
+                    elif heap:
+                        head = heap[0]
+                        if head[0] > entry[0] or head[1] > entry[1]:
+                            popleft()
+                        else:
+                            entry = heappop(heap)
                     else:
+                        popleft()
+                else:
+                    entry = self._front
+                    if entry is not None:
                         self._front = None
-                        entry = front
-                elif heap:
-                    head = heap[0]
-                    if head[0] > entry[0] or head[1] > entry[1]:
-                        popleft()
-                    else:
+                    elif heap:
                         entry = heappop(heap)
-                else:
-                    popleft()
-            else:
-                entry = self._front
-                if entry is not None:
-                    self._front = None
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    break
-            time, _seq, timer, action = entry
-            if timer is not None and timer.cancelled:
-                continue
-            if time > cutoff:
-                front = self._front
-                if front is None:
-                    self._front = entry
-                elif time < front[0] or (
-                    time == front[0] and entry[1] < front[1]
-                ):
-                    self._front = entry
-                    _heappush(heap, front)
-                else:
-                    _heappush(heap, entry)
-                self._now = until
-                return ("done", until)
-            count += 1
-            self._event_count = count
-            if count > limit:
-                return (
-                    "error",
-                    SchedulingError(
+                    else:
+                        break
+                time, _seq, timer, action = entry
+                if timer is not None and timer.cancelled:
+                    # Lazy drop: cancelled entries are discarded when
+                    # reached, never by rebuilding the heap.
+                    continue
+                if time > cutoff:
+                    # Push the entry back preserving the front-slot
+                    # invariant (it usually was the global minimum, so
+                    # the vacated front slot is the right place).
+                    front = self._front
+                    if front is None:
+                        self._front = entry
+                    elif time < front[0] or (
+                        time == front[0] and entry[1] < front[1]
+                    ):
+                        self._front = entry
+                        _heappush(heap, front)
+                    else:
+                        _heappush(heap, entry)
+                    self._now = until
+                    return ("done", until)
+                count += 1
+                self._event_count = count
+                if count > limit:
+                    raise SchedulingError(
                         f"exceeded max_events={self._max_events}; "
                         "possible runaway protocol loop"
-                    ),
-                )
-            self._now = time
-            action()
-            switch = self._switch
-            if switch is not None:
-                self._switch = None
-                if switch is me:
-                    return ("resume", None)
-                return ("switch", switch)
+                    )
+                self._now = time
+                action()
+                switch = self._switch
+                if switch is not None:
+                    self._switch = None
+                    if switch is me:
+                        return ("resume", None)
+                    return ("switch", switch)
+        except BaseException as exc:  # noqa: BLE001 - ferried to run()
+            return ("error", exc)
         blocked = [p for p in self._processes if p.alive]
         if blocked:
             lines = ", ".join(f"{p.name}<-[{p.blocked_on or p.state}]" for p in blocked)
@@ -1286,40 +918,19 @@ class Simulator:
             )
         return ("done", self._now)
 
-    def _inline_handoff(self, kind: str, payload: Any) -> None:
-        """Pass the baton after :meth:`_inline_core` stopped: wake the
-        next process's carrier, or deliver the terminal result to the
-        thread parked in :meth:`_run_inline`."""
+    def _pass_baton(self, kind: str, payload: Any) -> None:
+        """Pass the baton after :meth:`_drive` stopped: wake the next
+        process's carrier, or deliver the terminal result to the thread
+        parked in :meth:`_run_loop`."""
         if kind == "switch":
             payload._resume.release()
-            return
-        if kind == "error":
-            self._inline_exc = payload
-            self._inline_result = None
         else:
-            self._inline_exc = None
-            self._inline_result = payload
-        self._token.release()
-
-    def _raise_if_failed(self) -> None:
-        if self._failed:
-            p = self._failed.pop(0)
-            exc = p.exception
-            assert exc is not None
-            p.state = _KILLED  # don't re-raise on the next event
-            raise ProcessFailed(p.name, exc) from exc
+            self._terminal = (kind, payload)
+            self._token.release()
 
     # ------------------------------------------------------------------ #
     # Internal transfer of control
     # ------------------------------------------------------------------ #
-
-    def _resume_process(self, proc: SimProcess) -> None:
-        if proc.state not in _ALIVE_STATES:
-            return
-        proc._resume_at = -1.0
-        if self._tracer is not None:
-            self._trace_emit("start" if proc.state == _READY else "wake", proc.name, "")
-        proc._transfer_in()
 
     def _make_ready(self, proc: SimProcess, *, detail: str = "") -> None:
         if proc.state not in _ALIVE_STATES:
@@ -1350,9 +961,18 @@ class Simulator:
             return
         self._closed = True
         for proc in self._processes:
-            proc._kill()
+            # Deliver ProcessKilled and run the stack to completion.
+            # Crashed processes (kill_process) still own a parked stack:
+            # the crash only marked them dead, so they are unwound here
+            # like any live process.
+            if (proc.alive or proc.state == _CRASHED) and proc._thread.is_alive():
+                proc._killed = True
+                self._trace_emit("kill", proc.name, "")
+                proc._resume.release()
+                self._token.acquire()
         for proc in self._processes:
-            proc._join()
+            if proc._thread.is_alive():
+                proc._thread.join(timeout=5.0)
 
     def __enter__(self) -> "Simulator":
         return self

@@ -1,10 +1,8 @@
 """Pluggable job-dispatch backends for the experiment engine.
 
-PR 6 extracted the DES kernel's suspend/resume mechanics behind an
-execution-backend seam (:mod:`repro.des.backends`); this module applies
-the same seam-extraction one layer up, to the engine's *job dispatch*:
-how a wave of independent :class:`~repro.harness.spec.RunSpec` jobs is
-fanned out and collected.  Three backends implement the seam:
+The seam between the engine and *job dispatch*: how a wave of
+independent :class:`~repro.harness.spec.RunSpec` jobs is fanned out and
+collected.  Three backends implement it:
 
 * ``local-pool`` — the seed mechanics, verbatim: a spawn-safe
   ``ProcessPoolExecutor`` per wave (``jobs=N``), degrading to in-process
@@ -28,8 +26,7 @@ Besides simulation jobs, the seam carries **oracle-check jobs** (one
 through exactly the same backends — a service fleet can absorb a fuzz
 run the same way it absorbs a sweep.
 
-Selection precedence mirrors :mod:`repro.des.backends` (first match
-wins):
+Selection precedence (first match wins):
 
 1. explicit ``ExperimentEngine(dispatch=...)`` / ``--dispatch`` flag;
 2. the ``REPRO_DISPATCH`` environment variable;
@@ -139,16 +136,12 @@ class DispatchConfig:
 
     ``cache_dir`` roots the shared artifact store (results + image
     tier); ``None`` means the submitting engine runs cache-less and
-    jobs must neither read nor write any store.  ``sim_backend`` is the
-    *resolved* kernel execution backend, forwarded so every process in
-    the fan-out (pool worker, service worker) simulates identically to
-    the submitter.
+    jobs must neither read nor write any store.
     """
 
     jobs: int = 1
     cache_dir: "str | None" = None
     guard: "int | None" = None
-    sim_backend: "str | None" = None
     service_addr: "tuple[str, int] | None" = None
 
 
@@ -305,8 +298,7 @@ def _run_job(payload: dict, config: DispatchConfig):
     from . import engine as engine_mod
 
     result, elapsed, served = engine_mod._execute_job(
-        payload["spec"], payload["deps"], config.guard, config.cache_dir,
-        config.sim_backend,
+        payload["spec"], payload["deps"], config.guard, config.cache_dir
     )
     return result, elapsed, served, False
 

@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from ..des.backends import resolve_backend
 from .cache import ResultCache
 from .dispatch import (
     DispatchBackend,
@@ -143,16 +142,12 @@ def _execute_job(
     deps: dict[RunSpec, RunResult],
     guard: int | None,
     cache_dir=None,
-    backend: str | None = None,
 ) -> tuple[RunResult, float, int]:
     """Top-level worker entry point (must be picklable by name for spawn).
 
     ``cache_dir`` (a path, not a live cache — workers are spawned) roots
     a local :class:`ResultCache` whose image tier feeds restart parents
-    without re-simulation.  ``backend`` is the *resolved* execution
-    backend the submitting engine chose, passed on to :func:`execute` as
-    a plain argument so in-process, pool-worker and service-worker
-    executions all simulate identically.  Returns ``(result,
+    without re-simulation.  Returns ``(result,
     elapsed_seconds, images_served)`` — the wall time is measured in the
     worker so pool queueing delays never pollute the cost model, and
     ``images_served`` counts the parent image maps the tier *actually*
@@ -173,9 +168,7 @@ def _execute_job(
             return found
 
     t0 = time.perf_counter()
-    result = execute(
-        spec, deps, max_events_guard=guard, images=images, backend=backend
-    )
+    result = execute(spec, deps, max_events_guard=guard, images=images)
     return result, time.perf_counter() - t0, served
 
 
@@ -187,11 +180,6 @@ class ExperimentEngine:
         cache: optional :class:`ResultCache`; hits skip simulation.
         max_events: per-job event guard for specs without their own.
         progress: emit one line per executed job on stderr.
-        backend: kernel execution backend for every job (``None`` =
-            ``$REPRO_SIM_BACKEND`` / auto).  The name is resolved to a
-            concrete backend *here* and travels with every job as an
-            argument, so serial and parallel execution always run the
-            same backend.
         dispatch: job-dispatch backend (``None`` = ``$REPRO_DISPATCH``
             / auto — see :mod:`repro.harness.dispatch`).  ``local-pool`` is the
             historical pool, ``inline`` runs in-process, ``service``
@@ -210,8 +198,8 @@ class ExperimentEngine:
             cache keeps every leg, including the crashed ones, under
             their own keys.
 
-    Every choice an environment variable can supply (``backend``,
-    ``dispatch``, the recovery budget) is resolved and validated here,
+    Every choice an environment variable can supply (``dispatch``,
+    the recovery budget) is resolved and validated here,
     so a malformed variable is a ``ValueError`` naming it before any
     job runs.
 
@@ -227,7 +215,6 @@ class ExperimentEngine:
         cache: ResultCache | None = None,
         max_events: int | None = DEFAULT_MAX_EVENTS,
         progress: bool = False,
-        backend: str | None = None,
         dispatch: str | None = None,
         service: str | None = None,
         recovery=None,
@@ -236,7 +223,6 @@ class ExperimentEngine:
         self.cache = cache
         self.max_events = max_events
         self.progress = progress
-        self.backend = resolve_backend(backend)
         self.dispatch = resolve_dispatch(dispatch)
         # Resolve the address eagerly: a service engine with no server
         # to talk to should fail at construction, not mid-batch.
@@ -263,7 +249,6 @@ class ExperimentEngine:
                     jobs=self.jobs,
                     cache_dir=None if self.cache is None else self.cache.root,
                     guard=self.max_events,
-                    sim_backend=self.backend,
                     service_addr=self.service_addr,
                 ),
             )

@@ -110,7 +110,6 @@ def launch_run(
     max_events: int | None = None,
     crash_at: dict[int, float] | None = None,
     scenario: "str | Scenario | None" = None,
-    backend: str | None = None,
 ) -> RunResult:
     """Run one simulated MPI job to completion and return measurements.
 
@@ -133,10 +132,7 @@ def launch_run(
             string) perturbing the run — fabric choice, per-message link
             noise, straggler compute factors.  The perturbations are a
             pure function of (scenario, seed), so equal specs stay
-            byte-identical across execution and dispatch backends.
-        backend: kernel execution backend handed to the
-            :class:`~repro.des.Simulator` (``None`` =
-            ``$REPRO_SIM_BACKEND`` / auto).
+            byte-identical across dispatch backends.
     """
     scn = resolve_scenario(scenario)
     if topo is None:
@@ -170,7 +166,7 @@ def launch_run(
                 f"images were taken under {img_protocol!r}, cannot restart as {protocol!r}"
             )
 
-    sim = Simulator(seed=seed, max_events=max_events, backend=backend)
+    sim = Simulator(seed=seed, max_events=max_events)
     try:
         world = World(sim, topo)
         storage = storage or StorageModel()

@@ -21,9 +21,9 @@ is a single ``\\n``-terminated JSON object):
 * **workers** (``repro-mpi worker --connect HOST:PORT``,
   :func:`run_worker`) — pull-model executors.  A worker long-polls
   ``fetch``, executes the job exactly as an in-process engine would
-  (same :func:`~repro.harness.engine._execute_job` body, same resolved
-  kernel backend), writes the result — *including full checkpoint
-  images* — into the shared cache, and reports the JSON result back.
+  (same :func:`~repro.harness.engine._execute_job` body), writes the
+  result — *including full checkpoint images* — into the shared cache,
+  and reports the JSON result back.
   A worker that dies mid-job takes nothing with it: the server requeues
   the orphaned job the moment the connection drops — and when the
   server runs with a job lease (``--lease``), a *hung-but-connected*
@@ -661,7 +661,6 @@ def _connect_with_retry(
 def run_worker(
     addr: tuple[str, int],
     *,
-    sim_backend: "str | None" = None,
     cache_dir: "str | os.PathLike | None" = None,
     max_jobs: "int | None" = None,
     connect_retries: int = 0,
@@ -677,11 +676,10 @@ def run_worker(
     writes sim results — full checkpoint images included — into the
     shared artifact store before reporting the (image-stripped) JSON
     result back.  ``cache_dir`` overrides the server-advertised store
-    (multi-host workers mount it elsewhere); ``sim_backend`` overrides
-    the per-job kernel backend.  When the server advertises a job
-    lease, a background thread heartbeats at a third of it so a slow
-    (but live) job keeps its lease.  Exits after ``max_jobs`` jobs, on
-    server shutdown, or on SIGINT.
+    (multi-host workers mount it elsewhere).  When the server advertises
+    a job lease, a background thread heartbeats at a third of it so a
+    slow (but live) job keeps its lease.  Exits after ``max_jobs`` jobs,
+    on server shutdown, or on SIGINT.
     """
     from . import engine as engine_mod
 
@@ -740,10 +738,9 @@ def run_worker(
             if payload.get("kind") == "check":
                 value = _run_check_job(payload["oracle"], payload["schedule"])
             else:
-                spec, deps, guard, job_backend = job_from_dict(payload)
+                spec, deps, guard = job_from_dict(payload)
                 result, elapsed, served = engine_mod._execute_job(
-                    spec, deps, guard, store,
-                    sim_backend if sim_backend is not None else job_backend,
+                    spec, deps, guard, store
                 )
                 if store is not None:
                     # Worker-side put, before the JSON hop strips image
@@ -857,7 +854,6 @@ class ServiceDispatch(DispatchBackend):
                 payload["spec"],
                 payload["deps"],
                 guard=self.config.guard,
-                sim_backend=self.config.sim_backend,
             )
         reply = self._roundtrip({"type": "submit", "key": key, "job": doc})
         if reply.get("type") != "accepted":

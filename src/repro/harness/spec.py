@@ -515,7 +515,6 @@ def execute(
     *,
     max_events_guard: int | None = None,
     images: "Callable[[RunSpec, int], dict | None] | None" = None,
-    backend: str | None = None,
 ) -> RunResult:
     """Run one spec (resolving probe/restart chains) and return its result.
 
@@ -536,11 +535,6 @@ def execute(
             simulated at all — the warm-restart fast path.  Any miss
             falls back to the re-simulation path, so a loader can only
             make execution faster, never change a result.
-        backend: kernel execution backend for this job and every
-            ancestor it re-simulates, handed to each
-            :class:`~repro.des.Simulator` (``None`` =
-            ``$REPRO_SIM_BACKEND`` / auto).  Every backend produces the
-            same result.
 
     A job whose protocol cannot wrap the application (the paper's NA
     cells, e.g. 2PC with non-blocking collectives) returns a
@@ -548,9 +542,7 @@ def execute(
     batch execution records *why* the cell is NA instead of dying.
     """
     deps = deps if deps is not None else {}
-    return _execute(
-        spec, deps, guard=max_events_guard, images=images, backend=backend
-    )
+    return _execute(spec, deps, guard=max_events_guard, images=images)
 
 
 def _execute(
@@ -559,7 +551,6 @@ def _execute(
     *,
     guard: int | None,
     images: "Callable[[RunSpec, int], dict | None] | None" = None,
-    backend: str | None = None,
 ) -> RunResult:
     checkpoint_at = spec.checkpoint_at
     crash_at: dict[int, float] | None = None
@@ -570,7 +561,6 @@ def _execute(
             deps,
             guard=guard,
             images=images,
-            backend=backend,
             need_images=False,
             # Completion fractions anchor on per-rank finish instants; a
             # probe result cached before that field existed is unusable
@@ -611,7 +601,7 @@ def _execute(
         if restore_images is None:
             parent = _resolve_parent(
                 spec.restart_of, deps, guard=guard, images=images,
-                backend=backend, need_images=True,
+                need_images=True,
             )
             if parent.na_reason:
                 return _na_result(spec, parent.na_reason)
@@ -644,7 +634,6 @@ def _execute(
             max_events=max_events,
             crash_at=crash_at,
             scenario=spec.scenario,
-            backend=backend,
         )
     except ProcessFailed as exc:
         if isinstance(exc.original, UnsupportedOperationError):
@@ -663,7 +652,6 @@ def _resolve_parent(
     *,
     guard: int | None,
     images: "Callable[[RunSpec, int], dict | None] | None",
-    backend: str | None,
     need_images: bool,
     need_finish_times: bool = False,
 ) -> RunResult:
@@ -675,7 +663,7 @@ def _resolve_parent(
             known = None
     if known is not None:
         return known
-    fresh = _execute(parent, deps, guard=guard, images=images, backend=backend)
+    fresh = _execute(parent, deps, guard=guard, images=images)
     deps[parent] = fresh
     return fresh
 
@@ -955,15 +943,16 @@ def job_to_dict(
     deps: Mapping[RunSpec, RunResult] | None = None,
     *,
     guard: int | None = None,
+    # Accepted and ignored: benchmarks/e2e/drivers.py (frozen) passes it.
     sim_backend: "str | None" = None,
 ) -> dict:
     """JSON-representable form of one dispatchable simulation job.
 
     This is the experiment service's wire format: the spec, the
-    already-resolved ancestor results :func:`execute` needs, the
-    ``max_events`` guard, and the *resolved* kernel execution backend —
-    everything a worker on the far side of a socket needs to reproduce
-    the submitting engine's in-process execution byte-for-byte.  Deps
+    already-resolved ancestor results :func:`execute` needs, and the
+    ``max_events`` guard — everything a worker on the far side of a
+    socket needs to reproduce the submitting engine's in-process
+    execution byte-for-byte.  Deps
     are serialized via :func:`run_result_to_dict`, so image payloads are
     dropped exactly as they are in the result cache; workers recover
     them from the shared image tier or by parent re-simulation, the
@@ -978,15 +967,13 @@ def job_to_dict(
             for dep, res in (deps or {}).items()
         ],
         "guard": guard,
-        "sim_backend": sim_backend,
     }
 
 
 def job_from_dict(
     data: Mapping[str, Any],
-) -> "tuple[RunSpec, dict[RunSpec, RunResult], int | None, str | None]":
-    """Inverse of :func:`job_to_dict`; returns
-    ``(spec, deps, guard, sim_backend)``."""
+) -> "tuple[RunSpec, dict[RunSpec, RunResult], int | None]":
+    """Inverse of :func:`job_to_dict`; returns ``(spec, deps, guard)``."""
     schema = data.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ValueError(
@@ -998,9 +985,4 @@ def job_from_dict(
         spec_from_dict(entry["spec"]): run_result_from_dict(entry["result"])
         for entry in data.get("deps", ())
     }
-    return (
-        spec_from_dict(data["spec"]),
-        deps,
-        data.get("guard"),
-        data.get("sim_backend"),
-    )
+    return spec_from_dict(data["spec"]), deps, data.get("guard")

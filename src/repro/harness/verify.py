@@ -1158,17 +1158,15 @@ class ScenarioInvarianceOracle(Oracle):
     Per scenario: the checkpointed run commits, drain conservation
     holds on every rank, safe-cut structure matches the offline
     topological-sort fixpoint, and the serialized result is
-    byte-identical across the ``threads``/``inline`` execution backends
-    and the ``inline``/``local-pool``/``service`` dispatch backends —
-    a scenario may change *what happens*, never *whether it is
+    byte-identical across the ``inline``/``local-pool``/``service``
+    dispatch backends — a scenario may change *what happens*, never *whether it is
     deterministic*.
     """
 
     name = "scenario-invariance"
     description = (
         "every registered scenario commits, conserves drains, keeps the "
-        "safe cut, and is byte-identical across execution and dispatch "
-        "backends"
+        "safe cut, and is byte-identical across dispatch backends"
     )
     cache_aware = False
 
@@ -1178,30 +1176,17 @@ class ScenarioInvarianceOracle(Oracle):
             name: replace(schedule, scenario=name).checkpoint_spec()
             for name in names
         }
-        # Execution backends, in-process dispatch: the reference hashes.
+        # In-process dispatch: the reference hashes.
         ref: "dict[str, str]" = {}
         for name in names:
-            for backend in ("threads", "inline"):
-                res = ExperimentEngine(
-                    backend=backend, dispatch="inline"
-                ).run(specs[name])
-                self._require(
-                    not res.na_reason, f"{name}/{backend}: NA: {res.na_reason}"
-                )
-                _require_conserved(f"{name}/{backend}", res)
-                self._require(
-                    any(r.committed for r in res.checkpoints),
-                    f"{name}/{backend}: checkpoint run committed nothing",
-                )
-                digest = stable_json_hash(run_result_to_dict(res))
-                if backend == "threads":
-                    ref[name] = digest
-                else:
-                    self._require(
-                        digest == ref[name],
-                        f"{name}: inline-backend result {digest} != "
-                        f"threads {ref[name]}",
-                    )
+            res = ExperimentEngine(dispatch="inline").run(specs[name])
+            self._require(not res.na_reason, f"{name}: NA: {res.na_reason}")
+            _require_conserved(name, res)
+            self._require(
+                any(r.committed for r in res.checkpoints),
+                f"{name}: checkpoint run committed nothing",
+            )
+            ref[name] = stable_json_hash(run_result_to_dict(res))
         # Dispatch backends: the same specs as one batch per backend.
         batch = [specs[name] for name in names]
         pool = ExperimentEngine(jobs=2, dispatch="local-pool").run_batch(batch)
@@ -1218,8 +1203,7 @@ class ScenarioInvarianceOracle(Oracle):
             _safe_cut_detail(schedule, scenario=name)
         return (
             f"{len(names)} scenario(s) committed, conserved, cut-safe, and "
-            "byte-identical across threads/inline execution and "
-            "inline/local-pool/service dispatch"
+            "byte-identical across inline/local-pool/service dispatch"
         )
 
     def _service_pass(

@@ -3,8 +3,8 @@
 Both wrappers obey the :class:`~repro.netmodel.Topology` contract —
 ``link`` stays symmetric and a function of the node pair — so the
 generic group-mix means keep working.  Determinism: the DES pins event
-order byte-identical across execution backends, so the jitter wrapper's
-per-(src, dst) message counters advance identically everywhere and the
+order by ``(time, seq)``, so the jitter wrapper's per-(src, dst)
+message counters advance identically on every run and the
 injected noise is a pure function of ``(seed, src, dst, count)``.
 """
 

@@ -1,22 +1,21 @@
-"""Cross-backend differential suite: every backend, same universe.
+"""Whole-run differential: the src kernel against the tests-side reference.
 
-The execution backend only changes *how* a simulated process suspends —
-never *what* the schedule does.  These tests run the pinned Figure 5a
-fingerprint scenario and a fault-injection oracle seed under every
-backend importable in this interpreter and require byte-identical
-results: the same event counts and result hash the ``threads`` seed
-kernel produced (the constants in ``test_determinism_fingerprint``),
-and identical oracle verdict details.
-
-CI runs this file under a greenlet-enabled interpreter so the optional
-backend is held to the same fingerprint; locally it covers whatever
-``available_backends()`` reports.
+How a simulated process suspends never changes *what* the schedule
+does.  These tests run the pinned Figure 5a fingerprint scenario and a
+fault-injection oracle seed twice — once as shipped, once with the one
+place the harness builds a simulator (``repro.harness.runner.Simulator``)
+patched to the thread-handoff reference in ``tests/des/reference_kernel.py``
+— and require the same event counts and result hash the seed kernel
+produced (the constants in ``test_determinism_fingerprint``) and the
+same oracle verdict detail.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.des import available_backends
-from repro.harness import ExperimentEngine
+from repro.harness import ExperimentEngine, runner
 from repro.harness.experiments import plan_fig5a
 from repro.harness.spec import run_result_to_dict
 from repro.harness.verify import run_oracles
@@ -24,49 +23,49 @@ from repro.util.hashing import stable_json_hash
 
 from test_determinism_fingerprint import EXPECTED_EVENTS, EXPECTED_RESULT_HASH
 
-@pytest.fixture(scope="module")
-def plan():
-    return plan_fig5a(procs=(4,), kinds=("bcast",), sizes=(1024,), iters=20)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "des"))
+from reference_kernel import ReferenceSimulator  # noqa: E402
 
 
-def _fingerprint(plan, results):
+def _use_reference(monkeypatch):
+    """Patch the harness's one simulator construction site; returns a
+    callable reporting how many reference simulators were built, so a
+    patch that stopped reaching the runner cannot pass vacuously."""
+    built = []
+
+    class Counted(ReferenceSimulator):
+        def __init__(self, **kwargs):
+            built.append(1)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(runner, "Simulator", Counted)
+    return lambda: len(built)
+
+
+@pytest.mark.parametrize("kernel", ["src", "reference"])
+def test_fig5a_fingerprint_identical_across_kernels(kernel, monkeypatch):
+    built = _use_reference(monkeypatch) if kernel == "reference" else None
+    plan = plan_fig5a(procs=(4,), kinds=("bcast",), sizes=(1024,), iters=20)
+    results = ExperimentEngine(jobs=1).run_batch(plan.specs)
     events = {spec.label(): results[spec].sim_events for spec in plan.specs}
     rhash = stable_json_hash(
         [run_result_to_dict(results[spec]) for spec in plan.specs]
     )
-    return events, rhash
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_fig5a_fingerprint_identical_across_backends(plan, backend):
-    engine = ExperimentEngine(jobs=1, backend=backend)
-    events, rhash = _fingerprint(plan, engine.run_batch(plan.specs))
     assert events == EXPECTED_EVENTS
     assert rhash == EXPECTED_RESULT_HASH
+    assert built is None or built() >= len(plan.specs)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_fig5a_parallel_workers_inherit_backend(plan, backend):
-    # Spawned pool workers must land on the *resolved* backend, not
-    # re-derive their own — the fingerprint catches any divergence.
-    engine = ExperimentEngine(jobs=2, backend=backend)
-    events, rhash = _fingerprint(plan, engine.run_batch(plan.specs))
-    assert events == EXPECTED_EVENTS
-    assert rhash == EXPECTED_RESULT_HASH
-
-
-def test_oracle_seed_verdict_identical_across_backends():
-    # One fault-injection oracle seed, every backend: the serialized
-    # verdict (verdict flag + detail string, which embeds simulated
-    # quantities) must match the threads reference byte-for-byte.
-    verdicts = {}
-    for backend in available_backends():
-        engine = ExperimentEngine(jobs=1, backend=backend)
-        reports = run_oracles(["safe-cut"], [7], engine=engine)
+def test_oracle_seed_verdict_identical_across_kernels(monkeypatch):
+    # One fault-injection oracle seed: the serialized verdict (flag +
+    # detail string, which embeds simulated quantities) must match.
+    def verdict():
+        reports = run_oracles(["safe-cut"], [7], engine=ExperimentEngine(jobs=1))
         assert len(reports) == 1
-        report = reports[0]
-        assert report.ok, f"{backend}: {report.detail}"
-        verdicts[backend] = report.as_dict()
-    reference = verdicts["threads"]
-    for backend, verdict in verdicts.items():
-        assert verdict == reference, f"{backend} diverged from threads"
+        assert reports[0].ok, reports[0].detail
+        return reports[0].as_dict()
+
+    src = verdict()
+    built = _use_reference(monkeypatch)
+    assert verdict() == src
+    assert built() > 0

@@ -177,12 +177,19 @@ class TestTopLevelRejections:
             "expected comma-separated integers",
         )
 
+    def test_removed_backend_flag_is_a_usage_error(self, capsys):
+        # The kernel has one execution mechanism; the old selector must
+        # fail like any unknown flag, not as a traceback further in.
+        _expect_usage_error(
+            capsys, ["fig5a", "--backend", "inline"],
+            "unrecognized arguments: --backend inline",
+        )
+
     @pytest.mark.parametrize(
         "var, value",
         [
             ("REPRO_RECOVERY_ATTEMPTS", "abc"),
             ("REPRO_RECOVERY_BACKOFF", "soon"),
-            ("REPRO_SIM_BACKEND", "fibers"),
             ("REPRO_DISPATCH", "carrier-pigeon"),
         ],
     )

@@ -149,7 +149,7 @@ class TestInlineIsLocalPoolAtOneJob:
     def test_mixed_submissions_resolve_identically(self):
         from repro.harness.verify import FaultSchedule, schedule_to_dict
 
-        cfg = DispatchConfig(jobs=4, guard=10**8, sim_backend="inline")
+        cfg = DispatchConfig(jobs=4, guard=10**8)
         schedule = schedule_to_dict(FaultSchedule.draw(3))
         specs = _specs(3)
 
