@@ -6,8 +6,8 @@ Reproduces the paper's headline scenario: VASP is the very-high
 collective-rate application (Table 1) where MANA's old 2PC algorithm
 hurt most; the CC algorithm checkpoints it with near-zero steady-state
 overhead.  This example measures both protocols' runtime overhead,
-takes a checkpoint under each, persists the images to disk (real files
-with CRCs), and restarts from them.
+takes a checkpoint under CC, persists the image set to disk (one
+digest-verified archive), and restarts from it.
 """
 
 import tempfile
@@ -49,8 +49,11 @@ def main() -> None:
     )
 
     with tempfile.TemporaryDirectory() as tmp:
-        paths = save_checkpoint_set(rec.images, tmp)
-        print(f"  wrote {len(paths)} image files under {Path(tmp).name}/")
+        (path,) = save_checkpoint_set(rec.images, tmp)
+        print(
+            f"  wrote {len(rec.images)} rank images to "
+            f"{Path(tmp).name}/{path.name} ({path.stat().st_size >> 10} KiB)"
+        )
         images = load_checkpoint_set(tmp)
         rs = restart_run(factory, images, ppn=8, seed=7, storage=storage)
         print(

@@ -1,7 +1,9 @@
 """Application framework: the context apps program against, and the
 resumable-step base class.
 
-Checkpointable-app contract (see DESIGN.md §2 for why):
+Checkpointable-app contract (why: :mod:`repro.mana.session` restarts an
+interrupted step by *replaying* its recorded MPI results, the substitute
+for MANA's raw-memory snapshot):
 
 1. All persistent state lives in ``ctx.state`` (a picklable dict; it may
    contain :class:`~repro.mana.vcomm.VirtualComm` handles).

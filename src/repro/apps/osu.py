@@ -22,15 +22,43 @@ __all__ = ["OsuCollective", "OsuOverlap", "OSU_KINDS"]
 OSU_KINDS = ("bcast", "alltoall", "allreduce", "allgather")
 
 
-def _payload(kind: str, nbytes: int, nprocs: int, rank: int):
-    if kind == "alltoall":
-        per = max(nbytes // 8, 1)
-        return [np.full(per, float(rank)) for _ in range(nprocs)]
-    arr = np.full(max(nbytes // 8, 1), float(rank))
-    return arr
+class _OsuApp(MpiApp):
+    """What both OSU kernels share: a kind, a message size, one constant
+    send buffer and the call that starts one collective."""
+
+    def __init__(self, niters: int, kind: str, nbytes: int):
+        super().__init__(niters)
+        if kind not in OSU_KINDS:
+            raise ValueError(f"unknown OSU kind {kind!r}; expected {OSU_KINDS}")
+        self.kind = kind
+        self.nbytes = nbytes
+        self._buffer = None
+
+    def _payload(self, ctx: AppContext):
+        """The rank's send buffer, built once per run as real OSU does
+        (one allocation outside the timed loop).  It lives on the app
+        instance — one per rank — and not in ``ctx.state``: it is a
+        constant of (kind, nbytes, nprocs, rank), so a restart rebuilds
+        it instead of checkpointing it.  Read-only because the same
+        array is every alltoall slot and is handed out again each step.
+        """
+        if self._buffer is None:
+            buf = np.full(max(self.nbytes // 8, 1), float(ctx.rank))
+            buf.flags.writeable = False
+            self._buffer = [buf] * ctx.nprocs if self.kind == "alltoall" else buf
+        return self._buffer
+
+    def _start(self, ctx: AppContext, *, blocking: bool):
+        """Issue one collective of ``self.kind``: its result when
+        ``blocking``, else the request."""
+        method = getattr(ctx.world, self.kind if blocking else "i" + self.kind)
+        payload = self._payload(ctx)
+        if self.kind == "bcast":
+            return method(payload if ctx.rank == 0 else None, root=0)
+        return method(payload)
 
 
-class OsuCollective(MpiApp):
+class OsuCollective(_OsuApp):
     """osu_bcast / osu_alltoall / osu_allreduce / osu_allgather."""
 
     name = "osu"
@@ -44,11 +72,7 @@ class OsuCollective(MpiApp):
         blocking: bool = True,
         gap_compute: float = 2.0e-7,
     ):
-        super().__init__(niters)
-        if kind not in OSU_KINDS:
-            raise ValueError(f"unknown OSU kind {kind!r}; expected {OSU_KINDS}")
-        self.kind = kind
-        self.nbytes = nbytes
+        super().__init__(niters, kind, nbytes)
         self.blocking = blocking
         self.gap_compute = gap_compute
         self.name = f"osu_{'' if blocking else 'i'}{kind}"
@@ -58,30 +82,10 @@ class OsuCollective(MpiApp):
         ctx.state["t_total"] = 0.0
         ctx.state["count"] = 0
 
-    def _issue(self, ctx: AppContext, payload):
-        comm = ctx.world
-        k = self.kind
-        if self.blocking:
-            if k == "bcast":
-                return comm.bcast(payload if ctx.rank == 0 else None, root=0)
-            if k == "alltoall":
-                return comm.alltoall(payload)
-            if k == "allreduce":
-                return comm.allreduce(payload)
-            return comm.allgather(payload)
-        if k == "bcast":
-            return comm.ibcast(payload if ctx.rank == 0 else None, root=0)
-        if k == "alltoall":
-            return comm.ialltoall(payload)
-        if k == "allreduce":
-            return comm.iallreduce(payload)
-        return comm.iallgather(payload)
-
     def step(self, ctx: AppContext, i: int) -> None:
-        payload = _payload(self.kind, self.nbytes, ctx.nprocs, ctx.rank)
         ctx.compute_jittered(self.gap_compute, i, "gap")
         t0 = ctx.now()
-        result = self._issue(ctx, payload)
+        result = self._start(ctx, blocking=self.blocking)
         if not self.blocking:
             result.wait()
         t1 = ctx.now()
@@ -96,7 +100,7 @@ class OsuCollective(MpiApp):
         }
 
 
-class OsuOverlap(MpiApp):
+class OsuOverlap(_OsuApp):
     """OSU communication/computation overlap measurement (Figure 6)."""
 
     name = "osu_overlap"
@@ -109,11 +113,7 @@ class OsuOverlap(MpiApp):
         nbytes: int = 1024,
         warmup: int = 10,
     ):
-        super().__init__(niters)
-        if kind not in OSU_KINDS:
-            raise ValueError(f"unknown OSU kind {kind!r}")
-        self.kind = kind
-        self.nbytes = nbytes
+        super().__init__(niters, kind, nbytes)
         self.warmup = warmup
         self.name = f"osu_overlap_{kind}"
 
@@ -122,24 +122,12 @@ class OsuOverlap(MpiApp):
         ctx.state["t_pure"] = 0.0
         ctx.state["overlaps"] = []
 
-    def _initiate(self, ctx: AppContext, payload):
-        comm = ctx.world
-        k = self.kind
-        if k == "bcast":
-            return comm.ibcast(payload if ctx.rank == 0 else None, root=0)
-        if k == "alltoall":
-            return comm.ialltoall(payload)
-        if k == "allreduce":
-            return comm.iallreduce(payload)
-        return comm.iallgather(payload)
-
     def step(self, ctx: AppContext, i: int) -> None:
-        payload = _payload(self.kind, self.nbytes, ctx.nprocs, ctx.rank)
         s = ctx.state
         if i < self.warmup:
             # Warmup phase: measure pure (non-overlapped) latency.
             t0 = ctx.now()
-            req = self._initiate(ctx, payload)
+            req = self._start(ctx, blocking=False)
             req.wait()
             t1 = ctx.now()
             # ---- commit block ----
@@ -149,7 +137,7 @@ class OsuOverlap(MpiApp):
             return
         t_pure = max(s["t_pure"], 1e-12)
         t0 = ctx.now()
-        req = self._initiate(ctx, payload)
+        req = self._start(ctx, blocking=False)
         ctx.compute(t_pure)  # overlap window sized to the pure latency
         t_after_compute = ctx.now()
         req.wait()

@@ -29,17 +29,17 @@ Figure 7, and Figure 8) simulate once.  Results are cached on disk
 executes zero simulations.  Disable with ``--no-cache``.
 
 ``cache`` manages that store: ``stats`` (entry/byte/timing counts plus
-the image tier's blob count and footprint), ``clear`` (drop every entry
-and image blob), and ``prune`` with ``--figure <name>`` (drop the named
+the image tier's set count and footprint), ``clear`` (drop every entry
+and image set), and ``prune`` with ``--figure <name>`` (drop the named
 figure's default-parameter cells), ``--older-than AGE`` (drop entries
 last stored more than e.g. ``12h`` or ``7d`` ago), ``--max-entries N``
 (drop oldest entries beyond N), and/or ``--max-image-bytes SIZE``
-(evict oldest image-tier blobs until the tier fits in e.g. ``512M`` or
+(evict oldest image sets until the tier fits in e.g. ``512M`` or
 ``2G``).  Prune is hash-exact: no attempt is made to keep a shared
 baseline out of the blast radius just because another figure still
 references it — a pruned shared cell is simply re-simulated and
 re-cached by the next run that needs it.  Pruned cells' recorded wall
-times and image blobs are evicted with them.
+times and image sets are evicted with them.
 
 ``sweep`` runs declarative cartesian scenario grids (the Sweep DSL,
 ``repro.harness.sweep``): ``--axis key=v1,v2`` flags span the grid,
@@ -345,7 +345,7 @@ def _cache_main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="action", required=True)
     for name, desc in (
         ("stats", "entry count, on-disk bytes, image tier, recorded timings"),
-        ("clear", "delete every cached result and image blob "
+        ("clear", "delete every cached result and image set "
                   "(timings survive)"),
         ("prune", "evict entries by figure, age, count, and/or "
                   "image-tier size"),
@@ -366,7 +366,7 @@ def _cache_main(argv: list[str]) -> int:
                            help="evict oldest entries until at most N remain")
             p.add_argument("--max-image-bytes", type=_byte_size, default=None,
                            metavar="SIZE",
-                           help="evict oldest image-tier blobs until the "
+                           help="evict oldest image sets until the "
                                 "tier is at most SIZE (e.g. 512M, 2G; "
                                 "results are untouched)")
     args = parser.parse_args(argv)
@@ -378,7 +378,7 @@ def _cache_main(argv: list[str]) -> int:
         print(f"schema version: v{cache.version_dir.name.lstrip('v')}")
         print(f"entries:        {entries}")
         print(f"size:           {cache.total_bytes() / 1024:.1f} KiB")
-        print(f"image blobs:    {cache.image_count()}")
+        print(f"image sets:     {cache.image_count()}")
         print(f"image size:     {cache.image_bytes() / 1024:.1f} KiB")
         print(f"recorded times: {cache.timing_count()}")
         return 0
@@ -416,7 +416,7 @@ def _cache_main(argv: list[str]) -> int:
               f"beyond the newest {args.max_entries}")
     if args.max_image_bytes is not None:
         removed = cache.prune_images_to_max_bytes(args.max_image_bytes)
-        print(f"pruned {removed} image blob{'' if removed == 1 else 's'} "
+        print(f"pruned {removed} image set{'' if removed == 1 else 's'} "
               f"beyond {args.max_image_bytes} bytes")
     return 0
 

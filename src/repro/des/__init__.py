@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Simulator` — the event loop / virtual clock.
 * :class:`SimProcess` — a suspendable simulated process.
-* :mod:`repro.des.sync` — :class:`Waiter`, :class:`SimEvent`,
-  :class:`Mailbox`, :class:`Gate` primitives.
+* :mod:`repro.des.sync` — :class:`Waiter`, :class:`Mailbox`,
+  :class:`Gate` primitives.
 * :mod:`repro.des.errors` — kernel exception types.
 """
 
@@ -19,7 +19,7 @@ from .errors import (
     SimulationError,
 )
 from .kernel import INTERRUPTED, Interrupted, SimProcess, Simulator, Timer
-from .sync import TIMEOUT, Gate, Mailbox, SimEvent, Waiter
+from .sync import TIMEOUT, Gate, Mailbox, Waiter
 from .trace import Tracer, TraceRecord
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "INTERRUPTED",
     "Interrupted",
     "Waiter",
-    "SimEvent",
     "Mailbox",
     "Gate",
     "TIMEOUT",

@@ -15,7 +15,7 @@ from typing import Any
 from .errors import SchedulingError
 from .kernel import SimProcess, Simulator, Timer
 
-__all__ = ["Waiter", "TIMEOUT", "SimEvent", "Mailbox", "Gate"]
+__all__ = ["Waiter", "TIMEOUT", "Mailbox", "Gate"]
 
 
 class _Timeout:
@@ -109,50 +109,6 @@ class Waiter:
         if self.on_expire is not None:
             self.on_expire(self)
         self.sim.wake(proc)
-
-
-class SimEvent:
-    """A broadcast flag: processes wait until some process sets it.
-
-    Unlike :class:`Waiter`, any number of processes may wait, and waiting
-    on an already-set event returns immediately.  Used for checkpoint
-    intent flags and phase barriers in the coordinator.
-    """
-
-    def __init__(self, sim: Simulator, label: str = "event"):
-        self.sim = sim
-        self.label = label
-        self._set = False
-        self._value: Any = None
-        self._waiters: list[SimProcess] = []
-
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
-    def set(self, value: Any = None) -> None:
-        """Set the flag and wake every waiting process.  Idempotent."""
-        if self._set:
-            return
-        self._set = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self.sim.wake(proc)
-
-    def clear(self) -> None:
-        """Reset to unset (waiters registered afterwards will block)."""
-        self._set = False
-        self._value = None
-
-    def wait(self) -> Any:
-        """Block until set; returns the value passed to :meth:`set`."""
-        if self._set:
-            return self._value
-        proc = self.sim.current_process()
-        self._waiters.append(proc)
-        self.sim.block(f"event:{self.label}")
-        return self._value
 
 
 class Mailbox:
@@ -269,7 +225,7 @@ class Gate:
         self.n = n
         self.label = label
         self._arrived = 0
-        self._event = SimEvent(sim, label=f"gate:{label}")
+        self._waiting: list[SimProcess] = []
 
     @property
     def arrived(self) -> int:
@@ -281,6 +237,9 @@ class Gate:
         if self._arrived > self.n:
             raise SchedulingError(f"gate {self.label!r} overfilled ({self._arrived}/{self.n})")
         if self._arrived == self.n:
-            self._event.set()
+            waiting, self._waiting = self._waiting, []
+            for proc in waiting:
+                self.sim.wake(proc)
         else:
-            self._event.wait()
+            self._waiting.append(self.sim.current_process())
+            self.sim.block(f"gate:{self.label}")

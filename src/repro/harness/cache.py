@@ -17,21 +17,17 @@ checkpoint-image payloads (see ``spec.py``); on its own, a cached
 checkpointing run replays every *measurement* but cannot seed a
 restart.  The **image tier** closes that gap: whenever a stored result
 carries full checkpoint images, each committed checkpoint's image map
-is packed (compressed pickle with a SHA-256 digest; see
-:func:`repro.mana.image.pack_image_set`) and stored *content-addressed*
-under ``v<SCHEMA>-images/blobs/<hh>/<sha256>.blob``, with a tiny
-per-spec pointer file
-``v<SCHEMA>-images/<hh>/<spec_hash>.c<committed_index>.img``
-(sharded like entries) holding the digest — identical image sets
-reachable from several parent specs are stored once.  A warm restart
-then loads its parent's images straight from the tier instead of
-re-simulating the parent run.  Integrity failures, truncations,
-dangling pointers, and anything that is not a digest pointer or a
-verifiable archive all read as misses, and the tier can only ever make
-restarts faster, never wrong.  Pointers are evicted together with their
-spec's entry by ``clear``/``prune`` (a blob falls when its last pointer
-does), payloads age out with ``prune_older_than``, and the tier's total
-footprint can be capped with
+is packed (compressed pickle with a SHA-256 integrity digest; see
+:func:`repro.mana.image.pack_image_set`) and written to
+``v<SCHEMA>-images/<hh>/<spec_hash>.c<committed_index>.img`` (sharded
+like entries).  A warm restart then loads its parent's images straight
+from the tier instead of re-simulating the parent run.  Integrity
+failures, truncations and anything else that is not a verifiable
+archive — including the 65-byte digest pointers an earlier version kept
+at the same path — read as misses, and the tier can only ever make
+restarts faster, never wrong.  Image files are evicted together with
+their spec's entry by ``clear``/``prune``, age out with
+``prune_older_than``, and the tier's total footprint can be capped with
 :meth:`ResultCache.prune_images_to_max_bytes`.
 
 Alongside results, the cache records each spec's **execution wall
@@ -59,12 +55,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ..mana import CheckpointImage
-from ..mana.image import (
-    ImageError,
-    image_set_digest,
-    pack_image_set,
-    unpack_image_set,
-)
+from ..mana.image import ImageError, pack_image_set, unpack_image_set
 from ..util.osenv import atomic_write
 from .runner import RunResult
 from .spec import (
@@ -103,7 +94,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    #: Image-tier traffic: blobs written on ``put`` / served to restarts.
+    #: Image-tier traffic: sets written on ``put`` / served to restarts.
     image_stores: int = 0
     image_hits: int = 0
 
@@ -128,7 +119,7 @@ class ResultCache:
 
     @property
     def images_dir(self) -> Path:
-        """The image tier: one blob per (spec, committed checkpoint)."""
+        """The image tier: one file per (spec, committed checkpoint)."""
         return self.root / f"v{SCHEMA_VERSION}-images"
 
     @property
@@ -138,11 +129,11 @@ class ResultCache:
         # schedules longest-pole-first from historical times.
         return self.root / f"v{SCHEMA_VERSION}-timings.json"
 
-    # Entries and image pointers are fanned into 256 shard directories
-    # named by the key's first two hex digits; blobs likewise under
-    # ``blobs/<hh>/``.  Every method hashes its spec at most once and
-    # works on the key from there (``spec_hash`` canonicalises the whole
-    # restart chain, which makes it the dominant cost of a warm read).
+    # Entries and image files are fanned into 256 shard directories
+    # named by the key's first two hex digits.  Every method hashes its
+    # spec at most once and works on the key from there (``spec_hash``
+    # canonicalises the whole restart chain, which makes it the dominant
+    # cost of a warm read).
 
     _SHARD_GLOB = "[0-9a-f][0-9a-f]"
 
@@ -285,62 +276,21 @@ class ResultCache:
 
     # ------------------------------------------------------------------ #
     # Image tier (full checkpoint images for warm restarts)
-    #
-    # Content-addressed with per-spec pointers: the packed image-set
-    # blob lives once under ``blobs/<sha256>.blob`` and each
-    # ``<spec_hash>.c<index>.img`` file is a tiny pointer holding that
-    # digest — so identical image sets reachable from several parents
-    # (the same committed state cached under different spec spellings,
-    # or several commits snapshotting the same terminal world) are
-    # stored once.
     # ------------------------------------------------------------------ #
 
-    @property
-    def blobs_dir(self) -> Path:
-        return self.images_dir / "blobs"
-
-    def _pointer_path(self, spec_or_hash: "RunSpec | str", index: int) -> Path:
+    def image_path_for(self, spec_or_hash: "RunSpec | str", index: int) -> Path:
+        """Where a spec's ``index``-th *committed* checkpoint's image
+        set is (or would be) stored."""
         key = self._key(spec_or_hash)
         return self.images_dir / key[:2] / f"{key}.c{int(index)}.img"
-
-    def _blob_path(self, digest: str) -> Path:
-        return self.blobs_dir / digest[:2] / f"{digest}.blob"
-
-    @staticmethod
-    def _parse_pointer(raw: bytes) -> "str | None":
-        """The digest a pointer file references, or None for anything
-        else (corruption, a foreign file)."""
-        if len(raw) > 200:
-            return None
-        text = raw.decode("ascii", "replace").strip()
-        if len(text) == 64 and all(c in "0123456789abcdef" for c in text):
-            return text
-        return None
-
-    def _pointer_digest(self, pointer: Path) -> "str | None":
-        try:
-            return self._parse_pointer(pointer.read_bytes())
-        except OSError:
-            return None
-
-    def image_path_for(self, spec_or_hash: "RunSpec | str", index: int) -> Path:
-        """Path of the stored image data for a spec's ``index``-th
-        *committed* checkpoint: the content-addressed blob when a
-        pointer exists, else the not-yet-written pointer location.
-        Note that with blob dedupe this path may be shared by several
-        specs."""
-        pointer = self._pointer_path(spec_or_hash, index)
-        digest = self._pointer_digest(pointer)
-        return pointer if digest is None else self._blob_path(digest)
 
     def put_images(self, spec_or_hash: "RunSpec | str", result: RunResult) -> int:
         """Store every committed checkpoint's full images for a spec.
 
         Records without full images (e.g. a result that already crossed
         the JSON boundary) are skipped silently; returns the number of
-        image sets stored (pointers written).  A blob whose digest is
-        already present is not rewritten — that's the cross-spec dedupe.
-        Writes are atomic for the same reason entry writes are.
+        image sets stored.  Writes are atomic for the same reason entry
+        writes are.
         """
         key = self._key(spec_or_hash)
         committed = [r for r in result.checkpoints if r.committed]
@@ -348,20 +298,7 @@ class ResultCache:
         for index, record in enumerate(committed):
             if not record_has_full_images(record):
                 continue
-            blob = pack_image_set(record.images)
-            digest = image_set_digest(blob)
-            blob_path = self._blob_path(digest)
-            if blob_path.is_file():
-                # Dedupe hit: refresh the payload's age so a blob a
-                # fresh put just pointed at doesn't get age-evicted on
-                # its *original* store date.
-                try:
-                    os.utime(blob_path)
-                except OSError:
-                    pass
-            else:
-                atomic_write(blob_path, blob)
-            atomic_write(self._pointer_path(key, index), digest.encode() + b"\n")
+            atomic_write(self.image_path_for(key, index), pack_image_set(record.images))
             written += 1
             self.stats.image_stores += 1
         return written
@@ -371,16 +308,14 @@ class ResultCache:
     ) -> "dict[int, CheckpointImage] | None":
         """The stored image map for a committed checkpoint, or None.
 
-        Misses cover everything that could be wrong — no pointer, a
-        dangling or garbled pointer, a truncated or digest-mismatching
-        blob, an unknown format — so callers can always fall back to
-        re-simulating the parent.
+        Misses cover everything that could be wrong — no file, a
+        truncated or digest-mismatching archive, an unknown format — so
+        callers can always fall back to re-simulating the parent.
         """
-        digest = self._pointer_digest(self._pointer_path(spec_or_hash, index))
-        if digest is None:
-            return None
         try:
-            images = unpack_image_set(self._blob_path(digest).read_bytes())
+            images = unpack_image_set(
+                self.image_path_for(spec_or_hash, index).read_bytes()
+            )
         except (OSError, ImageError):
             return None
         self.stats.image_hits += 1
@@ -389,125 +324,55 @@ class ResultCache:
     def has_images(self, spec_or_hash: "RunSpec | str", index: int) -> bool:
         """Cheap existence probe (no read/verify) used by wave planning.
 
-        A pointer that exists but dangles (or a blob that fails
-        verification on the later :meth:`get_images`) degrades to parent
-        re-simulation inside the job, so planning on existence alone is
-        safe.
+        A file that fails verification on the later :meth:`get_images`
+        degrades to parent re-simulation inside the job, so planning on
+        existence alone is safe.
         """
-        return self._pointer_path(spec_or_hash, index).is_file()
+        return self.image_path_for(spec_or_hash, index).is_file()
 
-    def _pointer_files(self) -> "list[Path]":
+    def _image_files(self) -> "list[Path]":
         return list(self.images_dir.glob(f"{self._SHARD_GLOB}/*.img"))
 
-    def _referenced_digests(self) -> "set[str | None]":
-        """Digests still referenced by at least one pointer file."""
-        return {self._pointer_digest(p) for p in self._pointer_files()}
-
-    def _gc_blobs(self, candidates: Iterable[str]) -> int:
-        """Delete candidate blobs no pointer references any more."""
-        candidates = {d for d in candidates if d is not None}
-        if not candidates:
-            return 0
-        removed = 0
-        for digest in candidates - self._referenced_digests():
-            try:
-                self._blob_path(digest).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def _drop_images(self, hashes: Iterable[str]) -> int:
-        """Delete the given spec hashes' pointers, then garbage-collect
-        any blobs that lost their last reference."""
-        removed = 0
-        candidates: "set[str | None]" = set()
+    def _drop_images(self, hashes: Iterable[str]) -> None:
+        """Delete the given spec hashes' image sets."""
         for key in hashes:
             for path in (self.images_dir / key[:2]).glob(f"{key}.c*.img"):
-                candidates.add(self._pointer_digest(path))
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        self._gc_blobs(candidates)
-        return removed
-
-    def _blob_files(self) -> "list[Path]":
-        return list(self.blobs_dir.glob(f"{self._SHARD_GLOB}/*.blob"))
+                _unlink(path)
 
     def image_count(self) -> int:
-        """Stored image sets (unique blobs)."""
-        return len(self._blob_files())
+        """Stored image sets."""
+        return len(self._image_files())
 
     def image_bytes(self) -> int:
-        """On-disk footprint of the image tier's payload (pointer files
-        are noise-level)."""
-        total = 0
-        for entry in self._blob_files():
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def _drop_blob_and_pointers(self, blob: Path) -> bool:
-        """Unlink one blob and every pointer referencing it.
-        Returns True iff the payload actually came off disk (callers
-        only account evicted bytes/counts for real removals)."""
-        try:
-            blob.unlink()
-        except OSError:
-            return False
-        for pointer in self._pointer_files():
-            if self._pointer_digest(pointer) == blob.stem:
-                try:
-                    pointer.unlink()
-                except OSError:
-                    pass
-        return True
+        """On-disk footprint of the image tier."""
+        return sum(size for _, size, _ in _stat_files(self._image_files()))
 
     def prune_images_older_than(self, max_age_seconds: float) -> int:
-        """Evict image payloads older (by mtime) than ``max_age_seconds``,
-        along with the pointers that reference them."""
+        """Evict image sets older (by mtime) than ``max_age_seconds``."""
         cutoff = time.time() - max_age_seconds
-        removed = 0
-        for entry in self._blob_files():
-            try:
-                stale = entry.stat().st_mtime < cutoff
-            except OSError:
-                continue
-            if stale and self._drop_blob_and_pointers(entry):
-                removed += 1
-        return removed
+        return sum(
+            _unlink(path)
+            for mtime, _, path in _stat_files(self._image_files())
+            if mtime < cutoff
+        )
 
     def prune_images_to_max_bytes(self, max_bytes: int) -> int:
-        """Evict oldest image payloads until the tier is at most
-        ``max_bytes``.
+        """Evict oldest image sets until the tier is at most ``max_bytes``.
 
-        The size knob applies to the image tier alone: blobs dominate the
-        cache's footprint by orders of magnitude, and evicting one only
-        costs a future warm restart its fast path (the JSON results —
-        every *measurement* — stay intact).  A deduped blob's eviction
-        drops every spec pointer that referenced it.
+        The size knob applies to the image tier alone: images dominate
+        the cache's footprint by orders of magnitude, and evicting one
+        only costs a future warm restart its fast path (the JSON results
+        — every *measurement* — stay intact).
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        aged = []
-        total = 0
-        for entry in self._blob_files():
-            try:
-                st = entry.stat()
-            except OSError:
-                continue
-            aged.append((st.st_mtime, entry.name, st.st_size, entry))
-            total += st.st_size
-        aged.sort()
+        aged = _stat_files(self._image_files())
+        total = sum(size for _, size, _ in aged)
         removed = 0
-        for _, _, size, entry in aged:
+        for _, size, path in aged:
             if total <= max_bytes:
                 break
-            if self._drop_blob_and_pointers(entry):
+            if _unlink(path):
                 total -= size
                 removed += 1
         return removed
@@ -527,10 +392,10 @@ class ResultCache:
         try:
             self.put_images(key, result)
         except OSError:
-            # The tier is strictly an accelerator: a blob write failing
+            # The tier is strictly an accelerator: an image write failing
             # (disk full, permissions) must not cost the batch its
             # results.  Restarts simply fall back to re-simulation, and
-            # atomic tmp+rename writes mean no torn blob was left for
+            # atomic tmp+rename writes mean no torn file was left for
             # them to trip over.
             pass
         path = self._entry_path(key)
@@ -554,21 +419,12 @@ class ResultCache:
     def clear(self) -> int:
         """Delete all entries for the current schema; returns the count.
 
-        Image-tier blobs go with their entries; recorded execution times
-        (the scheduling cost model) survive.
+        Image sets go with their entries; recorded execution times (the
+        scheduling cost model) survive.
         """
-        removed = 0
-        for entry in self._entry_files():
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                pass
-        for blob in self._pointer_files() + self._blob_files():
-            try:
-                blob.unlink()
-            except OSError:
-                pass
+        removed = sum(_unlink(entry) for entry in self._entry_files())
+        for path in self._image_files():
+            _unlink(path)
         return removed
 
     def prune(self, specs: "Iterable[RunSpec]") -> int:
@@ -579,55 +435,33 @@ class ResultCache:
         even when the entry file is already gone (a cell can have a
         recorded time with no stored result, e.g. after a concurrent
         writer's record survived this cache's earlier eviction)."""
-        removed = 0
-        requested_hashes = []
-        for spec in specs:
-            key = spec_hash(spec)
-            requested_hashes.append(key)
-            try:
-                self._entry_path(key).unlink()
-                removed += 1
-            except OSError:
-                pass
-        # One batched image drop: _drop_images ends in a full pointer
-        # scan for blob GC, so per-spec calls would cost O(specs ×
-        # pointers) file reads.
-        self._drop_images(requested_hashes)
-        self.drop_timings(requested_hashes)
+        hashes = [spec_hash(spec) for spec in specs]
+        removed = sum(_unlink(self._entry_path(key)) for key in hashes)
+        self._drop_images(hashes)
+        self.drop_timings(hashes)
         return removed
 
     def _prune_paths(self, paths: "Iterable[Path]") -> int:
-        """Unlink entry files and evict their timings and image blobs
+        """Unlink entry files and evict their timings and image sets
         (stems are hashes)."""
-        removed = 0
-        evicted = []
-        for path in paths:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-            evicted.append(path.stem)
+        evicted = [path.stem for path in paths if _unlink(path)]
         self.drop_timings(evicted)
         self._drop_images(evicted)
-        return removed
+        return len(evicted)
 
     def prune_older_than(self, max_age_seconds: float) -> int:
         """Evict entries whose file is older than ``max_age_seconds``.
 
         Age is the entry file's mtime — i.e. when the result was last
-        (re-)stored, not last read.  Image blobs age out on the same
+        (re-)stored, not last read.  Image sets age out on the same
         clock (their own mtime).  Returns the number of entries removed.
         """
         cutoff = time.time() - max_age_seconds
-        stale = []
-        for entry in self._entry_files():
-            try:
-                if entry.stat().st_mtime < cutoff:
-                    stale.append(entry)
-            except OSError:
-                pass
-        removed = self._prune_paths(stale)
+        removed = self._prune_paths(
+            path
+            for mtime, _, path in _stat_files(self._entry_files())
+            if mtime < cutoff
+        )
         self.prune_images_older_than(max_age_seconds)
         return removed
 
@@ -636,27 +470,37 @@ class ResultCache:
         remain; returns the number removed."""
         if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        aged = []
-        for entry in self._entry_files():
-            try:
-                aged.append((entry.stat().st_mtime, entry.name, entry))
-            except OSError:
-                pass
-        if len(aged) <= max_entries:
-            return 0
-        aged.sort()
-        n_evict = len(aged) - max_entries
-        return self._prune_paths(entry for _, _, entry in aged[:n_evict])
+        aged = _stat_files(self._entry_files())
+        n_evict = max(len(aged) - max_entries, 0)
+        return self._prune_paths(path for _, _, path in aged[:n_evict])
 
     def total_bytes(self) -> int:
         """On-disk footprint of the current schema's entries."""
-        total = 0
-        for entry in self._entry_files():
-            try:
-                total += entry.stat().st_size
-            except OSError:
-                pass
-        return total
+        return sum(size for _, size, _ in _stat_files(self._entry_files()))
 
     def __len__(self) -> int:
         return len(self._entry_files())
+
+
+def _unlink(path: Path) -> bool:
+    """Remove ``path``; False when it was already gone or cannot go
+    (callers only account evictions that really happened)."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
+def _stat_files(paths: "Iterable[Path]") -> "list[tuple[float, int, Path]]":
+    """``(mtime, size, path)`` of every path that still exists, oldest
+    first (name breaks mtime ties so eviction order is deterministic)."""
+    rows = []
+    for path in paths:
+        try:
+            st = path.stat()
+        except OSError:
+            continue
+        rows.append((st.st_mtime, st.st_size, path))
+    rows.sort(key=lambda row: (row[0], row[2].name))
+    return rows

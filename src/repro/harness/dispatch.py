@@ -17,7 +17,7 @@ collected.  Three backends implement it:
   line-delimited JSON protocol.  Pull-model workers
   (``repro-mpi worker --connect HOST:PORT``) execute them, the shared
   content-addressed :class:`~repro.harness.cache.ResultCache` (results
-  + deduped image blobs) is the artifact store, and many clients hit
+  + image sets) is the artifact store, and many clients hit
   one warm cache.
 
 Besides simulation jobs, the seam carries **oracle-check jobs** (one

@@ -91,8 +91,9 @@ class EngineStats:
     executed: int = 0
     #: Parent image maps the cache's image tier actually served to
     #: executed restarts (each one is a parent simulation skipped).
-    #: Counted at load time, not planning time: a blob that exists but
-    #: fails verification degrades to re-simulation and is not reported.
+    #: Counted at load time, not planning time: an image file that
+    #: exists but fails verification degrades to re-simulation and is
+    #: not reported.
     images_reused: int = 0
     #: Executed jobs whose scheduling cost came from a recorded wall time.
     predicted_recorded: int = 0
@@ -151,7 +152,7 @@ def _execute_job(
     elapsed_seconds, images_served)`` — the wall time is measured in the
     worker so pool queueing delays never pollute the cost model, and
     ``images_served`` counts the parent image maps the tier *actually*
-    delivered (a blob that exists at planning time but fails
+    delivered (an image file that exists at planning time but fails
     verification here degrades to re-simulation, and must not be
     reported as reuse).
     """

@@ -6,17 +6,19 @@ that runs the corresponding (scaled-down) experiment and returns an
 Scale knobs default to laptop-friendly sizes; pass larger ``procs``
 lists to approach the paper's 128-2048 range.
 
-Architecture: each figure is split into a *planner* that builds the
-declarative :class:`RunSpec` list for every cell (``plan_fig7`` etc.)
-and a *fold* that turns the engine's ``{spec: RunResult}`` map back
-into the rendered table.  The figure functions (``fig7`` etc.) submit
-one plan to an :class:`ExperimentEngine`; :func:`run_plans` submits
-*several figures as one batch*, which is how ``repro-mpi all`` dedupes
-the native baselines shared by Table 1, Figure 7, and Figure 8, and
-how Figure 9's probe/checkpoint/restart chains each simulate once.
+Architecture: each figure is a *planner* (``plan_fig7`` etc., listed in
+:data:`PLANNERS`) that builds the declarative :class:`RunSpec` list for
+every cell and returns it with a *fold* that turns the engine's
+``{spec: RunResult}`` map back into the rendered table.  The figure
+functions (``fig7`` etc., :data:`EXPERIMENTS`) are derived from the
+planners: same arguments plus ``engine=``, they submit the one plan to
+an :class:`ExperimentEngine`.  :func:`run_plans` submits *several
+figures as one batch*, which is how ``repro-mpi all`` dedupes the native
+baselines shared by Table 1, Figure 7, and Figure 8, and how Figure 9's
+probe/checkpoint/restart chains each simulate once.
 
 The expected *shapes* (who wins, where NA appears, where the dip is)
-are documented in DESIGN.md §4 and validated by tests/benchmarks.
+are stated in each planner's docstring and asserted by ``tests/paper/``.
 """
 
 from __future__ import annotations
@@ -138,10 +140,6 @@ def run_plans(
     return [p.fold(results) for p in plans]
 
 
-def _run_single(plan: FigurePlan, engine: ExperimentEngine | None) -> ExperimentResult:
-    return run_plans([plan], engine)[0]
-
-
 # --------------------------------------------------------------------- #
 # Protocol-sweep cells (the shape `_run_protocols` used to run inline)
 # --------------------------------------------------------------------- #
@@ -217,6 +215,12 @@ def _note_na(
 def plan_table1(
     nprocs: int = 16, *, ppn: int | None = 8, seed: int = 0
 ) -> FigurePlan:
+    """Rates of communication calls per second (paper Table 1).
+
+    The paper's ordering — OSU >> VASP >> Poisson >> CoMD > LAMMPS > SW4
+    for collectives, and LAMMPS-heavy p2p — is scale-robust because the
+    rates are per-rank properties of each app's step structure.
+    """
     configs = [
         ("osu (bcast 4B)", "osu", {"niters": 400, "kind": "bcast", "nbytes": 4}),
         ("minivasp", "minivasp", {"niters": 12}),
@@ -250,22 +254,6 @@ def plan_table1(
     return FigurePlan("table1", [spec for _, spec in cells], fold)
 
 
-def table1(
-    nprocs: int = 16,
-    *,
-    ppn: int | None = 8,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Rates of communication calls per second (paper Table 1).
-
-    The paper's ordering — OSU >> VASP >> Poisson >> CoMD > LAMMPS > SW4
-    for collectives, and LAMMPS-heavy p2p — is scale-robust because the
-    rates are per-rank properties of each app's step structure.
-    """
-    return _run_single(plan_table1(nprocs, ppn=ppn, seed=seed), engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 5a: blocking OSU overhead, 2PC vs CC
 # --------------------------------------------------------------------- #
@@ -279,6 +267,12 @@ def plan_fig5a(
     seed: int = 0,
     repeats: int = 1,
 ) -> FigurePlan:
+    """Blocking-collective runtime overhead: 2PC vs CC (Figure 5a).
+
+    2PC is large on small messages (hundreds of percent on Bcast: the
+    inserted barrier destroys the loose tree), near zero at 1 MB for the
+    naturally synchronizing kinds; CC stays below 2PC on every cell.
+    """
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -319,23 +313,6 @@ def plan_fig5a(
     )
 
 
-def fig5a(
-    procs: Sequence[int] = (8, 16, 32),
-    *,
-    kinds: Sequence[str] = OSU_KINDS,
-    sizes: Sequence[int] = MSG_SIZES,
-    iters: int = 60,
-    seed: int = 0,
-    repeats: int = 1,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Blocking-collective runtime overhead: 2PC vs CC (Figure 5a)."""
-    plan = plan_fig5a(
-        procs, kinds=kinds, sizes=sizes, iters=iters, seed=seed, repeats=repeats
-    )
-    return _run_single(plan, engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 5b: non-blocking OSU overhead (CC only; 2PC = NA)
 # --------------------------------------------------------------------- #
@@ -348,6 +325,12 @@ def plan_fig5b(
     iters: int = 60,
     seed: int = 0,
 ) -> FigurePlan:
+    """Non-blocking collective overhead under CC (Figure 5b).
+
+    2PC is NA on every cell (it cannot wrap non-blocking collectives);
+    CC pays two wrapper crossings per operation, which shows on small
+    messages and decays with the message size.
+    """
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -395,20 +378,6 @@ def plan_fig5b(
     )
 
 
-def fig5b(
-    procs: Sequence[int] = (8, 16, 32),
-    *,
-    kinds: Sequence[str] = OSU_KINDS,
-    sizes: Sequence[int] = MSG_SIZES,
-    iters: int = 60,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Non-blocking collective overhead under CC (Figure 5b)."""
-    plan = plan_fig5b(procs, kinds=kinds, sizes=sizes, iters=iters, seed=seed)
-    return _run_single(plan, engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 6: communication/computation overlap, native vs CC
 # --------------------------------------------------------------------- #
@@ -421,6 +390,9 @@ def plan_fig6(
     iters: int = 40,
     seed: int = 0,
 ) -> FigurePlan:
+    """Overlap of communication and computation (Figure 6): CC keeps the
+    native overlap, because the wrappers never touch the background
+    progress of an initiated operation."""
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -462,20 +434,6 @@ def plan_fig6(
     )
 
 
-def fig6(
-    procs: Sequence[int] = (8, 16),
-    *,
-    kinds: Sequence[str] = OSU_KINDS,
-    sizes: Sequence[int] = (1024, 1 << 20),
-    iters: int = 40,
-    seed: int = 0,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Overlap of communication and computation (Figure 6)."""
-    plan = plan_fig6(procs, kinds=kinds, sizes=sizes, iters=iters, seed=seed)
-    return _run_single(plan, engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 7: five real-world applications
 # --------------------------------------------------------------------- #
@@ -483,6 +441,12 @@ def fig6(
 def plan_fig7(
     nprocs: int = 16, *, ppn: int | None = 8, seed: int = 0, repeats: int = 2
 ) -> FigurePlan:
+    """Real-world application runtimes: native / 2PC / CC (Figure 7).
+
+    miniVASP (collective-intensive) shows the largest 2PC overhead with
+    CC well below it; SW4/CoMD/LAMMPS are ~0 % under both; Poisson runs
+    under CC and is NA under 2PC.
+    """
     configs = [
         ("minivasp", {"niters": 12}),
         ("sw4", {"niters": 10}),
@@ -535,18 +499,6 @@ def plan_fig7(
     )
 
 
-def fig7(
-    nprocs: int = 16,
-    *,
-    ppn: int | None = 8,
-    seed: int = 0,
-    repeats: int = 2,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Real-world application runtimes: native / 2PC / CC (Figure 7)."""
-    return _run_single(plan_fig7(nprocs, ppn=ppn, seed=seed, repeats=repeats), engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 8: VASP overhead vs process count (the 2-node dip)
 # --------------------------------------------------------------------- #
@@ -559,6 +511,12 @@ def plan_fig8(
     repeats: int = 2,
     niters: int = 12,
 ) -> FigurePlan:
+    """VASP runtime overhead, 2PC vs CC, across node counts (Figure 8).
+
+    The first entry runs on one node; doubling the process count adds
+    nodes, raising the base communication cost and producing the paper's
+    dip in *relative* overhead at two nodes.
+    """
     ppn = ppn or procs[0]
     cells = [
         (
@@ -598,25 +556,6 @@ def plan_fig8(
     )
 
 
-def fig8(
-    procs: Sequence[int] = (8, 16, 32),
-    *,
-    ppn: int | None = None,
-    seed: int = 0,
-    repeats: int = 2,
-    niters: int = 12,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """VASP runtime overhead, 2PC vs CC, across node counts (Figure 8).
-
-    The first entry runs on one node; doubling the process count adds
-    nodes, raising the base communication cost and producing the paper's
-    dip in *relative* overhead at two nodes.
-    """
-    plan = plan_fig8(procs, ppn=ppn, seed=seed, repeats=repeats, niters=niters)
-    return _run_single(plan, engine)
-
-
 # --------------------------------------------------------------------- #
 # Figure 9: VASP checkpoint and restart times vs node count
 # --------------------------------------------------------------------- #
@@ -629,6 +568,9 @@ def plan_fig9(
     niters: int = 10,
     image_bytes_per_rank: int = 398 << 20,
 ) -> FigurePlan:
+    """Checkpoint and restart times, 2PC vs CC, vs node count (Figure 9):
+    nearly identical between the protocols (the image write dominates)
+    and growing once the file system's aggregate bandwidth saturates."""
     storage = StorageModel(
         per_node_bandwidth=2.0e9, aggregate_bandwidth=6.0e9, base_latency=1.0
     )
@@ -688,26 +630,6 @@ def plan_fig9(
     return FigurePlan(
         "fig9", [s for _, _, ckpt, restart in cells for s in (ckpt, restart)], fold
     )
-
-
-def fig9(
-    nodes: Sequence[int] = (1, 2, 4, 8),
-    *,
-    ppn: int = 4,
-    seed: int = 0,
-    niters: int = 10,
-    image_bytes_per_rank: int = 398 << 20,
-    engine: ExperimentEngine | None = None,
-) -> ExperimentResult:
-    """Checkpoint and restart times, 2PC vs CC, vs node count (Figure 9)."""
-    plan = plan_fig9(
-        nodes,
-        ppn=ppn,
-        seed=seed,
-        niters=niters,
-        image_bytes_per_rank=image_bytes_per_rank,
-    )
-    return _run_single(plan, engine)
 
 
 # --------------------------------------------------------------------- #
@@ -912,16 +834,6 @@ def _fmt_size(nbytes: int) -> str:
     return f"{nbytes}B"
 
 
-EXPERIMENTS = {
-    "table1": table1,
-    "fig5a": fig5a,
-    "fig5b": fig5b,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-}
-
 PLANNERS = {
     "table1": plan_table1,
     "fig5a": plan_fig5a,
@@ -931,3 +843,19 @@ PLANNERS = {
     "fig8": plan_fig8,
     "fig9": plan_fig9,
 }
+
+
+def _figure(name: str, planner: Callable[..., FigurePlan]) -> Callable[..., ExperimentResult]:
+    """The run-it-now form of a planner: the planner's own arguments plus
+    ``engine=``; plans, runs the one plan, returns the folded result."""
+
+    def figure(*args, engine: ExperimentEngine | None = None, **kwargs) -> ExperimentResult:
+        return run_plans([planner(*args, **kwargs)], engine)[0]
+
+    figure.__name__ = figure.__qualname__ = name
+    figure.__doc__ = planner.__doc__
+    return figure
+
+
+EXPERIMENTS = {name: _figure(name, planner) for name, planner in PLANNERS.items()}
+table1, fig5a, fig5b, fig6, fig7, fig8, fig9 = EXPERIMENTS.values()

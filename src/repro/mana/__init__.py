@@ -3,12 +3,12 @@
 * :class:`Session` — per-rank wrapper layer (the upper half's brain).
 * :class:`VirtualComm` / :class:`VirtualRequest` — virtualized handles.
 * :class:`CheckpointCoordinator` — the DMTCP-coordinator analog.
-* :class:`CheckpointImage` + file I/O — the image format.
+* :class:`CheckpointImage` + checkpoint-set save/load — the image format.
 * :mod:`repro.mana.splitproc` — upper/lower-half split verification.
 """
 
 from .coordinator import CheckpointCoordinator, CheckpointRecord
-from .image import CheckpointImage, ImageError, read_image_file, write_image_file
+from .image import CheckpointImage, ImageError
 from .restart import (
     finished_ranks,
     load_checkpoint_set,
@@ -35,8 +35,6 @@ __all__ = [
     "CheckpointRecord",
     "CheckpointImage",
     "ImageError",
-    "read_image_file",
-    "write_image_file",
     "save_checkpoint_set",
     "load_checkpoint_set",
     "finished_ranks",

@@ -1,28 +1,23 @@
-"""Checkpoint image format.
+"""Checkpoint images: the per-rank record and the one on-disk format.
 
-One image per rank, mirroring MANA: the image contains only upper-half
-state (application state + wrapper bookkeeping).  Nothing from the lower
-half (simulated MPI world, matching engines, requests) is serialized —
-pickling would fail loudly on those objects, which doubles as an
-automatic guard against lower-half leakage (tested).
+One :class:`CheckpointImage` per rank, mirroring MANA: the image contains
+only upper-half state (application state + wrapper bookkeeping).  Nothing
+from the lower half (simulated MPI world, matching engines, requests) is
+serialized — pickling would fail loudly on those objects, which doubles
+as an automatic guard against lower-half leakage (tested).
 
-On-disk layout::
-
-    MAGIC (8 bytes) | version (u32) | rank (u32) | payload_len (u64)
-    | crc32 (u32) | pickle payload
-
-Besides the one-file-per-rank format, :func:`pack_image_set` /
-:func:`unpack_image_set` serialize a whole committed checkpoint's image
-map (rank -> :class:`CheckpointImage`) as one compressed blob with a
-SHA-256 integrity digest — the payload of the result cache's image
-tier (see :mod:`repro.harness.cache`).  Blob layout::
+A committed checkpoint is stored as *one* archive holding its whole
+image map (rank -> image): :func:`pack_image_set` /
+:func:`unpack_image_set`.  Both the result cache's image tier
+(:mod:`repro.harness.cache`) and :func:`repro.mana.restart.save_checkpoint_set`
+write exactly these bytes.  Layout::
 
     ARCHIVE_MAGIC (8 bytes) | version (u32) | payload_len (u64)
     | sha256 (32 bytes) | zlib-compressed pickle payload
 
 Any structural problem (bad magic, unknown version, truncation, digest
 mismatch) raises :class:`ImageError`; readers built on top treat that
-as a cache miss, so blobs written by older/newer formats degrade to
+as a cache miss, so files written by older/newer formats degrade to
 re-simulation instead of corrupting a restart.
 """
 
@@ -33,22 +28,14 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 __all__ = [
     "CheckpointImage",
     "ImageError",
-    "write_image_file",
-    "read_image_file",
     "pack_image_set",
     "unpack_image_set",
-    "image_set_digest",
 ]
-
-MAGIC = b"MANAPY01"
-VERSION = 1
-_HEADER = struct.Struct("<8sIIQI")
 
 ARCHIVE_MAGIC = b"MANAPYA1"
 ARCHIVE_VERSION = 1
@@ -103,41 +90,6 @@ class CheckpointImage:
     stats: dict = field(default_factory=dict)
 
 
-def write_image_file(image: CheckpointImage, directory: "Path | str") -> Path:
-    """Serialize one rank's image to ``<dir>/ckpt_<id>_rank<k>.manapy``."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    path = directory / f"ckpt_{image.ckpt_id}_rank{image.rank}.manapy"
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, image.rank, len(payload), crc))
-        fh.write(payload)
-    return path
-
-
-def read_image_file(path: "Path | str") -> CheckpointImage:
-    """Load and verify one image file."""
-    path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ImageError(f"{path}: truncated header")
-    magic, version, rank, length, crc = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise ImageError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise ImageError(f"{path}: unsupported version {version}")
-    payload = raw[_HEADER.size : _HEADER.size + length]
-    if len(payload) != length:
-        raise ImageError(f"{path}: truncated payload")
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-        raise ImageError(f"{path}: CRC mismatch (corrupt image)")
-    image = pickle.loads(payload)
-    if image.rank != rank:
-        raise ImageError(f"{path}: header rank {rank} != payload rank {image.rank}")
-    return image
-
-
 def pack_image_set(images: "dict[int, CheckpointImage]") -> bytes:
     """One committed checkpoint's image map as a self-verifying blob.
 
@@ -152,24 +104,6 @@ def pack_image_set(images: "dict[int, CheckpointImage]") -> bytes:
         _ARCHIVE_HEADER.pack(ARCHIVE_MAGIC, ARCHIVE_VERSION, len(payload), digest)
         + payload
     )
-
-
-def image_set_digest(blob: bytes) -> str:
-    """The hex SHA-256 digest embedded in a :func:`pack_image_set` blob.
-
-    This is the content address the result cache's image tier dedupes
-    on: two parents committing byte-identical image sets produce the
-    same digest, so the blob is stored once.  Raises :class:`ImageError`
-    for anything that is not a well-formed archive header.
-    """
-    if len(blob) < _ARCHIVE_HEADER.size:
-        raise ImageError("image-set blob: truncated header")
-    magic, version, _length, digest = _ARCHIVE_HEADER.unpack_from(blob)
-    if magic != ARCHIVE_MAGIC:
-        raise ImageError(f"image-set blob: bad magic {magic!r}")
-    if version != ARCHIVE_VERSION:
-        raise ImageError(f"image-set blob: unsupported version {version}")
-    return digest.hex()
 
 
 def unpack_image_set(raw: bytes) -> "dict[int, CheckpointImage]":

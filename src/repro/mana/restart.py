@@ -1,8 +1,9 @@
 """Checkpoint-set persistence: saving and loading a full job's images.
 
 A committed checkpoint produces one :class:`CheckpointImage` per rank.
-These helpers store them as individual files (as MANA does on Lustre)
-and load them back for a restart, verifying completeness and
+These helpers store the set as one :func:`~repro.mana.image.pack_image_set`
+archive (``ckpt_<id>.img`` — the same bytes the result cache's image
+tier keeps) and load it back for a restart, verifying completeness and
 consistency.
 
 A set may include *finished* ranks — images taken by a round that
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .image import CheckpointImage, ImageError, read_image_file, write_image_file
+from .image import CheckpointImage, ImageError, pack_image_set, unpack_image_set
 
 __all__ = [
     "save_checkpoint_set",
@@ -46,29 +47,35 @@ def set_is_terminal(images: "dict[int, CheckpointImage]") -> bool:
 def save_checkpoint_set(
     images: dict[int, CheckpointImage], directory: "Path | str"
 ) -> list[Path]:
-    """Write every rank's image under ``directory``; returns the paths."""
+    """Write the set's archive under ``directory``; returns its path
+    (a one-element list)."""
     if not images:
         raise ImageError("empty checkpoint set")
-    nprocs = next(iter(images.values())).nprocs
-    if sorted(images) != list(range(nprocs)):
+    first = next(iter(images.values()))
+    if sorted(images) != list(range(first.nprocs)):
         raise ImageError(
-            f"checkpoint set must cover ranks 0..{nprocs - 1}, got {sorted(images)}"
+            f"checkpoint set must cover ranks 0..{first.nprocs - 1}, got {sorted(images)}"
         )
-    return [write_image_file(images[rank], directory) for rank in sorted(images)]
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"ckpt_{first.ckpt_id}.img"
+    path.write_bytes(pack_image_set(images))
+    return [path]
 
 
 def load_checkpoint_set(directory: "Path | str", ckpt_id: int = 0) -> dict[int, CheckpointImage]:
     """Load a complete, consistent image set for one checkpoint id."""
-    directory = Path(directory)
-    paths = sorted(directory.glob(f"ckpt_{ckpt_id}_rank*.manapy"))
-    if not paths:
-        raise ImageError(f"no checkpoint {ckpt_id} images under {directory}")
-    images = {}
-    for path in paths:
-        image = read_image_file(path)
+    path = Path(directory) / f"ckpt_{ckpt_id}.img"
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        raise ImageError(f"no checkpoint {ckpt_id} images under {directory}") from None
+    images = unpack_image_set(raw)
+    if not images:
+        raise ImageError(f"{path}: empty checkpoint set")
+    for image in images.values():
         if image.ckpt_id != ckpt_id:
             raise ImageError(f"{path}: ckpt id {image.ckpt_id} != {ckpt_id}")
-        images[image.rank] = image
     nprocs = next(iter(images.values())).nprocs
     missing = set(range(nprocs)) - set(images)
     if missing:

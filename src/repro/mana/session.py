@@ -10,7 +10,8 @@ Every MPI call an application makes goes through here.  The session
   buffer of messages drained at checkpoint time,
 * records wrapper-call results between step boundaries so an interrupted
   step can be *replayed deterministically* after restart (the substitute
-  for MANA's raw-memory program-counter snapshot; see DESIGN.md §2), and
+  for MANA's raw-memory program-counter snapshot; the application side of
+  the contract is in :mod:`repro.apps.base`), and
 * participates in the commit sequence (drain non-blocking collectives,
   drain p2p, write the image) when the coordinator commands it.
 
@@ -102,7 +103,6 @@ class Session:
         self._replay_entries: list[tuple] | None = None
         self._replay_end = 0
         self._pending_remaining: float | None = None
-        self.rebuilding = False
         #: Scenario compute slowdown (straggler ranks); scales fresh
         #: compute calls only — a restored remainder is already scaled.
         self.compute_factor = 1.0
@@ -230,8 +230,8 @@ class Session:
     def step_boundary(self) -> None:
         """Mark an application step boundary (end of an outer iteration).
 
-        Clears the intra-step call log (bounding replay memory) and serves
-        as a checkpoint-safe point.
+        Clears the intra-step call log (bounding replay memory), forgets
+        completed requests and serves as a checkpoint-safe point.
         """
         if self.replaying:
             raise ProtocolError(
@@ -240,6 +240,15 @@ class Session:
             )
         self.boundary_index = self.call_index
         self.call_log.clear()
+        # With the log empty no replay window references a request any
+        # more, and :meth:`build_image` only ever restores pending
+        # receives and window-referenced requests — so a completed entry
+        # is dead weight that pins its value (and lower-half request).
+        # The application's own handle keeps working: a done request
+        # answers ``wait``/``test`` without the table.
+        self._vreqs = {
+            vrid: vr for vrid, vr in self._vreqs.items() if not vr.done
+        }
         self.protocol.at_safe_point()
 
     # ------------------------------------------------------------------ #
@@ -288,19 +297,6 @@ class Session:
     # Collectives
     # ------------------------------------------------------------------ #
 
-    _KIND_METHODS = {
-        "barrier": "barrier",
-        "bcast": "bcast",
-        "reduce": "reduce",
-        "allreduce": "allreduce",
-        "alltoall": "alltoall",
-        "allgather": "allgather",
-        "gather": "gather",
-        "scatter": "scatter",
-        "scan": "scan",
-        "reduce_scatter": "reduce_scatter",
-    }
-
     def collective(
         self,
         vcid: int,
@@ -317,7 +313,7 @@ class Session:
         members = comm.group.world_ranks
 
         def execute() -> Any:
-            result = self._invoke(comm, kind, contribution, root, op)
+            result = comm._collective(kind, contribution, root=root, op=op)
             # Record at execution completion (not after the protocol's
             # exit hook): a rank parked at the wrapper *exit* has executed
             # the operation, so a snapshot there must include it in the
@@ -344,26 +340,12 @@ class Session:
         members = comm.group.world_ranks
 
         def initiate() -> VirtualRequest:
-            lower = self._invoke(comm, "i" + kind, contribution, root, op)
+            lower = comm._icollective(kind, contribution, root=root, op=op)
             vreq = self._wrap_request(lower, "coll", (vcid, kind))
             self._record(_VREQ, vreq.vrid, "i" + kind)
             return vreq
 
         return self.protocol.on_nonblocking_collective(ggid, members, initiate)
-
-    @staticmethod
-    def _invoke(comm: Communicator, kind: str, contribution: Any, root: int, op: Any):
-        base = kind[1:] if kind.startswith("i") else kind
-        method = getattr(comm, kind)
-        if base == "barrier":
-            return method()
-        if base in ("bcast", "gather", "scatter"):
-            return method(contribution, root=root)
-        if base == "reduce":
-            return method(contribution, op=op, root=root)
-        if base in ("allreduce", "scan", "reduce_scatter"):
-            return method(contribution, op=op)
-        return method(contribution)  # alltoall, allgather
 
     def protocol_ibarrier(self, ggid: int):
         """The 2PC trivial barrier: an Ibarrier on a shadow communicator
@@ -458,20 +440,8 @@ class Session:
             payload = hit[3]
             self._record(_VALUE, payload, "recv")
             return payload
-        comm = self.lower_comm(vcid)
-        lower = comm.irecv(source=source, tag=tag)
         vreq = self._new_vreq("recv", (vcid, source, tag), internal=True)
-        vreq._lower = lower
-
-        def capture(req, vreq=vreq, vcid=vcid, comm=comm) -> None:
-            payload, status = req.value
-            self._count_recv(vcid, comm, status.source)
-            # Remember wire metadata: if a snapshot happens before the
-            # app consumes this, the payload persists as a drained record.
-            vreq.desc = (vcid, status.source, status.tag)
-            self._mark_done(vreq, payload)
-
-        lower.on_complete(capture)
+        self._post_recv(vreq)
         payload = self._await_request(vreq, consume=True)
         self._record(_VALUE, payload, "recv")
         return payload
@@ -487,9 +457,8 @@ class Session:
             vreq.done = True
             vreq.value = hit[3]
         else:
-            comm = self.lower_comm(vcid)
-            lower = comm.irecv(source=source, tag=tag)
-            vreq = self._wrap_recv_request(lower, vcid, source, tag, comm)
+            vreq = self._new_vreq("recv", (vcid, source, tag))
+            self._post_recv(vreq)
         self._record(_VREQ, vreq.vrid, "irecv")
         return vreq
 
@@ -528,20 +497,25 @@ class Session:
         lower.on_complete(capture)
         return vreq
 
-    def _wrap_recv_request(
-        self, lower, vcid: int, source: int, tag: int, comm: Communicator
-    ) -> VirtualRequest:
-        vreq = self._new_vreq("recv", (vcid, source, tag))
-        vreq._lower = lower
+    def _post_recv(self, vreq: VirtualRequest) -> None:
+        """Post the lower-half receive ``vreq.desc`` describes and
+        complete ``vreq`` from it (fresh receives and, at restart, the
+        ones that were pending at the cut)."""
+        vcid, source, tag = vreq.desc
+        comm = self.lower_comm(vcid)
+        vreq._lower = lower = comm.irecv(source=source, tag=tag)
 
         def capture(req) -> None:
             payload, status = req.value
-            vreq.done = True
-            vreq.value = payload
             self._count_recv(vcid, comm, status.source)
+            if vreq.internal:
+                # Remember wire metadata: if a snapshot happens before
+                # the blocking call consumes this, the payload persists
+                # as a drained record.
+                vreq.desc = (vcid, status.source, status.tag)
+            self._mark_done(vreq, payload)
 
         lower.on_complete(capture)
-        return vreq
 
     def vreq_wait(self, vreq: VirtualRequest) -> Any:
         if self.replaying:
@@ -969,45 +943,26 @@ class Session:
         re-posts pending receives, mirroring MANA's restart of the lower
         half.  Must run inside this rank's simulated process.
         """
-        self.rebuilding = True
-        try:
-            for entry in self.creation_log:
-                op = entry[0]
-                parent = self.lower_comm(entry[1])
-                if op == "split":
-                    new = self.world.comm_split(parent, entry[2], entry[3])
-                    if new is not None:
-                        self._register_comm_raw(new)
-                elif op == "dup":
-                    self._register_comm_raw(self.world.comm_dup(parent))
-                elif op == "create_group":
-                    from ..simmpi import Group
+        for entry in self.creation_log:
+            op = entry[0]
+            parent = self.lower_comm(entry[1])
+            if op == "split":
+                new = self.world.comm_split(parent, entry[2], entry[3])
+                if new is not None:
+                    self._assign_handles(new)
+            elif op == "dup":
+                self._assign_handles(self.world.comm_dup(parent))
+            elif op == "create_group":
+                from ..simmpi import Group
 
-                    self._register_comm_raw(
-                        self.world.comm_create_group(parent, Group(entry[2]))
-                    )
-                else:  # pragma: no cover - log is produced by this class
-                    raise ProtocolError(f"unknown creation-log entry {entry!r}")
-            # Re-post receives that were pending at the cut.
-            for vrid in sorted(self._pending_recv_ids):
-                vr = self._vreqs[vrid]
-                vcid, source, tag = vr.desc
-                comm = self.lower_comm(vcid)
-                lower = comm.irecv(source=source, tag=tag)
-                vr._lower = lower
-
-                def capture(req, vr=vr, vcid=vcid, comm=comm) -> None:
-                    payload, status = req.value
-                    vr.done = True
-                    vr.value = payload
-                    self._count_recv(vcid, comm, status.source)
-
-                lower.on_complete(capture)
-        finally:
-            self.rebuilding = False
-
-    def _register_comm_raw(self, comm: Communicator) -> None:
-        self._assign_handles(comm)
+                self._assign_handles(
+                    self.world.comm_create_group(parent, Group(entry[2]))
+                )
+            else:  # pragma: no cover - log is produced by this class
+                raise ProtocolError(f"unknown creation-log entry {entry!r}")
+        # Re-post receives that were pending at the cut.
+        for vrid in sorted(self._pending_recv_ids):
+            self._post_recv(self._vreqs[vrid])
 
     # ------------------------------------------------------------------ #
     # App lifecycle

@@ -1,8 +1,7 @@
 """Simulated MPI: a complete MPI-like library over the DES kernel.
 
-This is the substitute for Cray MPICH + Slingshot in the paper's setup
-(see DESIGN.md §2).  It implements the semantics the checkpointing
-protocols rely on:
+This is the substitute for Cray MPICH + Slingshot in the paper's setup.
+It implements the semantics the checkpointing protocols rely on:
 
 * non-overtaking point-to-point matching with wildcards and probes,
 * blocking collectives with per-algorithm cost structure (rooted trees

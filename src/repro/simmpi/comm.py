@@ -29,6 +29,7 @@ from .group import Group
 from .request import Request
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .collectives import CollectiveSite
     from .matching import Status
     from .world import World
 
@@ -173,8 +174,6 @@ class Communicator:
         return self._collective("gather", obj, root=root)
 
     def scatter(self, objs: "Sequence[Any] | None", root: int = 0) -> Any:
-        if self.rank() != root:
-            objs = [None] * self.size  # non-root contribution is ignored
         return self._collective("scatter", objs, root=root)
 
     def scan(self, obj: Any, op: "ReduceOp | str" = SUM) -> Any:
@@ -209,8 +208,6 @@ class Communicator:
         return self._icollective("gather", obj, root=root)
 
     def iscatter(self, objs: "Sequence[Any] | None", root: int = 0) -> Request:
-        if self.rank() != root:
-            objs = [None] * self.size
         return self._icollective("scatter", objs, root=root)
 
     def iscan(self, obj: Any, op: "ReduceOp | str" = SUM) -> Request:
@@ -247,6 +244,19 @@ class Communicator:
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _join(
+        self, kind: str, contribution: Any, root: int
+    ) -> "tuple[int, Any, CollectiveSite, tuple[int, int]]":
+        """Common entry of both collective flavours: count the call and
+        find the site it joins.  Returns ``(me, contribution, site, key)``."""
+        self._check_live()
+        me = self.rank()
+        if kind == "scatter" and me != root:
+            contribution = [None] * self.size  # non-root contribution is ignored
+        self.world.count_coll(self.group.world_rank(me))
+        site, key = self.world.site_for_next_call(self, me)
+        return me, contribution, site, key
+
     def _collective(
         self,
         kind: str,
@@ -255,19 +265,10 @@ class Communicator:
         root: int = 0,
         op: "ReduceOp | str | None" = None,
     ) -> Any:
-        self._check_live()
-        me = self.rank()
-        wr = self.group.world_rank(me)
-        self.world.count_coll(wr)
-        site, key = self.world.site_for_next_call(self, me)
-        self.world.set_in_collective(wr, True)
-        try:
-            req = site.arrive(me, kind, contribution, root=root, op=op, blocking=True)
-            self.world.gc_site_if_done(key, site)
-            value = req.wait()
-        finally:
-            self.world.set_in_collective(wr, False)
-        return value
+        me, contribution, site, key = self._join(kind, contribution, root)
+        req = site.arrive(me, kind, contribution, root=root, op=op, blocking=True)
+        self.world.gc_site_if_done(key, site)
+        return req.wait()
 
     def _icollective(
         self,
@@ -277,18 +278,9 @@ class Communicator:
         root: int = 0,
         op: "ReduceOp | str | None" = None,
     ) -> Request:
-        self._check_live()
-        me = self.rank()
-        wr = self.group.world_rank(me)
-        self.world.count_coll(wr)
-        site, key = self.world.site_for_next_call(self, me)
-        self.world.set_in_collective(wr, True)
-        try:
-            # The initiation itself costs a library call.
-            self.world.sim.sleep(self.world.tuning.send_overhead)
-            req = site.arrive(me, kind, contribution, root=root, op=op, blocking=False)
-        finally:
-            self.world.set_in_collective(wr, False)
+        me, contribution, site, key = self._join(kind, contribution, root)
+        # The initiation itself costs a library call.
+        self.world.sim.sleep(self.world.tuning.send_overhead)
+        req = site.arrive(me, kind, contribution, root=root, op=op, blocking=False)
         self.world.gc_site_if_done(key, site)
-        self.world.track_nonblocking(wr, req)
         return req

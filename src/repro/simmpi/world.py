@@ -21,7 +21,6 @@ from .comm import Communicator
 from .errors import CommunicatorError, SimMpiError
 from .group import Group
 from .matching import MatchingEngine
-from .request import Request
 
 __all__ = ["World", "WorldStats"]
 
@@ -71,13 +70,6 @@ class World:
         self.label = label
 
         self.stats = WorldStats(self.nprocs)
-        #: True while the rank is inside a collective call (blocking body
-        #: or non-blocking initiation) in the lower half — the state the
-        #: Collective Invariant forbids checkpointing in.
-        self.in_collective = [False] * self.nprocs
-        #: Outstanding non-blocking collective requests per rank
-        #: (verification/drain bookkeeping).
-        self.outstanding_nbc: list[set[Request]] = [set() for _ in range(self.nprocs)]
 
         self._rank_of_proc: dict[SimProcess, int] = {}
         self._next_context = 0
@@ -145,7 +137,7 @@ class World:
         return [p.result for p in procs]
 
     # ------------------------------------------------------------------ #
-    # Counters / invariants
+    # Counters
     # ------------------------------------------------------------------ #
 
     def count_coll(self, world_rank: int) -> None:
@@ -153,17 +145,6 @@ class World:
 
     def count_p2p(self, world_rank: int) -> None:
         self.stats.p2p_calls[world_rank] += 1
-
-    def set_in_collective(self, world_rank: int, flag: bool) -> None:
-        self.in_collective[world_rank] = flag
-
-    def any_in_collective(self) -> bool:
-        return any(self.in_collective)
-
-    def track_nonblocking(self, world_rank: int, req: Request) -> None:
-        pending = self.outstanding_nbc[world_rank]
-        pending.add(req)
-        req.on_complete(lambda r: pending.discard(r))
 
     # ------------------------------------------------------------------ #
     # Contexts, engines, sites

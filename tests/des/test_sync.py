@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import TIMEOUT, Gate, Mailbox, ProcessFailed, SimEvent, Simulator, Waiter
+from repro.des import TIMEOUT, Gate, Mailbox, ProcessFailed, Simulator, Waiter
 from repro.des.errors import SchedulingError
 
 
@@ -97,59 +97,6 @@ class TestWaiter:
             w.fire({"k": 1})
             assert w.fired
             assert w.peek() == {"k": 1}
-
-
-class TestSimEvent:
-    def test_broadcast_wakes_all(self):
-        with Simulator() as sim:
-            ev = SimEvent(sim)
-            woke = []
-
-            def waiter(i):
-                ev.wait()
-                woke.append((i, sim.now()))
-
-            for i in range(4):
-                sim.spawn(waiter, i)
-
-            def setter():
-                sim.sleep(5.0)
-                ev.set("go")
-
-            sim.spawn(setter)
-            sim.run()
-        assert sorted(woke) == [(0, 5.0), (1, 5.0), (2, 5.0), (3, 5.0)]
-
-    def test_wait_after_set_is_immediate(self):
-        with Simulator() as sim:
-            ev = SimEvent(sim)
-            ev.set(7)
-            got = []
-
-            def body():
-                got.append((ev.wait(), sim.now()))
-
-            sim.spawn(body)
-            sim.run()
-        assert got == [(7, 0.0)]
-
-    def test_set_idempotent(self):
-        with Simulator() as sim:
-            ev = SimEvent(sim)
-            ev.set(1)
-            ev.set(2)  # ignored
-            got = []
-            sim.spawn(lambda: got.append(ev.wait()))
-            sim.run()
-        assert got == [1]
-
-    def test_clear_reblocks(self):
-        with Simulator() as sim:
-            ev = SimEvent(sim)
-            ev.set()
-            assert ev.is_set
-            ev.clear()
-            assert not ev.is_set
 
 
 class TestMailbox:

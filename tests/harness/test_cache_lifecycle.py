@@ -7,9 +7,8 @@ operations and asserts, after every step:
 * the timings sidecar never resurrects a pruned hash (``prune`` evicts
   the hash and the merge-on-write must not bring it back) until the
   spec is genuinely re-put;
-* image-tier blobs never orphan: every payload under ``blobs/`` is
-  referenced by at least one pointer file (the GC runs whenever a
-  pointer falls);
+* image sets never orphan: every file in the image tier belongs to a
+  live entry (images leave with their entry on every eviction path);
 * ``get`` returns exactly the entries the model says are live, and the
   store's entry count matches.
 
@@ -40,9 +39,7 @@ STORAGE = StorageModel(base_latency=1e-3)
 def _pool():
     """(spec, result) pairs: three image-bearing runs + one plain run.
 
-    Seeds 0 and 1 share identical committed images *content* only if
-    simulations coincide — they don't — so the pool exercises both
-    unique and (via re-put of the same spec) shared blob references.
+    Re-putting a spec overwrites its image set in place.
     """
     specs = [
         RunSpec.create(
@@ -166,14 +163,10 @@ class CacheLifecycle(RuleBasedStateMachine):
         assert not ghosts, f"pruned hashes back in the sidecar: {ghosts}"
 
     @invariant()
-    def image_blobs_never_orphan(self):
-        cache = self.cache
-        blobs = {p.name[: -len(".blob")] for p in cache._blob_files()}
-        if not blobs:
-            return
-        referenced = cache._referenced_digests()
-        orphans = blobs - referenced
-        assert not orphans, f"unreferenced image blobs on disk: {orphans}"
+    def image_sets_never_orphan(self):
+        owners = {p.name.split(".")[0] for p in self.cache._image_files()}
+        orphans = owners - {self.hashes[i] for i in self.live}
+        assert not orphans, f"image sets on disk without an entry: {orphans}"
 
     @invariant()
     def live_entries_have_resolvable_images(self):
@@ -211,21 +204,21 @@ def test_prune_evicts_timing_recorded_by_concurrent_writer(tmp_path):
     assert spec_hash(spec) not in on_disk
 
 
-def test_dedupe_hit_refreshes_blob_age(tmp_path):
-    """A blob an old put stored must not age-evict out from under a
-    pointer a fresh put just created (the dedupe hit skips the write,
-    so it must touch the mtime instead)."""
+def test_reput_refreshes_image_age(tmp_path):
+    """An image set an old put stored must not age-evict right after a
+    fresh put of the same spec: the re-put rewrites the file, so its
+    age restarts."""
     import os
     import time as _time
 
     cache = ResultCache(tmp_path)
     spec, result = _pool()[0]
     cache.put(spec, result)
-    blob = cache.image_path_for(spec, 0)
+    image = cache.image_path_for(spec, 0)
     stamp = _time.time() - 7200
-    os.utime(blob, (stamp, stamp))
+    os.utime(image, (stamp, stamp))
 
-    cache.put(spec, result)  # dedupe hit: same digest, no rewrite
-    assert blob.stat().st_mtime > stamp + 3600
+    cache.put(spec, result)
+    assert image.stat().st_mtime > stamp + 3600
     assert cache.prune_images_older_than(3600) == 0
     assert cache.get_images(spec, 0) is not None

@@ -2,11 +2,11 @@
 
 Three layers under test:
 
-* the blob format — ``pack_image_set``/``unpack_image_set`` round-trip
-  arbitrary upper-half state and refuse anything corrupt (property
-  test);
-* the :class:`ResultCache` tier — blobs written on ``put``, served to
-  restarts, and evicted together with their entries;
+* the archive format — ``pack_image_set``/``unpack_image_set``
+  round-trip arbitrary upper-half state and refuse anything corrupt
+  (property test);
+* the :class:`ResultCache` tier — image sets written on ``put``, served
+  to restarts, and evicted together with their entries;
 * the engine short-circuit — a warm restart-chain batch simulates zero
   parent jobs and produces results byte-identical to a cold recompute.
 """
@@ -67,7 +67,7 @@ def _restart_spec(parent, **overrides):
 
 
 # --------------------------------------------------------------------- #
-# Blob format round-trip (property test)
+# Archive format round-trip (property test)
 # --------------------------------------------------------------------- #
 
 #: JSON-ish upper-half state: what application ``state`` dicts hold,
@@ -150,6 +150,7 @@ def test_pack_unpack_round_trip(state, ranks, data):
         lambda raw: b"NOTMAGIC" + raw[8:],  # wrong magic
         lambda raw: raw[:-5],  # truncated payload
         lambda raw: raw[:-1] + bytes([raw[-1] ^ 0xFF]),  # flipped bit
+        lambda raw: raw[:8] + b"\x63\0\0\0" + raw[12:],  # unknown version
         lambda raw: b"",  # empty file
     ],
 )
@@ -243,7 +244,7 @@ def test_prune_older_than_ages_blobs_on_their_own_clock(tmp_path):
     cache.put(spec, execute(spec))
     stamp = _time.time() - 7200
     os.utime(cache.image_path_for(spec, 0), (stamp, stamp))
-    # The entry is fresh; only the blob is stale.
+    # The entry is fresh; only the image set is stale.
     assert cache.prune_older_than(3600) == 0
     assert cache.path_for(spec).exists()
     assert cache.image_count() == 0
@@ -271,72 +272,60 @@ def test_prune_images_to_max_bytes_evicts_oldest_first(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Cross-spec blob dedupe (content-addressed tier + per-spec pointers)
+# One file per committed (spec, index); the pointer/blob layout is a miss
 # --------------------------------------------------------------------- #
 
-def _same_cut_specs():
-    """Two *different* specs whose simulations are identical — same app,
-    seed, and effective checkpoint instant, one scheduled as a fraction
-    and one as the equivalent absolute time — so their committed image
-    sets are byte-identical."""
-    frac_spec = _ckpt_spec()
-    probe = execute(frac_spec.probe_spec())
-    abs_spec = _ckpt_spec(
-        checkpoint_fractions=(), checkpoint_at=(probe.runtime * 0.5,)
-    )
-    assert spec_hash(frac_spec) != spec_hash(abs_spec)
-    return frac_spec, abs_spec
-
-
-def test_identical_image_sets_share_one_blob(tmp_path):
+def test_tier_holds_one_file_per_committed_checkpoint(tmp_path):
+    """After a cold probe -> checkpoint -> restart chain the tier holds
+    exactly the committed (spec, index) pairs, as sharded ``.img`` files
+    and nothing else."""
+    parent = _ckpt_spec(checkpoint_fractions=(0.3, 0.7))
+    restart = _restart_spec(parent, checkpoint_fractions=())
     cache = ResultCache(tmp_path)
-    frac_spec, abs_spec = _same_cut_specs()
-    cache.put(frac_spec, execute(frac_spec))
-    bytes_after_first = cache.image_bytes()
-    cache.put(abs_spec, execute(abs_spec))
-    # Two pointers, ONE payload: the second put added ~nothing.
-    assert cache.image_count() == 1
-    assert cache.image_bytes() == bytes_after_first
-    assert cache.has_images(frac_spec, 0) and cache.has_images(abs_spec, 0)
-    assert cache.image_path_for(frac_spec, 0) == cache.image_path_for(abs_spec, 0)
-    a = cache.get_images(frac_spec, 0)
-    b = cache.get_images(abs_spec, 0)
-    assert a is not None and set(a) == set(b)
+    results = ExperimentEngine(cache=cache).run_batch([parent, restart])
+    committed = [r for r in results[parent].checkpoints if r.committed]
+    assert committed
+    expected = {cache.image_path_for(parent, k) for k in range(len(committed))}
+    on_disk = {p for p in cache.images_dir.rglob("*") if p.is_file()}
+    assert on_disk == expected
+    assert cache.image_count() == len(expected)
+    assert not (cache.images_dir / "blobs").exists()
 
 
-def test_pruning_one_referrer_keeps_the_shared_blob(tmp_path):
+def test_stale_pointer_layout_is_a_miss_that_resimulates(tmp_path):
+    """A cache written before the tier stored archives directly holds a
+    65-byte digest pointer at the ``.img`` path and the archive under
+    ``blobs/``.  That reads as a miss: the restart re-simulates its
+    parent inside its own job and equals the cold result; the pointer
+    leaves with its entry like any image file.  ``blobs/`` is never read
+    or touched."""
+    parent = _ckpt_spec()
+    restart = _restart_spec(parent, checkpoint_fractions=())
+    cold = execute(restart)
+
     cache = ResultCache(tmp_path)
-    frac_spec, abs_spec = _same_cut_specs()
-    cache.put(frac_spec, execute(frac_spec))
-    cache.put(abs_spec, execute(abs_spec))
-    assert cache.prune([frac_spec]) == 1
-    # The survivor still resolves; the blob only falls with its LAST ref.
-    assert not cache.has_images(frac_spec, 0)
-    assert cache.get_images(abs_spec, 0) is not None
-    assert cache.image_count() == 1
-    assert cache.prune([abs_spec]) == 1
-    assert cache.image_count() == 0
-    assert not list((tmp_path / cache.images_dir.name).rglob("*.blob"))
+    ExperimentEngine(cache=cache).run(parent)
+    image = cache.image_path_for(parent, 0)
+    archive = image.read_bytes()
+    digest = archive[20:52].hex()  # the header's SHA-256 field
+    old_blob = cache.images_dir / "blobs" / digest[:2] / f"{digest}.blob"
+    old_blob.parent.mkdir(parents=True)
+    old_blob.write_bytes(archive)
+    image.write_bytes(digest.encode() + b"\n")
+    assert len(image.read_bytes()) == 65
 
+    fresh = ResultCache(tmp_path)
+    assert fresh.has_images(parent, 0)  # existence probe only
+    assert fresh.get_images(parent, 0) is None
+    engine = ExperimentEngine(cache=fresh)
+    warm = engine.run(restart)
+    assert engine.last_stats.images_reused == 0
+    assert run_result_to_dict(warm) == run_result_to_dict(cold)
 
-def test_size_eviction_of_shared_blob_drops_every_pointer(tmp_path):
-    cache = ResultCache(tmp_path)
-    frac_spec, abs_spec = _same_cut_specs()
-    cache.put(frac_spec, execute(frac_spec))
-    cache.put(abs_spec, execute(abs_spec))
-    assert cache.prune_images_to_max_bytes(0) == 1  # one payload existed
-    assert not cache.has_images(frac_spec, 0)
-    assert not cache.has_images(abs_spec, 0)
-
-
-def test_dangling_pointer_is_a_miss_not_an_error(tmp_path):
-    cache = ResultCache(tmp_path)
-    spec = _ckpt_spec()
-    cache.put(spec, execute(spec))
-    # Delete the payload out from under the pointer.
-    cache.image_path_for(spec, 0).unlink()
-    assert cache.has_images(spec, 0)  # existence probe: pointer remains
-    assert cache.get_images(spec, 0) is None  # load degrades to a miss
+    assert fresh.prune([parent]) == 1
+    assert not image.exists()
+    fresh.clear()
+    assert old_blob.read_bytes() == archive
 
 
 # --------------------------------------------------------------------- #
@@ -408,13 +397,13 @@ def test_warm_restart_chain_sweep_simulates_zero_parents(tmp_path):
 
 def test_short_circuit_skips_missing_parent_entirely(tmp_path):
     """Even the parent's *result* is unnecessary: images alone feed the
-    restart, so a parent whose JSON entry was evicted (but whose blob
-    survived) is neither simulated nor required."""
+    restart, so a parent whose JSON entry was evicted (but whose image
+    set survived) is neither simulated nor required."""
     parent = _ckpt_spec()
     restart = _restart_spec(parent, checkpoint_fractions=())
     cache = ResultCache(tmp_path)
     ExperimentEngine(cache=cache).run(parent)
-    # Drop the parent's JSON entry but keep its image blob.
+    # Drop the parent's JSON entry but keep its image set.
     cache.path_for(parent).unlink()
     assert cache.has_images(parent, 0)
 
@@ -475,9 +464,9 @@ def test_no_cache_engine_unchanged(tmp_path):
 
 def test_pre_sharding_files_are_a_clean_miss(tmp_path):
     """The sharded layout is the only one.  Whatever an older version
-    left behind — a flat entry, a flat pointer, a flat blob, a pointer
-    holding its archive inline, a bare-float timing — is not an error,
-    not served, not counted, and never rewritten."""
+    left directly under the version directories — a flat entry, a flat
+    image file, a bare-float timing — is not an error, not served, not
+    counted, and never rewritten."""
     cache = ResultCache(tmp_path)
     spec = _ckpt_spec()
     result = execute(spec)
@@ -486,22 +475,16 @@ def test_pre_sharding_files_are_a_clean_miss(tmp_path):
 
     # Demote every file to where (and how) older versions stored it.
     entry = cache.path_for(spec)
-    pointer = cache._pointer_path(spec, 0)
-    blob = cache.image_path_for(spec, 0)
+    image = cache.image_path_for(spec, 0)
     flat_entry = cache.version_dir / entry.name
-    flat_pointer = cache.images_dir / pointer.name
-    flat_blob = cache.blobs_dir / blob.name
+    flat_image = cache.images_dir / image.name
     flat_entry.write_bytes(entry.read_bytes())
-    flat_pointer.write_bytes(pointer.read_bytes())
-    flat_blob.write_bytes(blob.read_bytes())
+    flat_image.write_bytes(image.read_bytes())
     entry.unlink()
-    blob.unlink()
-    record = [r for r in result.checkpoints if r.committed][0]
-    pointer.write_bytes(pack_image_set(record.images))  # inline archive
+    image.unlink()
     cache.timings_path.write_text(json.dumps({key: 1.5}))
     left_behind = {
-        path: path.read_bytes()
-        for path in (flat_entry, flat_pointer, flat_blob, pointer)
+        path: path.read_bytes() for path in (flat_entry, flat_image)
     }
 
     fresh = ResultCache(tmp_path)
@@ -514,13 +497,13 @@ def test_pre_sharding_files_are_a_clean_miss(tmp_path):
     assert fresh.prune_to_max_entries(0) == 0
     assert fresh.prune_images_to_max_bytes(0) == 0
     assert fresh.clear() == 0
-    for path in (flat_entry, flat_pointer, flat_blob):
-        assert path.read_bytes() == left_behind[path]
+    for path, content in left_behind.items():
+        assert path.read_bytes() == content
 
     # A fresh store lands in the shards and is served from there.
     fresh.put(spec, result)
     assert fresh.get(spec) is not None
     assert fresh.get_images(spec, 0) is not None
     assert len(fresh) == 1 and fresh.image_count() == 1
-    for path in (flat_entry, flat_pointer, flat_blob):
-        assert path.read_bytes() == left_behind[path]
+    for path, content in left_behind.items():
+        assert path.read_bytes() == content

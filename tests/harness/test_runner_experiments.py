@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import make_app_factory
-from repro.harness import EXPERIMENTS, fig5b, fig7, fig9, table1
+from repro.harness import EXPERIMENTS, fig5b, fig9, table1
 from repro.harness.runner import RunResult, launch_run
 
 
@@ -68,23 +68,6 @@ class TestExperiments:
         res = fig5b(procs=(4,), kinds=("allreduce",), sizes=(4,), iters=10)
         assert all(row[3] == "NA" for row in res.rows)
         assert "NA" in res.render()
-
-    def test_fig7_shape(self):
-        res = fig7(nprocs=8, repeats=1)
-        apps = [row[0] for row in res.rows]
-        assert apps == ["minivasp", "sw4", "comd", "lammps", "poisson"]
-        poisson = res.rows[-1]
-        assert poisson[2] == "NA"  # 2PC column
-        vasp = res.rows[0]
-        assert float(vasp[4]) > float(vasp[5]), "2PC must cost more than CC on VASP"
-
-    def test_fig9_checkpoint_and_restart_grow_with_nodes(self):
-        res = fig9(nodes=(1, 4), ppn=2, niters=6)
-        by_name = {s.name: s for s in res.series}
-        cc_ckpt = by_name["CC ckpt (s)"]
-        assert cc_ckpt.ys[-1] > cc_ckpt.ys[0]  # more nodes -> slower ckpt
-        cc_restart = by_name["CC restart (s)"]
-        assert all(y > 0 for y in cc_restart.ys)
 
     def test_render_series_table(self):
         res = fig9(nodes=(1, 2), ppn=2, niters=5)

@@ -1,6 +1,5 @@
-"""Tests for the checkpoint image format and set persistence."""
-
-import pickle
+"""Tests for checkpoint-set persistence (the archive format's own
+round-trip and corruption table live in tests/harness/test_image_tier.py)."""
 
 import numpy as np
 import pytest
@@ -9,10 +8,9 @@ from repro.mana import (
     CheckpointImage,
     ImageError,
     load_checkpoint_set,
-    read_image_file,
     save_checkpoint_set,
-    write_image_file,
 )
+from repro.mana.image import pack_image_set
 
 
 def make_image(rank=0, nprocs=4, ckpt_id=0, **kw):
@@ -22,52 +20,15 @@ def make_image(rank=0, nprocs=4, ckpt_id=0, **kw):
     )
 
 
-class TestImageFile:
-    def test_roundtrip(self, tmp_path):
-        img = make_image()
-        path = write_image_file(img, tmp_path)
-        assert path.name == "ckpt_0_rank0.manapy"
-        loaded = read_image_file(path)
-        assert loaded.rank == 0
-        assert loaded.app_state["iter"] == 7
-        assert loaded.app_state["x"].tolist() == [0.0, 1.0, 2.0, 3.0]
-
-    def test_corruption_detected(self, tmp_path):
-        path = write_image_file(make_image(), tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0xFF  # flip a payload byte
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ImageError, match="CRC"):
-            read_image_file(path)
-
-    def test_truncation_detected(self, tmp_path):
-        path = write_image_file(make_image(), tmp_path)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(ImageError, match="truncated"):
-            read_image_file(path)
-
-    def test_bad_magic_detected(self, tmp_path):
-        path = write_image_file(make_image(), tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[0] = 0x00
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ImageError, match="magic"):
-            read_image_file(path)
-
-    def test_missing_header(self, tmp_path):
-        p = tmp_path / "x.manapy"
-        p.write_bytes(b"abc")
-        with pytest.raises(ImageError):
-            read_image_file(p)
-
-
 class TestCheckpointSet:
     def test_save_load_roundtrip(self, tmp_path):
         images = {r: make_image(rank=r) for r in range(4)}
         paths = save_checkpoint_set(images, tmp_path)
-        assert len(paths) == 4
+        assert [p.name for p in paths] == ["ckpt_0.img"]
         loaded = load_checkpoint_set(tmp_path, ckpt_id=0)
         assert sorted(loaded) == [0, 1, 2, 3]
+        assert loaded[2].app_state["iter"] == 7
+        assert loaded[2].app_state["x"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_incomplete_set_rejected_on_save(self, tmp_path):
         images = {r: make_image(rank=r) for r in (0, 2)}  # missing 1, 3
@@ -75,11 +36,35 @@ class TestCheckpointSet:
             save_checkpoint_set(images, tmp_path)
 
     def test_incomplete_set_rejected_on_load(self, tmp_path):
-        images = {r: make_image(rank=r) for r in range(4)}
-        paths = save_checkpoint_set(images, tmp_path)
-        paths[2].unlink()
+        images = {r: make_image(rank=r) for r in (0, 1, 3)}
+        (tmp_path / "ckpt_0.img").write_bytes(pack_image_set(images))
         with pytest.raises(ImageError, match="missing"):
             load_checkpoint_set(tmp_path)
+
+    def test_mixed_protocols_rejected_on_load(self, tmp_path):
+        images = {r: make_image(rank=r, nprocs=2) for r in range(2)}
+        images[1].protocol = "2pc"
+        (tmp_path / "ckpt_0.img").write_bytes(pack_image_set(images))
+        with pytest.raises(ImageError, match="inconsistent protocols"):
+            load_checkpoint_set(tmp_path)
+
+    def test_corrupt_archive_rejected_on_load(self, tmp_path):
+        (path,) = save_checkpoint_set(
+            {r: make_image(rank=r, nprocs=2) for r in range(2)}, tmp_path
+        )
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0xFF  # flip a payload byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ImageError, match="digest"):
+            load_checkpoint_set(tmp_path)
+
+    def test_wrong_checkpoint_id_rejected_on_load(self, tmp_path):
+        (path,) = save_checkpoint_set(
+            {r: make_image(rank=r, nprocs=2, ckpt_id=1) for r in range(2)}, tmp_path
+        )
+        path.rename(tmp_path / "ckpt_0.img")
+        with pytest.raises(ImageError, match="ckpt id"):
+            load_checkpoint_set(tmp_path, ckpt_id=0)
 
     def test_empty_set_rejected(self, tmp_path):
         with pytest.raises(ImageError):

@@ -80,6 +80,67 @@ class TestWaitFamily:
         assert isinstance(ei.value.original, ValueError)
 
 
+class CarriedRequestApp(MpiApp):
+    """Every step waits on the non-blocking allreduce the *previous*
+    step initiated and leaves a fresh one pending across the boundary
+    (the handle travels in ``ctx.state``).  Also records how many
+    entries the session's request table held at each step."""
+
+    name = "carried"
+
+    def setup(self, ctx):
+        ctx.state["acc"] = 0.0
+        ctx.state["req"] = None
+        ctx.state["table_sizes"] = []
+
+    def step(self, ctx, i):
+        ctx.compute_jittered(3e-6, i)
+        burst = v_wait_all(
+            [ctx.world.iallreduce(float(ctx.rank + i + k)) for k in range(3)]
+        )
+        carried = ctx.state["req"]
+        got = carried.wait() if carried is not None else 0.0
+        req = ctx.world.iallreduce(float(ctx.rank * i))
+        size = len(ctx._session._vreqs)
+        # ---- commit block ----
+        ctx.state["acc"] = ctx.state["acc"] + got + sum(burst)
+        ctx.state["req"] = req
+        ctx.state["table_sizes"] = ctx.state["table_sizes"] + [size]
+
+    def finalize(self, ctx):
+        return {
+            "acc": ctx.state["acc"] + ctx.state["req"].wait(),
+            "max_table": max(ctx.state["table_sizes"]),
+        }
+
+
+class TestRequestTableStaysBounded:
+    """Completed requests leave the table at the step boundary: only
+    pending receives and requests the replay window references are ever
+    restored, so anything else just pins payloads (the fig6 OOM)."""
+
+    FACTORY = staticmethod(lambda: CarriedRequestApp(niters=24))
+
+    @pytest.mark.parametrize("protocol", ["native", "cc"])
+    def test_table_does_not_grow_with_steps(self, protocol):
+        run = launch_run(self.FACTORY, 4, protocol=protocol, seed=2)
+        # 3 burst requests + the carried one + the fresh one, at any of
+        # the 24 steps (it was 4 x steps before the prune).
+        assert [r["max_table"] for r in run.per_rank] == [5] * 4
+
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+    def test_request_carried_across_a_boundary_survives_restart(self, frac):
+        acc = lambda run: [r["acc"] for r in run.per_rank]
+        native = launch_run(self.FACTORY, 4, protocol="native", seed=2)
+        ck = launch_run(
+            self.FACTORY, 4, protocol="cc", seed=2,
+            checkpoint_at=[native.runtime * frac], storage=STORAGE,
+        )
+        assert acc(ck) == acc(native)
+        rs = restart_run(self.FACTORY, ck.committed_images(), seed=2, storage=STORAGE)
+        assert acc(rs) == acc(native)
+
+
 class NonDeterministicStep(MpiApp):
     """Violates the replay contract: mutates state *before* its MPI calls
     and branches on that state, so re-executing an interrupted step takes

@@ -265,15 +265,6 @@ class TestNonBlockingCollectives:
         assert results[0] > 10  # rank 0 polled while waiting for rank 1
         assert results[1] <= 2
 
-    def test_outstanding_tracker_clears(self):
-        def app(comm):
-            req = comm.iallreduce(1, op=SUM)
-            req.wait()
-            return None
-
-        _, world, _ = run_world(2, app)
-        assert all(len(s) == 0 for s in world.outstanding_nbc)
-
 
 class TestSubCommunicatorCollectives:
     def test_collective_on_split_comm(self):
@@ -315,10 +306,9 @@ class TestCollectiveCounters:
         _, world, _ = run_world(3, app)
         assert world.stats.coll_calls.tolist() == [3, 3, 3]
 
-    def test_in_collective_cleared_after_run(self):
+    def test_sites_closed_after_run(self):
         def app(comm):
             comm.barrier()
 
         _, world, _ = run_world(3, app)
-        assert not world.any_in_collective()
         assert world.open_sites() == 0
