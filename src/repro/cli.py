@@ -17,7 +17,7 @@ Usage::
     repro-mpi fuzz --corpus fuzz-corpus --replay <key>
     repro-mpi serve --port 7463 &
     repro-mpi worker --connect 127.0.0.1:7463 &
-    repro-mpi all --dispatch service --service 127.0.0.1:7463
+    repro-mpi all --service 127.0.0.1:7463
     repro-mpi cache stats
     repro-mpi cache prune --figure fig9
     repro-mpi cache prune --older-than 7d --max-entries 2000
@@ -77,9 +77,8 @@ re-runs a stored entry and exits 0 once it no longer fails.
 ``serve`` / ``worker`` run the long-lived experiment service
 (``repro.harness.service``): a job-queue server over the shared result
 cache plus pull-model workers.  Any engine-backed command (figures,
-``sweep``, ``verify``, ``fuzz``) targets it with ``--dispatch service
---service HOST:PORT`` (or ``REPRO_SERVICE_ADDR``); ``--dispatch``
-also selects the ``local-pool`` and ``inline`` in-process backends.
+``sweep``, ``verify``, ``fuzz``) sends its jobs there with ``--service
+HOST:PORT``; without it they run here, over ``--jobs`` processes.
 
 ``--bench-json PATH`` appends one machine-readable record per
 invocation (figures run, engine stats, wall time) so performance
@@ -107,7 +106,7 @@ from .harness import (
     run_oracles,
     run_plans,
 )
-from .harness.dispatch import DISPATCH_BACKENDS, DispatchError
+from .harness.dispatch import DispatchError
 
 #: Which per-figure keyword each CLI flag maps to, per experiment.
 _PROCS_EXPERIMENTS = ("fig5a", "fig5b", "fig6", "fig8")
@@ -161,11 +160,17 @@ def _add_engine_args(
     parser: argparse.ArgumentParser, *, jobs_help: str, cache: bool = True
 ) -> None:
     """Attach the flag block every engine-backed command shares:
-    ``--jobs/-j`` and ``--quiet``, plus — for the commands that run
-    through the result cache (everything but ``fuzz``, whose store is
-    its corpus) — ``--cache-dir``, ``--no-cache`` and ``--bench-json``."""
+    ``--jobs/-j``, ``--service`` and ``--quiet``, plus — for the
+    commands that run through the result cache (everything but ``fuzz``,
+    whose store is its corpus) — ``--cache-dir``, ``--no-cache`` and
+    ``--bench-json``."""
     parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
                         help=jobs_help)
+    parser.add_argument("--service", type=str, default=None,
+                        metavar="HOST:PORT",
+                        help="send jobs to the experiment service at this "
+                             "address (see `repro-mpi serve`) instead of "
+                             "running them here")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-job progress lines")
     if cache:
@@ -201,7 +206,7 @@ def _make_engine(
     """The engine the :func:`_add_engine_args` flags describe.
 
     Anything wrong with the request — an unusable cache directory, a
-    service with no address, a malformed ``$REPRO_*`` variable — is a
+    malformed service address, a malformed ``$REPRO_*`` variable — is a
     usage error here, before any job runs.  ``recover=False`` still
     exports ``--max-attempts`` (the oracles read it) but leaves the
     engine's own auto-recovery off.
@@ -211,35 +216,11 @@ def _make_engine(
         recovery = _recovery_kwargs(args)
         return ExperimentEngine(
             jobs=args.jobs, cache=cache, progress=progress,
-            **_dispatch_kwargs(args),
+            service=args.service,
             **(recovery if recover else {}),
         )
     except (DispatchError, ValueError) as exc:
         parser.error(str(exc))
-
-
-def _add_dispatch_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--dispatch`` / ``--service`` selectors."""
-    parser.add_argument(
-        "--dispatch", choices=("auto",) + DISPATCH_BACKENDS, default=None,
-        help="job dispatch backend (default: auto — service when "
-             "$REPRO_SERVICE_ADDR is set, else local-pool; or "
-             "$REPRO_DISPATCH)",
-    )
-    parser.add_argument(
-        "--service", type=str, default=None, metavar="HOST:PORT",
-        help="experiment service address for --dispatch service "
-             "(default $REPRO_SERVICE_ADDR)",
-    )
-
-
-def _dispatch_kwargs(args: argparse.Namespace) -> dict:
-    """Map the CLI flags to engine dispatch overrides (``auto`` == unset)."""
-    dispatch = getattr(args, "dispatch", None)
-    return {
-        "dispatch": None if dispatch == "auto" else dispatch,
-        "service": getattr(args, "service", None),
-    }
 
 
 def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
@@ -493,7 +474,6 @@ def _sweep_main(argv: list[str]) -> int:
     _add_engine_args(
         parser, jobs_help="parallel simulation worker processes (default 1)"
     )
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     args = parser.parse_args(argv)
 
@@ -624,7 +604,6 @@ def _verify_main(argv: list[str]) -> int:
                   "report sequence is byte-identical to a serial sweep "
                   "(default 1)",
     )
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--artifact", type=str, default="verify-failures.json",
                         metavar="PATH",
@@ -647,11 +626,10 @@ def _verify_main(argv: list[str]) -> int:
             )
 
     t0 = time.time()
-    with engine:
-        reports = run_oracles(
-            names, seeds, engine=engine, progress=progress, jobs=args.jobs,
-            **_dispatch_kwargs(args),
-        )
+    reports = run_oracles(
+        names, seeds, engine=engine, progress=progress, jobs=args.jobs,
+        service=args.service,
+    )
     elapsed = time.time() - t0
 
     failures = [r for r in reports if not r.ok]
@@ -670,14 +648,11 @@ def _verify_main(argv: list[str]) -> int:
             )
             fh.write("\n")
         print(f"failing-seed artifact written to {args.artifact}")
-    stats = engine.last_stats
-    summary = f"[verify: {len(reports)} checks, {len(failures)} mismatches"
-    if stats is not None:
-        summary += f"; last batch: {stats.summary()}"
-    print(summary + f"; {elapsed:.1f}s total]")
+    print(f"[verify: {len(reports)} checks, {len(failures)} mismatches; "
+          f"{elapsed:.1f}s total]")
     if args.bench_json:
         record_names = [f"verify:{name}" for name in names]
-        _append_bench_record(args.bench_json, record_names, stats, elapsed)
+        _append_bench_record(args.bench_json, record_names, None, elapsed)
         _amend_last_bench_record(
             args.bench_json,
             checks=len(reports),
@@ -722,11 +697,10 @@ def _fuzz_main(argv: list[str]) -> int:
                         help="oracle to fuzz (repeatable; default: all)")
     _add_engine_args(
         parser, cache=False,
-        jobs_help="parallel oracle checks per iteration block through the "
-                  "dispatch seam; anomaly handling (shrinking, corpus "
+        jobs_help="iterations whose oracle checks run in parallel worker "
+                  "processes; anomaly handling (shrinking, corpus "
                   "writes) stays serial in this process (default 1)",
     )
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     parser.add_argument("--no-shrink", action="store_true",
                         help="persist failing schedules unminimized")
@@ -781,7 +755,7 @@ def _fuzz_main(argv: list[str]) -> int:
             shrink=not args.no_shrink,
             progress=progress,
             jobs=args.jobs,
-            **_dispatch_kwargs(args),
+            service=args.service,
         )
     except (DispatchError, ValueError) as exc:
         parser.error(str(exc))
@@ -826,7 +800,7 @@ def _serve_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-mpi serve",
         description="Long-lived experiment service: accepts jobs from "
-                    "--dispatch service clients, hands them to pull-model "
+                    "--service clients, hands them to pull-model "
                     "`repro-mpi worker` processes, and answers repeats "
                     "from the shared result cache",
     )
@@ -868,7 +842,7 @@ def _serve_main(argv: list[str]) -> int:
     host, port = server.start()
     print(f"[serve] listening on {host}:{port} "
           f"(workers: repro-mpi worker --connect {host}:{port}; "
-          f"clients: --dispatch service --service {host}:{port})",
+          f"clients: --service {host}:{port})",
           file=sys.stderr, flush=True)
     try:
         server.serve_forever()
@@ -996,7 +970,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_args(
         parser, jobs_help="parallel simulation worker processes (default 1)"
     )
-    _add_dispatch_args(parser)
     _add_recovery_args(parser)
     args = parser.parse_args(argv)
 

@@ -36,8 +36,8 @@ Hot-path design (every simulated second is millions of these):
   sources by ``(time, seq)`` so global ordering — and therefore
   ``event_count`` — is identical to a single-heap kernel.
 * **Event entries are ``(time, seq, timer_or_None, action)`` tuples**,
-  so heap sifting compares floats/ints in C instead of calling
-  ``Timer.__lt__``, and fire-and-forget events (:meth:`Simulator.defer`
+  so heap sifting compares floats/ints in C (``seq`` is unique, so a
+  ``Timer`` is never compared), and fire-and-forget events (:meth:`Simulator.defer`
   / :meth:`Simulator.defer_at`, non-interruptible sleeps, resumes)
   allocate no Timer handle at all.
 * **Cancelled timers are dropped lazily** when popped, never by
@@ -142,9 +142,6 @@ class Timer:
     def cancel(self) -> None:
         """Prevent the timer from firing.  Idempotent."""
         self.cancelled = True
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class SimProcess:

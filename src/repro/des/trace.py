@@ -49,13 +49,5 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._records)
 
-    def of_kind(self, kind: str) -> list[TraceRecord]:
-        """Return all records with the given ``kind``."""
-        return [r for r in self._records if r.kind == kind]
-
-    def for_process(self, name: str) -> list[TraceRecord]:
-        """Return all records for the process called ``name``."""
-        return [r for r in self._records if r.process == name]
-
     def clear(self) -> None:
         self._records.clear()

@@ -20,15 +20,14 @@ values — typically every cell of one or several figures at once — and:
    model — the wall time recorded in the cache when the spec last ran,
    falling back to a ``nprocs × niters`` heuristic — so the slowest job
    starts first and the pool never idles behind a stragglers' tail;
-5. **fans out** the remaining unique jobs through a pluggable dispatch
-   backend (:mod:`repro.harness.dispatch`): the default ``local-pool``
-   keeps the spawn-safe ``ProcessPoolExecutor`` (``jobs=N``), ``inline``
-   runs every job in-process for debugging, and ``service`` ships jobs
-   over a socket to a long-lived experiment server
-   (:mod:`repro.harness.service`) whose pull-model workers share the
-   content-addressed cache as their artifact store.  Every backend
-   applies the per-job ``max_events`` guard and honours the optional
-   progress lines on stderr.
+5. **fans out** the remaining unique jobs through
+   :func:`repro.harness.dispatch.fan_out`: in this process at
+   ``jobs=1``, over a spawn-safe ``ProcessPoolExecutor`` at ``jobs=N``,
+   or — when the engine was given a ``service`` address — over a socket
+   to a long-lived experiment server (:mod:`repro.harness.service`)
+   whose pull-model workers share the content-addressed cache as their
+   artifact store.  Every job carries the per-job ``max_events`` guard,
+   and progress lines go to stderr wherever it ran.
 
 Results are keyed by spec and identical whether the batch ran serially
 or in parallel — workers only ever execute independent simulations, and
@@ -48,15 +47,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cache import ResultCache
-from .dispatch import (
-    DispatchBackend,
-    DispatchConfig,
-    create_dispatch,
-    resolve_dispatch,
-    resolve_service_addr,
-)
+from .dispatch import fan_out, parse_address
 from .recovery import RecoveryPolicy, resolve_policy, run_recovery
 from .runner import RunResult
+from .service import ServiceDispatch
 from .spec import RunSpec, execute
 
 __all__ = [
@@ -181,12 +175,9 @@ class ExperimentEngine:
         cache: optional :class:`ResultCache`; hits skip simulation.
         max_events: per-job event guard for specs without their own.
         progress: emit one line per executed job on stderr.
-        dispatch: job-dispatch backend (``None`` = ``$REPRO_DISPATCH``
-            / auto — see :mod:`repro.harness.dispatch`).  ``local-pool`` is the
-            historical pool, ``inline`` runs in-process, ``service``
-            ships jobs to a long-lived ``repro-mpi serve`` server.
-        service: ``HOST:PORT`` of the experiment service (``service``
-            dispatch only; falls back to ``$REPRO_SERVICE_ADDR``).
+        service: ``HOST:PORT`` of a ``repro-mpi serve`` experiment
+            service; jobs go to its worker fleet instead of running
+            here (``jobs`` is then unused).
         recovery: automatic crash recovery for submitted specs whose
             results crashed.  ``None``/``False`` disables (callers can
             still opt in per batch with ``run_batch(..., recover=True)``);
@@ -199,14 +190,12 @@ class ExperimentEngine:
             cache keeps every leg, including the crashed ones, under
             their own keys.
 
-    Every choice an environment variable can supply (``dispatch``,
-    the recovery budget) is resolved and validated here,
-    so a malformed variable is a ``ValueError`` naming it before any
-    job runs.
+    Every choice an environment variable can supply (the recovery
+    budget) is resolved and validated here, so a malformed variable is
+    a ``ValueError`` naming it before any job runs.
 
-    The engine is a context manager; ``close()`` releases dispatch
-    resources (the service connection).  Both are optional for the
-    in-process backends.
+    The engine is a context manager; ``close()`` releases the service
+    connection.  Both are optional without a service.
     """
 
     def __init__(
@@ -216,7 +205,6 @@ class ExperimentEngine:
         cache: ResultCache | None = None,
         max_events: int | None = DEFAULT_MAX_EVENTS,
         progress: bool = False,
-        dispatch: str | None = None,
         service: str | None = None,
         recovery=None,
     ):
@@ -224,42 +212,23 @@ class ExperimentEngine:
         self.cache = cache
         self.max_events = max_events
         self.progress = progress
-        self.dispatch = resolve_dispatch(dispatch)
-        # Resolve the address eagerly: a service engine with no server
-        # to talk to should fail at construction, not mid-batch.
-        self.service_addr = (
-            resolve_service_addr(service) if self.dispatch == "service" else None
+        # The address is parsed here (a malformed one fails at
+        # construction, not mid-batch); the connection opens on first
+        # use and persists across waves and batches, so a sweep is one
+        # client session server-side.
+        self._service = (
+            None if service is None else ServiceDispatch(parse_address(service))
         )
         self.recovery = bool(recovery)
         self._policy = resolve_policy(
             recovery if isinstance(recovery, RecoveryPolicy) else None
         )
         self.last_stats: EngineStats | None = None
-        self._dispatcher: DispatchBackend | None = None
-
-    def _dispatch_backend(self) -> DispatchBackend:
-        """The engine's (lazily created, engine-lived) dispatch backend.
-
-        Long-lived on purpose: the service connection persists across
-        waves and batches, so a sweep is one client session server-side.
-        """
-        if self._dispatcher is None:
-            self._dispatcher = create_dispatch(
-                self.dispatch,
-                DispatchConfig(
-                    jobs=self.jobs,
-                    cache_dir=None if self.cache is None else self.cache.root,
-                    guard=self.max_events,
-                    service_addr=self.service_addr,
-                ),
-            )
-        return self._dispatcher
 
     def close(self) -> None:
-        """Release dispatch resources (idempotent)."""
-        if self._dispatcher is not None:
-            self._dispatcher.close()
-            self._dispatcher = None
+        """Release the service connection (idempotent)."""
+        if self._service is not None:
+            self._service.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -400,12 +369,12 @@ class ExperimentEngine:
                 if self.cache is not None and not cached:
                     self.cache.put(spec, result, elapsed=elapsed)
 
-        # Automatic crash recovery: after every wave has drained (so the
-        # dispatch backend is idle and each leg can batch on its own),
-        # chase submitted specs whose results crashed with a bounded
-        # restart chain.  Only the *returned map* sees the substitution —
-        # the cache keeps the crashed leg under its own key, and the
-        # chain's legs cache under theirs.
+        # Automatic crash recovery: after every wave has drained (so
+        # each leg can batch on its own), chase submitted specs whose
+        # results crashed with a bounded restart chain.  Only the
+        # *returned map* sees the substitution — the cache keeps the
+        # crashed leg under its own key, and the chain's legs cache
+        # under theirs.
         do_recover = self.recovery if recover is None else recover
         if do_recover:
             for spec in unique:
@@ -433,7 +402,7 @@ class ExperimentEngine:
     def run_recovery(self, spec: RunSpec, policy=None, *, leg_faults=()):
         """Run one spec under explicit crash recovery (see
         :func:`repro.harness.recovery.run_recovery`); legs execute
-        through this engine's cache and dispatch backend."""
+        through this engine's cache and fan-out."""
         return run_recovery(
             spec, policy, leg_faults=leg_faults, engine=self
         )
@@ -464,20 +433,22 @@ class ExperimentEngine:
         pending: Sequence[RunSpec],
         resolved: Mapping[RunSpec, RunResult],
     ) -> Iterable[tuple[RunSpec, RunResult, float, int, bool]]:
-        """Fan one wave out through the dispatch backend.
+        """Fan one wave out (:func:`repro.harness.dispatch.fan_out`).
 
         Yields ``(spec, result, elapsed, served, cached)`` in whatever
-        order the backend completes jobs; the caller keys by spec, so
-        ordering only affects progress lines, never results.
+        order jobs complete; the caller keys by spec, so ordering only
+        affects progress lines, never results.
         """
-        if not pending:
-            return
-        backend = self._dispatch_backend()
-        for spec in pending:
-            backend.submit(spec, self._deps_for(spec, resolved))
-        for job in backend.drain():
-            result, elapsed, served, cached = job.result()
-            yield job.spec, result, elapsed, served, cached
+        cache_dir = None if self.cache is None else self.cache.root
+        payloads = [
+            {"kind": "sim", "spec": spec, "deps": self._deps_for(spec, resolved),
+             "guard": self.max_events, "cache_dir": cache_dir}
+            for spec in pending
+        ]
+        for index, value in fan_out(
+            payloads, jobs=self.jobs, service=self._service
+        ):
+            yield (pending[index], *value)
 
     def _report(self, done: int, total: int, spec: RunSpec, how: str) -> None:
         if self.progress:

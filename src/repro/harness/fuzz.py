@@ -54,6 +54,7 @@ from .verify import (
     FaultSchedule,
     Oracle,
     OracleReport,
+    check_payload,
     schedule_from_dict,
     schedule_to_dict,
 )
@@ -90,8 +91,8 @@ SHRINK_CHECK_BUDGET = 48
 # Schedule serialization
 # --------------------------------------------------------------------- #
 # schedule_to_dict / schedule_from_dict moved to repro.harness.verify
-# (where FaultSchedule lives, and where the dispatch layer's check-job
-# wire format needs them); re-exported here for compatibility.
+# (where FaultSchedule lives, and where the fan-out's check-job wire
+# format needs them); re-exported here for compatibility.
 
 
 def schedule_key(schedule: FaultSchedule, oracle: str) -> str:
@@ -356,7 +357,6 @@ def run_fuzz(
     progress: "Callable[[str], None] | None" = None,
     clock: Callable[[], float] = time.monotonic,
     jobs: int = 1,
-    dispatch: "str | None" = None,
     service: "str | None" = None,
 ) -> FuzzStats:
     """Draw schedules and oracle-check them until the budget runs out.
@@ -368,14 +368,14 @@ def run_fuzz(
     shrunk (unless ``shrink=False``), deduplicated against the corpus,
     and recorded in the returned stats whether new or duplicate.
 
-    ``jobs > 1`` fans the checks of ``jobs`` iterations at a time
-    through the job-dispatch seam (:mod:`repro.harness.dispatch`;
-    ``dispatch``/``service`` select the backend, so a fuzz run can
-    saturate a local pool *or* an experiment-service fleet).  Anomaly
-    detection, shrinking, corpus writes, and the cost model stay in the
-    parent and process results in draw order, so the corpus and stats
-    are independent of completion order; the budget is checked at block
-    boundaries, and parallel check durations are worker-measured.
+    The checks of ``jobs`` iterations at a time go through
+    :func:`repro.harness.dispatch.fan_out` (``service``, a ``HOST:PORT``,
+    sends them to an experiment-service fleet instead of a local pool).
+    Anomaly detection, shrinking, corpus writes, and the cost model stay
+    in the parent and process results in draw order, so the corpus and
+    stats are independent of completion order; the budget is checked at
+    block boundaries, and check durations are measured where the check
+    ran.
     """
     if iters is None and budget is None:
         raise ValueError("give iters, budget, or both")
@@ -386,15 +386,7 @@ def run_fuzz(
                 f"unknown oracle {name!r}; expected one of {sorted(ORACLES)}"
             )
 
-    from .dispatch import (
-        DispatchConfig,
-        create_dispatch,
-        resolve_dispatch,
-        resolve_service_addr,
-    )
-
-    resolved = resolve_dispatch(dispatch)
-    use_seam = resolved == "service" or jobs > 1
+    from .dispatch import connect, fan_out
 
     cost_model = corpus.load_cost_model()
     stats = FuzzStats()
@@ -454,60 +446,38 @@ def run_fuzz(
                 # successors stop looking anomalous.
                 cost_model.setdefault(name, []).append(dur)
 
-    backend = None
-    if use_seam:
-        backend = create_dispatch(
-            resolved,
-            DispatchConfig(
-                jobs=jobs,
-                service_addr=(
-                    resolve_service_addr(service)
-                    if resolved == "service" else None
-                ),
-            ),
-        )
-
     iteration = 0
-    try:
+    with connect(service) as conn:
         while True:
             if iters is not None and iteration >= iters:
                 break
             if budget is not None and clock() - started >= budget:
                 break
-            block = 1
-            if use_seam:
-                block = max(1, jobs)
-                if iters is not None:
-                    block = min(block, iters - iteration)
+            block = max(1, jobs)
+            if iters is not None:
+                block = min(block, iters - iteration)
             seeds = [base_seed + iteration + i for i in range(block)]
-            schedules = [FaultSchedule.draw(seed) for seed in seeds]
-            if backend is None:
-                for name in names:
-                    t0 = clock()
-                    report = ORACLES[name].check_schedule(schedules[0])
-                    process(name, schedules[0], report, clock() - t0)
-            else:
-                handles = [
-                    (name, schedule,
-                     backend.submit_check(name, schedule_to_dict(schedule)))
-                    for schedule in schedules
-                    for name in names
-                ]
-                # Draw order, not completion order: the corpus and the
-                # cost model must not depend on worker timing.
-                for name, schedule, handle in handles:
-                    value = handle.result()
-                    report = OracleReport(**value["report"])
-                    process(name, schedule, report, value["duration"])
+            checks = [
+                (name, schedule)
+                for schedule in map(FaultSchedule.draw, seeds)
+                for name in names
+            ]
+            values = dict(fan_out(
+                [check_payload(name, schedule) for name, schedule in checks],
+                jobs=jobs, service=conn,
+            ))
+            # Draw order, not completion order: the corpus and the
+            # cost model must not depend on worker timing.
+            for index, (name, schedule) in enumerate(checks):
+                value = values[index]
+                report = OracleReport(**value["report"])
+                process(name, schedule, report, value["duration"])
             for seed in seeds:
                 iteration += 1
                 stats.iterations = iteration
                 say(f"iter {iteration}: seed {seed}, "
                     f"{len(stats.anomalies)} anomal"
                     f"{'y' if len(stats.anomalies) == 1 else 'ies'} so far")
-    finally:
-        if backend is not None:
-            backend.close()
 
     stats.elapsed = clock() - started
     corpus.save_cost_model(cost_model)

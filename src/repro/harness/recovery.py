@@ -19,18 +19,17 @@ run back into a finished one:
 * :class:`RecoveryOutcome` records every attempt and content-hashes
   the whole chain (:meth:`RecoveryOutcome.chain_key`), so two recovery
   runs of the same spec under the same policy and fault plan are
-  byte-comparable across processes and dispatch backends.
+  byte-comparable across processes, pools and service fleets.
 
 Every leg is a plain :class:`~repro.harness.spec.RunSpec` executed
 through an :class:`~repro.harness.engine.ExperimentEngine` (with its
 own auto-recovery disabled — the planner owns the loop), so legs
-dedupe, cache, and dispatch like any other job.  The engine integrates
+dedupe, cache, and fan out like any other job.  The engine integrates
 the other direction too: ``ExperimentEngine(recovery=...)`` or
 ``run_batch(..., recover=True)`` auto-recovers any submitted spec whose
 result crashed (see :meth:`ExperimentEngine.run_batch`).
 
-Policy resolution follows the same precedence ladder as the execution
-and dispatch backends: explicit argument >
+Policy resolution is a precedence ladder: explicit argument >
 ``$REPRO_RECOVERY_ATTEMPTS`` / ``$REPRO_RECOVERY_BACKOFF`` > the
 defaults.  The environment rung means spawned pool workers inherit the
 CLI's ``--max-attempts`` without replumbing (service workers are remote
@@ -158,12 +157,6 @@ class RecoveryOutcome:
         return self.attempts[-1].result
 
     @property
-    def final_spec(self) -> RunSpec:
-        if not self.attempts:
-            raise RecoveryError("empty recovery chain")
-        return self.attempts[-1].spec
-
-    @property
     def recovery_legs(self) -> int:
         """Recovery attempts actually executed (excludes the initial)."""
         return max(0, len(self.attempts) - 1)
@@ -177,7 +170,7 @@ class RecoveryOutcome:
 
         A function of the policy, every leg's spec hash, how each leg
         was launched, and whether the chain completed — byte-identical
-        across processes and dispatch backends for the same plan.
+        wherever the legs ran for the same plan.
         """
         return stable_json_hash(
             {
@@ -272,7 +265,7 @@ def run_recovery(
     if engine is None:
         from .engine import ExperimentEngine
 
-        engine = ExperimentEngine(dispatch="inline")
+        engine = ExperimentEngine()
     hops = [_normalize_hop(h) for h in leg_faults]
 
     if initial is None:

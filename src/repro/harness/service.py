@@ -1,9 +1,9 @@
 """Long-lived experiment service: job queue, workers, persistent index.
 
-The third dispatch backend (:mod:`repro.harness.dispatch`) made real: a
-small control plane that turns the engine's process+JSON worker boundary
-into a network boundary, the architecture the paper's evaluation (and
-the MANA/DMTCP proxy designs it builds on) actually runs — a fleet of
+The fleet behind :func:`repro.harness.dispatch.fan_out`: a small control
+plane that turns the engine's process+JSON worker boundary into a
+network boundary, the architecture the paper's evaluation (and the
+MANA/DMTCP proxy designs it builds on) actually runs — a fleet of
 isolated executors coordinated through a thin submission layer with
 persistent artifacts.
 
@@ -28,12 +28,12 @@ is a single ``\\n``-terminated JSON object):
   the orphaned job the moment the connection drops — and when the
   server runs with a job lease (``--lease``), a *hung-but-connected*
   worker loses its job too once its heartbeats stop.
-* **clients** (``--dispatch service`` on any engine-backed command) —
-  submit jobs and block on ``wait``.  Results cross the wire in cache
-  JSON form (image payloads stripped); anything needing images recovers
-  them from the shared image tier, the same degradation path a warm
-  cache already exercises, which is why service results are
-  byte-identical to in-process ones.
+* **clients** (``--service HOST:PORT`` on any engine-backed command,
+  :class:`ServiceDispatch`) — submit jobs and block on ``wait``.
+  Results cross the wire in cache JSON form (image payloads stripped);
+  anything needing images recovers them from the shared image tier, the
+  same degradation path a warm cache already exercises, which is why
+  service results are byte-identical to in-process ones.
 
 Protocol sketch (client)::
 
@@ -70,13 +70,7 @@ from pathlib import Path
 from ..util.hashing import stable_json_hash
 from ..util.osenv import atomic_write
 from .cache import ResultCache
-from .dispatch import (
-    DispatchBackend,
-    DispatchConfig,
-    DispatchError,
-    DispatchJob,
-    _run_check_job,
-)
+from .dispatch import DispatchError, run_check
 from .spec import (
     job_from_dict,
     job_to_dict,
@@ -736,7 +730,7 @@ def run_worker(
             payload = msg["job"]
             store = cache_dir if cache_dir is not None else msg.get("cache_dir")
             if payload.get("kind") == "check":
-                value = _run_check_job(payload["oracle"], payload["schedule"])
+                value = run_check(payload["oracle"], payload["schedule"])
             else:
                 spec, deps, guard = job_from_dict(payload)
                 result, elapsed, served = engine_mod._execute_job(
@@ -773,64 +767,47 @@ def run_worker(
 
 
 # --------------------------------------------------------------------- #
-# Client-side dispatch backend
+# Client
 # --------------------------------------------------------------------- #
 
-class ServiceDispatch(DispatchBackend):
-    """Dispatch backend that ships jobs to an :class:`ExperimentServer`.
+class ServiceDispatch:
+    """A client connection to an :class:`ExperimentServer`.
 
-    One connection per engine, held across waves and batches (a sweep is
-    one client session server-side).  Submission sends the job keyed by
-    content hash; collection long-polls ``wait`` over the outstanding
-    keys.  Identical submissions (same key) share one server-side job
-    and resolve together.
+    Opened lazily on first use and held until :meth:`close`, so an
+    engine's waves and batches are one client session server-side.
+    :meth:`fan_out` is :func:`repro.harness.dispatch.fan_out` over the
+    wire: every payload is submitted keyed by content hash, then
+    ``wait`` is long-polled over the outstanding keys.  Identical
+    payloads (same key) share one server-side job and resolve together.
     """
 
-    name = "service"
-
-    def __init__(self, config: DispatchConfig):
-        super().__init__(config)
-        if config.service_addr is None:
-            raise DispatchError(
-                "service dispatch needs an address; pass --service HOST:PORT "
-                "or set REPRO_SERVICE_ADDR"
-            )
+    def __init__(self, addr: tuple[str, int]):
+        self.addr = addr
         self._sock: "socket.socket | None" = None
         self._rfile = None
-        self._awaiting: "dict[str, list[DispatchJob]]" = {}
-        # Keys whose submission found the job already done server-side:
-        # no simulation happened on this client's behalf, so the result
-        # is accounted as a (store) cache hit whatever the original
-        # execution recorded.
-        self._prehit: "set[str]" = set()
 
-    def _connect(self) -> socket.socket:
-        if self._sock is None:
-            host, port = self.config.service_addr
-            try:
-                sock = socket.create_connection((host, port))
-            except OSError as exc:
-                raise DispatchError(
-                    f"cannot reach experiment service at {host}:{port} "
-                    f"({exc}); start one with `repro-mpi serve`"
-                ) from exc
-            rfile = sock.makefile("rb")
-            _send(sock, {"type": "hello", "role": "client",
-                         "protocol": PROTOCOL_VERSION})
-            welcome = _recv(rfile)
-            if not welcome or welcome.get("type") != "welcome":
-                sock.close()
-                raise DispatchError(
-                    f"experiment service refused the handshake: {welcome!r}"
-                )
-            self._sock = sock
-            self._rfile = rfile
-        return self._sock
-
-    def _roundtrip(self, msg: dict) -> dict:
-        sock = self._connect()
+    def _connect(self) -> None:
+        host, port = self.addr
         try:
-            _send(sock, msg)
+            self._sock = socket.create_connection((host, port))
+        except OSError as exc:
+            raise DispatchError(
+                f"cannot reach experiment service at {host}:{port} "
+                f"({exc}); start one with `repro-mpi serve`"
+            ) from exc
+        self._rfile = self._sock.makefile("rb")
+        try:
+            self._roundtrip({"type": "hello", "role": "client",
+                             "protocol": PROTOCOL_VERSION}, "welcome")
+        except DispatchError:
+            self.close()
+            raise
+
+    def _roundtrip(self, msg: dict, expect: str) -> dict:
+        if self._sock is None:
+            self._connect()
+        try:
+            _send(self._sock, msg)
             reply = _recv(self._rfile)
         except OSError as exc:
             raise DispatchError(
@@ -842,52 +819,51 @@ class ServiceDispatch(DispatchBackend):
             raise DispatchError(
                 f"experiment service error: {reply.get('message')}"
             )
+        if reply.get("type") != expect:
+            raise DispatchError(f"unexpected {msg['type']} reply: {reply!r}")
         return reply
 
-    def _enqueue(self, job: DispatchJob, payload: dict) -> None:
-        if payload["kind"] == "check":
-            key = check_job_key(payload["oracle"], payload["schedule"])
-            doc = payload
-        else:
-            key = spec_hash(payload["spec"])
-            doc = job_to_dict(
-                payload["spec"],
-                payload["deps"],
-                guard=self.config.guard,
-            )
-        reply = self._roundtrip({"type": "submit", "key": key, "job": doc})
-        if reply.get("type") != "accepted":
-            raise DispatchError(f"unexpected submit reply: {reply!r}")
-        if reply.get("state") == "done":
-            self._prehit.add(key)
-        job.key = key
-        self._awaiting.setdefault(key, []).append(job)
-
-    def _pump(self) -> DispatchJob:
-        keys = [k for k, jobs in self._awaiting.items()
-                if any(not j.done for j in jobs)]
-        if not keys:
-            raise DispatchError("no outstanding dispatch jobs")
-        reply = self._roundtrip({"type": "wait", "keys": keys})
-        if reply.get("type") != "result":
-            raise DispatchError(f"unexpected wait reply: {reply!r}")
-        key = reply["key"]
-        value = reply["value"]
-        jobs = self._awaiting.pop(key)
-        cached = bool(value.get("cached", False)) or key in self._prehit
-        self._prehit.discard(key)
-        first = jobs[0]
-        for waiting in jobs:
-            if waiting.kind == "check":
-                waiting._resolve(value)
+    def fan_out(self, payloads):
+        """Yield ``(index, value)`` for every payload as the fleet
+        finishes it (completion order)."""
+        waiting: "dict[str, list[int]]" = {}
+        # Keys whose submission found the job already done server-side:
+        # no simulation happened on this client's behalf, so the result
+        # is accounted as a (store) cache hit whatever the original
+        # execution recorded.
+        prehit: "set[str]" = set()
+        for index, payload in enumerate(payloads):
+            if payload["kind"] == "check":
+                # The client's cache directory means nothing on the
+                # fleet's hosts; only what identifies the check travels.
+                doc = {k: payload[k] for k in ("kind", "oracle", "schedule")}
+                key = check_job_key(doc["oracle"], doc["schedule"])
             else:
-                waiting._resolve((
+                doc = job_to_dict(
+                    payload["spec"], payload["deps"], guard=payload["guard"]
+                )
+                key = spec_hash(payload["spec"])
+            reply = self._roundtrip(
+                {"type": "submit", "key": key, "job": doc}, "accepted"
+            )
+            if reply.get("state") == "done":
+                prehit.add(key)
+            waiting.setdefault(key, []).append(index)
+        while waiting:
+            reply = self._roundtrip(
+                {"type": "wait", "keys": list(waiting)}, "result"
+            )
+            key, value = reply["key"], reply["value"]
+            indices = waiting.pop(key)
+            if payloads[indices[0]]["kind"] == "sim":
+                value = (
                     run_result_from_dict(value["result"]),
                     value.get("elapsed", 0.0),
                     value.get("served", 0),
-                    cached,
-                ))
-        return first
+                    bool(value.get("cached", False)) or key in prehit,
+                )
+            for index in indices:
+                yield index, value
 
     def close(self) -> None:
         if self._sock is not None:

@@ -57,6 +57,7 @@ __all__ = [
     "OracleMismatch",
     "OracleReport",
     "ORACLES",
+    "check_payload",
     "program_position_for",
     "result_fingerprint",
     "run_oracles",
@@ -353,7 +354,7 @@ class FaultSchedule:
 def schedule_to_dict(schedule: FaultSchedule) -> dict:
     """JSON-stable form of a schedule (tuples become lists).
 
-    This is both the fuzz corpus format and the dispatch layer's
+    This is both the fuzz corpus format and the fan-out's
     check-job wire format: a schedule round-trips the JSON boundary
     bit-exact, so a check runs identically in-process, in a pool
     worker, or on a service worker.
@@ -1088,8 +1089,8 @@ class RecoveryChainOracle(Oracle):
 
         # Every leg runs in-process through a private engine: the chain
         # is the subject under test, so its execution must not depend on
-        # whatever dispatch backend the sweep itself fans out with.
-        leg_engine = ExperimentEngine(dispatch="inline")
+        # how the sweep itself fans out.
+        leg_engine = ExperimentEngine()
         # Budget: enough for every armed hop plus slack, and never less
         # than the resolved default (--max-attempts can only raise it —
         # a user-lowered budget must not fail chains by construction).
@@ -1158,15 +1159,15 @@ class ScenarioInvarianceOracle(Oracle):
     Per scenario: the checkpointed run commits, drain conservation
     holds on every rank, safe-cut structure matches the offline
     topological-sort fixpoint, and the serialized result is
-    byte-identical across the ``inline``/``local-pool``/``service``
-    dispatch backends — a scenario may change *what happens*, never *whether it is
-    deterministic*.
+    byte-identical in-process, over a two-worker pool and through an
+    experiment service — a scenario may change *what happens*, never
+    *whether it is deterministic*.
     """
 
     name = "scenario-invariance"
     description = (
         "every registered scenario commits, conserves drains, keeps the "
-        "safe cut, and is byte-identical across dispatch backends"
+        "safe cut, and is byte-identical wherever its jobs run"
     )
     cache_aware = False
 
@@ -1176,10 +1177,10 @@ class ScenarioInvarianceOracle(Oracle):
             name: replace(schedule, scenario=name).checkpoint_spec()
             for name in names
         }
-        # In-process dispatch: the reference hashes.
+        # In-process: the reference hashes.
         ref: "dict[str, str]" = {}
         for name in names:
-            res = ExperimentEngine(dispatch="inline").run(specs[name])
+            res = ExperimentEngine().run(specs[name])
             self._require(not res.na_reason, f"{name}: NA: {res.na_reason}")
             _require_conserved(name, res)
             self._require(
@@ -1187,9 +1188,9 @@ class ScenarioInvarianceOracle(Oracle):
                 f"{name}: checkpoint run committed nothing",
             )
             ref[name] = stable_json_hash(run_result_to_dict(res))
-        # Dispatch backends: the same specs as one batch per backend.
+        # The same specs as one batch over a pool, then a service.
         batch = [specs[name] for name in names]
-        pool = ExperimentEngine(jobs=2, dispatch="local-pool").run_batch(batch)
+        pool = ExperimentEngine(jobs=2).run_batch(batch)
         for name in names:
             digest = stable_json_hash(run_result_to_dict(pool[specs[name]]))
             self._require(
@@ -1225,7 +1226,7 @@ class ScenarioInvarianceOracle(Oracle):
             worker.start()
             try:
                 results = ExperimentEngine(
-                    dispatch="service", service=f"{host}:{port}"
+                    service=f"{host}:{port}"
                 ).run_batch(batch)
                 for name in sorted(specs):
                     digest = stable_json_hash(
@@ -1257,9 +1258,12 @@ ORACLES: "dict[str, Oracle]" = {
 }
 
 
-def _check_one(name: str, seed: int) -> dict:
-    """Top-level worker entry point (picklable by name for spawn)."""
-    return ORACLES[name].check(seed).as_dict()
+def check_payload(
+    name: str, schedule: FaultSchedule, cache_dir=None
+) -> dict:
+    """The :func:`repro.harness.dispatch.fan_out` job for one check."""
+    return {"kind": "check", "oracle": name,
+            "schedule": schedule_to_dict(schedule), "cache_dir": cache_dir}
 
 
 def run_oracles(
@@ -1269,7 +1273,6 @@ def run_oracles(
     engine: "ExperimentEngine | None" = None,
     progress=None,
     jobs: int = 1,
-    dispatch: "str | None" = None,
     service: "str | None" = None,
 ) -> "list[OracleReport]":
     """Sweep the named oracles over ``seeds``; returns every report.
@@ -1277,21 +1280,19 @@ def run_oracles(
     ``progress``, if given, is called with each report as it lands.
     Unknown oracle names raise ``KeyError`` with the catalog spelled out.
 
-    ``jobs > 1`` fans the (oracle, seed) grid through the job-dispatch
-    seam (:mod:`repro.harness.dispatch`): ``local-pool`` keeps the
-    historical spawn-safe pool, ``inline`` runs in-process, ``service``
-    ships each check to an experiment-service fleet.  Reports come back
-    in the same (oracle-order, seed-order) sequence as a serial sweep
+    Every (oracle, seed) check is one job through
+    :func:`repro.harness.dispatch.fan_out` — in this process at
+    ``jobs=1``, over a spawn-safe pool at ``jobs=N``, on an
+    experiment-service fleet when ``service`` (``HOST:PORT``) is given —
+    and runs on an engine of its own rooted at ``engine``'s cache
+    directory, so cache-aware oracles serve and warm the same store
+    wherever they run.  Reports (and ``progress`` calls) come in
+    (oracle-order, seed-order) sequence whatever the completion order
     and carry the same contents — each check is an independent
     simulation, so the fan-out can only change wall time, never a
     report (``tests/verify`` pins the byte-identity).
     """
-    from .dispatch import (
-        DispatchConfig,
-        create_dispatch,
-        resolve_dispatch,
-        resolve_service_addr,
-    )
+    from .dispatch import connect, fan_out
 
     seeds = list(seeds)
     tasks: list[tuple[str, int]] = []
@@ -1302,45 +1303,19 @@ def run_oracles(
             )
         tasks.extend((name, seed) for seed in seeds)
 
+    cache = None if engine is None else engine.cache
+    payloads = [
+        check_payload(name, FaultSchedule.draw(seed),
+                      None if cache is None else cache.root)
+        for name, seed in tasks
+    ]
+    landed: "dict[int, OracleReport]" = {}
     reports: list[OracleReport] = []
-    resolved = resolve_dispatch(dispatch)
-    # The serial fast path keeps the caller's (cache-aware) engine in
-    # the loop; a service sweep routes through the seam even at jobs=1
-    # — that's the point of asking for it.
-    if resolved != "service" and (jobs <= 1 or len(tasks) <= 1):
-        for name, seed in tasks:
-            report = ORACLES[name].check(seed, engine)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
-        return reports
-
-    backend = create_dispatch(
-        resolved,
-        DispatchConfig(
-            jobs=jobs,
-            service_addr=(
-                resolve_service_addr(service) if resolved == "service" else None
-            ),
-        ),
-    )
-    with backend:
-        handles = [
-            backend.submit_check(
-                name, schedule_to_dict(FaultSchedule.draw(seed))
-            )
-            for name, seed in tasks
-        ]
-        # Collect in submission order, not completion order: the report
-        # sequence (and any serialized artifact) must be byte-identical
-        # to a serial sweep's.
-        for (name, seed), handle in zip(tasks, handles):
-            doc = dict(handle.result()["report"])
-            # A drawn schedule re-checked via check_schedule reports its
-            # own seed; assert rather than trust blindly.
-            doc.setdefault("oracle", name)
-            report = OracleReport(**doc)
-            reports.append(report)
-            if progress is not None:
-                progress(report)
+    with connect(service) as conn:
+        for index, value in fan_out(payloads, jobs=jobs, service=conn):
+            landed[index] = OracleReport(**value["report"])
+            while len(reports) in landed:
+                reports.append(landed.pop(len(reports)))
+                if progress is not None:
+                    progress(reports[-1])
     return reports

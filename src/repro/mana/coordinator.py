@@ -700,9 +700,3 @@ class CheckpointCoordinator:
             self._tracker = None
             self._state = "idle"
             self._pump_deferred()
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def committed_checkpoints(self) -> list[CheckpointRecord]:
-        return [r for r in self.records if r.committed]

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 ARCHIVE_MAGIC = b"MANAPYA1"
-ARCHIVE_VERSION = 1
+#: 2: ``vreq_table`` holds the request objects (1 held field tuples).
+ARCHIVE_VERSION = 2
 _ARCHIVE_HEADER = struct.Struct("<8sIQ32s")
 
 
@@ -69,7 +70,8 @@ class CheckpointImage:
     call_log: list = field(default_factory=list)
     #: Drained point-to-point messages: (vcid, src_group_rank, tag, payload, nbytes).
     drained: list = field(default_factory=list)
-    #: Virtual request table: vrid -> (kind, desc, done, value).
+    #: Virtual request table: vrid -> :class:`VirtualRequest`, the same
+    #: objects ``app_state`` refers to where the application kept a handle.
     vreq_table: dict = field(default_factory=dict)
     #: vrids of receives still pending at the cut (re-posted on restart).
     pending_recvs: list = field(default_factory=list)

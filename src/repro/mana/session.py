@@ -825,8 +825,12 @@ class Session:
         for tag, _op, payload in self.call_log:
             if tag == _VREQ:
                 referenced.add(payload)
+        # The requests themselves, not copies of their fields: a handle
+        # the application carries in ``app_state`` is the same object,
+        # and one pickle stream keeps it the same object, so what the
+        # restart re-posts is what the application waits on.
         vreq_table = {
-            vrid: (vr.kind, vr.desc, vr.done, vr.value)
+            vrid: vr
             for vrid, vr in self._vreqs.items()
             if vrid in referenced and not vr.internal
         }
@@ -926,12 +930,7 @@ class Session:
         sess._replay_end = image.call_index
         if image.remaining_compute > 0:
             sess._pending_remaining = image.remaining_compute
-        # Materialize the virtual-request table.
-        for vrid, (kind, desc, done, value) in image.vreq_table.items():
-            vr = VirtualRequest(vrid, kind, tuple(desc))
-            vr.done = done
-            vr.value = value
-            sess._vreqs[vrid] = vr
+        sess._vreqs = dict(image.vreq_table)
         sess._pending_recv_ids = list(image.pending_recvs)
         sess._next_vrid = image.stats.get("next_vrid", len(sess._vreqs))
         return sess

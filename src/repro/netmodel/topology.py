@@ -242,10 +242,6 @@ class FatTreeTopology(_BlockTopology):
             ),
         )
 
-    @property
-    def npods(self) -> int:
-        return -(-self.nnodes // self.nodes_per_pod)
-
     def pod_of(self, rank: int) -> int:
         return self.node_of(rank) // self.nodes_per_pod
 

@@ -186,11 +186,28 @@ class TestTopLevelRejections:
         )
 
     @pytest.mark.parametrize(
+        "command",
+        [["fig5a"], ["all"], ["sweep", "--study", "ckpt_freq"], ["verify"],
+         ["fuzz", "--iters", "1"]],
+    )
+    def test_removed_dispatch_flag_is_a_usage_error(self, capsys, command):
+        # Where jobs run follows from --service/--jobs; nothing names it.
+        _expect_usage_error(
+            capsys, [*command, "--dispatch", "inline"],
+            "unrecognized arguments: --dispatch inline",
+        )
+
+    def test_malformed_service_address_is_a_usage_error(self, capsys):
+        _expect_usage_error(
+            capsys, ["table1", "--no-cache", "--service", "nowhere"],
+            "service address must look like HOST:PORT",
+        )
+
+    @pytest.mark.parametrize(
         "var, value",
         [
             ("REPRO_RECOVERY_ATTEMPTS", "abc"),
             ("REPRO_RECOVERY_BACKOFF", "soon"),
-            ("REPRO_DISPATCH", "carrier-pigeon"),
         ],
     )
     def test_malformed_environment_is_a_usage_error_naming_the_variable(

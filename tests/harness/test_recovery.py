@@ -3,8 +3,8 @@
 Pinned here: the policy resolution ladder, image-restart vs
 degrade-to-scratch planning, multi-hop crash storms under a retry
 budget, chain content-hashing, the engine's auto-recovery seam — and
-byte-identity of a full recovery chain across all three dispatch
-backends (inline, local-pool, service).
+byte-identity of a full recovery chain in-process, over a two-worker
+pool and through an experiment service.
 """
 
 import json
@@ -193,7 +193,7 @@ class TestEngineAutoRecovery:
     def test_engine_recovers_crashed_jobs(self, base_fp):
         spec = _crash_spec()
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline", recovery=True
+            cache=None, progress=False, recovery=True
         ) as eng:
             results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == []
@@ -205,7 +205,7 @@ class TestEngineAutoRecovery:
     def test_recovery_off_by_default(self):
         spec = _crash_spec()
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
+            cache=None, progress=False
         ) as eng:
             results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == [1]
@@ -214,11 +214,11 @@ class TestEngineAutoRecovery:
     def test_per_batch_opt_in_and_opt_out(self):
         spec = _crash_spec()
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
+            cache=None, progress=False
         ) as eng:
             assert eng.run_batch([spec], recover=True)[spec].crashed_ranks == []
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline", recovery=True
+            cache=None, progress=False, recovery=True
         ) as eng:
             assert eng.run_batch(
                 [spec], recover=False
@@ -226,7 +226,7 @@ class TestEngineAutoRecovery:
 
     def test_engine_run_recovery_uses_custom_policy(self):
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
+            cache=None, progress=False
         ) as eng:
             outcome = eng.run_recovery(
                 _crash_spec(),
@@ -238,7 +238,8 @@ class TestEngineAutoRecovery:
 
 
 class TestBackendByteIdentity:
-    """One recovery chain, three dispatch backends, identical bytes."""
+    """One recovery chain — in-process, over a pool, through a service —
+    identical bytes."""
 
     LEG_FAULTS = [((2, 0.4),)]
 
@@ -259,13 +260,13 @@ class TestBackendByteIdentity:
         import threading
 
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
+            cache=None, progress=False
         ) as eng:
             reference = self._chain(eng)
         assert reference.completed
 
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="local-pool", jobs=2
+            cache=None, progress=False, jobs=2
         ) as eng:
             pooled = self._chain(eng)
 
@@ -279,8 +280,7 @@ class TestBackendByteIdentity:
         worker.start()
         try:
             with ExperimentEngine(
-                cache=None, progress=False,
-                dispatch="service", service=f"{host}:{port}",
+                cache=None, progress=False, service=f"{host}:{port}",
             ) as eng:
                 served = self._chain(eng)
         finally:

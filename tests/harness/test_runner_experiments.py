@@ -1,8 +1,11 @@
 """Tests for the runner, experiment drivers, and CLI."""
 
+import os
+
 import pytest
 
 from repro.apps import make_app_factory
+from repro.apps.base import MpiApp
 from repro.harness import EXPERIMENTS, fig5b, fig9, table1
 from repro.harness.runner import RunResult, launch_run
 
@@ -45,6 +48,58 @@ class TestRunner:
         a = launch_run(make_app_factory("comd", niters=6), 4, seed=5)
         b = launch_run(make_app_factory("comd", niters=6), 4, seed=6)
         assert a.runtime != b.runtime
+
+
+class _AffinityProbe(MpiApp):
+    """Reports the CPU mask its rank's carrier thread runs under."""
+
+    name = "affinity-probe"
+
+    def __init__(self, fail=False):
+        super().__init__(niters=1)
+        self.fail = fail
+
+    def step(self, ctx, i):
+        ctx.world.barrier()
+        if self.fail:
+            raise RuntimeError("boom")
+
+    def finalize(self, ctx):
+        return sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity API and two allowed CPUs",
+)
+class TestCpuConfinement:
+    """One carrier runs at a time, so a simulation is confined to the
+    CPU its launcher is on — and the launcher's mask comes back."""
+
+    def test_every_rank_runs_on_one_cpu_and_the_mask_is_restored(self):
+        before = os.sched_getaffinity(0)
+        run = launch_run(_AffinityProbe, 4, seed=0)
+        assert os.sched_getaffinity(0) == before
+        assert len(run.per_rank[0]) == 1
+        assert run.per_rank == [run.per_rank[0]] * 4
+        assert set(run.per_rank[0]) <= before
+
+    def test_mask_is_restored_when_the_run_raises(self):
+        from repro.des import ProcessFailed
+
+        before = os.sched_getaffinity(0)
+        with pytest.raises(ProcessFailed):
+            launch_run(lambda: _AffinityProbe(fail=True), 2, seed=0)
+        assert os.sched_getaffinity(0) == before
+
+    def test_refusal_by_the_os_is_not_an_error(self, monkeypatch):
+        def refuse(pid, mask):
+            raise PermissionError("no")
+
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        run = launch_run(_AffinityProbe, 2, seed=0)
+        assert run.per_rank == [sorted(before)] * 2
 
 
 class TestExperiments:

@@ -98,13 +98,13 @@ class TestServiceDifferential:
         server, addr = service
         specs = _specs()
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="inline"
+            cache=None, progress=False
         ) as eng:
             reference = _batch_json(eng.run_batch(specs))
 
         worker = _worker_thread(addr, max_jobs=len(specs))
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="service", service=addr
+            cache=None, progress=False, service=addr
         ) as eng:
             got = _batch_json(eng.run_batch(specs))
             assert eng.last_stats.executed == len(specs)
@@ -117,7 +117,7 @@ class TestServiceDifferential:
         specs = _specs()
         worker = _worker_thread(addr, max_jobs=len(specs))
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="service", service=addr
+            cache=None, progress=False, service=addr
         ) as eng:
             first = _batch_json(eng.run_batch(specs))
         worker.join(timeout=30)
@@ -127,7 +127,7 @@ class TestServiceDifferential:
         # the client accounts them as store hits.  No worker is even
         # connected — nothing *can* simulate.
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="service", service=addr
+            cache=None, progress=False, service=addr
         ) as eng:
             again = _batch_json(eng.run_batch(specs))
             assert eng.last_stats.executed == 0
@@ -140,7 +140,7 @@ class TestServiceDifferential:
         specs = _specs(4)
         workers = [_worker_thread(addr) for _ in range(2)]
         with ExperimentEngine(
-            cache=None, progress=False, dispatch="service", service=addr
+            cache=None, progress=False, service=addr
         ) as eng:
             results = eng.run_batch(specs)
         assert len(results) == len(specs)
@@ -456,7 +456,7 @@ class TestSeamFanout:
         via_service = [
             r.as_dict()
             for r in run_oracles(
-                ["safe-cut"], range(2), dispatch="service", service=addr
+                ["safe-cut"], range(2), service=addr
             )
         ]
         assert via_service == serial
@@ -468,15 +468,14 @@ class TestSeamFanout:
 
         serial_corpus = CorpusDB(tmp_path / "serial")
         serial = run_fuzz(
-            serial_corpus, iters=3, oracles=["safe-cut", "engine"]
+            serial_corpus, iters=3, oracles=["safe-cut", "drain-conservation"]
         )
         parallel_corpus = CorpusDB(tmp_path / "parallel")
         parallel = run_fuzz(
             parallel_corpus,
             iters=3,
-            oracles=["safe-cut", "engine"],
+            oracles=["safe-cut", "drain-conservation"],
             jobs=2,
-            dispatch="inline",
         )
         assert parallel.iterations == serial.iterations
         assert parallel.checks == serial.checks

@@ -125,9 +125,9 @@ def test_no_incomplete_collective_requests_in_images():
         checkpoint_at=[native.runtime * 0.4], storage=STORAGE,
     )
     for im in ck.committed_images().values():
-        for vrid, (kind, desc, done, value) in im.vreq_table.items():
-            if kind == "coll":
-                assert done, f"incomplete collective request {vrid} in image"
+        for vrid, vreq in im.vreq_table.items():
+            if vreq.is_collective:
+                assert vreq.done, f"incomplete collective request {vrid} in image"
 
 
 def test_rendezvous_send_across_cut():

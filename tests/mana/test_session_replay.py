@@ -141,6 +141,60 @@ class TestRequestTableStaysBounded:
         assert acc(rs) == acc(native)
 
 
+class CarriedIrecvApp(MpiApp):
+    """Rank 1 posts ``irecv(source=0, tag=i)`` in step *i*, keeps the
+    handle in ``ctx.state`` and waits on it at the top of step *i+1*.
+    Ranks 0 and 2 follow the world allreduce with compute and an
+    allreduce on a communicator that excludes rank 1 — a wrapper they
+    can park at before rank 0 sends tag *i*, so the cut finds rank 1
+    waiting on a receive that is still pending."""
+
+    name = "carried-irecv"
+
+    def setup(self, ctx):
+        ctx.state["acc"] = 0.0
+        ctx.state["req"] = None
+        ctx.state["pair"] = ctx.world.split(None if ctx.rank == 1 else 0)
+
+    def step(self, ctx, i):
+        got, req = 0.0, None
+        if ctx.rank == 1:
+            carried = ctx.state["req"]
+            got = carried.wait() if carried is not None else 0.0
+            req = ctx.world.irecv(source=0, tag=i)
+        total = ctx.world.allreduce(float(ctx.rank + i))
+        if ctx.rank != 1:
+            ctx.compute(2e-5)
+            total += ctx.state["pair"].allreduce(float(i))
+            if ctx.rank == 0:
+                ctx.world.send(float(10 * i + 1), dest=1, tag=i)
+        # ---- commit block ----
+        ctx.state["acc"] = ctx.state["acc"] + got + total
+        ctx.state["req"] = req
+
+    def finalize(self, ctx):
+        last = ctx.state["req"]
+        return ctx.state["acc"] + (last.wait() if last is not None else 0.0)
+
+
+class TestPendingIrecvCarriedAcrossABoundary:
+    """The handle the application unpickles from ``app_state`` must be
+    the request the restarted session re-posts, not a copy of it."""
+
+    FACTORY = staticmethod(lambda: CarriedIrecvApp(niters=8))
+
+    @pytest.mark.parametrize("k", range(1, 20))
+    def test_restart_at_every_cut_matches_the_uninterrupted_run(self, k):
+        plain = launch_run(self.FACTORY, 3, protocol="cc", seed=5)
+        ck = launch_run(
+            self.FACTORY, 3, protocol="cc", seed=5,
+            checkpoint_at=(plain.runtime * k / 20,), storage=STORAGE,
+        )
+        assert ck.per_rank == plain.per_rank
+        rs = restart_run(self.FACTORY, ck.committed_images(), seed=5, storage=STORAGE)
+        assert rs.per_rank == plain.per_rank
+
+
 class NonDeterministicStep(MpiApp):
     """Violates the replay contract: mutates state *before* its MPI calls
     and branches on that state, so re-executing an interrupted step takes

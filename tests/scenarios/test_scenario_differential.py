@@ -3,9 +3,8 @@
 Each registered scenario is run under both checkpoint protocols and
 pinned to a result hash captured at introduction time — a scenario that
 silently changes its simulated physics moves a constant here.  The same
-specs are then pushed through every seam the harness offers: serial vs
-parallel workers, and ``inline`` vs ``local-pool`` vs ``service``
-dispatch.  A scenario may change *what* the simulation does, never
+specs are then pushed through every place the harness can run a job:
+this process, a two-worker pool, and an experiment service.  A scenario may change *what* the simulation does, never
 *whether* it is reproducible.
 """
 
@@ -78,15 +77,7 @@ def test_parallel_workers_match_pins():
         assert _hash(results[spec]) == PINNED[cell], cell
 
 
-def test_local_pool_dispatch_matches_pins():
-    specs = {cell: _mk(*cell) for cell in CELLS}
-    engine = ExperimentEngine(jobs=2, dispatch="local-pool")
-    results = engine.run_batch(list(specs.values()))
-    for cell, spec in specs.items():
-        assert _hash(results[spec]) == PINNED[cell], cell
-
-
-def test_service_dispatch_matches_pins(tmp_path):
+def test_service_workers_match_pins(tmp_path):
     specs = {cell: _mk(*cell) for cell in CELLS}
     server = ExperimentServer("127.0.0.1", 0, cache_dir=tmp_path / "store")
     host, port = server.start()
@@ -95,8 +86,7 @@ def test_service_dispatch_matches_pins(tmp_path):
     )
     worker.start()
     try:
-        engine = ExperimentEngine(dispatch="service",
-                                  service=f"{host}:{port}")
+        engine = ExperimentEngine(service=f"{host}:{port}")
         results = engine.run_batch(list(specs.values()))
         for cell, spec in specs.items():
             assert _hash(results[spec]) == PINNED[cell], cell
