@@ -48,6 +48,13 @@ Hot-path design (every simulated second is millions of these):
 * **Consecutive same-time resumes of one process coalesce** into a
   single resume event (a double wake at the same instant was previously
   a latent spurious-wakeup hazard).
+* **Teardown is explicit**: :meth:`Simulator.close` joins every
+  carrier, then drops each process's body and preallocated callbacks
+  (a bound method of the process stored on the process is a cycle) and
+  the three event queues.  A finished run is freed by refcounting the
+  moment its owner lets go — no full-heap collection between runs —
+  while ``processes``, ``event_count``, ``now()`` and each process's
+  ``name``/``state``/``result``/``exception`` stay readable.
 
 This is the substrate on which ``repro.simmpi`` (the simulated MPI
 library) and ``repro.mana`` (the checkpointing layer) are built.
@@ -109,6 +116,7 @@ _ALIVE_STATES = (_NEW, _READY, _RUNNING, _BLOCKED)
 #: shallow (application loop + wrapper + kernel), so a small stack keeps
 #: memory bounded when simulating hundreds of ranks.
 _STACK_SIZE = 512 * 1024
+_stack_size_lock = threading.Lock()
 
 class Interrupted:
     """Sentinel type returned by interruptible sleeps that were cut short."""
@@ -165,7 +173,6 @@ class SimProcess:
         "_sleep_timer",
         "_interrupted",
         "_killed",
-        "_joiners",
         "_waiters_on_exit",
         "_resume_at",
         "_resume_action",
@@ -196,7 +203,6 @@ class SimProcess:
         self._sleep_timer: Timer | None = None
         self._interrupted = False
         self._killed = False
-        self._joiners: list[SimProcess] = []
         self._waiters_on_exit: list[Callable[[], None]] = []
         #: Virtual time of the pending resume event (-1.0 when none),
         #: for same-time coalescing.
@@ -210,20 +216,9 @@ class SimProcess:
         # kernel's strict one-runner-at-a-time handoff never needs counts.
         self._resume = threading.Lock()
         self._resume.acquire()
-        old = threading.stack_size()
-        try:
-            threading.stack_size(_STACK_SIZE)
-        except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
-            pass
-        try:
-            self._thread = threading.Thread(
-                target=self._bootstrap, name=f"sim:{name}", daemon=True
-            )
-        finally:
-            try:
-                threading.stack_size(old)
-            except (ValueError, RuntimeError):  # pragma: no cover
-                pass
+        self._thread = threading.Thread(
+            target=self._bootstrap, name=f"sim:{name}", daemon=True
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -253,6 +248,38 @@ class SimProcess:
     # ------------------------------------------------------------------ #
     # Control transfer
     # ------------------------------------------------------------------ #
+
+    def _start_carrier(self) -> None:
+        """Start the carrier thread on a :data:`_STACK_SIZE` stack.
+
+        CPython reads ``threading.stack_size()`` when a thread *starts*,
+        so the process-global setting is bracketed around ``start()`` —
+        under a lock, or two simulations spawning from different threads
+        (service workers) could each restore the other's small size.
+        """
+        with _stack_size_lock:
+            try:
+                old = threading.stack_size(_STACK_SIZE)
+            except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
+                self._thread.start()
+                return
+            try:
+                self._thread.start()
+            finally:
+                threading.stack_size(old)
+
+    def _release(self) -> None:
+        """Teardown (from :meth:`Simulator.close`, after the carrier was
+        joined): drop the body, the preallocated callbacks and every
+        link back into the simulation, so refcounting alone frees what
+        the process ran.  ``name``/``state``/``result``/``exception``
+        stay readable.  (A *failed* body is the exception: its
+        traceback's frames reach the whole run, this process included,
+        and that cycle is left to the garbage collector.)"""
+        self.sim = self.fn = self.args = self.kwargs = None
+        self._resume_action = self._wake_action = None
+        self._thread = self._sleep_timer = None
+        self._waiters_on_exit.clear()
 
     def _bootstrap(self) -> None:
         """Carrier-thread main: wait for the first resume, run the body,
@@ -315,6 +342,9 @@ class SimProcess:
         kind, payload = sim._drive(self)
         if kind != "resume":
             sim._pass_baton(kind, payload)
+            # An error's traceback starts in _drive, whose frame links
+            # back to this one: don't hold the exception from here.
+            del payload
             self._resume.acquire()
         _tls.proc = self
         if self._killed:
@@ -628,7 +658,7 @@ class Simulator:
         self.defer_at(start, proc._resume_action)
         if self._tracer is not None:
             self._trace_emit("spawn", name, "start_at=%g", start)
-        proc._thread.start()
+        proc._start_carrier()
         return proc
 
     # ------------------------------------------------------------------ #
@@ -793,7 +823,13 @@ class Simulator:
             self._token.acquire()
             kind, payload = self._terminal
         if kind == "error":
-            raise payload
+            try:
+                raise payload
+            finally:
+                # The traceback holds this frame; the frame must not
+                # hold the exception back (an uncollectable-by-refcount
+                # cycle through everything the caller's frames reach).
+                del payload
         return payload
 
     def _drive(self, me: SimProcess | None) -> tuple[str, Any]:
@@ -953,7 +989,10 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Kill all live processes and reclaim their stacks.  Idempotent."""
+        """Kill all live processes, reclaim their stacks, and drop every
+        reference the run left behind (process bodies and callbacks, the
+        event queues) so that refcounting frees it.  Idempotent;
+        ``processes``, ``event_count`` and ``now()`` keep answering."""
         if self._closed:
             return
         self._closed = True
@@ -970,6 +1009,11 @@ class Simulator:
         for proc in self._processes:
             if proc._thread.is_alive():
                 proc._thread.join(timeout=5.0)
+            proc._release()
+        self._heap.clear()
+        self._nowq.clear()
+        self._front = None
+        self._terminal = ("done", self._now)
 
     def __enter__(self) -> "Simulator":
         return self

@@ -47,6 +47,7 @@ concurrent CLI invocations can share a cache directory safely.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -112,6 +113,10 @@ class ResultCache:
         #: sidecar write merges concurrent writers' entries back in, so
         #: an eviction is not undone by the merge.
         self._dropped_timings: set[str] = set()
+        #: Inside :meth:`batched_timings`: records stay in memory and
+        #: ``_timings_unwritten`` marks that the block owes a write.
+        self._timings_batched = False
+        self._timings_unwritten = False
 
     @property
     def version_dir(self) -> Path:
@@ -219,6 +224,7 @@ class ResultCache:
         so the sidecar cannot grow without bound across schema bumps and
         pruned figures.
         """
+        self._timings_unwritten = False
         timings = self._load_timings()
         for key, value in self._read_timings_file().items():
             if key not in self._dropped_timings:
@@ -247,7 +253,27 @@ class ResultCache:
         key = self._key(spec_or_hash)
         self._load_timings()[key] = (seconds, time.time())
         self._dropped_timings.discard(key)
-        self._write_timings()
+        if self._timings_batched:
+            self._timings_unwritten = True
+        else:
+            self._write_timings()
+
+    @contextlib.contextmanager
+    def batched_timings(self):
+        """Hold :meth:`record_time`'s sidecar writes back until the
+        block exits, then merge-write once (the engine wraps each wave:
+        re-reading, merging and rewriting the whole sidecar per ``put``
+        made a job's fixed cost grow with the batch).  The write happens
+        even when the block raises; a process killed inside it loses
+        only a scheduling hint that every entry still carries as
+        ``"elapsed"`` and :meth:`get` re-harvests."""
+        self._timings_batched = True
+        try:
+            yield
+        finally:
+            self._timings_batched = False
+            if self._timings_unwritten:
+                self._write_timings()
 
     def drop_timings(self, hashes: Iterable[str]) -> int:
         """Evict the given spec hashes from the timing sidecar.

@@ -41,6 +41,8 @@ cells and probe/restart parents dedupe like any figure's.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import sys
 import time
 from dataclasses import dataclass
@@ -346,28 +348,42 @@ class ExperimentEngine:
                         self._report(done, total, spec, "cached")
                         continue
                 pending.append(spec)
+            if not pending:
+                continue
             # Longest pole first: with workers this stops the batch tail
             # from hiding behind a late-started slow job; serially it
             # just front-loads the expensive cells.  Stable sort keeps
             # equal-cost specs in submission order (determinism).
             pending.sort(key=lambda spec: self._predicted_cost(spec, stats),
                          reverse=True)
-            for spec, result, elapsed, served, cached in self._execute_wave(
-                pending, resolved
-            ):
-                resolved[spec] = result
-                if cached:
-                    # Served from the service's shared store without a
-                    # simulation anywhere — a cache hit, just one that
-                    # was discovered server-side instead of locally.
-                    stats.cache_hits += 1
-                else:
-                    stats.executed += 1
-                stats.images_reused += served
-                done += 1
-                self._report(done, total, spec, "cached" if cached else "ran")
-                if self.cache is not None and not cached:
-                    self.cache.put(spec, result, elapsed=elapsed)
+            # The wave's puts share one merge-write of the timing
+            # sidecar, flushed even when a job raises mid-wave.
+            one_sidecar_write = (
+                contextlib.nullcontext()
+                if self.cache is None
+                else self.cache.batched_timings()
+            )
+            with one_sidecar_write:
+                for spec, result, elapsed, served, cached in self._execute_wave(
+                    pending, resolved
+                ):
+                    resolved[spec] = result
+                    if cached:
+                        # Served from the service's shared store without a
+                        # simulation anywhere — a cache hit, just one that
+                        # was discovered server-side instead of locally.
+                        stats.cache_hits += 1
+                    else:
+                        stats.executed += 1
+                    stats.images_reused += served
+                    done += 1
+                    self._report(done, total, spec, "cached" if cached else "ran")
+                    if self.cache is not None and not cached:
+                        self.cache.put(spec, result, elapsed=elapsed)
+            # A run frees itself (see ``launch_run``); one collection
+            # per executed wave is the backstop for what teardown
+            # cannot cut: cycles an application body builds itself.
+            gc.collect()
 
         # Automatic crash recovery: after every wave has drained (so
         # each leg can batch on its own), chase submitted specs whose

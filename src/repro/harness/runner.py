@@ -194,15 +194,20 @@ def launch_run(
             )
 
     sim = Simulator(seed=seed, max_events=max_events)
+    # Every layer of this run that owns back-references, in teardown
+    # order (the kernel first: unwinding carriers still touch the rest).
+    layers: list[Any] = [sim]
     affinity = _confine_to_current_cpu()
     try:
         world = World(sim, topo)
+        layers.append(world)
         storage = storage or StorageModel()
         coordinator = None
         if protocol != "native":
             coordinator = CheckpointCoordinator(
                 sim, protocol, storage=storage, nnodes=topo.nnodes
             )
+            layers.append(coordinator)
 
         sessions: dict[int, Session] = {}
         restart_read_time = 0.0
@@ -223,6 +228,7 @@ def launch_run(
                     sessions[rank].compute_factor = float(factors[rank])
         for sess in sessions.values():
             sess.wire_peers(sessions)
+        layers.extend(sessions.values())
 
         gate = Gate(sim, nprocs, label="mpi_init")
         procs = {}
@@ -286,8 +292,12 @@ def launch_run(
         if crash_at:
             def make_crash(rank: int) -> Callable[[], None]:
                 def do_crash() -> None:
-                    if not sim.kill_process(procs[rank]):
-                        return  # lost the race against natural completion
+                    # A rank whose application has returned has finished
+                    # (its process may still be parked in a checkpoint
+                    # the completion announcement joined): the kill
+                    # loses the race, as it does against an exited one.
+                    if rank in finish_times or not sim.kill_process(procs[rank]):
+                        return
                     crashed.add(rank)
                     if coordinator is not None:
                         # The failure detector notices after one control
@@ -335,15 +345,11 @@ def launch_run(
             drain_leftover=[len(sessions[r].drain_buffer) for r in ranks],
         )
     finally:
-        sim.close()
+        # Each layer cuts its own back-references; refcounting then frees the run.
+        for layer in layers:
+            layer.close()
         if affinity is not None:
             os.sched_setaffinity(0, affinity)
-        # Simulations leave reference cycles (processes <-> closures <->
-        # sites holding numpy payloads); collect eagerly so sweeping
-        # experiments don't accumulate multi-GB garbage between runs.
-        import gc
-
-        gc.collect()
 
 
 def restart_run(

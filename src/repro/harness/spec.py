@@ -480,6 +480,13 @@ class RunSpec:
             inherited = cost
         return inherited
 
+    def __getstate__(self) -> dict:
+        """Pickle without :func:`spec_hash`'s memo (it bakes in this
+        process's schema version)."""
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def label(self) -> str:
         """Short human-readable identity for progress reporting."""
         tag = f"{self.app}/{self.protocol} p={self.nprocs}"
@@ -499,10 +506,22 @@ class RunSpec:
 
 
 def spec_hash(spec: RunSpec) -> str:
-    """Stable content hash of a spec, identical across processes."""
-    payload = spec_to_dict(spec)
-    payload["!schema"] = SCHEMA_VERSION
-    return stable_json_hash(payload)
+    """Stable content hash of a spec, identical across processes.
+
+    Memoized on the (immutable) instance — canonicalizing a whole
+    restart chain per cache read dominated warm reruns.  The memo is
+    invisible to ``==``/``hash``/``repr``/:func:`spec_to_dict`, is not
+    copied by ``dataclasses.replace`` and is dropped from pickles
+    (:meth:`RunSpec.__getstate__`), so another process always hashes
+    under its own :data:`SCHEMA_VERSION`.
+    """
+    memo = spec.__dict__.get("_hash")
+    if memo is None:
+        payload = spec_to_dict(spec)
+        payload["!schema"] = SCHEMA_VERSION
+        memo = stable_json_hash(payload)
+        object.__setattr__(spec, "_hash", memo)
+    return memo
 
 
 # --------------------------------------------------------------------- #
@@ -637,6 +656,11 @@ def _execute(
         )
     except ProcessFailed as exc:
         if isinstance(exc.original, UnsupportedOperationError):
+            # An expected outcome, not a failure to debug: without its
+            # traceback (whose frames reach the whole run, the failed
+            # process included) an NA cell's run is freed by
+            # refcounting like any other.
+            exc.original.__traceback__ = None
             return _na_result(spec, str(exc.original))
         raise
     # Canonicalize per-rank payloads (numpy scalars -> python, tuples ->

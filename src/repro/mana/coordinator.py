@@ -139,6 +139,10 @@ class _FinishedRankProxy:
         self.sess.control.add_tap(self._drain)
         self._drain()
 
+    def uninstall(self) -> None:
+        """Stop servicing the mailbox (job teardown)."""
+        self.sess.control.remove_tap(self._drain)
+
     # -- mailbox servicing --------------------------------------------- #
 
     def _drain(self) -> None:
@@ -304,6 +308,15 @@ class CheckpointCoordinator:
     def attach(self, sessions: dict[int, "Session"], procs: dict[int, "SimProcess"]) -> None:
         self.sessions = sessions
         self.procs = procs
+
+    def close(self) -> None:
+        """Teardown: detach the ranks and retire the finished-rank
+        proxies (each is tapped into its session's control mailbox), so
+        refcounting frees the job.  ``records`` stay readable."""
+        for proxy in self._proxies.values():
+            proxy.uninstall()
+        self._proxies = {}
+        self.attach({}, {})
 
     @property
     def nprocs(self) -> int:

@@ -144,6 +144,17 @@ class Session:
     def wire_peers(self, peers: "dict[int, Session]") -> None:
         self._peers = peers
 
+    def close(self) -> None:
+        """Teardown: cut the links that make a finished run's sessions a
+        cycle — protocol -> session, the peer table, and pending
+        requests' lower halves (whose completion hooks point back at the
+        request) — so refcounting frees them.  Counters, ``app_state``
+        and ``drain_buffer`` stay readable."""
+        self.protocol.session = None
+        self._peers = None
+        for vreq in self._vreqs.values():
+            vreq._lower = None
+
     @property
     def comm_world(self) -> VirtualComm:
         return VirtualComm(0)

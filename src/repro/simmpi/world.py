@@ -93,6 +93,18 @@ class World:
             raise SimMpiError(f"rank {rank} out of range [0,{self.nprocs})")
         self._rank_of_proc[proc] = rank
 
+    def close(self) -> None:
+        """Teardown: drop the lower half wholesale — rank processes,
+        matching engines and open collective sites (their pending
+        requests' completion hooks point back at the sessions) — and cut
+        every communicator's link back here, so refcounting frees the
+        job once its owner lets go.  ``stats`` stay readable."""
+        self._rank_of_proc.clear()
+        self._engines.clear()
+        self._sites.clear()
+        for comm in (self.comm_world, *self._comm_registry.values()):
+            comm.world = None
+
     def current_world_rank(self) -> int:
         proc = self.sim.current_process()
         try:

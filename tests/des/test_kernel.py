@@ -393,3 +393,29 @@ def test_on_exit_after_done_fires_immediately():
         fired = []
         proc.on_exit(lambda: fired.append(True))
         assert fired == [True]
+
+
+def test_carrier_threads_start_on_the_small_stack(monkeypatch):
+    # CPython reads threading.stack_size() when a thread *starts*; the
+    # kernel used to bracket the Thread constructor instead, so every
+    # carrier got the platform default (8 MiB mappings on Linux).
+    import threading
+
+    from repro.des import kernel
+
+    seen = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        seen.append((thread.name, threading.stack_size()))
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    before = threading.stack_size()
+    with Simulator() as sim:
+        sim.spawn(lambda: sim.sleep(1.0), name="a")
+        sim.spawn(lambda: None, name="b")
+        assert threading.stack_size() == before  # restored after each spawn
+        sim.run()
+    assert seen == [("sim:a", kernel._STACK_SIZE), ("sim:b", kernel._STACK_SIZE)]
+    assert threading.stack_size() == before

@@ -9,6 +9,9 @@ only ever compared with the other, and (b) full agreement on outcome,
 ``event_count``, the kernel trace and the final process states.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from reference_kernel import ReferenceSimulator
@@ -351,3 +354,75 @@ def test_src_kernel_matches_reference(case, _check):
     ref = _observe(ReferenceSimulator, case)
     assert src["trace"], "tracer recorded nothing: the comparison is vacuous"
     assert src == ref
+
+
+# --------------------------------------------------------------------- #
+# Teardown: both process classes go through the one Simulator.close()
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_close_frees_the_run_and_keeps_its_answers(kernel):
+    """After ``close()`` refcounting alone frees what the processes ran
+    (bodies, queued callbacks, what they closed over) — with one process
+    done, one killed while blocked and one still sleeping — while the
+    accessors a caller reads after a run keep answering.  A second
+    ``close()`` is a no-op."""
+
+    class Payload:
+        pass
+
+    payload = Payload()
+    alive = weakref.ref(payload)
+    sim = KERNELS[kernel](seed=3)
+
+    def worker(data):
+        sim.sleep(1.0)
+        return ("done", data is not None)
+
+    def stuck(data):
+        sim.block("never")
+
+    def sleeper(data):
+        sim.sleep(50.0, interruptible=True)
+
+    procs = [
+        sim.spawn(worker, payload, name="worker"),
+        sim.spawn(stuck, payload, name="stuck"),
+        sim.spawn(sleeper, data=payload, name="sleeper"),
+    ]
+    sim.call_after(99.0, lambda: payload)  # still queued at close
+    procs[0].on_exit(lambda: payload)
+    procs[1].on_exit(lambda: payload)  # never fired: killed by close()
+    assert sim.run(until=2.0) == 2.0
+    events = sim.event_count
+    del payload, worker, stuck, sleeper
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert alive() is not None
+        sim.close()
+        assert alive() is None, "close() left the run to the cycle collector"
+    finally:
+        gc.enable()
+
+    def answers():
+        return (
+            [(p.name, p.state, p.result, p.exception) for p in sim.processes],
+            sim.event_count,
+            sim.now(),
+        )
+
+    assert answers() == (
+        [
+            ("worker", "done", ("done", True), None),
+            ("stuck", "killed", None, None),
+            ("sleeper", "killed", None, None),
+        ],
+        events,
+        2.0,
+    )
+    assert [p.alive for p in procs] == [False] * 3
+    assert not procs[2].interrupt()
+    sim.close()
+    assert answers()[1:] == (events, 2.0)

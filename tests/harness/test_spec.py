@@ -90,6 +90,45 @@ class TestSpecValue:
         )
         assert out.stdout.strip() == spec_hash(spec)
 
+    def test_hash_memo_neither_travels_nor_leaks(self, monkeypatch):
+        import copy
+        import dataclasses
+        import pickle
+
+        from repro.harness import spec as spec_mod
+
+        parent = _spec(protocol="cc", checkpoint_fractions=(0.5,))
+        spec = _spec(protocol="cc", restart_of=parent)
+        unhashed = _spec(protocol="cc", restart_of=parent)
+        before = (repr(spec), spec_to_dict(spec), hash(spec))
+        digest = spec_hash(spec)
+
+        # Computed once per instance, the second call is the memo.
+        monkeypatch.setattr(
+            spec_mod, "stable_json_hash",
+            lambda payload: pytest.fail("spec_hash recomputed a memoized hash"),
+        )
+        assert spec_hash(spec) == digest
+        monkeypatch.undo()
+
+        # Invisible to the value: equality, hash, repr, the JSON form.
+        assert spec == unhashed and hash(spec) == hash(unhashed)
+        assert (repr(spec), spec_to_dict(spec), hash(spec)) == before
+
+        # Copies start without it: a worker process must hash under its
+        # *own* schema version, and a replaced field is a new hash.
+        for clone in (
+            pickle.loads(pickle.dumps(spec)),
+            copy.deepcopy(spec),
+            dataclasses.replace(spec, seed=spec.seed),
+        ):
+            assert clone == spec and "_hash" not in vars(clone)
+        monkeypatch.setattr(spec_mod, "SCHEMA_VERSION", spec_mod.SCHEMA_VERSION + 1)
+        assert spec_hash(pickle.loads(pickle.dumps(spec))) != digest
+        monkeypatch.undo()
+        assert spec_hash(dataclasses.replace(spec, seed=7)) != digest
+        assert spec_hash(pickle.loads(pickle.dumps(spec))) == digest
+
     def test_spec_dict_round_trip(self):
         parent = _spec(protocol="cc", checkpoint_fractions=(0.5,),
                        storage=StorageModel(), params=ModelParams())

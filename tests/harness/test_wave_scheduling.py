@@ -86,6 +86,123 @@ def test_timings_file_is_not_counted_as_a_cache_entry(tmp_path):
 
 
 # --------------------------------------------------------------------- #
+# One sidecar merge-write per wave
+# --------------------------------------------------------------------- #
+
+@pytest.fixture
+def sidecar_writes(monkeypatch):
+    """Every ``atomic_write`` of a timing sidecar, as it happens."""
+    from repro.harness import cache as cache_mod
+
+    writes = []
+    real = cache_mod.atomic_write
+
+    def spy(path, data):
+        if path.name.endswith("-timings.json"):
+            writes.append(path)
+        return real(path, data)
+
+    monkeypatch.setattr(cache_mod, "atomic_write", spy)
+    return writes
+
+
+def test_a_wave_of_puts_writes_the_sidecar_once(tmp_path, sidecar_writes):
+    cache = ResultCache(tmp_path)
+    specs = [_spec(seed=s) for s in range(5)]
+    ExperimentEngine(jobs=1, cache=cache).run_batch(specs)
+    assert sidecar_writes == [cache.timings_path]
+    fresh = ResultCache(tmp_path)
+    assert all(fresh.recorded_time(spec) is not None for spec in specs)
+
+    # A chain is one write per *executed* wave (probe, then the
+    # checkpoint run); a warm rerun executes nothing and writes nothing.
+    del sidecar_writes[:]
+    ckpt = RunSpec.create(
+        "osu", 2, app_kwargs=dict(_spec().app_kwargs), protocol="cc",
+        checkpoint_fractions=(0.5,),
+    )
+    engine = ExperimentEngine(jobs=1, cache=cache)
+    engine.run_batch([ckpt])
+    assert engine.last_stats.executed == 2
+    assert len(sidecar_writes) == 2
+    engine.run_batch([ckpt] + specs)
+    assert engine.last_stats.executed == 0
+    assert len(sidecar_writes) == 2
+
+    # Outside a wave a put still persists its own time immediately
+    # (service workers put through a throwaway cache object).
+    ResultCache(tmp_path).put(_spec(seed=9), fresh.get(specs[0]), elapsed=0.5)
+    assert len(sidecar_writes) == 3
+    assert ResultCache(tmp_path).recorded_time(_spec(seed=9)) == 0.5
+
+
+def test_concurrent_writer_between_waves_loses_nothing(tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    engine = ExperimentEngine(jobs=1, cache=cache)
+    foreign_keys = []
+    real_wave = engine._execute_wave
+
+    def wave_after_a_foreign_write(pending, resolved):
+        # Another process records a time while this engine's in-memory
+        # view (loaded during wave ordering) is already stale.
+        key = f"{len(foreign_keys):064x}"
+        ResultCache(tmp_path).record_time(key, 2.5 + len(foreign_keys))
+        foreign_keys.append(key)
+        return real_wave(pending, resolved)
+
+    monkeypatch.setattr(engine, "_execute_wave", wave_after_a_foreign_write)
+    ckpt = RunSpec.create(
+        "osu", 2, app_kwargs=dict(_spec().app_kwargs), protocol="cc",
+        checkpoint_fractions=(0.5,),
+    )
+    engine.run_batch([ckpt, _spec(seed=1)])
+    assert len(foreign_keys) == 2
+    on_disk = json.loads(cache.timings_path.read_text())
+    assert [on_disk[key][0] for key in foreign_keys] == [2.5, 3.5]
+    for spec in (ckpt, ckpt.probe_spec(), _spec(seed=1)):
+        assert spec_hash(spec) in on_disk
+
+
+def test_times_are_flushed_when_a_wave_raises(tmp_path, monkeypatch, sidecar_writes):
+    from repro.harness import engine as engine_mod
+
+    real = engine_mod._execute_job
+    good, bad = _spec(nprocs=4, seed=1), _spec(nprocs=2, seed=2)
+
+    def job(spec, *args):
+        if spec == bad:
+            raise RuntimeError("job blew up mid-wave")
+        return real(spec, *args)
+
+    monkeypatch.setattr(engine_mod, "_execute_job", job)
+    engine = ExperimentEngine(jobs=1, cache=ResultCache(tmp_path))
+    with pytest.raises(RuntimeError, match="mid-wave"):
+        engine.run_batch([bad, good])  # longest pole first: good runs first
+    assert len(sidecar_writes) == 1
+    fresh = ResultCache(tmp_path)
+    assert fresh.recorded_time(good) is not None
+    assert fresh.recorded_time(bad) is None
+
+
+def test_evictions_stick_across_a_batched_wave(tmp_path):
+    cache = ResultCache(tmp_path)
+    engine = ExperimentEngine(jobs=1, cache=cache)
+    kept, pruned, dropped = (_spec(seed=s) for s in (1, 2, 3))
+    engine.run_batch([kept, pruned, dropped])
+    assert cache.prune([pruned]) == 1
+    assert cache.drop_timings([spec_hash(dropped)]) == 1
+    # A later wave's single merge-write must not resurrect either.
+    engine.run_batch([_spec(seed=4)])
+    on_disk = json.loads(cache.timings_path.read_text())
+    assert sorted(on_disk) == sorted(
+        spec_hash(spec) for spec in (kept, _spec(seed=4))
+    )
+    fresh = ResultCache(tmp_path)
+    assert fresh.recorded_time(pruned) is None
+    assert fresh.recorded_time(dropped) is None
+
+
+# --------------------------------------------------------------------- #
 # Wave ordering
 # --------------------------------------------------------------------- #
 

@@ -184,6 +184,15 @@ class TestCrashOracles:
         assert report.ok, f"seed {seed}: {report.detail}\n{report.repro}"
         assert "late leg" in report.detail
 
+    @pytest.mark.parametrize("seed", [61, 73])
+    def test_kill_landing_after_the_app_returned_loses_the_race(self, seed):
+        # Both seeds kill rank 0 ~30 us into the run, after its
+        # application returned but while its process is still parked in
+        # the completion announcement: it used to come out both a corpse
+        # and a finisher.  A rank whose application returned finished.
+        report = ORACLES["crash-fault"].check(seed)
+        assert report.ok, f"seed {seed}: {report.detail}\n{report.repro}"
+
     @pytest.mark.parametrize("seed", range(6))
     def test_drain_conservation_oracle(self, seed):
         report = ORACLES["drain-conservation"].check(seed)
