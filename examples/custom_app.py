@@ -90,7 +90,7 @@ def main() -> None:
     )
     assert repr(ck.per_rank) == repr(native.per_rank)
     images = ck.committed_images()
-    print(f"checkpoint at iteration {images[0].app_state['iter']}/30")
+    print(f"checkpoint at iteration {images[0].load()['app_state']['iter']}/30")
 
     rs = restart_run(factory, images, seed=11, storage=storage)
     assert repr(rs.per_rank) == repr(native.per_rank)

@@ -47,7 +47,7 @@ def main() -> None:
         checkpoint_at=[native.runtime * 0.4], storage=storage,
     )
     images = ck.committed_images()
-    it = images[0].app_state["iter"]
+    it = images[0].load()["app_state"]["iter"]
     print(f"  snapshot at CG iteration {it}; in-flight reductions drained")
     rs = restart_run(factory, images, seed=3, storage=storage)
     assert repr(rs.per_rank) == repr(native.per_rank)

@@ -64,7 +64,7 @@ def main() -> None:
     print(
         f"   checkpoint committed at t={record.t_written:.6f}s "
         f"(drain {1e6 * (record.t_quiesced - record.t_request):.1f} us); "
-        f"snapshot taken at iteration {images[0].app_state['iter']}/{niters}"
+        f"snapshot taken at iteration {images[0].load()['app_state']['iter']}/{niters}"
     )
 
     print("4) restart from the images in a fresh 'lower half' ...")

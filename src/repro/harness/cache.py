@@ -17,13 +17,13 @@ checkpoint-image payloads (see ``spec.py``); on its own, a cached
 checkpointing run replays every *measurement* but cannot seed a
 restart.  The **image tier** closes that gap: whenever a stored result
 carries full checkpoint images, each committed checkpoint's image map
-is packed (compressed pickle with a SHA-256 integrity digest; see
+is packed (the images' bytes behind a SHA-256 integrity digest; see
 :func:`repro.mana.image.pack_image_set`) and written to
 ``v<SCHEMA>-images/<hh>/<spec_hash>.c<committed_index>.img`` (sharded
 like entries).  A warm restart then loads its parent's images straight
 from the tier instead of re-simulating the parent run.  Integrity
 failures, truncations and anything else that is not a verifiable
-archive — including the 65-byte digest pointers an earlier version kept
+archive of the current version — including what earlier versions kept
 at the same path — read as misses, and the tier can only ever make
 restarts faster, never wrong.  Image files are evicted together with
 their spec's entry by ``clear``/``prune``, age out with
@@ -335,8 +335,9 @@ class ResultCache:
         """The stored image map for a committed checkpoint, or None.
 
         Misses cover everything that could be wrong — no file, a
-        truncated or digest-mismatching archive, an unknown format — so
-        callers can always fall back to re-simulating the parent.
+        truncated or digest-mismatching archive, an unknown format, a
+        body that does not decode — so callers can always fall back to
+        re-simulating the parent.
         """
         try:
             images = unpack_image_set(

@@ -53,7 +53,7 @@ from .dispatch import fan_out, parse_address
 from .recovery import RecoveryPolicy, resolve_policy, run_recovery
 from .runner import RunResult
 from .service import ServiceDispatch
-from .spec import RunSpec, execute
+from .spec import ImageTier, RunSpec, execute
 
 __all__ = [
     "EngineStats",
@@ -148,25 +148,16 @@ def _execute_job(
     elapsed_seconds, images_served)`` — the wall time is measured in the
     worker so pool queueing delays never pollute the cost model, and
     ``images_served`` counts the parent image maps the tier *actually*
-    delivered (an image file that exists at planning time but fails
-    verification here degrades to re-simulation, and must not be
-    reported as reuse).
+    restored a restart from (an image file that exists at planning time
+    but fails verification or decoding here degrades to re-simulation,
+    and must not be reported as reuse).
     """
-    served = 0
     images = None
     if cache_dir is not None:
-        loader = ResultCache(cache_dir).get_images
-
-        def images(parent, index):
-            nonlocal served
-            found = loader(parent, index)
-            if found is not None:
-                served += 1
-            return found
-
+        images = ImageTier(ResultCache(cache_dir).get_images)
     t0 = time.perf_counter()
     result = execute(spec, deps, max_events_guard=guard, images=images)
-    return result, time.perf_counter() - t0, served
+    return result, time.perf_counter() - t0, images.served if images else 0
 
 
 class ExperimentEngine:

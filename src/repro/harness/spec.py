@@ -31,7 +31,7 @@ messages) are deliberately dropped in the JSON form — they can hold
 hundreds of MB of numpy state; a result deserialized from JSON reports
 every measurement but cannot seed a restart, which :func:`execute`
 detects and handles by loading the parent's committed images from the
-cache's image tier (the ``images`` loader argument) or, failing that,
+cache's image tier (the ``images`` argument) or, failing that,
 by re-simulating the parent.
 """
 
@@ -46,7 +46,7 @@ import numpy as np
 from ..apps import make_app_factory, resolve_app_name
 from ..core import UnsupportedOperationError
 from ..des import ProcessFailed
-from ..mana import CheckpointImage, CheckpointRecord
+from ..mana import CheckpointImage, CheckpointRecord, ImageError
 from ..netmodel import (
     CollectiveTuning,
     ComputeModel,
@@ -64,6 +64,7 @@ __all__ = [
     "SPEC_POINT_FIELDS",
     "RunSpec",
     "SpecError",
+    "ImageTier",
     "execute",
     "spec_hash",
     "spec_to_dict",
@@ -74,7 +75,6 @@ __all__ = [
     "job_from_dict",
     "checkpoint_record_to_dict",
     "checkpoint_record_from_dict",
-    "image_is_stripped",
     "record_has_full_images",
     "result_has_full_images",
 ]
@@ -111,9 +111,6 @@ _SCHEDULE_FIELDS = (
     "checkpoint_fractions",
     "checkpoint_completion_fracs",
 )
-
-#: Sentinel key marking a deserialized image whose payload was dropped.
-_STRIPPED_KEY = "__payload_stripped__"
 
 _SCALAR_TYPES = (bool, int, float, str, type(None))
 
@@ -528,12 +525,24 @@ def spec_hash(spec: RunSpec) -> str:
 # Execution
 # --------------------------------------------------------------------- #
 
+@dataclass
+class ImageTier:
+    """A cache's image tier, as :func:`execute` uses it."""
+
+    #: ``(parent_spec, committed_index) -> image map or None``
+    #: (:meth:`repro.harness.cache.ResultCache.get_images`).
+    get: "Callable[[RunSpec, int], dict | None]"
+    #: Sets that restored a restart.  One that loads but does not
+    #: restore was a miss, and is not counted.
+    served: int = 0
+
+
 def execute(
     spec: RunSpec,
     deps: MutableMapping[RunSpec, RunResult] | None = None,
     *,
     max_events_guard: int | None = None,
-    images: "Callable[[RunSpec, int], dict | None] | None" = None,
+    images: "ImageTier | None" = None,
 ) -> RunResult:
     """Run one spec (resolving probe/restart chains) and return its result.
 
@@ -547,13 +556,12 @@ def execute(
         max_events_guard: per-job event ceiling applied to specs that do
             not set their own ``max_events`` (runaway-simulation guard;
             it never alters the result of a job that completes).
-        images: optional loader ``(parent_spec, committed_index) ->
-            image map or None`` backed by the cache's image tier (see
-            :meth:`repro.harness.cache.ResultCache.get_images`).  When
-            it serves a restart parent's images, the parent is not
-            simulated at all — the warm-restart fast path.  Any miss
-            falls back to the re-simulation path, so a loader can only
-            make execution faster, never change a result.
+        images: optional :class:`ImageTier`.  When it serves a restart
+            parent's images, the parent is not simulated at all — the
+            warm-restart fast path.  Any miss, and any served set that
+            fails to restore, falls back to the re-simulation path, so
+            a tier can only make execution faster, never change a
+            result.
 
     A job whose protocol cannot wrap the application (the paper's NA
     cells, e.g. 2PC with non-blocking collectives) returns a
@@ -569,7 +577,7 @@ def _execute(
     deps: MutableMapping[RunSpec, RunResult],
     *,
     guard: int | None,
-    images: "Callable[[RunSpec, int], dict | None] | None" = None,
+    images: "ImageTier | None" = None,
 ) -> RunResult:
     checkpoint_at = spec.checkpoint_at
     crash_at: dict[int, float] | None = None
@@ -603,71 +611,83 @@ def _execute(
                 rank: f * probe_result.runtime for rank, f in spec.crash_fracs
             }
 
-    restore_images = None
-    if spec.restart_of is not None:
-        # Warm-restart fast path: a known-NA parent still propagates NA,
-        # but a parent whose result is merely image-stripped (or not
-        # resolved at all) can be served straight from the image tier —
-        # the committed images are the only thing a restart needs from
-        # its parent.
-        known = deps.get(spec.restart_of)
-        if known is not None and known.na_reason:
-            return _na_result(spec, known.na_reason)
-        if images is not None and (
-            known is None or not result_has_full_images(known)
-        ):
-            restore_images = images(spec.restart_of, spec.restart_ckpt)
-        if restore_images is None:
-            parent = _resolve_parent(
-                spec.restart_of, deps, guard=guard, images=images,
-                need_images=True,
-            )
-            if parent.na_reason:
-                return _na_result(spec, parent.na_reason)
-            committed = [r for r in parent.checkpoints if r.committed]
-            if not committed:
-                raise SpecError(
-                    f"restart parent {spec.restart_of.label()} committed no "
-                    "checkpoints — nothing to restart from"
-                )
-            try:
-                restore_images = committed[spec.restart_ckpt].images
-            except IndexError:
-                raise SpecError(
-                    f"restart_ckpt={spec.restart_ckpt} out of range: parent "
-                    f"committed {len(committed)} checkpoint(s)"
-                ) from None
-
     max_events = spec.max_events if spec.max_events is not None else guard
-    try:
-        result = launch_run(
-            spec.app_factory(),
-            spec.nprocs,
-            protocol=spec.protocol,
-            ppn=spec.ppn,
-            params=spec.params,
-            seed=spec.seed,
-            checkpoint_at=checkpoint_at,
-            storage=spec.storage,
-            restore_images=restore_images,
-            max_events=max_events,
-            crash_at=crash_at,
-            scenario=spec.scenario,
+
+    def launch(restore_images: "dict[int, CheckpointImage] | None") -> RunResult:
+        try:
+            result = launch_run(
+                spec.app_factory(),
+                spec.nprocs,
+                protocol=spec.protocol,
+                ppn=spec.ppn,
+                params=spec.params,
+                seed=spec.seed,
+                checkpoint_at=checkpoint_at,
+                storage=spec.storage,
+                restore_images=restore_images,
+                max_events=max_events,
+                crash_at=crash_at,
+                scenario=spec.scenario,
+            )
+        except ProcessFailed as exc:
+            if isinstance(exc.original, UnsupportedOperationError):
+                # An expected outcome, not a failure to debug: without its
+                # traceback (whose frames reach the whole run, the failed
+                # process included) an NA cell's run is freed by
+                # refcounting like any other.
+                exc.original.__traceback__ = None
+                return _na_result(spec, str(exc.original))
+            raise
+        # Canonicalize per-rank payloads (numpy scalars -> python, tuples ->
+        # lists) so a fresh result compares equal to one that crossed the
+        # pickle/JSON boundary.
+        result.per_rank = _canonical_value(result.per_rank)
+        return result
+
+    if spec.restart_of is None:
+        return launch(None)
+
+    # Warm-restart fast path: a known-NA parent still propagates NA,
+    # but a parent whose result is merely image-stripped (or not
+    # resolved at all) can be served straight from the image tier —
+    # the committed images are the only thing a restart needs from
+    # its parent.
+    known = deps.get(spec.restart_of)
+    if known is not None and known.na_reason:
+        return _na_result(spec, known.na_reason)
+    if images is not None and (
+        known is None or not result_has_full_images(known)
+    ):
+        tier_set = images.get(spec.restart_of, spec.restart_ckpt)
+        if tier_set is not None:
+            try:
+                result = launch(tier_set)
+            except ImageError:
+                # The archive verified but a rank's payload would not
+                # decode here: a miss like a digest mismatch.
+                pass
+            else:
+                images.served += 1
+                return result
+    parent = _resolve_parent(
+        spec.restart_of, deps, guard=guard, images=images, need_images=True
+    )
+    if parent.na_reason:
+        return _na_result(spec, parent.na_reason)
+    committed = [r for r in parent.checkpoints if r.committed]
+    if not committed:
+        raise SpecError(
+            f"restart parent {spec.restart_of.label()} committed no "
+            "checkpoints — nothing to restart from"
         )
-    except ProcessFailed as exc:
-        if isinstance(exc.original, UnsupportedOperationError):
-            # An expected outcome, not a failure to debug: without its
-            # traceback (whose frames reach the whole run, the failed
-            # process included) an NA cell's run is freed by
-            # refcounting like any other.
-            exc.original.__traceback__ = None
-            return _na_result(spec, str(exc.original))
-        raise
-    # Canonicalize per-rank payloads (numpy scalars -> python, tuples ->
-    # lists) so a fresh result compares equal to one that crossed the
-    # pickle/JSON boundary.
-    result.per_rank = _canonical_value(result.per_rank)
-    return result
+    try:
+        restore_images = committed[spec.restart_ckpt].images
+    except IndexError:
+        raise SpecError(
+            f"restart_ckpt={spec.restart_ckpt} out of range: parent "
+            f"committed {len(committed)} checkpoint(s)"
+        ) from None
+    return launch(restore_images)
 
 
 def _resolve_parent(
@@ -675,7 +695,7 @@ def _resolve_parent(
     deps: MutableMapping[RunSpec, RunResult],
     *,
     guard: int | None,
-    images: "Callable[[RunSpec, int], dict | None] | None",
+    images: "ImageTier | None",
     need_images: bool,
     need_finish_times: bool = False,
 ) -> RunResult:
@@ -789,8 +809,9 @@ def spec_from_dict(data: Mapping[str, Any]) -> RunSpec:
 
 
 #: CheckpointImage fields preserved verbatim in the JSON form; the
-#: payload fields (app state, logs, drained messages, request tables)
-#: are replaced by their element counts.
+#: payload is dropped (it can hold arbitrary application data, and a
+#: result read back from JSON cannot seed a restart) and only its
+#: element counts (``CheckpointImage.counts``) travel, as ``"dropped"``.
 _IMAGE_SCALARS = (
     "rank",
     "nprocs",
@@ -801,53 +822,35 @@ _IMAGE_SCALARS = (
     "remaining_compute",
     "declared_bytes",
 )
-_IMAGE_DROPPED = ("app_state", "seq_table", "creation_log", "call_log", "drained")
 
 
 def _image_to_dict(image: CheckpointImage) -> dict:
     out = {name: getattr(image, name) for name in _IMAGE_SCALARS}
-    # ``final_result`` travels with the payload (it can be arbitrary app
-    # data): a stripped image cannot seed a restart anyway, so dropping
-    # it costs nothing the JSON form could have used.
     out["finished"] = image.finished
     out["ggid_peers"] = {
         str(g): list(peers) for g, peers in image.ggid_peers.items()
     }
     out["pending_recvs"] = list(image.pending_recvs)
     out["stats"] = _canonical_value(image.stats)
-    if image_is_stripped(image):
-        # Re-serializing a deserialized image must be idempotent: report
-        # the original payload's element counts (preserved in the
-        # stripped marker), not the marker's own shape.
-        out["dropped"] = dict(image.app_state[_STRIPPED_KEY])
-    else:
-        out["dropped"] = {
-            name: len(getattr(image, name)) for name in _IMAGE_DROPPED
-        }
+    out["dropped"] = dict(image.counts)
     return out
 
 
 def _image_from_dict(data: Mapping[str, Any]) -> CheckpointImage:
-    image = CheckpointImage(
+    return CheckpointImage(
         **{name: data[name] for name in _IMAGE_SCALARS},
         finished=bool(data.get("finished", False)),
-        app_state={_STRIPPED_KEY: dict(data.get("dropped", {}))},
         ggid_peers={int(g): list(p) for g, p in data.get("ggid_peers", {}).items()},
         pending_recvs=list(data.get("pending_recvs", ())),
         stats=dict(data.get("stats", {})),
+        counts=dict(data.get("dropped", {})),
     )
-    return image
-
-
-def image_is_stripped(image: CheckpointImage) -> bool:
-    """True iff this image came back from JSON without its payload."""
-    return _STRIPPED_KEY in image.app_state
 
 
 def record_has_full_images(record: CheckpointRecord) -> bool:
     """True iff the record's images can actually seed a restart."""
     return bool(record.images) and not any(
-        image_is_stripped(im) for im in record.images.values()
+        im.payload is None for im in record.images.values()
     )
 
 

@@ -822,7 +822,7 @@ class DrainConservationOracle(Oracle):
         images = committed[idx].images
         total = 0
         for rank in range(schedule.nprocs):
-            frozen = len(images[rank].drained)
+            frozen = images[rank].counts["drained"]
             restored = restart_res.drain_restored[rank]
             self._require(
                 restored == frozen,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from ..util.osenv import atomic_write
 from .image import CheckpointImage, ImageError, pack_image_set, unpack_image_set
 
 __all__ = [
@@ -56,10 +57,8 @@ def save_checkpoint_set(
         raise ImageError(
             f"checkpoint set must cover ranks 0..{first.nprocs - 1}, got {sorted(images)}"
         )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"ckpt_{first.ckpt_id}.img"
-    path.write_bytes(pack_image_set(images))
+    path = Path(directory) / f"ckpt_{first.ckpt_id}.img"
+    atomic_write(path, pack_image_set(images))
     return [path]
 
 

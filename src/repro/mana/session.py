@@ -819,13 +819,8 @@ class Session:
         return len(self.drain_buffer) - buffered_before
 
     def build_image(self) -> CheckpointImage:
-        """Assemble this rank's upper-half checkpoint image.
-
-        The image is serialized immediately (pickle round-trip), for two
-        reasons: the run resumes after the checkpoint and must not mutate
-        what was captured, and pickling *now* proves the upper half holds
-        no lower-half references (unpicklable by construction).
-        """
+        """Cut this rank's upper-half checkpoint image: the heavy half is
+        serialized here, once (:meth:`CheckpointImage.seal`)."""
         pending_recvs = [
             vr.vrid
             for vr in self._vreqs.values()
@@ -862,9 +857,7 @@ class Session:
                         payload_nbytes(vr.value),
                     )
                 )
-        import pickle
-
-        image = CheckpointImage(
+        return CheckpointImage.seal(
             rank=self.rank,
             nprocs=self.nprocs,
             protocol=self.protocol_name,
@@ -875,8 +868,8 @@ class Session:
             creation_log=list(self.creation_log),
             call_index=self.call_index,
             boundary_index=self.boundary_index,
-            call_log=list(self.call_log),
-            drained=list(self.drain_buffer) + drained_extra,
+            call_log=self.call_log,
+            drained=self.drain_buffer + drained_extra,
             vreq_table=vreq_table,
             pending_recvs=pending_recvs,
             remaining_compute=self._in_compute_remaining,
@@ -885,7 +878,6 @@ class Session:
             final_result=self.final_result,
             stats={"next_vrid": self._next_vrid, "next_vcid": self._next_vcid},
         )
-        return pickle.loads(pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL))
 
     def _reset_after_checkpoint(self) -> None:
         self.sent_to.clear()
@@ -915,33 +907,31 @@ class Session:
                 f"image for {image.nprocs} ranks cannot restart on "
                 f"{world.nprocs} ranks"
             )
-        import pickle
-
-        # Restore from a deep copy: the restarted run mutates the restored
-        # state, and the caller's image set must stay intact (it may be
-        # restarted again — e.g. a failed first restart attempt).
-        image = pickle.loads(pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL))
+        # The one unpickle: fresh objects the restarted run may mutate,
+        # while the caller's image set stays intact (it may be restarted
+        # again — e.g. a failed first restart attempt).
+        heavy = image.load()
         sess = cls(world, image.rank, image.protocol, coordinator)
         sess.seq = SeqNumTable.restore(image.seq_table)
         sess.seq.clear_targets()
         sess.ggids = GgidRegistry.restore(image.ggid_peers)
-        sess.app_state = image.app_state
+        sess.app_state = heavy["app_state"]
         sess.creation_log = list(image.creation_log)
-        sess.drain_buffer = list(image.drained)
+        sess.drain_buffer = heavy["drained"]
         sess.drain_restored = len(sess.drain_buffer)
         sess.declared_bytes = image.declared_bytes
         # A rank that was finished at the cut stays finished: the runner
         # never re-enters the application, and the restored final result
         # is what the restarted job reports for this rank.
         sess.finished = image.finished
-        sess.final_result = image.final_result
+        sess.final_result = heavy["final_result"]
         sess.boundary_index = image.boundary_index
         sess.call_index = image.boundary_index
-        sess._replay_entries = list(image.call_log)
+        sess._replay_entries = heavy["call_log"]
         sess._replay_end = image.call_index
         if image.remaining_compute > 0:
             sess._pending_remaining = image.remaining_compute
-        sess._vreqs = dict(image.vreq_table)
+        sess._vreqs = heavy["vreq_table"]
         sess._pending_recv_ids = list(image.pending_recvs)
         sess._next_vrid = image.stats.get("next_vrid", len(sess._vreqs))
         return sess

@@ -8,15 +8,14 @@ verifiable:
 
 * :func:`upper_half_of` extracts a rank's upper half (everything that
   goes into a :class:`~repro.mana.image.CheckpointImage`);
-* :func:`verify_image_is_upper_half_only` proves an image contains no
-  lower-half references — it must pickle successfully, and lower-half
-  objects (simulator, world, engines, live requests) are unpicklable by
-  construction, so leakage fails loudly.
+* :func:`verify_image_is_upper_half_only` reports the proof an image
+  carries — lower-half objects (simulator, world, engines, live
+  requests) are unpicklable by construction, so an image that was cut
+  at all (:meth:`~repro.mana.image.CheckpointImage.seal`) holds none.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, TYPE_CHECKING
 
@@ -73,14 +72,11 @@ def verify_image_is_upper_half_only(image: CheckpointImage) -> int:
     """Assert the image holds no lower-half references.
 
     Lower-half objects transitively reference threads, locks, and the
-    simulator, none of which pickle; a successful pickle therefore proves
-    the image is pure upper half.  Returns the pickled size in bytes.
+    simulator, none of which pickle; the payload the image was cut with
+    therefore proves it is pure upper half.  Returns its size in bytes.
     """
-    try:
-        payload = pickle.dumps(image, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # pragma: no cover - failure is the finding
+    if image.payload is None:
         raise AssertionError(
-            f"checkpoint image for rank {image.rank} references lower-half "
-            f"state: {exc!r}"
-        ) from exc
-    return len(payload)
+            f"checkpoint image for rank {image.rank} carries no payload"
+        )
+    return len(image.payload)

@@ -96,18 +96,20 @@ def _assert_images_equal(a: CheckpointImage, b: CheckpointImage) -> None:
         "creation_log",
         "call_index",
         "boundary_index",
-        "call_log",
-        "drained",
-        "vreq_table",
         "pending_recvs",
         "remaining_compute",
         "declared_bytes",
         "stats",
+        "counts",
+        "payload",
     ):
         assert getattr(a, name) == getattr(b, name), name
-    assert set(a.app_state) == set(b.app_state)
-    for key, value in a.app_state.items():
-        other = b.app_state[key]
+    heavy_a, heavy_b = a.load(), b.load()
+    for name in ("call_log", "drained", "vreq_table", "final_result"):
+        assert heavy_a[name] == heavy_b[name], name
+    assert set(heavy_a["app_state"]) == set(heavy_b["app_state"])
+    for key, value in heavy_a["app_state"].items():
+        other = heavy_b["app_state"][key]
         if isinstance(value, np.ndarray):
             assert np.array_equal(value, other)
         else:
@@ -119,7 +121,7 @@ def _assert_images_equal(a: CheckpointImage, b: CheckpointImage) -> None:
 def test_pack_unpack_round_trip(state, ranks, data):
     images = {}
     for rank in range(ranks):
-        images[rank] = CheckpointImage(
+        images[rank] = CheckpointImage.seal(
             rank=rank,
             nprocs=ranks,
             protocol="cc",
@@ -128,6 +130,10 @@ def test_pack_unpack_round_trip(state, ranks, data):
                 "payload": state,
                 "grid": np.arange(6, dtype=np.float64) * (rank + 1),
             },
+            call_log=[("c", "op", rank)],
+            drained=[state],
+            vreq_table={},
+            final_result=state,
             seq_table={7: rank},
             ggid_peers={7: list(range(ranks))},
             pending_recvs=[rank],
@@ -141,6 +147,9 @@ def test_pack_unpack_round_trip(state, ranks, data):
     assert set(restored) == set(images)
     for rank in images:
         _assert_images_equal(images[rank], restored[rank])
+        # What the cut froze is what comes back, not merely the same bytes.
+        assert restored[rank].load()["app_state"]["payload"] == state
+        assert restored[rank].counts["app_state"] == 2
 
 
 @pytest.mark.parametrize(

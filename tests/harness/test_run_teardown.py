@@ -197,7 +197,7 @@ class TestTeardownTouchesOnlyWhatTheRunBuilt:
         # The result's records, images and per-rank results are intact.
         record = ckpt.checkpoints[0]
         assert record.committed and sorted(record.images) == list(range(NPROCS))
-        assert all(im.app_state["iter"] >= 0 for im in record.images.values())
+        assert all(im.load()["app_state"]["iter"] >= 0 for im in record.images.values())
         assert all(r is not None for r in ckpt.per_rank)
         assert ckpt.per_rank == probe.per_rank
 

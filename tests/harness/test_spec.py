@@ -12,7 +12,6 @@ from repro.harness.spec import (
     RunSpec,
     SpecError,
     execute,
-    image_is_stripped,
     record_has_full_images,
     result_has_full_images,
     run_result_from_dict,
@@ -233,7 +232,8 @@ class TestResultSerialization:
         for rank, image in rec.images.items():
             assert image.declared_bytes == orig.images[rank].declared_bytes
             assert image.ckpt_id == orig.images[rank].ckpt_id
-            assert image_is_stripped(image)
+            assert image.payload is None and orig.images[rank].payload
+            assert image.counts == orig.images[rank].counts
         assert not record_has_full_images(rec)
 
     def test_round_trip_na_result(self):

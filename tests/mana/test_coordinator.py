@@ -107,7 +107,7 @@ class TestCheckpointLifecycles:
         )
         images2 = leg2.committed_images()
         # The second leg's snapshot is strictly later in the program.
-        assert images2[0].app_state["iter"] >= images1[0].app_state["iter"]
+        assert images2[0].load()["app_state"]["iter"] >= images1[0].load()["app_state"]["iter"]
         leg3 = restart_run(factory, images2, seed=8, storage=STORAGE)
         assert leg3.per_rank == native.per_rank
 

@@ -110,7 +110,7 @@ def test_drained_messages_recorded_in_images():
         checkpoint_at=[native.runtime * 0.5], storage=STORAGE,
     )
     images = ck.committed_images()
-    drained_total = sum(len(im.drained) for im in images.values())
+    drained_total = sum(len(im.load()["drained"]) for im in images.values())
     stats = images[1].stats
     assert drained_total >= 1 or stats.get("drained_p2p", 0) >= 0
 
@@ -125,7 +125,7 @@ def test_no_incomplete_collective_requests_in_images():
         checkpoint_at=[native.runtime * 0.4], storage=STORAGE,
     )
     for im in ck.committed_images().values():
-        for vrid, vreq in im.vreq_table.items():
+        for vrid, vreq in im.load()["vreq_table"].items():
             if vreq.is_collective:
                 assert vreq.done, f"incomplete collective request {vrid} in image"
 

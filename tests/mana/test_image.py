@@ -14,9 +14,10 @@ from repro.mana.image import pack_image_set
 
 
 def make_image(rank=0, nprocs=4, ckpt_id=0, **kw):
-    return CheckpointImage(
+    return CheckpointImage.seal(
         rank=rank, nprocs=nprocs, protocol="cc", ckpt_id=ckpt_id,
-        app_state={"iter": 7, "x": np.arange(4.0)}, **kw,
+        app_state={"iter": 7, "x": np.arange(4.0)},
+        call_log=[], drained=[], vreq_table={}, final_result=None, **kw,
     )
 
 
@@ -27,8 +28,9 @@ class TestCheckpointSet:
         assert [p.name for p in paths] == ["ckpt_0.img"]
         loaded = load_checkpoint_set(tmp_path, ckpt_id=0)
         assert sorted(loaded) == [0, 1, 2, 3]
-        assert loaded[2].app_state["iter"] == 7
-        assert loaded[2].app_state["x"].tolist() == [0.0, 1.0, 2.0, 3.0]
+        state = loaded[2].load()["app_state"]
+        assert state["iter"] == 7
+        assert state["x"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_incomplete_set_rejected_on_save(self, tmp_path):
         images = {r: make_image(rank=r) for r in (0, 2)}  # missing 1, 3

@@ -273,4 +273,5 @@ class TestImageWindowContents:
         )
         for im in ck.committed_images().values():
             assert im.boundary_index <= im.call_index
-            assert len(im.call_log) >= im.call_index - im.boundary_index
+            assert len(im.load()["call_log"]) >= im.call_index - im.boundary_index
+            assert im.counts["call_log"] == len(im.load()["call_log"])

@@ -49,21 +49,21 @@ def test_image_carries_wrapper_state(checkpointed_run):
         assert im.seq_table["seq"], "SEQ table must be checkpointed"
         assert im.ggid_peers, "group registry must be checkpointed"
         assert im.creation_log, "comm-creation log must be checkpointed"
-        assert im.app_state["acc"] > 0
+        assert im.load()["app_state"]["acc"] > 0
 
 
 def test_image_app_state_contains_virtual_comm(checkpointed_run):
     from repro.mana import VirtualComm
 
     im = checkpointed_run.committed_images()[0]
-    assert isinstance(im.app_state["sub"], VirtualComm)
+    assert isinstance(im.load()["app_state"]["sub"], VirtualComm)
 
 
 def test_image_is_frozen_at_snapshot(checkpointed_run):
     """Post-resume execution must not mutate the captured image."""
     images = checkpointed_run.committed_images()
     # The app ran 16 iterations total, but the snapshot was mid-run.
-    iters = {im.app_state["iter"] for im in images.values()}
+    iters = {im.load()["app_state"]["iter"] for im in images.values()}
     assert iters != {16}, "image captured final state, not snapshot state"
 
 
