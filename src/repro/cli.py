@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -99,6 +98,7 @@ from .harness import (
     PLANNERS,
     STUDIES,
     ExperimentEngine,
+    RecoveryPolicy,
     ResultCache,
     Sweep,
     SweepError,
@@ -107,6 +107,7 @@ from .harness import (
     run_plans,
 )
 from .harness.dispatch import DispatchError
+from .util.codec import encode
 
 #: Which per-figure keyword each CLI flag maps to, per experiment.
 _PROCS_EXPERIMENTS = ("fig5a", "fig5b", "fig6", "fig8")
@@ -201,23 +202,23 @@ def _open_cache(
 
 def _make_engine(
     parser: argparse.ArgumentParser, args: argparse.Namespace, *,
-    progress: bool, recover: bool = True,
+    progress: bool,
 ) -> ExperimentEngine:
-    """The engine the :func:`_add_engine_args` flags describe.
+    """The engine the :func:`_add_engine_args` (and, where the command
+    has them, :func:`_add_recovery_args`) flags describe.
 
     Anything wrong with the request — an unusable cache directory, a
-    malformed service address, a malformed ``$REPRO_*`` variable — is a
-    usage error here, before any job runs.  ``recover=False`` still
-    exports ``--max-attempts`` (the oracles read it) but leaves the
-    engine's own auto-recovery off.
+    malformed service address — is a usage error here, before any job
+    runs.
     """
     cache = _open_cache(parser, args)
+    recovery = None
+    if getattr(args, "recover", False):
+        recovery = RecoveryPolicy(max_attempts=args.max_attempts)
     try:
-        recovery = _recovery_kwargs(args)
         return ExperimentEngine(
             jobs=args.jobs, cache=cache, progress=progress,
-            service=args.service,
-            **(recovery if recover else {}),
+            service=args.service, recovery=recovery,
         )
     except (DispatchError, ValueError) as exc:
         parser.error(str(exc))
@@ -233,30 +234,11 @@ def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
              "budget runs out",
     )
     parser.add_argument(
-        "--max-attempts", type=_positive_int, default=None, metavar="N",
-        help="recovery legs allowed per crashed job (default 3, or "
-             "$REPRO_RECOVERY_ATTEMPTS; exported to worker processes)",
+        "--max-attempts", type=_positive_int, metavar="N",
+        default=RecoveryPolicy().max_attempts,
+        help="recovery legs allowed per crashed job under --recover "
+             "(default %(default)s)",
     )
-
-
-def _recovery_kwargs(args: argparse.Namespace) -> dict:
-    """Map the recovery flags to engine kwargs.
-
-    ``--max-attempts`` is also exported as ``$REPRO_RECOVERY_ATTEMPTS``,
-    so everything that resolves a policy from the environment — the
-    oracles in this process, spawned pool workers starting from fresh
-    interpreters — sees the same budget (service workers are remote
-    processes and keep their own environment).
-    """
-    from .harness.recovery import RecoveryPolicy
-
-    policy = None
-    if getattr(args, "max_attempts", None) is not None:
-        policy = RecoveryPolicy(max_attempts=args.max_attempts)
-        os.environ["REPRO_RECOVERY_ATTEMPTS"] = str(args.max_attempts)
-    if getattr(args, "recover", False):
-        return {"recovery": policy if policy is not None else True}
-    return {}
 
 
 def _planner_kwargs(name: str, args: argparse.Namespace) -> dict:
@@ -604,7 +586,6 @@ def _verify_main(argv: list[str]) -> int:
                   "report sequence is byte-identical to a serial sweep "
                   "(default 1)",
     )
-    _add_recovery_args(parser)
     parser.add_argument("--artifact", type=str, default="verify-failures.json",
                         metavar="PATH",
                         help="failing-seed artifact path (written only on "
@@ -613,7 +594,7 @@ def _verify_main(argv: list[str]) -> int:
 
     names = args.oracle or sorted(ORACLES)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    engine = _make_engine(parser, args, progress=False, recover=False)
+    engine = _make_engine(parser, args, progress=False)
 
     def progress(report) -> None:
         if not args.quiet:
@@ -643,9 +624,7 @@ def _verify_main(argv: list[str]) -> int:
             print(f"  {report.oracle} seed={report.seed}: {report.detail}")
             print(f"    reproduce: {report.repro}")
         with open(args.artifact, "w") as fh:
-            json.dump(
-                {"failures": [r.as_dict() for r in failures]}, fh, indent=2
-            )
+            json.dump({"failures": encode(failures)}, fh, indent=2)
             fh.write("\n")
         print(f"failing-seed artifact written to {args.artifact}")
     print(f"[verify: {len(reports)} checks, {len(failures)} mismatches; "
@@ -701,7 +680,6 @@ def _fuzz_main(argv: list[str]) -> int:
                   "processes; anomaly handling (shrinking, corpus "
                   "writes) stays serial in this process (default 1)",
     )
-    _add_recovery_args(parser)
     parser.add_argument("--no-shrink", action="store_true",
                         help="persist failing schedules unminimized")
     parser.add_argument("--replay", type=str, default=None, metavar="KEY",
@@ -744,7 +722,6 @@ def _fuzz_main(argv: list[str]) -> int:
         if not args.quiet:
             print(f"[fuzz] {message}", file=sys.stderr, flush=True)
 
-    _recovery_kwargs(args)  # export --max-attempts before any fan-out
     try:
         stats = run_fuzz(
             corpus,

@@ -74,8 +74,9 @@ __all__ = ["ResultCache", "default_cache_dir", "TIMINGS_MAX_ENTRIES"]
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Hard cap on timing-sidecar entries.  The sidecar survives ``clear``
-#: and schema bumps by design (it is the scheduling cost model), which
-#: also means nothing else ever shrinks it; the cap evicts the oldest
+#: by design (it is the scheduling cost model; a schema bump starts a
+#: new one, the path being ``v<SCHEMA>-timings.json``), which also
+#: means nothing else ever shrinks it; the cap evicts the oldest
 #: records once the model outgrows any plausible working set.
 TIMINGS_MAX_ENTRIES = 4096
 
@@ -221,8 +222,8 @@ class ResultCache:
         on the *same* spec's time, never each other's entries.  Hashes
         this cache explicitly evicted stay evicted, and the result is
         capped at :data:`TIMINGS_MAX_ENTRIES` (oldest records first out)
-        so the sidecar cannot grow without bound across schema bumps and
-        pruned figures.
+        so the sidecar cannot grow without bound across cleared caches
+        and pruned figures.
         """
         self._timings_unwritten = False
         timings = self._load_timings()

@@ -33,6 +33,8 @@ from contextlib import closing, nullcontext
 from multiprocessing import get_context
 from typing import Any, Iterator, Sequence
 
+from ..util.codec import encode
+
 __all__ = [
     "DispatchError",
     "connect",
@@ -111,7 +113,7 @@ def run_check(oracle: str, schedule: dict, cache_dir=None) -> dict:
     )
     t0 = time.perf_counter()
     report = ORACLES[oracle].check_schedule(schedule_from_dict(schedule), engine)
-    return {"report": report.as_dict(), "duration": time.perf_counter() - t0}
+    return {"report": encode(report), "duration": time.perf_counter() - t0}
 
 
 def fan_out(

@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cache import ResultCache
 from .dispatch import fan_out, parse_address
-from .recovery import RecoveryPolicy, resolve_policy, run_recovery
+from .recovery import RecoveryPolicy, run_recovery
 from .runner import RunResult
 from .service import ServiceDispatch
 from .spec import ImageTier, RunSpec, execute
@@ -174,18 +174,12 @@ class ExperimentEngine:
         recovery: automatic crash recovery for submitted specs whose
             results crashed.  ``None``/``False`` disables (callers can
             still opt in per batch with ``run_batch(..., recover=True)``);
-            ``True`` enables with the policy
-            :func:`repro.harness.recovery.resolve_policy` finds in the
-            environment; a
+            ``True`` enables with the default policy; a
             :class:`~repro.harness.recovery.RecoveryPolicy` enables with
             that budget.  Recovered specs' entries in the returned map
             are substituted with the chain's final (clean) result — the
             cache keeps every leg, including the crashed ones, under
             their own keys.
-
-    Every choice an environment variable can supply (the recovery
-    budget) is resolved and validated here, so a malformed variable is
-    a ``ValueError`` naming it before any job runs.
 
     The engine is a context manager; ``close()`` releases the service
     connection.  Both are optional without a service.
@@ -213,8 +207,8 @@ class ExperimentEngine:
             None if service is None else ServiceDispatch(parse_address(service))
         )
         self.recovery = bool(recovery)
-        self._policy = resolve_policy(
-            recovery if isinstance(recovery, RecoveryPolicy) else None
+        self._policy = (
+            recovery if isinstance(recovery, RecoveryPolicy) else RecoveryPolicy()
         )
         self.last_stats: EngineStats | None = None
 

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
 from typing import Callable, Iterable, Sequence
 
+from ..util.codec import decode, encode
 from ..util.hashing import stable_json_hash
 from ..util.osenv import atomic_write
 from .verify import (
@@ -65,9 +66,7 @@ __all__ = [
     "FuzzStats",
     "replay_entry",
     "run_fuzz",
-    "schedule_from_dict",
     "schedule_key",
-    "schedule_to_dict",
     "shrink_schedule",
 ]
 
@@ -85,14 +84,6 @@ PERF_MIN_SAMPLES = 8
 
 #: Shrinking re-checks are the expensive part; bound them per anomaly.
 SHRINK_CHECK_BUDGET = 48
-
-
-# --------------------------------------------------------------------- #
-# Schedule serialization
-# --------------------------------------------------------------------- #
-# schedule_to_dict / schedule_from_dict moved to repro.harness.verify
-# (where FaultSchedule lives, and where the fan-out's check-job wire
-# format needs them); re-exported here for compatibility.
 
 
 def schedule_key(schedule: FaultSchedule, oracle: str) -> str:
@@ -124,19 +115,8 @@ class CorpusEntry:
     #: Accepted shrink steps between the two.
     shrink_steps: int
     found_at: float
-
-    def as_dict(self) -> dict:
-        out = asdict(self)
-        out["schema"] = CORPUS_SCHEMA
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CorpusEntry":
-        fields = {k: data[k] for k in (
-            "key", "oracle", "seed", "kind", "detail", "repro",
-            "schedule", "shrunk_from", "shrink_steps", "found_at",
-        )}
-        return cls(**fields)
+    #: Entry format version, as written.
+    schema: int = CORPUS_SCHEMA
 
 
 class CorpusDB:
@@ -174,7 +154,7 @@ class CorpusDB:
         if path.exists():
             return False
         atomic_write(
-            path, json.dumps(entry.as_dict(), indent=2, sort_keys=True) + "\n"
+            path, json.dumps(encode(entry), indent=2, sort_keys=True) + "\n"
         )
         return True
 
@@ -185,7 +165,7 @@ class CorpusDB:
                 f"no corpus entry {key!r} under {self.entries_dir} "
                 f"(have: {', '.join(self.keys()) or 'none'})"
             )
-        return CorpusEntry.from_dict(json.loads(path.read_text()))
+        return decode(CorpusEntry, json.loads(path.read_text()))
 
     def entries(self) -> "list[CorpusEntry]":
         return [self.load(key) for key in self.keys()]
@@ -470,7 +450,7 @@ def run_fuzz(
             # cost model must not depend on worker timing.
             for index, (name, schedule) in enumerate(checks):
                 value = values[index]
-                report = OracleReport(**value["report"])
+                report = decode(OracleReport, value["report"])
                 process(name, schedule, report, value["duration"])
             for seed in seeds:
                 iteration += 1

@@ -28,12 +28,6 @@ dedupe, cache, and fan out like any other job.  The engine integrates
 the other direction too: ``ExperimentEngine(recovery=...)`` or
 ``run_batch(..., recover=True)`` auto-recovers any submitted spec whose
 result crashed (see :meth:`ExperimentEngine.run_batch`).
-
-Policy resolution is a precedence ladder: explicit argument >
-``$REPRO_RECOVERY_ATTEMPTS`` / ``$REPRO_RECOVERY_BACKOFF`` > the
-defaults.  The environment rung means spawned pool workers inherit the
-CLI's ``--max-attempts`` without replumbing (service workers are remote
-processes and keep their own environment).
 """
 
 from __future__ import annotations
@@ -41,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
+from ..util.codec import encode
 from ..util.hashing import stable_json_hash
-from ..util.osenv import env_value
 from .runner import RunResult
 from .spec import RunSpec, spec_hash
 
@@ -55,7 +49,6 @@ __all__ = [
     "RecoveryAttempt",
     "RecoveryOutcome",
     "run_recovery",
-    "resolve_policy",
 ]
 
 #: Cap on the modelled exponential backoff (seconds of virtual wait a
@@ -96,25 +89,6 @@ class RecoveryPolicy:
         if attempt < 1:
             raise ValueError(f"attempt is 1-based, got {attempt}")
         return min(self.backoff * 2.0 ** (attempt - 1), BACKOFF_CAP)
-
-    def to_dict(self) -> dict:
-        return {"max_attempts": self.max_attempts, "backoff": self.backoff}
-
-
-def resolve_policy(policy: "RecoveryPolicy | None" = None) -> RecoveryPolicy:
-    """Explicit > environment > defaults (each variable fills its own
-    field, parsed and range-checked as that field)."""
-    if policy is not None:
-        return policy
-    policy = RecoveryPolicy()
-    for var, name, cast in (
-        ("REPRO_RECOVERY_ATTEMPTS", "max_attempts", int),
-        ("REPRO_RECOVERY_BACKOFF", "backoff", float),
-    ):
-        policy = env_value(
-            var, lambda raw: replace(policy, **{name: cast(raw)})
-        ) or policy
-    return policy
 
 
 @dataclass
@@ -174,7 +148,7 @@ class RecoveryOutcome:
         """
         return stable_json_hash(
             {
-                "policy": self.policy.to_dict(),
+                "policy": encode(self.policy),
                 "legs": [spec_hash(a.spec) for a in self.attempts],
                 "restarted_from": [a.restarted_from for a in self.attempts],
                 "completed": self.completed,
@@ -244,8 +218,7 @@ def run_recovery(
     Args:
         spec: the job to run (may itself be a restart spec, and may
             carry ``crash_fracs`` — that is the point).
-        policy: retry budget; ``None`` resolves through
-            :func:`resolve_policy`.
+        policy: retry budget; ``None`` is the default policy.
         leg_faults: per-recovery-leg crash plans — ``leg_faults[i]`` is
             the ``crash_fracs`` armed on recovery leg ``i+1`` (empty /
             exhausted → the leg runs crash-free).  This is how
@@ -261,7 +234,7 @@ def run_recovery(
     exhaustion — check ``outcome.completed`` (the ``recovery-chain``
     oracle raises :class:`RecoveryError` for you).
     """
-    policy = resolve_policy(policy)
+    policy = policy or RecoveryPolicy()
     if engine is None:
         from .engine import ExperimentEngine
 

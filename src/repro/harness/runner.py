@@ -50,7 +50,7 @@ class RunResult:
     #: ``min()`` is the earliest completion — the instant the
     #: request-races-completion window opens (see
     #: ``RunSpec.checkpoint_completion_fracs``).
-    rank_finish_times: list[float] = field(default_factory=list)
+    rank_finish_times: list[float | None] = field(default_factory=list)
     sim_events: int = 0
     #: Ranks hard-killed by fault injection (``crash_at``).  A crashed
     #: run's ``per_rank`` and ``rank_finish_times`` carry ``None`` holes

@@ -21,41 +21,34 @@ Dependent phases are part of the spec language:
 * ``restart_of`` — restart from the Nth committed checkpoint of another
   spec's run (a fresh lower half adopting the images, as in MANA).
 
-:func:`execute` resolves these chains and runs the simulation;
-:func:`spec_hash` provides the stable content hash; and the
-``*_to_dict`` / ``*_from_dict`` pairs round-trip :class:`RunSpec` and
-:class:`RunResult` (including committed :class:`CheckpointImage`
-metadata) through JSON so results can cross process and disk
+:func:`execute` resolves these chains and runs the simulation and
+:func:`spec_hash` provides the stable content hash.  The ``*_to_dict`` /
+``*_from_dict`` names at the bottom are entry points into the one codec
+(:mod:`repro.util.codec`): a :class:`RunSpec`, a :class:`RunResult`
+(with its :class:`CheckpointRecord` and :class:`CheckpointImage`
+metadata) and a service job are documents that codec writes and reads
+from the dataclasses' own fields, so results can cross process and disk
 boundaries.  Image *payloads* (application state, call logs, drained
-messages) are deliberately dropped in the JSON form — they can hold
-hundreds of MB of numpy state; a result deserialized from JSON reports
-every measurement but cannot seed a restart, which :func:`execute`
-detects and handles by loading the parent's committed images from the
-cache's image tier (the ``images`` argument) or, failing that,
-by re-simulating the parent.
+messages) are deliberately dropped in the JSON form
+(``CheckpointImage.__codec__``) — they can hold hundreds of MB of numpy
+state; a result deserialized from JSON reports every measurement but
+cannot seed a restart, which :func:`execute` detects and handles by
+loading the parent's committed images from the cache's image tier (the
+``images`` argument) or, failing that, by re-simulating the parent.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, MutableMapping
-
-import numpy as np
 
 from ..apps import make_app_factory, resolve_app_name
 from ..core import UnsupportedOperationError
 from ..des import ProcessFailed
 from ..mana import CheckpointImage, CheckpointRecord, ImageError
-from ..netmodel import (
-    CollectiveTuning,
-    ComputeModel,
-    LinkParams,
-    ModelParams,
-    OverheadCosts,
-    StorageModel,
-)
+from ..netmodel import ModelParams, StorageModel
 from ..scenarios import ScenarioError, canonical_scenario
+from ..util.codec import CodecError, Shape, decode, encode
 from ..util.hashing import stable_json_hash
 from .runner import RunResult, launch_run
 
@@ -73,8 +66,6 @@ __all__ = [
     "run_result_from_dict",
     "job_to_dict",
     "job_from_dict",
-    "checkpoint_record_to_dict",
-    "checkpoint_record_from_dict",
     "record_has_full_images",
     "result_has_full_images",
 ]
@@ -189,6 +180,15 @@ class RunSpec:
     #: unperturbed run and (like the fault-schedule fields) stays out of
     #: the serialized form, so pre-scenario specs keep their hashes.
     scenario: str | None = None
+
+    #: The fault-schedule fields and the scenario enter the document —
+    #: and so the content hash — only when set: every spec from before
+    #: they existed keeps its hash and its cache entry.  Documents are
+    #: read through :meth:`create`, which validates them.
+    __codec__ = Shape(
+        when_set=("checkpoint_completion_fracs", "crash_fracs", "scenario"),
+        build="create",
+    )
 
     @classmethod
     def create(
@@ -641,7 +641,7 @@ def _execute(
         # Canonicalize per-rank payloads (numpy scalars -> python, tuples ->
         # lists) so a fresh result compares equal to one that crossed the
         # pickle/JSON boundary.
-        result.per_rank = _canonical_value(result.per_rank)
+        result.per_rank = encode(result.per_rank)
         return result
 
     if spec.restart_of is None:
@@ -728,124 +728,8 @@ def _na_result(spec: RunSpec, reason: str) -> RunResult:
 
 
 # --------------------------------------------------------------------- #
-# JSON (de)serialization
+# Documents (the walk itself is repro.util.codec)
 # --------------------------------------------------------------------- #
-
-def _canonical_value(value: Any) -> Any:
-    """Recursively reduce a value to JSON-canonical python types."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, _SCALAR_TYPES):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_canonical_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _canonical_value(v) for k, v in value.items()}
-    return repr(value)
-
-
-def spec_to_dict(spec: RunSpec) -> dict:
-    """JSON-representable form of a spec (recursive over restart chains)."""
-    out = {
-        "app": spec.app,
-        "nprocs": spec.nprocs,
-        "app_kwargs": [[k, v] for k, v in spec.app_kwargs],
-        "protocol": spec.protocol,
-        "ppn": spec.ppn,
-        "seed": spec.seed,
-        "checkpoint_at": list(spec.checkpoint_at),
-        "checkpoint_fractions": list(spec.checkpoint_fractions),
-        "storage": None if spec.storage is None else dataclasses.asdict(spec.storage),
-        "params": None if spec.params is None else dataclasses.asdict(spec.params),
-        "max_events": spec.max_events,
-        "restart_of": None if spec.restart_of is None else spec_to_dict(spec.restart_of),
-        "restart_ckpt": spec.restart_ckpt,
-    }
-    # Fault-schedule fields enter the content hash only when set, so
-    # every pre-existing spec keeps its hash (and its cache entry).
-    if spec.checkpoint_completion_fracs:
-        out["checkpoint_completion_fracs"] = list(spec.checkpoint_completion_fracs)
-    if spec.crash_fracs:
-        out["crash_fracs"] = [[r, f] for r, f in spec.crash_fracs]
-    if spec.scenario:
-        out["scenario"] = spec.scenario
-    return out
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> RunSpec:
-    params = data.get("params")
-    if params is not None:
-        params = ModelParams(
-            intra=LinkParams(**params["intra"]),
-            inter=LinkParams(**params["inter"]),
-            overheads=OverheadCosts(**params["overheads"]),
-            tuning=CollectiveTuning(**params["tuning"]),
-            compute=ComputeModel(**params["compute"]),
-        )
-    storage = data.get("storage")
-    restart_of = data.get("restart_of")
-    return RunSpec.create(
-        data["app"],
-        data["nprocs"],
-        app_kwargs={k: v for k, v in data.get("app_kwargs", [])},
-        protocol=data.get("protocol", "native"),
-        ppn=data.get("ppn"),
-        seed=data.get("seed", 0),
-        checkpoint_at=tuple(data.get("checkpoint_at", ())),
-        checkpoint_fractions=tuple(data.get("checkpoint_fractions", ())),
-        checkpoint_completion_fracs=tuple(
-            data.get("checkpoint_completion_fracs", ())
-        ),
-        crash_fracs=tuple(
-            (int(r), float(f)) for r, f in data.get("crash_fracs", ())
-        ),
-        storage=None if storage is None else StorageModel(**storage),
-        params=params,
-        max_events=data.get("max_events"),
-        restart_of=None if restart_of is None else spec_from_dict(restart_of),
-        restart_ckpt=data.get("restart_ckpt", 0),
-        scenario=data.get("scenario"),
-    )
-
-
-#: CheckpointImage fields preserved verbatim in the JSON form; the
-#: payload is dropped (it can hold arbitrary application data, and a
-#: result read back from JSON cannot seed a restart) and only its
-#: element counts (``CheckpointImage.counts``) travel, as ``"dropped"``.
-_IMAGE_SCALARS = (
-    "rank",
-    "nprocs",
-    "protocol",
-    "ckpt_id",
-    "call_index",
-    "boundary_index",
-    "remaining_compute",
-    "declared_bytes",
-)
-
-
-def _image_to_dict(image: CheckpointImage) -> dict:
-    out = {name: getattr(image, name) for name in _IMAGE_SCALARS}
-    out["finished"] = image.finished
-    out["ggid_peers"] = {
-        str(g): list(peers) for g, peers in image.ggid_peers.items()
-    }
-    out["pending_recvs"] = list(image.pending_recvs)
-    out["stats"] = _canonical_value(image.stats)
-    out["dropped"] = dict(image.counts)
-    return out
-
-
-def _image_from_dict(data: Mapping[str, Any]) -> CheckpointImage:
-    return CheckpointImage(
-        **{name: data[name] for name in _IMAGE_SCALARS},
-        finished=bool(data.get("finished", False)),
-        ggid_peers={int(g): list(p) for g, p in data.get("ggid_peers", {}).items()},
-        pending_recvs=list(data.get("pending_recvs", ())),
-        stats=dict(data.get("stats", {})),
-        counts=dict(data.get("dropped", {})),
-    )
-
 
 def record_has_full_images(record: CheckpointRecord) -> bool:
     """True iff the record's images can actually seed a restart."""
@@ -859,110 +743,33 @@ def result_has_full_images(result: RunResult) -> bool:
     return bool(committed) and all(record_has_full_images(r) for r in committed)
 
 
-def checkpoint_record_to_dict(record: CheckpointRecord) -> dict:
-    return {
-        "ckpt_id": record.ckpt_id,
-        "protocol": record.protocol,
-        "t_request": record.t_request,
-        "t_targets": record.t_targets,
-        "t_quiesced": record.t_quiesced,
-        "t_drained": record.t_drained,
-        "t_written": record.t_written,
-        "t_resumed": record.t_resumed,
-        "aborted": record.aborted,
-        "abort_reason": record.abort_reason,
-        "total_image_bytes": record.total_image_bytes,
-        "images": {str(r): _image_to_dict(im) for r, im in record.images.items()},
-        "seq_reports": {
-            str(rank): {str(g): s for g, s in table.items()}
-            for rank, table in record.seq_reports.items()
-        },
-        "initial_targets": {str(g): t for g, t in record.initial_targets.items()},
-    }
+def _check_schema(data: Any, what: str) -> None:
+    """Refuse what is not an object of this :data:`SCHEMA_VERSION`."""
+    if not isinstance(data, dict):
+        raise CodecError(f"serialized {what} is a {type(data).__name__}, not an object")
+    if data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
+        raise CodecError(
+            f"serialized {what} has schema {data['schema']}, expected {SCHEMA_VERSION}"
+        )
 
 
-def checkpoint_record_from_dict(data: Mapping[str, Any]) -> CheckpointRecord:
-    return CheckpointRecord(
-        ckpt_id=data["ckpt_id"],
-        protocol=data["protocol"],
-        t_request=data["t_request"],
-        t_targets=data.get("t_targets"),
-        t_quiesced=data.get("t_quiesced"),
-        t_drained=data.get("t_drained"),
-        t_written=data.get("t_written"),
-        t_resumed=data.get("t_resumed"),
-        aborted=data.get("aborted", False),
-        abort_reason=data.get("abort_reason", ""),
-        total_image_bytes=data.get("total_image_bytes", 0),
-        images={
-            int(r): _image_from_dict(im)
-            for r, im in data.get("images", {}).items()
-        },
-        seq_reports={
-            int(rank): {int(g): s for g, s in table.items()}
-            for rank, table in data.get("seq_reports", {}).items()
-        },
-        initial_targets={
-            int(g): t for g, t in data.get("initial_targets", {}).items()
-        },
-    )
+def spec_to_dict(spec: RunSpec) -> dict:
+    """JSON-representable form of a spec (recursive over restart chains)."""
+    return encode(spec)
+
+
+def spec_from_dict(data: Mapping[str, Any]) -> RunSpec:
+    return decode(RunSpec, data)
 
 
 def run_result_to_dict(result: RunResult) -> dict:
     """JSON-representable form of a result (image payloads dropped)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "app": result.app,
-        "protocol": result.protocol,
-        "nprocs": result.nprocs,
-        "nnodes": result.nnodes,
-        "runtime": result.runtime,
-        "per_rank": _canonical_value(result.per_rank),
-        "coll_calls": result.coll_calls,
-        "p2p_calls": result.p2p_calls,
-        "checkpoints": [checkpoint_record_to_dict(r) for r in result.checkpoints],
-        "restart_read_time": result.restart_read_time,
-        "restart_ready_time": result.restart_ready_time,
-        "rank_finish_times": list(result.rank_finish_times),
-        "sim_events": result.sim_events,
-        "na_reason": result.na_reason,
-        "crashed_ranks": list(result.crashed_ranks),
-        "drain_restored": list(result.drain_restored),
-        "drain_buffered": list(result.drain_buffered),
-        "drain_consumed": list(result.drain_consumed),
-        "drain_leftover": list(result.drain_leftover),
-    }
+    return {"schema": SCHEMA_VERSION, **encode(result)}
 
 
 def run_result_from_dict(data: Mapping[str, Any]) -> RunResult:
-    schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"serialized result has schema {schema}, expected {SCHEMA_VERSION}"
-        )
-    return RunResult(
-        app=data["app"],
-        protocol=data["protocol"],
-        nprocs=data["nprocs"],
-        nnodes=data["nnodes"],
-        runtime=data["runtime"],
-        per_rank=list(data.get("per_rank", ())),
-        coll_calls=data.get("coll_calls", 0),
-        p2p_calls=data.get("p2p_calls", 0),
-        checkpoints=[
-            checkpoint_record_from_dict(r) for r in data.get("checkpoints", ())
-        ],
-        restart_read_time=data.get("restart_read_time", 0.0),
-        restart_ready_time=data.get("restart_ready_time", 0.0),
-        rank_finish_times=list(data.get("rank_finish_times", ())),
-        sim_events=data.get("sim_events", 0),
-        na_reason=data.get("na_reason", ""),
-        crashed_ranks=list(data.get("crashed_ranks", ())),
-        drain_restored=list(data.get("drain_restored", ())),
-        drain_buffered=list(data.get("drain_buffered", ())),
-        drain_consumed=list(data.get("drain_consumed", ())),
-        drain_leftover=list(data.get("drain_leftover", ())),
-    )
+    _check_schema(data, "result")
+    return decode(RunResult, data)
 
 
 def job_to_dict(
@@ -975,41 +782,31 @@ def job_to_dict(
 ) -> dict:
     """JSON-representable form of one dispatchable simulation job.
 
-    This is the experiment service's wire format: the spec, the
-    already-resolved ancestor results :func:`execute` needs, and the
-    ``max_events`` guard — everything a worker on the far side of a
-    socket needs to reproduce the submitting engine's in-process
-    execution byte-for-byte.  Deps
-    are serialized via :func:`run_result_to_dict`, so image payloads are
-    dropped exactly as they are in the result cache; workers recover
-    them from the shared image tier or by parent re-simulation, the
-    same degradation path a warm cache already exercises.
+    The spec, the already-resolved ancestor results :func:`execute`
+    needs, and the ``max_events`` guard — everything a worker on the
+    far side of a socket needs to reproduce the submitting engine's
+    in-process execution byte-for-byte.  Image payloads are dropped
+    from the deps exactly as they are in the result cache; workers
+    recover them from the shared image tier or by parent re-simulation,
+    the same degradation path a warm cache already exercises.
     """
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": "sim",
-        "spec": spec_to_dict(spec),
-        "deps": [
-            {"spec": spec_to_dict(dep), "result": run_result_to_dict(res)}
-            for dep, res in (deps or {}).items()
-        ],
-        "guard": guard,
-    }
+    pairs = [
+        {"spec": encode(dep), "result": run_result_to_dict(result)}
+        for dep, result in (deps or {}).items()
+    ]
+    return {"schema": SCHEMA_VERSION, "kind": "sim", "spec": encode(spec),
+            "deps": pairs, "guard": guard}
 
 
 def job_from_dict(
     data: Mapping[str, Any],
 ) -> "tuple[RunSpec, dict[RunSpec, RunResult], int | None]":
     """Inverse of :func:`job_to_dict`; returns ``(spec, deps, guard)``."""
-    schema = data.get("schema", SCHEMA_VERSION)
-    if schema != SCHEMA_VERSION:
-        raise ValueError(
-            f"serialized job has schema {schema}, expected {SCHEMA_VERSION}"
-        )
+    _check_schema(data, "job")
     if data.get("kind", "sim") != "sim":
-        raise ValueError(f"not a simulation job: kind={data.get('kind')!r}")
+        raise CodecError(f"not a simulation job: kind={data['kind']!r}")
     deps = {
-        spec_from_dict(entry["spec"]): run_result_from_dict(entry["result"])
-        for entry in data.get("deps", ())
+        spec_from_dict(dep.get("spec")): run_result_from_dict(dep.get("result"))
+        for dep in decode(list[dict], data.get("deps", []))
     }
-    return spec_from_dict(data["spec"]), deps, data.get("guard")
+    return spec_from_dict(data.get("spec")), deps, data.get("guard")

@@ -33,23 +33,19 @@ from __future__ import annotations
 
 import tempfile
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..des.errors import DeadlockError, SchedulingError
 from ..scenarios import SCENARIOS
+from ..util.codec import Shape, decode, encode
 from ..util.hashing import stable_json_hash
 from .cache import ResultCache
 from .engine import ExperimentEngine
 from .runner import RunResult
-from .spec import (
-    RunSpec,
-    _canonical_value,
-    execute,
-    run_result_to_dict,
-)
+from .spec import RunSpec, execute, run_result_to_dict
 
 __all__ = [
     "FaultSchedule",
@@ -78,7 +74,7 @@ def result_fingerprint(result: RunResult) -> str:
     a restart — what must be byte-identical is what the application
     computed.
     """
-    return stable_json_hash(_canonical_value(result.per_rank))
+    return stable_json_hash(encode(result.per_rank))
 
 
 def program_position_for(program, rank: int, counts: dict) -> int:
@@ -160,6 +156,11 @@ class FaultSchedule:
     #: fuzzer explores scenarios against crashes and recovery chains.
     #: ``None`` is the unperturbed cluster.
     scenario: "str | None" = None
+
+    #: Written only when armed: existing corpora hash schedules without
+    #: these keys, and the fuzzer's content-addressed entry keys must
+    #: not shift under them.
+    __codec__ = Shape(when_set=("recovery_crash_fracs", "scenario"))
 
     @classmethod
     def draw(
@@ -359,47 +360,11 @@ def schedule_to_dict(schedule: FaultSchedule) -> dict:
     bit-exact, so a check runs identically in-process, in a pool
     worker, or on a service worker.
     """
-    out = asdict(schedule)
-    out["completion_fracs"] = list(schedule.completion_fracs)
-    out["mid_fracs"] = list(schedule.mid_fracs)
-    out["crash_fracs"] = [[r, f] for r, f in schedule.crash_fracs]
-    # Only present when armed: existing corpora hash schedules without
-    # this key, and the fuzzer's content-addressed entry keys must not
-    # shift under them.
-    if schedule.recovery_crash_fracs:
-        out["recovery_crash_fracs"] = [
-            [[r, f] for r, f in hop] for hop in schedule.recovery_crash_fracs
-        ]
-    else:
-        out.pop("recovery_crash_fracs", None)
-    if schedule.scenario:
-        out["scenario"] = schedule.scenario
-    else:
-        out.pop("scenario", None)
-    return out
+    return encode(schedule)
 
 
 def schedule_from_dict(data: dict) -> FaultSchedule:
-    return FaultSchedule(
-        seed=int(data["seed"]),
-        protocol=str(data["protocol"]),
-        nprocs=int(data["nprocs"]),
-        niters=int(data["niters"]),
-        shared=int(data["shared"]),
-        leavers=int(data["leavers"]),
-        completion_fracs=tuple(float(f) for f in data["completion_fracs"]),
-        mid_fracs=tuple(float(f) for f in data["mid_fracs"]),
-        restart_depth=int(data["restart_depth"]),
-        restart_ckpt=int(data["restart_ckpt"]),
-        crash_fracs=tuple(
-            (int(r), float(f)) for r, f in data.get("crash_fracs", ())
-        ),
-        recovery_crash_fracs=tuple(
-            tuple((int(r), float(f)) for r, f in hop)
-            for hop in data.get("recovery_crash_fracs", ())
-        ),
-        scenario=data.get("scenario"),
-    )
+    return decode(FaultSchedule, data)
 
 
 # --------------------------------------------------------------------- #
@@ -424,16 +389,6 @@ class OracleReport:
     #: budget without reaching clean completion;
     #: ``"crash"`` — the oracle itself blew up (ProtocolError, SpecError…).
     kind: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "seed": self.seed,
-            "ok": self.ok,
-            "detail": self.detail,
-            "repro": self.repro,
-            "kind": self.kind,
-        }
 
 
 def _classify_exception(exc: BaseException) -> str:
@@ -1021,12 +976,7 @@ class RecoveryChainOracle(Oracle):
     cache_aware = False
 
     def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
-        from .recovery import (
-            RecoveryError,
-            RecoveryPolicy,
-            resolve_policy,
-            run_recovery,
-        )
+        from .recovery import RecoveryError, RecoveryPolicy, run_recovery
 
         rng = np.random.default_rng(
             np.random.SeedSequence([0x2ECF, schedule.seed])
@@ -1092,13 +1042,8 @@ class RecoveryChainOracle(Oracle):
         # how the sweep itself fans out.
         leg_engine = ExperimentEngine()
         # Budget: enough for every armed hop plus slack, and never less
-        # than the resolved default (--max-attempts can only raise it —
-        # a user-lowered budget must not fail chains by construction).
-        policy = RecoveryPolicy(
-            max_attempts=max(
-                resolve_policy(None).max_attempts, len(hops) + 2
-            )
-        )
+        # than the default.
+        policy = RecoveryPolicy(max_attempts=max(3, len(hops) + 2))
         outcome = run_recovery(
             schedule.crash_spec(crash_fracs),
             policy,
@@ -1313,7 +1258,7 @@ def run_oracles(
     reports: list[OracleReport] = []
     with connect(service) as conn:
         for index, value in fan_out(payloads, jobs=jobs, service=conn):
-            landed[index] = OracleReport(**value["report"])
+            landed[index] = decode(OracleReport, value["report"])
             while len(reports) in landed:
                 reports.append(landed.pop(len(reports)))
                 if progress is not None:

@@ -42,6 +42,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..util.codec import Shape
+
 __all__ = [
     "CheckpointImage",
     "ImageError",
@@ -90,7 +92,7 @@ class CheckpointImage:
     #: SEQ/TARGET table snapshot (:meth:`SeqNumTable.snapshot`).
     seq_table: dict = field(default_factory=dict)
     #: ggid -> member world ranks.
-    ggid_peers: dict = field(default_factory=dict)
+    ggid_peers: dict[int, list] = field(default_factory=dict)
     #: Communicator-creation replay log (op descriptors, in order).
     creation_log: list = field(default_factory=list)
     #: Interposition call counter at snapshot and at the last boundary.
@@ -115,6 +117,14 @@ class CheckpointImage:
     #: The pickled :data:`_HEAVY` fields; ``None`` on an image that came
     #: back from JSON, which cannot seed a restart.
     payload: "bytes | None" = None
+
+    #: The JSON form keeps what measurements read and says only how
+    #: much else was cut (``counts``, as ``"dropped"``): the payload can
+    #: hold arbitrary application data, and a result read back from
+    #: JSON cannot seed a restart.
+    __codec__ = Shape(
+        drop=("seq_table", "creation_log", "payload"), rename={"counts": "dropped"}
+    )
 
     @classmethod
     def seal(cls, **fields: Any) -> "CheckpointImage":

@@ -63,7 +63,7 @@ def test_oracle_seed_verdict_identical_across_kernels(monkeypatch):
         reports = run_oracles(["safe-cut"], [7], engine=ExperimentEngine(jobs=1))
         assert len(reports) == 1
         assert reports[0].ok, reports[0].detail
-        return reports[0].as_dict()
+        return reports[0]
 
     src = verdict()
     built = _use_reference(monkeypatch)

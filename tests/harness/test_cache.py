@@ -2,8 +2,18 @@
 
 import json
 
+import pytest
+
 from repro.harness.cache import ResultCache, default_cache_dir
-from repro.harness.spec import SCHEMA_VERSION, RunSpec, execute, spec_hash
+from repro.harness.spec import (
+    SCHEMA_VERSION,
+    RunSpec,
+    execute,
+    job_from_dict,
+    job_to_dict,
+    spec_hash,
+)
+from repro.util.codec import CodecError
 
 
 def _spec(**overrides):
@@ -37,14 +47,56 @@ def test_different_specs_do_not_collide(tmp_path):
     assert cache.get(b) is None
 
 
-def test_corrupt_entry_is_a_miss(tmp_path):
+def _with_images(document, images):
+    result = json.loads(json.dumps(document["result"]))
+    result["checkpoints"][0]["images"] = images
+    return {**document, "result": result}
+
+
+#: Ways a ``{"spec": ..., "result": ...}`` document — a cache entry, or
+#: one dep of a service job — goes wrong.  The first two are not JSON at
+#: all (text, written as it stands), which only a file can be.
+MALFORMED = [
+    ("not-json", lambda doc: "{not json"),
+    ("truncated", lambda doc: json.dumps(doc)[: len(json.dumps(doc)) // 2]),
+    ("no-result", lambda doc: {"spec": doc["spec"]}),
+    ("result-is-a-list", lambda doc: {**doc, "result": []}),
+    ("result-is-a-number", lambda doc: {**doc, "result": 3}),
+    ("images-is-a-list", lambda doc: _with_images(doc, [])),
+    ("other-schema", lambda doc: {
+        **doc, "result": {**doc["result"], "schema": SCHEMA_VERSION + 1},
+    }),
+]
+
+
+def _malformed(rows):
+    return pytest.mark.parametrize(
+        "mangle", [m for _, m in rows], ids=[name for name, _ in rows]
+    )
+
+
+@_malformed(MALFORMED)
+def test_malformed_entry_is_a_miss_and_is_overwritten(tmp_path, mangle):
     cache = ResultCache(tmp_path)
-    spec = _spec()
-    path = cache.put(spec, execute(spec))
-    path.write_text("{not json")
+    spec = _spec(protocol="cc", checkpoint_fractions=(0.5,))
+    result = execute(spec)
+    path = cache.put(spec, result)
+    bad = mangle(json.loads(path.read_text()))
+    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     assert cache.get(spec) is None
-    path.write_text(json.dumps({"spec": {}}))  # valid JSON, missing result
-    assert cache.get(spec) is None
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+    cache.put(spec, result)
+    assert cache.get(spec).runtime == result.runtime
+
+
+@_malformed(MALFORMED[2:])
+def test_malformed_job_dep_is_a_codec_error(mangle):
+    parent = _spec(protocol="cc", checkpoint_fractions=(0.5,))
+    spec = _spec(protocol="cc", restart_of=parent)
+    job = job_to_dict(spec, {parent: execute(parent)}, guard=7)
+    assert job_from_dict(json.loads(json.dumps(job)))[0::2] == (spec, 7)
+    with pytest.raises(CodecError):
+        job_from_dict({**job, "deps": [mangle(job["deps"][0])]})
 
 
 def test_entry_is_inspectable_json(tmp_path):

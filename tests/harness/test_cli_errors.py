@@ -197,33 +197,16 @@ class TestTopLevelRejections:
             "unrecognized arguments: --dispatch inline",
         )
 
+    @pytest.mark.parametrize("command", [["verify"], ["fuzz", "--iters", "1"]])
+    @pytest.mark.parametrize("flag", [["--recover"], ["--max-attempts", "5"]])
+    def test_oracle_commands_take_no_recovery_flags(self, capsys, command, flag):
+        # The recovery-chain oracle's budget follows from its schedule.
+        _expect_usage_error(
+            capsys, [*command, *flag], f"unrecognized arguments: {' '.join(flag)}",
+        )
+
     def test_malformed_service_address_is_a_usage_error(self, capsys):
         _expect_usage_error(
             capsys, ["table1", "--no-cache", "--service", "nowhere"],
             "service address must look like HOST:PORT",
-        )
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("REPRO_RECOVERY_ATTEMPTS", "abc"),
-            ("REPRO_RECOVERY_BACKOFF", "soon"),
-        ],
-    )
-    def test_malformed_environment_is_a_usage_error_naming_the_variable(
-        self, capsys, monkeypatch, var, value
-    ):
-        # Rejected when the engine is constructed — before any job runs,
-        # not as a traceback after the batch.
-        from repro.harness import engine as engine_mod
-
-        def no_jobs(*args, **kwargs):
-            raise AssertionError("a job ran before the environment was checked")
-
-        monkeypatch.setattr(engine_mod, "_execute_job", no_jobs)
-        monkeypatch.setenv(var, value)
-        _expect_usage_error(
-            capsys,
-            ["table1", "--nprocs", "2", "--no-cache", "--recover"],
-            "repro-mpi: error:", f"${var}={value!r}",
         )

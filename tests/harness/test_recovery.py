@@ -1,6 +1,6 @@
 """The bounded-retry recovery planner, unit- and integration-level.
 
-Pinned here: the policy resolution ladder, image-restart vs
+Pinned here: policy validation, image-restart vs
 degrade-to-scratch planning, multi-hop crash storms under a retry
 budget, chain content-hashing, the engine's auto-recovery seam — and
 byte-identity of a full recovery chain in-process, over a two-worker
@@ -16,7 +16,6 @@ from repro.harness.recovery import (
     RecoveryError,
     RecoveryOutcome,
     RecoveryPolicy,
-    resolve_policy,
     run_recovery,
 )
 from repro.harness.service import ExperimentServer, run_worker
@@ -47,12 +46,6 @@ def _crash_spec():
     return _mk(checkpoint_fractions=(0.2,), crash_fracs=((1, 0.35),))
 
 
-@pytest.fixture(autouse=True)
-def _clean_policy(monkeypatch):
-    monkeypatch.delenv("REPRO_RECOVERY_ATTEMPTS", raising=False)
-    monkeypatch.delenv("REPRO_RECOVERY_BACKOFF", raising=False)
-
-
 @pytest.fixture(scope="module")
 def base_fp():
     return result_fingerprint(execute(_mk()))
@@ -72,39 +65,6 @@ class TestRecoveryPolicy:
         assert policy.delay_before(3) == 300.0  # capped, not 400
         with pytest.raises(ValueError, match="1-based"):
             policy.delay_before(0)
-
-    def test_resolution_ladder(self, monkeypatch):
-        # Defaults at the bottom...
-        assert resolve_policy(None) == RecoveryPolicy()
-        # ...environment above them...
-        monkeypatch.setenv("REPRO_RECOVERY_ATTEMPTS", "7")
-        monkeypatch.setenv("REPRO_RECOVERY_BACKOFF", "2.5")
-        assert resolve_policy(None) == RecoveryPolicy(7, 2.5)
-        # ...each variable filling only its own field...
-        monkeypatch.delenv("REPRO_RECOVERY_ATTEMPTS")
-        assert resolve_policy(None) == RecoveryPolicy(backoff=2.5)
-        # ...and the explicit argument wins outright.
-        assert resolve_policy(RecoveryPolicy(9)) == RecoveryPolicy(9)
-
-    @pytest.mark.parametrize(
-        "var, value",
-        [
-            ("REPRO_RECOVERY_ATTEMPTS", "abc"),
-            ("REPRO_RECOVERY_ATTEMPTS", "0"),
-            ("REPRO_RECOVERY_BACKOFF", "soon"),
-            ("REPRO_RECOVERY_BACKOFF", "-1"),
-        ],
-    )
-    def test_malformed_environment_names_the_variable(
-        self, monkeypatch, var, value
-    ):
-        monkeypatch.setenv(var, value)
-        with pytest.raises(ValueError, match=rf"\${var}='{value}'"):
-            resolve_policy(None)
-        # The engine resolves its policy at construction: the typo is
-        # reported before any job runs, not after the batch.
-        with pytest.raises(ValueError, match=var):
-            ExperimentEngine()
 
 
 class TestRecoveryChains:

@@ -452,13 +452,8 @@ class TestSeamFanout:
 
         server, addr = service
         worker = _worker_thread(addr)
-        serial = [r.as_dict() for r in run_oracles(["safe-cut"], range(2))]
-        via_service = [
-            r.as_dict()
-            for r in run_oracles(
-                ["safe-cut"], range(2), service=addr
-            )
-        ]
+        serial = run_oracles(["safe-cut"], range(2))
+        via_service = run_oracles(["safe-cut"], range(2), service=addr)
         assert via_service == serial
         server.shutdown()
         worker.join(timeout=30)

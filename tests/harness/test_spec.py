@@ -1,7 +1,6 @@
-"""Tests for the declarative RunSpec layer: hashing, serialization,
-chain structure, and execution semantics."""
+"""Tests for the declarative RunSpec layer: hashing, chain structure,
+and execution semantics (its documents: ``tests/util/test_codec.py``)."""
 
-import json
 import os
 import subprocess
 import sys
@@ -12,11 +11,9 @@ from repro.harness.spec import (
     RunSpec,
     SpecError,
     execute,
-    record_has_full_images,
     result_has_full_images,
     run_result_from_dict,
     run_result_to_dict,
-    spec_from_dict,
     spec_hash,
     spec_to_dict,
 )
@@ -128,14 +125,6 @@ class TestSpecValue:
         assert spec_hash(dataclasses.replace(spec, seed=7)) != digest
         assert spec_hash(pickle.loads(pickle.dumps(spec))) == digest
 
-    def test_spec_dict_round_trip(self):
-        parent = _spec(protocol="cc", checkpoint_fractions=(0.5,),
-                       storage=StorageModel(), params=ModelParams())
-        spec = _spec(protocol="cc", restart_of=parent)
-        restored = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
-        assert restored == spec
-        assert spec_hash(restored) == spec_hash(spec)
-
 
 class TestChains:
     def test_probe_and_parents(self):
@@ -204,45 +193,6 @@ class TestExecute:
         restart = _spec(protocol="cc", restart_of=parent)
         with pytest.raises(SpecError, match="committed no"):
             execute(restart)
-
-
-class TestResultSerialization:
-    def test_round_trip_plain_run(self):
-        result = execute(_spec(seed=2))
-        restored = run_result_from_dict(
-            json.loads(json.dumps(run_result_to_dict(result)))
-        )
-        assert restored.runtime == result.runtime
-        assert restored.per_rank == result.per_rank
-        assert restored.sim_events == result.sim_events
-        assert restored.coll_calls == result.coll_calls
-
-    def test_round_trip_checkpoint_metadata(self):
-        result = execute(_spec(protocol="cc", checkpoint_fractions=(0.5,)))
-        committed = [r for r in result.checkpoints if r.committed]
-        assert committed and record_has_full_images(committed[0])
-        restored = run_result_from_dict(
-            json.loads(json.dumps(run_result_to_dict(result)))
-        )
-        rec = [r for r in restored.checkpoints if r.committed][0]
-        orig = committed[0]
-        assert rec.checkpoint_time == orig.checkpoint_time
-        assert rec.total_image_bytes == orig.total_image_bytes
-        assert sorted(rec.images) == sorted(orig.images)
-        for rank, image in rec.images.items():
-            assert image.declared_bytes == orig.images[rank].declared_bytes
-            assert image.ckpt_id == orig.images[rank].ckpt_id
-            assert image.payload is None and orig.images[rank].payload
-            assert image.counts == orig.images[rank].counts
-        assert not record_has_full_images(rec)
-
-    def test_round_trip_na_result(self):
-        result = execute(
-            RunSpec.create("poisson", 4, app_kwargs={"niters": 4}, protocol="2pc")
-        )
-        restored = run_result_from_dict(run_result_to_dict(result))
-        assert restored.na_reason == result.na_reason
-        assert not restored.ok
 
 
 class TestCostHint:

@@ -1,6 +1,7 @@
 """The ``repro-mpi sweep`` subcommand: axes, studies, cache, golden output."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,28 @@ TINY = [
     "--base", "niters=2",
     "--pivot", "protocol",
     "--baseline", "native",
+    "--quiet",
+]
+
+
+#: The paper's headline scenario as a sweep axis: checkpoint parents and
+#: restart cells in one deduplicated batch.
+RESTART_CHAIN = [
+    "sweep",
+    "--axis", "protocol=2pc,cc",
+    "--axis", "restart=false,true",
+    "--base", "app=comd", "--base", "nprocs=2", "--base", "niters=4",
+    "--base", "checkpoint_fractions=0.5",
+    "--quiet",
+]
+
+#: The scenario registry's cells are cache citizens like any other.
+SCENARIO = [
+    "sweep",
+    "--axis", "scenario=none,fat-tree,dragonfly,straggler,jitter,degraded-link",
+    "--axis", "protocol=2pc,cc",
+    "--base", "app=earlyexit", "--base", "nprocs=4", "--base", "niters=12",
+    "--jobs", "2",
     "--quiet",
 ]
 
@@ -46,15 +69,23 @@ class TestSweepCli:
         )
         assert any(line.startswith("[sweep:sweep: engine: ") for line in lines)
 
-    def test_output_is_deterministic_and_cache_warm(self, tmp_path, capsys):
-        cold = _run(TINY + ["--cache-dir", str(tmp_path)], capsys)
-        warm = _run(TINY + ["--cache-dir", str(tmp_path)], capsys)
+    @pytest.mark.parametrize(
+        "grid", [TINY, RESTART_CHAIN, SCENARIO],
+        ids=["protocol-app", "restart-chain", "scenario"],
+    )
+    def test_output_is_deterministic_and_cache_warm(self, tmp_path, capsys, grid):
+        cold = _run(grid + ["--cache-dir", str(tmp_path)], capsys)
+        warm = _run(grid + ["--cache-dir", str(tmp_path)], capsys)
         # Identical tables; only the engine-stats/wall-time line differs.
         strip = lambda text: [
             l for l in text.splitlines() if not l.startswith("[sweep:")
         ]
         assert strip(cold) == strip(warm)
-        assert "5 cache hits, 0 simulated" in warm
+        # Every cell — restart parents and scenario cells included —
+        # resolves from the cache: as many hits as the cold run simulated.
+        simulated = int(re.search(r"(\d+) simulated", cold).group(1))
+        assert simulated > 0
+        assert f"{simulated} cache hits, 0 simulated" in warm
 
     def test_study_mode(self, tmp_path, capsys):
         out = _run(

@@ -4,8 +4,9 @@ Pinned here: the ``recovery-chain`` oracle sweeps clean over 25+
 fuzz-drawn multi-hop schedules, restart-leg crash schedules recover
 under a :class:`RecoveryPolicy`, a hypothesis property that *any*
 single-crash schedule's recovered fingerprint equals the uninterrupted
-run's, draw/serialization stability of the new ``recovery_crash_fracs``
-axis, and the ``recovery`` anomaly classification.
+run's, draw stability of the ``recovery_crash_fracs`` axis (its
+serialized form: ``tests/util/test_codec.py``), and the ``recovery``
+anomaly classification.
 """
 
 import pytest
@@ -20,8 +21,6 @@ from repro.harness.verify import (
     FaultSchedule,
     _classify_exception,
     result_fingerprint,
-    schedule_from_dict,
-    schedule_to_dict,
 )
 from repro.netmodel import StorageModel
 
@@ -127,16 +126,6 @@ class TestRecoveryScheduleAxis:
     def test_draw_is_seed_stable(self):
         for seed in range(20):
             assert FaultSchedule.draw(seed) == FaultSchedule.draw(seed)
-
-    def test_serialization_round_trips_and_omits_empty(self):
-        for seed in range(40):
-            schedule = FaultSchedule.draw(seed)
-            doc = schedule_to_dict(schedule)
-            # Corpus-key stability: schedules without hops serialize to
-            # exactly the bytes they had before the axis existed.
-            if not schedule.recovery_crash_fracs:
-                assert "recovery_crash_fracs" not in doc
-            assert schedule_from_dict(doc) == schedule
 
     def test_shrinker_drops_hops_first(self):
         import dataclasses
@@ -257,16 +246,6 @@ class TestScenarioScheduleAxis:
         assert len({d.scenario for d in armed}) > 1, (
             "the draw is stuck on one scenario"
         )
-
-    def test_serialization_omits_absent_scenario(self):
-        for seed in range(40):
-            schedule = FaultSchedule.draw(seed)
-            doc = schedule_to_dict(schedule)
-            # Corpus-key stability: scenario-free schedules serialize
-            # to exactly the bytes they had before the axis existed.
-            if not schedule.scenario:
-                assert "scenario" not in doc
-            assert schedule_from_dict(doc) == schedule
 
     def test_shrinker_drops_scenario_first(self):
         import dataclasses

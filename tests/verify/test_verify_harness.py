@@ -138,7 +138,7 @@ class TestOracleCatalog:
             names, seeds, jobs=2,
             progress=lambda r: parallel_seen.append((r.oracle, r.seed)),
         )
-        assert [r.as_dict() for r in serial] == [r.as_dict() for r in parallel]
+        assert serial == parallel
         assert serial_seen == parallel_seen
 
     def test_cache_aware_oracle_serves_warm_reruns(self, tmp_path):
