@@ -14,10 +14,15 @@ for MANA's raw-memory snapshot):
    results and prior state (assign, don't accumulate across the replay
    span), and draw randomness from ``ctx.step_rng(i)``, which is a pure
    function of (seed, rank, step).
+4. ``ctx.compute_jittered`` consumes no stream: its jitter factor is a
+   pure function of (seed, rank, step, tag, cv), so it is memoized per
+   process and an app must not rely on it advancing any generator.
 """
 
 from __future__ import annotations
 
+import functools
+import zlib
 from abc import ABC, abstractmethod
 from typing import Any, TYPE_CHECKING
 
@@ -28,6 +33,32 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..mana.vcomm import VirtualComm
 
 __all__ = ["AppContext", "MpiApp"]
+
+#: Bound on memoized jitter factors (~250 B an entry, ~0.5 MiB when
+#: full).  The native/2PC/CC twins and message sizes of a figure share
+#: seed, ranks and steps, so most draws repeat one made a few jobs
+#: earlier: 2048 keeps every repeat of fig5a/5b/9 (1,920 keys each);
+#: a larger bound measured no faster on fig7/fig8 and costs resident
+#: memory in every process.
+_JITTER_MEMO = 2048
+
+
+def _stream(seed: int, rank: int, step: int, tag: str) -> np.random.Generator:
+    """The random stream of (seed, rank, step, tag)."""
+    return np.random.default_rng(
+        np.random.SeedSequence(
+            entropy=seed,
+            # crc32, not hash(): string hashing is salted per process
+            # and would break determinism and restart replay.
+            spawn_key=(rank, step + 1, zlib.crc32(tag.encode())),
+        )
+    )
+
+
+@functools.lru_cache(maxsize=_JITTER_MEMO)
+def _jitter_factor(seed: int, rank: int, step: int, tag: str, cv: float) -> float:
+    """Lognormal compute-time factor of one jittered rank step."""
+    return float(np.exp(_stream(seed, rank, step, tag).normal(0.0, cv)))
 
 
 class AppContext:
@@ -68,13 +99,15 @@ class AppContext:
 
         The jitter is what an inserted barrier (2PC) converts into
         waiting time, so realistic skew matters for the overhead figures.
-        Deterministic in (seed, rank, step, tag).
+        Deterministic in (seed, rank, step, tag): the factor is the first
+        normal of ``step_rng(step, tag or "jitter")``, memoized per
+        process (contract item 4).
         """
-        cv = self._session.world.params.compute.jitter_cv
-        rng = self.step_rng(step, tag or "jitter")
-        factor = float(np.exp(rng.normal(0.0, cv)))
-        floor = self._session.world.params.compute.noise_floor
-        self.compute(max(base_seconds * factor, floor))
+        compute = self._session.world.params.compute
+        factor = _jitter_factor(
+            self.seed, self.rank, step, tag or "jitter", compute.jitter_cv
+        )
+        self.compute(max(base_seconds * factor, compute.noise_floor))
 
     def step_boundary(self) -> None:
         self._session.step_boundary()
@@ -84,16 +117,7 @@ class AppContext:
 
         ``step=-1`` is the conventional setup-phase stream.
         """
-        import zlib
-
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=self.seed,
-                # crc32, not hash(): string hashing is salted per process
-                # and would break determinism and restart replay.
-                spawn_key=(self.rank, step + 1, zlib.crc32(tag.encode())),
-            )
-        )
+        return _stream(self.seed, self.rank, step, tag)
 
     def declare_memory(self, nbytes: int) -> None:
         """Declare modelled upper-half memory (drives image-size costs)."""

@@ -79,8 +79,6 @@ from functools import partial as _partial
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
 from .errors import (
     DeadlockError,
     NotInProcessError,
@@ -384,9 +382,10 @@ class Simulator:
     """The event loop: a queue of timed actions plus the process registry.
 
     Args:
-        seed: master seed for :meth:`rng` streams.  All randomness in a
-            simulation should derive from these streams so that runs are
-            reproducible.
+        seed: the run's seed, kept as :attr:`seed`.  The kernel itself
+            draws nothing: simulation randomness comes from the apps'
+            per-(seed, rank, step) streams (``AppContext.step_rng``) and
+            the scenarios' per-(scenario, seed) perturbations.
         tracer: optional :class:`~repro.des.trace.Tracer` for debugging.
         max_events: safety valve — :meth:`run` raises ``SchedulingError``
             after this many events (guards against runaway protocol loops
@@ -430,8 +429,6 @@ class Simulator:
         self._running = False
         self._closed = False
         self._seed = seed
-        self._seedseq = np.random.SeedSequence(seed)
-        self._rng_cache: dict[str, np.random.Generator] = {}
         self._tracer = tracer
         self._max_events = max_events
         self._event_count = 0
@@ -449,7 +446,7 @@ class Simulator:
         self._terminal: tuple[str, Any] = ("done", 0.0)
 
     # ------------------------------------------------------------------ #
-    # Clock and RNG
+    # Clock
     # ------------------------------------------------------------------ #
 
     def now(self) -> float:
@@ -459,26 +456,6 @@ class Simulator:
     @property
     def seed(self) -> int:
         return self._seed
-
-    def rng(self, name: str) -> np.random.Generator:
-        """A named, deterministic random stream derived from the master seed.
-
-        The same ``name`` always yields the same stream for a given
-        simulator seed, independent of creation order.
-        """
-        gen = self._rng_cache.get(name)
-        if gen is None:
-            import zlib
-
-            # zlib.crc32 (not hash()): Python string hashing is salted
-            # per-interpreter, which would break run-to-run determinism.
-            child = np.random.SeedSequence(
-                entropy=self._seedseq.entropy,
-                spawn_key=(zlib.crc32(name.encode()),),
-            )
-            gen = np.random.default_rng(child)
-            self._rng_cache[name] = gen
-        return gen
 
     # ------------------------------------------------------------------ #
     # Scheduling primitives

@@ -16,6 +16,7 @@ encoding.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Iterable
 
@@ -60,10 +61,14 @@ def stable_hash_ranks(world_ranks: Iterable[int]) -> int:
     processes (``MPI_SIMILAR``) hash identically regardless of rank order
     within the group — exactly the ggid property the CC algorithm needs.
     """
-    ranks = sorted(world_ranks)
-    buf = bytearray()
-    for r in ranks:
-        if r < 0:
-            raise ValueError(f"world rank must be non-negative, got {r}")
-        buf += r.to_bytes(8, "little")
-    return fnv1a_64(bytes(buf))
+    return _hash_sorted_ranks(tuple(sorted(world_ranks)))
+
+
+# Every rank of every job hashes the same few groups (its world and
+# sub-communicators): the pure-Python FNV is paid once per process per
+# rank set.  Exceptions are not cached, so a negative rank always raises.
+@functools.lru_cache(maxsize=256)
+def _hash_sorted_ranks(ranks: tuple[int, ...]) -> int:
+    if ranks and ranks[0] < 0:
+        raise ValueError(f"world rank must be non-negative, got {ranks[0]}")
+    return fnv1a_64(b"".join(r.to_bytes(8, "little") for r in ranks))

@@ -1,5 +1,8 @@
 """Tests for the five mini-apps and the OSU kernels."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,11 @@ from repro.apps import (
     SW4,
     make_app_factory,
 )
+from repro.apps.base import AppContext, _jitter_factor
 from repro.core import UnsupportedOperationError
 from repro.des import ProcessFailed
 from repro.harness.runner import launch_run
+from repro.netmodel import ModelParams
 
 SMALL = {
     "minivasp": dict(niters=5, npw=32),
@@ -203,6 +208,72 @@ class TestOsuKernels:
             4, seed=0,
         )
         assert min(o["overlap_pct"] for o in r.per_rank) > 80.0
+
+
+class TestJitterMemo:
+    """``compute_jittered`` draws its factor once per process per
+    (seed, rank, step, tag, cv); the value must be the stream draw."""
+
+    OSU = staticmethod(make_app_factory("osu", niters=12, kind="bcast", nbytes=4,
+                                        gap_compute=3e-5))
+
+    @staticmethod
+    def _ctx(seed, rank):
+        return AppContext(types.SimpleNamespace(rank=rank), seed=seed)
+
+    def test_factor_is_first_normal_of_step_rng(self):
+        for seed in (0, 7):
+            for rank in range(4):
+                ctx = self._ctx(seed, rank)
+                for step in range(-1, 6):
+                    for tag in ("", "gap", "fft3"):
+                        for cv in (0.0, 0.08):
+                            drawn = float(np.exp(ctx.step_rng(step, tag).normal(0, cv)))
+                            assert _jitter_factor(seed, rank, step, tag, cv) == drawn
+
+    def test_factor_values_pinned(self):
+        # Captured before the memo existed: a change to the derivation
+        # fails here, not only through the figure fingerprints.
+        pinned = {
+            (0, 0, 0, "jitter", 0.08): 1.0731862124159564,
+            (0, 3, 5, "gap", 0.08): 0.9467100907036133,
+            (1, 2, -1, "fft3", 0.08): 0.9893067269806308,
+            (7, 5, 11, "stencil", 0.2): 0.9953825733419218,
+        }
+        for _ in range(2):  # drawn, then served from the memo
+            assert {k: _jitter_factor(*k) for k in pinned} == pinned
+
+    def test_repeat_run_builds_no_jitter_stream(self, monkeypatch):
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(kwargs.get("spawn_key"))
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        _jitter_factor.cache_clear()
+        first = launch_run(self.OSU, 8, seed=3)
+        n_first = len(built)
+        second = launch_run(self.OSU, 8, seed=3)
+        assert second == first
+        assert n_first == 8 * 12  # one per rank-step, then none
+        assert built[n_first:] == []
+
+    def test_no_leak_across_seeds_or_cv(self):
+        calm = ModelParams.perlmutter_like()
+        calm = dataclasses.replace(
+            calm, compute=dataclasses.replace(calm.compute, jitter_cv=0.0)
+        )
+        runs = [dict(seed=0), dict(seed=1), dict(seed=0, params=calm), dict(seed=0)]
+        warm = [launch_run(self.OSU, 8, **kw) for kw in runs]
+        cold = []
+        for kw in runs:
+            _jitter_factor.cache_clear()
+            cold.append(launch_run(self.OSU, 8, **kw))
+        assert warm == cold
+        # The three keys really differ, so equality above is not vacuous.
+        assert len({r.runtime for r in warm[:3]}) == 3
 
 
 class TestCheckpointability:

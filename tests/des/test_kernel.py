@@ -285,23 +285,6 @@ def test_determinism_event_count_fingerprint():
     assert first == second
 
 
-def test_rng_streams_deterministic_and_independent():
-    sim1 = Simulator(seed=123)
-    sim2 = Simulator(seed=123)
-    a1 = sim1.rng("jitter:0").random(5)
-    a2 = sim2.rng("jitter:0").random(5)
-    b1 = sim1.rng("jitter:1").random(5)
-    assert a1.tolist() == a2.tolist()
-    assert a1.tolist() != b1.tolist()
-    sim1.close()
-    sim2.close()
-
-
-def test_rng_same_name_returns_same_stream_object():
-    with Simulator(seed=1) as sim:
-        assert sim.rng("x") is sim.rng("x")
-
-
 def test_max_events_guard():
     with Simulator(max_events=10) as sim:
         def spin():
