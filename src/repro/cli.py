@@ -58,8 +58,8 @@ images instead of re-simulating the parent (the stats line reports
 checkpoint-request timing (mid-run and completion-racing instants),
 rank-completion staggering, and restart depth, and each ``--oracle``
 compares two independent derivations of the same truth (online vs
-offline safe cut, interrupted vs uninterrupted fingerprint, serial vs
-parallel engine, cold vs warm image tier).  Cache-aware where the
+offline safe cut, interrupted vs uninterrupted fingerprint, drained vs
+restored messages).  Cache-aware where the
 oracle permits; any mismatch exits 1 and writes a derandomized
 failing-seed artifact whose ``repro`` field replays exactly that check.
 ``--jobs N`` fans the (oracle, seed) grid over worker processes with a
@@ -703,9 +703,11 @@ def _fuzz_main(argv: list[str]) -> int:
     if args.replay is not None:
         try:
             entry = corpus.load(args.replay)
+            report = replay_entry(corpus, args.replay)
         except KeyError as exc:
-            parser.error(str(exc))
-        report = replay_entry(corpus, args.replay)
+            # A missing key, or an entry naming an oracle that is no
+            # longer in the catalog: neither is "still fails" (exit 1).
+            parser.error(exc.args[0])
         if report.ok:
             print(f"entry {args.replay} ({entry.kind}, {entry.oracle}) no "
                   f"longer reproduces: {report.detail}")

@@ -33,7 +33,7 @@ from contextlib import closing, nullcontext
 from multiprocessing import get_context
 from typing import Any, Iterator, Sequence
 
-from ..util.codec import encode
+from ..util.codec import decode, encode
 
 __all__ = [
     "DispatchError",
@@ -106,13 +106,13 @@ def run_check(oracle: str, schedule: dict, cache_dir=None) -> dict:
     ran (the fuzzer's cost-model input)."""
     from .cache import ResultCache
     from .engine import ExperimentEngine
-    from .verify import ORACLES, schedule_from_dict
+    from .verify import ORACLES, FaultSchedule
 
     engine = ExperimentEngine(
         cache=None if cache_dir is None else ResultCache(cache_dir)
     )
     t0 = time.perf_counter()
-    report = ORACLES[oracle].check_schedule(schedule_from_dict(schedule), engine)
+    report = ORACLES[oracle].check_schedule(decode(FaultSchedule, schedule), engine)
     return {"report": encode(report), "duration": time.perf_counter() - t0}
 
 

@@ -56,8 +56,6 @@ from .verify import (
     Oracle,
     OracleReport,
     check_payload,
-    schedule_from_dict,
-    schedule_to_dict,
 )
 
 __all__ = [
@@ -89,7 +87,7 @@ SHRINK_CHECK_BUDGET = 48
 def schedule_key(schedule: FaultSchedule, oracle: str) -> str:
     """Content hash identifying one (oracle, minimized schedule) anomaly."""
     return stable_json_hash(
-        {"oracle": oracle, "schedule": schedule_to_dict(schedule)}
+        {"oracle": oracle, "schedule": encode(schedule)}
     )
 
 
@@ -389,8 +387,8 @@ def run_fuzz(
             kind=kind,
             detail=detail,
             repro=report.repro,
-            schedule=schedule_to_dict(minimized),
-            shrunk_from=schedule_to_dict(schedule),
+            schedule=encode(minimized),
+            shrunk_from=encode(schedule),
             shrink_steps=steps,
             found_at=time.time(),
         )
@@ -475,6 +473,7 @@ def replay_entry(corpus: CorpusDB, key: str) -> OracleReport:
     oracle = ORACLES.get(entry.oracle)
     if oracle is None:
         raise KeyError(
-            f"corpus entry {key} names unknown oracle {entry.oracle!r}"
+            f"corpus entry {key} names unknown oracle {entry.oracle!r}; "
+            f"expected one of {sorted(ORACLES)}"
         )
-    return oracle.check_schedule(schedule_from_dict(entry.schedule))
+    return oracle.check_schedule(decode(FaultSchedule, entry.schedule))

@@ -7,8 +7,7 @@ drain restored p2p.  This module is the planner that turns a crashed
 run back into a finished one:
 
 * :class:`RecoveryPolicy` bounds the retry budget (``max_attempts``
-  recovery legs) and models the scheduler's capped exponential backoff
-  between attempts (virtual bookkeeping — nothing here sleeps).
+  recovery legs).
 * :func:`run_recovery` executes the chain.  Each recovery leg restarts
   from the **last committed image** of the most recent attempt that
   committed one; when *no* attempt ever committed, the leg degrades to
@@ -51,10 +50,6 @@ __all__ = [
     "run_recovery",
 ]
 
-#: Cap on the modelled exponential backoff (seconds of virtual wait a
-#: cluster scheduler would impose before relaunching; never slept).
-BACKOFF_CAP = 300.0
-
 
 class RecoveryError(RuntimeError):
     """A recovery chain exhausted its retry budget without completing."""
@@ -66,29 +61,16 @@ class RecoveryPolicy:
 
     ``max_attempts`` is the number of *recovery legs* allowed on top of
     the initial run (so a chain executes at most ``1 + max_attempts``
-    jobs).  ``backoff`` seeds a capped exponential delay model —
-    ``backoff * 2**(attempt-1)``, capped at :data:`BACKOFF_CAP` — that
-    is recorded per attempt and summed into
-    :attr:`RecoveryOutcome.total_delay`; it is scheduler bookkeeping,
-    not a real sleep, so recovery stays deterministic and fast.
+    jobs).
     """
 
     max_attempts: int = 3
-    backoff: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-
-    def delay_before(self, attempt: int) -> float:
-        """Modelled wait before recovery leg ``attempt`` (1-based)."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        return min(self.backoff * 2.0 ** (attempt - 1), BACKOFF_CAP)
 
 
 @dataclass
@@ -101,8 +83,6 @@ class RecoveryAttempt:
     #: committed checkpoint, ``"scratch"`` for the degraded re-run when
     #: no attempt had ever committed an image.
     restarted_from: str = "initial"
-    #: Modelled backoff charged before this leg (0.0 for the initial).
-    delay: float = 0.0
 
     @property
     def crashed(self) -> bool:
@@ -134,10 +114,6 @@ class RecoveryOutcome:
     def recovery_legs(self) -> int:
         """Recovery attempts actually executed (excludes the initial)."""
         return max(0, len(self.attempts) - 1)
-
-    @property
-    def total_delay(self) -> float:
-        return sum(a.delay for a in self.attempts)
 
     def chain_key(self) -> str:
         """Stable content hash of the whole chain.
@@ -253,12 +229,7 @@ def run_recovery(
         leg, how = _plan_next_leg(outcome.attempts, hop)
         result = engine.run_batch([leg], recover=False)[leg]
         outcome.attempts.append(
-            RecoveryAttempt(
-                spec=leg,
-                result=result,
-                restarted_from=how,
-                delay=policy.delay_before(attempt),
-            )
+            RecoveryAttempt(spec=leg, result=result, restarted_from=how)
         )
     outcome.completed = not outcome.attempts[-1].crashed
     return outcome

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.harness import ExperimentEngine, ResultCache, Sweep
+from repro.harness import ExperimentEngine, FaultSchedule, ResultCache, Sweep
 from repro.harness.spec import (
     RunSpec,
     execute,
@@ -341,17 +341,38 @@ def test_stale_pointer_layout_is_a_miss_that_resimulates(tmp_path):
 # Warm-restart fast path: differential and engine-level tests
 # --------------------------------------------------------------------- #
 
-def test_warm_restart_is_byte_identical_to_cold(tmp_path):
+def _restart_pair(seed):
+    """A checkpointed parent and its restart: the hand-built minivasp
+    cell (``seed=None``) or a :class:`FaultSchedule`-drawn earlyexit one."""
+    if seed is None:
+        parent = _ckpt_spec(app="minivasp", nprocs=4, ppn=2)
+        return parent, _restart_spec(parent, ppn=2, checkpoint_fractions=())
+    schedule = FaultSchedule.draw(seed)
+    parent = schedule.checkpoint_spec()
+    return parent, schedule.restart_spec(parent, schedule.restart_ckpt)
+
+
+#: Drawn seeds: 1 adopts a request that lands after the first rank exit
+#: (its image set holds terminal snapshots of finished ranks), 25 is
+#: 2PC, and 29 runs under the degraded-link scenario.
+@pytest.mark.parametrize(
+    "seed", [None, 1, 25, 29],
+    ids=["minivasp", "drawn-1", "drawn-25", "drawn-29"],
+)
+def test_warm_restart_is_byte_identical_to_cold(tmp_path, seed):
     """A restart fed from the image tier must equal a cold recompute."""
-    parent = _ckpt_spec(app="minivasp", nprocs=4, ppn=2)
-    restart = _restart_spec(parent, ppn=2, checkpoint_fractions=())
+    parent, restart = _restart_pair(seed)
 
     # Cold: no cache anywhere; the parent is simulated inline.
     cold = execute(restart)
 
     # Warm: parent's result and images cached, restart executed fresh
     # by a separate engine (fresh cache object, no in-memory deps).
-    ExperimentEngine(cache=ResultCache(tmp_path)).run(parent)
+    parent_res = ExperimentEngine(cache=ResultCache(tmp_path)).run(parent)
+    if seed == 1:
+        adopted = [r for r in parent_res.checkpoints if r.committed]
+        images = adopted[restart.restart_ckpt].images.values()
+        assert any(image.finished for image in images)
     warm_engine = ExperimentEngine(cache=ResultCache(tmp_path))
     warm = warm_engine.run(restart)
     assert warm_engine.last_stats.executed == 1

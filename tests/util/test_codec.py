@@ -26,14 +26,11 @@ from repro.harness.spec import (
     spec_hash,
     spec_to_dict,
 )
-from repro.harness.verify import (
-    FaultSchedule,
-    OracleReport,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from repro.harness.fuzz import schedule_key
+from repro.harness.verify import FaultSchedule, OracleReport
 from repro.netmodel import ModelParams, StorageModel
 from repro.util.codec import CodecError, _decoder, decode, encode
+from repro.util.hashing import stable_json_hash
 
 DOCUMENTS = json.loads(
     (Path(__file__).parent / "codec_documents.json").read_text()
@@ -105,19 +102,36 @@ class TestPinnedDocuments:
     def test_fault_schedule(self, name):
         pinned = DOCUMENTS[name]
         schedule = FaultSchedule.draw(pinned["seed"])
-        assert schedule_to_dict(schedule) == pinned["doc"]
-        assert schedule_from_dict(pinned["doc"]) == schedule
+        assert encode(schedule) == pinned["doc"]
+        assert decode(FaultSchedule, pinned["doc"]) == schedule
         armed = name == "schedule_hops"
         assert bool(schedule.recovery_crash_fracs) == armed
         assert ("recovery_crash_fracs" in pinned["doc"]) == armed
         assert ("scenario" in pinned["doc"]) == armed
+
+    def test_drawn_schedules_and_corpus_keys(self):
+        # Captured at commit 1550787: no seed's draw and no corpus key
+        # may move, whoever draws the crashes or encodes the schedule.
+        # Seed 0 is crash-free; 1 draws two crashes and two hops; 7
+        # draws two crashes under a scenario.
+        keys = {
+            seed: schedule_key(FaultSchedule.draw(seed), "safe-cut")
+            for seed in (0, 1, 7)
+        }
+        assert keys == {
+            0: "5ba9876b1d1b7f55",
+            1: "9f3275545e498ac4",
+            7: "9546eaeec292b4c4",
+        }
+        documents = [encode(FaultSchedule.draw(s)) for s in range(200)]
+        assert stable_json_hash(documents) == "44b43b3f04c9031b"
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", range(200))
     def test_drawn_schedules_and_the_specs_they_build(self, seed):
         schedule = FaultSchedule.draw(seed)
-        document = schedule_to_dict(schedule)
+        document = encode(schedule)
         assert decode(FaultSchedule, _through_json(document)) == schedule
         # Corpus-key stability: a schedule without hops or a scenario
         # serializes to exactly the bytes it had before those axes existed.
@@ -178,7 +192,7 @@ class TestRoundTrip:
             "detail": "d", "repro": "r", "kind": "crash",
         }
         assert decode(OracleReport, encode(report)) == report
-        assert encode(RecoveryPolicy(5, 1.5)) == {"max_attempts": 5, "backoff": 1.5}
+        assert encode(RecoveryPolicy(5)) == {"max_attempts": 5}
 
 
 @dataclass

@@ -30,9 +30,8 @@ from repro.harness.verify import (
     Oracle,
     OracleMismatch,
     _classify_exception,
-    schedule_from_dict,
-    schedule_to_dict,
 )
+from repro.util.codec import decode, encode
 
 
 def _entry(schedule: FaultSchedule, oracle: str = "stub", **overrides) -> CorpusEntry:
@@ -44,8 +43,8 @@ def _entry(schedule: FaultSchedule, oracle: str = "stub", **overrides) -> Corpus
         detail="stub detail",
         repro=f"repro-mpi verify --oracle {oracle} --seeds 1 "
               f"--base-seed {schedule.seed}",
-        schedule=schedule_to_dict(schedule),
-        shrunk_from=schedule_to_dict(schedule),
+        schedule=encode(schedule),
+        shrunk_from=encode(schedule),
         shrink_steps=0,
         found_at=0.0,
     )
@@ -265,7 +264,7 @@ class TestFuzzLoop:
         assert entry.kind == "mismatch"
         assert entry.shrink_steps >= 1
         assert entry.schedule != entry.shrunk_from
-        assert schedule_from_dict(entry.schedule).crash_fracs
+        assert decode(FaultSchedule, entry.schedule).crash_fracs
         assert corpus.load(entry.key) == entry
         # The same anomaly on a rerun dedupes instead of growing.
         again = run_fuzz(
@@ -423,6 +422,19 @@ class TestFuzzCli:
             main(["fuzz", "--corpus", str(tmp_path / "c"),
                   "--replay", "feedbeef"])
 
+    def test_replay_of_an_oracle_gone_from_the_catalog_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        # Exit 1 means "still fails"; a stale entry must not look like one.
+        corpus = CorpusDB(tmp_path / "corpus")
+        entry = _entry(FaultSchedule(seed=3), oracle="no-longer-here")
+        corpus.add(entry)
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--corpus", str(corpus.root), "--replay", entry.key])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'no-longer-here'" in err and "rank-completion" in err
+
     def test_list_renders_inventory(self, tmp_path, capsys):
         corpus = CorpusDB(tmp_path / "corpus")
         corpus.add(_entry(FaultSchedule(seed=3)))
@@ -447,4 +459,4 @@ class TestFuzzCli:
         data = json.loads(path.read_text())
         assert data["schema"] == 1
         assert data["key"] == path.stem
-        assert schedule_from_dict(data["schedule"]).crash_fracs
+        assert decode(FaultSchedule, data["schedule"]).crash_fracs

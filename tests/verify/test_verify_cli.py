@@ -101,6 +101,15 @@ def test_unknown_oracle_flag_is_a_usage_error(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_harness_differential_oracle_is_a_usage_error(capsys):
+    # Serial-vs-pool equivalence is pinned by the test suite
+    # (test_dispatch.py), not checked by ``verify``.
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--oracle", "engine"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'engine'" in capsys.readouterr().err
+
+
 def test_real_oracle_through_the_cli(tmp_path, capsys):
     rc = main([
         "verify", "--oracle", "rank-completion", "--seeds", "1",

@@ -72,8 +72,6 @@ class TestOracleCatalog:
         assert set(ORACLES) == {
             "rank-completion",
             "safe-cut",
-            "engine",
-            "image-tier",
             "drain-conservation",
             "crash-fault",
             "recovery-chain",
@@ -87,15 +85,11 @@ class TestOracleCatalog:
         with pytest.raises(KeyError, match="unknown oracle"):
             run_oracles(["no-such-oracle"], [0])
 
-    @pytest.mark.parametrize("name", ["safe-cut", "image-tier"])
+    @pytest.mark.parametrize("name", ["safe-cut", "scenario-invariance"])
     def test_single_seed_check_passes(self, name):
         report = ORACLES[name].check(1)
         assert report.ok, report.detail
         assert report.detail
-
-    def test_engine_oracle_single_seed(self):
-        report = ORACLES["engine"].check(0)
-        assert report.ok, report.detail
 
     def test_run_oracles_progress_and_order(self):
         seen = []
