@@ -3,117 +3,59 @@
 Usage::
 
     python -m repro.cli table1
-    python -m repro.cli fig5a --procs 8,16,32 --jobs 4
-    python -m repro.cli all --jobs 8
+    repro-mpi fig5a --procs 8,16,32 --jobs 4
+    repro-mpi all --jobs 8
     repro-mpi fig7 --nprocs 32 --repeats 3
     repro-mpi sweep --axis app=comd,minivasp --axis protocol=native,2pc,cc \
         --axis nprocs=4,8 --base niters=8 --pivot protocol --baseline native
     repro-mpi sweep --study scale_grid --jobs 4
     repro-mpi verify --seeds 20
     repro-mpi verify --oracle rank-completion --seeds 1 --base-seed 17
-    repro-mpi verify --seeds 20 --jobs 4
-    repro-mpi fuzz --iters 25 --corpus fuzz-corpus
     repro-mpi fuzz --budget 5m --corpus fuzz-corpus
     repro-mpi fuzz --corpus fuzz-corpus --replay <key>
     repro-mpi serve --port 7463 &
     repro-mpi worker --connect 127.0.0.1:7463 &
     repro-mpi all --service 127.0.0.1:7463
     repro-mpi cache stats
-    repro-mpi cache prune --figure fig9
     repro-mpi cache prune --older-than 7d --max-entries 2000
 
-``all`` submits every figure's job list as ONE engine batch, so cells
-shared between figures (e.g. the native miniVASP baselines of Table 1,
-Figure 7, and Figure 8) simulate once.  Results are cached on disk
-(``--cache-dir``, default ``~/.cache/repro-mpi``); a warm rerun
-executes zero simulations.  Disable with ``--no-cache``.
-
-``cache`` manages that store: ``stats`` (entry/byte/timing counts plus
-the image tier's set count and footprint), ``clear`` (drop every entry
-and image set), and ``prune`` with ``--figure <name>`` (drop the named
-figure's default-parameter cells), ``--older-than AGE`` (drop entries
-last stored more than e.g. ``12h`` or ``7d`` ago), ``--max-entries N``
-(drop oldest entries beyond N), and/or ``--max-image-bytes SIZE``
-(evict oldest image sets until the tier fits in e.g. ``512M`` or
-``2G``).  Prune is hash-exact: no attempt is made to keep a shared
-baseline out of the blast radius just because another figure still
-references it — a pruned shared cell is simply re-simulated and
-re-cached by the next run that needs it.  Pruned cells' recorded wall
-times and image sets are evicted with them.
-
-``sweep`` runs declarative cartesian scenario grids (the Sweep DSL,
-``repro.harness.sweep``): ``--axis key=v1,v2`` flags span the grid,
-``--base key=value`` pins constants, named ``--mask`` rules annotate
-NA cells (2PC × non-blocking collectives is always on), and
-``--pivot``/``--baseline``/``--x-axis`` shape the folded table.  The
-whole grid runs as ONE deduplicated engine batch, cache-aware like any
-figure; ``--study`` runs a predefined grid (scale_grid, ckpt_freq,
-restart_chain).  Restart-chain sweeps ride the cache's image tier: on
-a warm cache the engine feeds each restart its parent's committed
-images instead of re-simulating the parent (the stats line reports
-``N restarts fed from image tier``).
-
-``verify`` sweeps the fault-injection oracle suite
-(``repro.harness.verify``): seeded :class:`FaultSchedule` draws perturb
-checkpoint-request timing (mid-run and completion-racing instants),
-rank-completion staggering, and restart depth, and each ``--oracle``
-compares two independent derivations of the same truth (online vs
-offline safe cut, interrupted vs uninterrupted fingerprint, drained vs
-restored messages).  Cache-aware where the
-oracle permits; any mismatch exits 1 and writes a derandomized
-failing-seed artifact whose ``repro`` field replays exactly that check.
-``--jobs N`` fans the (oracle, seed) grid over worker processes with a
-report sequence byte-identical to the serial sweep's.
-
-``fuzz`` is the open-ended version of ``verify``
-(``repro.harness.fuzz``): keep drawing fault schedules under an
-``--iters`` / ``--budget`` limit, run every registered oracle, classify
-anomalies (mismatch, deadlock, oracle crash, wall-time outlier against
-the corpus's recorded cost model), greedily shrink each failing
-schedule, and persist it — content-hashed and deduplicated — into the
-``--corpus`` directory as a derandomized reproduction.  ``--replay KEY``
-re-runs a stored entry and exits 0 once it no longer fails.
-
-``serve`` / ``worker`` run the long-lived experiment service
-(``repro.harness.service``): a job-queue server over the shared result
-cache plus pull-model workers.  Any engine-backed command (figures,
-``sweep``, ``verify``, ``fuzz``) sends its jobs there with ``--service
-HOST:PORT``; without it they run here, over ``--jobs`` processes.
-
-``--bench-json PATH`` appends one machine-readable record per
-invocation (figures run, engine stats, wall time) so performance
-trajectories can accumulate across runs.
+``repro-mpi --help`` lists every command and ``repro-mpi <command>
+--help`` what that command takes.  A figure's flags are its planner's
+parameters (:data:`repro.harness.PLANNERS`), so a figure refuses a flag
+its planner does not take.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
+from functools import partial
 
 from .harness import (
     MASKS,
     ORACLES,
     PLANNERS,
     STUDIES,
+    CorpusDB,
     ExperimentEngine,
+    ExperimentServer,
     RecoveryPolicy,
     ResultCache,
     Sweep,
     SweepError,
     plan_with_scenario,
+    replay_entry,
+    run_fuzz,
     run_oracles,
     run_plans,
+    run_worker,
 )
-from .harness.dispatch import DispatchError
+from .harness.dispatch import DispatchError, parse_address
+from .harness.service import DEFAULT_HOST, DEFAULT_PORT
 from .util.codec import encode
-
-#: Which per-figure keyword each CLI flag maps to, per experiment.
-_PROCS_EXPERIMENTS = ("fig5a", "fig5b", "fig6", "fig8")
-_NPROCS_EXPERIMENTS = ("table1", "fig7")
-_REPEATS_EXPERIMENTS = ("fig5a", "fig7", "fig8")
-_PPN_EXPERIMENTS = ("table1", "fig7", "fig8", "fig9")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -157,32 +99,39 @@ def _scenario_arg(text: str) -> str | None:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_engine_args(
-    parser: argparse.ArgumentParser, *, jobs_help: str, cache: bool = True
-) -> None:
-    """Attach the flag block every engine-backed command shares:
-    ``--jobs/-j``, ``--service`` and ``--quiet``, plus — for the
-    commands that run through the result cache (everything but ``fuzz``,
-    whose store is its corpus) — ``--cache-dir``, ``--no-cache`` and
-    ``--bench-json``."""
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                        help=jobs_help)
-    parser.add_argument("--service", type=str, default=None,
-                        metavar="HOST:PORT",
-                        help="send jobs to the experiment service at this "
-                             "address (see `repro-mpi serve`) instead of "
-                             "running them here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress lines")
-    if cache:
-        parser.add_argument("--cache-dir", type=str, default=None,
-                            help="result cache directory (default "
-                                 "$REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-        parser.add_argument("--no-cache", action="store_true",
-                            help="neither read nor write the result cache")
-        parser.add_argument("--bench-json", type=str, default=None,
-                            help="append a JSON record of this run's engine "
-                                 "stats and wall time to PATH")
+#: The figure flags, each declared once.  A flag's name is the planner
+#: parameter it sets: a figure (and a ``sweep --study``) takes exactly
+#: the flags its planner's signature names.
+_FIGURE_FLAGS = {
+    "procs": dict(type=_int_list, help="comma-separated process counts"),
+    "nprocs": dict(type=_positive_int, help="process count"),
+    "nodes": dict(type=_int_list, help="comma-separated node counts"),
+    "repeats": dict(type=_positive_int,
+                    help="repetitions per cell, seeds seed..seed+n-1"),
+    "ppn": dict(type=_positive_int, help="ranks per node"),
+    "seed": dict(type=int, default=0, help="first simulation seed (default 0)"),
+}
+
+
+def _add_figure_flags(parser: argparse.ArgumentParser, planners: dict) -> None:
+    """Give ``parser`` each figure flag some planner in ``planners``
+    takes; where not every one does, the help names those that do."""
+    for flag, declaration in _FIGURE_FLAGS.items():
+        takers = [name for name, planner in planners.items()
+                  if flag in inspect.signature(planner).parameters]
+        if takers:
+            helptext = declaration["help"]
+            if len(takers) < len(planners):
+                helptext += f" ({'/'.join(takers)})"
+            parser.add_argument(f"--{flag}", **{**declaration, "help": helptext})
+
+
+def _planner_kwargs(planner, args: argparse.Namespace) -> dict:
+    """The figure flags given on the command line that ``planner`` takes
+    (an absent flag leaves the planner's default standing)."""
+    params = inspect.signature(planner).parameters
+    return {flag: getattr(args, flag) for flag in _FIGURE_FLAGS
+            if flag in params and getattr(args, flag, None) is not None}
 
 
 def _open_cache(
@@ -204,8 +153,8 @@ def _make_engine(
     parser: argparse.ArgumentParser, args: argparse.Namespace, *,
     progress: bool,
 ) -> ExperimentEngine:
-    """The engine the :func:`_add_engine_args` (and, where the command
-    has them, :func:`_add_recovery_args`) flags describe.
+    """The engine the engine and cache flags (and, where the command
+    has them, the recovery flags) describe.
 
     Anything wrong with the request — an unusable cache directory, a
     malformed service address — is a usage error here, before any job
@@ -224,36 +173,36 @@ def _make_engine(
         parser.error(str(exc))
 
 
-def _add_recovery_args(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--recover`` / ``--max-attempts`` flags."""
-    parser.add_argument(
-        "--recover", action="store_true",
-        help="chase crashed jobs with bounded restart chains: each crash "
-             "restarts from the last committed image (or from scratch when "
-             "nothing ever committed) until clean completion or the retry "
-             "budget runs out",
-    )
-    parser.add_argument(
-        "--max-attempts", type=_positive_int, metavar="N",
-        default=RecoveryPolicy().max_attempts,
-        help="recovery legs allowed per crashed job under --recover "
-             "(default %(default)s)",
-    )
+def _run_and_print(
+    parser: argparse.ArgumentParser, args: argparse.Namespace,
+    plans: list, names: list[str],
+) -> int:
+    """Run ``plans`` as ONE engine batch (cells they share simulate
+    once), print each folded result and the engine-stats line, and
+    append the ``--bench-json`` record."""
+    engine = _make_engine(parser, args, progress=not args.quiet)
+    t0 = time.time()
+    with engine:
+        results = run_plans(plans, engine)
+    for result in results:
+        print(result.render())
+        print()
+    stats = engine.last_stats
+    if stats is not None:
+        print(f"[{'+'.join(names)}: {stats.summary()}; "
+              f"{time.time() - t0:.1f}s total]")
+    if args.bench_json:
+        _append_bench_record(args.bench_json, names, stats, time.time() - t0)
+    return 0
 
 
-def _planner_kwargs(name: str, args: argparse.Namespace) -> dict:
-    kwargs: dict = {"seed": args.seed}
-    if args.procs is not None and name in _PROCS_EXPERIMENTS:
-        kwargs["procs"] = args.procs
-    if args.nprocs is not None and name in _NPROCS_EXPERIMENTS:
-        kwargs["nprocs"] = args.nprocs
-    if args.nodes is not None and name == "fig9":
-        kwargs["nodes"] = args.nodes
-    if args.repeats is not None and name in _REPEATS_EXPERIMENTS:
-        kwargs["repeats"] = args.repeats
-    if args.ppn is not None and name in _PPN_EXPERIMENTS:
-        kwargs["ppn"] = args.ppn
-    return kwargs
+def _figures_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """``repro-mpi <figure>`` and ``repro-mpi all``."""
+    plans = [PLANNERS[name](**_planner_kwargs(PLANNERS[name], args))
+             for name in args.figures]
+    if args.scenario:
+        plans = [plan_with_scenario(plan, args.scenario) for plan in plans]
+    return _run_and_print(parser, args, plans, args.figures)
 
 
 def _byte_size(text: str) -> int:
@@ -299,40 +248,8 @@ def _duration(text: str) -> float:
     return value * scale
 
 
-def _cache_main(argv: list[str]) -> int:
+def _cache_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi cache {stats,clear,prune}`` — manage the result cache."""
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi cache",
-        description="Inspect and manage the on-disk simulation result cache",
-    )
-    sub = parser.add_subparsers(dest="action", required=True)
-    for name, desc in (
-        ("stats", "entry count, on-disk bytes, image tier, recorded timings"),
-        ("clear", "delete every cached result and image set "
-                  "(timings survive)"),
-        ("prune", "evict entries by figure, age, count, and/or "
-                  "image-tier size"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--cache-dir", type=str, default=None,
-                       help="cache directory (default $REPRO_CACHE_DIR "
-                            "or ~/.cache/repro-mpi)")
-        if name == "prune":
-            p.add_argument("--figure", choices=sorted(PLANNERS), default=None,
-                           help="figure whose default-parameter cells to evict")
-            p.add_argument("--older-than", type=_duration, default=None,
-                           metavar="AGE",
-                           help="evict entries last stored more than AGE ago "
-                                "(e.g. 90, 30m, 12h, 7d)")
-            p.add_argument("--max-entries", type=_positive_int, default=None,
-                           metavar="N",
-                           help="evict oldest entries until at most N remain")
-            p.add_argument("--max-image-bytes", type=_byte_size, default=None,
-                           metavar="SIZE",
-                           help="evict oldest image sets until the "
-                                "tier is at most SIZE (e.g. 512M, 2G; "
-                                "results are untouched)")
-    args = parser.parse_args(argv)
     cache = ResultCache(args.cache_dir)
 
     if args.action == "stats":
@@ -418,51 +335,13 @@ def _base_arg(text: str) -> tuple[str, object]:
     return key, _coerce_token(body)
 
 
-def _sweep_main(argv: list[str]) -> int:
+def _sweep_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi sweep`` — run a declarative scenario sweep."""
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi sweep",
-        description="Run a cartesian scenario sweep (protocol x app x scale "
-                    "grids as one deduplicated engine batch)",
-    )
-    parser.add_argument("--study", choices=sorted(STUDIES), default=None,
-                        help="run a predefined sweep study instead of --axis")
-    parser.add_argument("--axis", type=_axis_arg, action="append", default=[],
-                        metavar="KEY=V1,V2,...",
-                        help="sweep axis (repeatable; declaration order is "
-                             "expansion order)")
-    parser.add_argument("--base", type=_base_arg, action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="constant merged into every point (repeatable)")
-    parser.add_argument("--mask", choices=sorted(MASKS), action="append",
-                        default=[],
-                        help="named NA mask to apply (repeatable; "
-                             "2pc-nonblocking is always on)")
-    parser.add_argument("--pivot", type=str, default=None,
-                        help="pivot axis for the folded table (e.g. protocol)")
-    parser.add_argument("--baseline", type=str, default=None,
-                        help="pivot value to report overhead %% against")
-    parser.add_argument("--x-axis", type=str, default=None,
-                        help="numeric axis for series output (with --pivot)")
-    parser.add_argument("--metric", type=str, default=None,
-                        help="metric column (runtime, ckpt_time, ...)")
-    parser.add_argument("--name", type=str, default="sweep",
-                        help="sweep name used in titles and bench records")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--procs", type=_int_list, default=None,
-                        help="process counts for --study scale_grid")
-    parser.add_argument("--nprocs", type=_positive_int, default=None,
-                        help="process count for --study ckpt_freq/restart_chain")
-    _add_engine_args(
-        parser, jobs_help="parallel simulation worker processes (default 1)"
-    )
-    _add_recovery_args(parser)
-    args = parser.parse_args(argv)
-
     if args.study is not None:
         # A study is a complete declaration (axes, masks, fold shape);
-        # reject flags that would be silently ignored — including the
-        # scale knob that belongs to the *other* study.
+        # reject flags that would be silently ignored — including a
+        # scale knob the study's planner does not take.
+        study_kwargs = _planner_kwargs(STUDIES[args.study], args)
         ignored = [
             flag
             for flag, value in (
@@ -474,10 +353,8 @@ def _sweep_main(argv: list[str]) -> int:
                 ("--x-axis", args.x_axis),
                 ("--metric", args.metric),
                 ("--name", args.name != "sweep" and args.name),
-                ("--procs", args.study != "scale_grid" and args.procs),
-                ("--nprocs",
-                 args.study not in ("ckpt_freq", "restart_chain")
-                 and args.nprocs),
+                ("--procs", "procs" not in study_kwargs and args.procs),
+                ("--nprocs", "nprocs" not in study_kwargs and args.nprocs),
             )
             if value
         ]
@@ -514,14 +391,6 @@ def _sweep_main(argv: list[str]) -> int:
 
     try:
         if args.study is not None:
-            study_kwargs: dict = {"seed": args.seed}
-            if args.study == "scale_grid" and args.procs is not None:
-                study_kwargs["procs"] = args.procs
-            if (
-                args.study in ("ckpt_freq", "restart_chain")
-                and args.nprocs is not None
-            ):
-                study_kwargs["nprocs"] = args.nprocs
             plan = STUDIES[args.study](**study_kwargs)
             label = args.study
         else:
@@ -541,57 +410,16 @@ def _sweep_main(argv: list[str]) -> int:
     except (SweepError, ValueError) as exc:
         parser.error(str(exc))
 
-    engine = _make_engine(parser, args, progress=not args.quiet)
-    t0 = time.time()
-    with engine:
-        results = run_plans([plan], engine)
-    for result in results:
-        print(result.render())
-        print()
-    stats = engine.last_stats
-    if stats is not None:
-        print(f"[sweep:{label}: {stats.summary()}; "
-              f"{time.time() - t0:.1f}s total]")
-    if args.bench_json:
-        _append_bench_record(
-            args.bench_json, [f"sweep:{label}"], stats, time.time() - t0
-        )
-    return 0
+    return _run_and_print(parser, args, [plan], [f"sweep:{label}"])
 
 
-def _verify_main(argv: list[str]) -> int:
+def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi verify`` — sweep fault-injection oracles over seeds.
 
     Exit status 0 when every (oracle, seed) check passes; 1 on any
     mismatch, in which case a derandomized failing-seed artifact (JSON
     with per-failure reproduction commands) is written to ``--artifact``.
     """
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi verify",
-        description="Differential-oracle verification under randomized "
-                    "fault schedules (checkpoint-request timing, rank "
-                    "completion races, restart depth)",
-    )
-    parser.add_argument("--seeds", type=_positive_int, default=5,
-                        help="fault-schedule seeds per oracle (default 5)")
-    parser.add_argument("--base-seed", type=int, default=0,
-                        help="first seed (failing-seed artifacts replay with "
-                             "--seeds 1 --base-seed N)")
-    parser.add_argument("--oracle", choices=sorted(ORACLES), action="append",
-                        default=[],
-                        help="oracle to run (repeatable; default: all)")
-    _add_engine_args(
-        parser,
-        jobs_help="parallel (oracle, seed) checks in worker processes; the "
-                  "report sequence is byte-identical to a serial sweep "
-                  "(default 1)",
-    )
-    parser.add_argument("--artifact", type=str, default="verify-failures.json",
-                        metavar="PATH",
-                        help="failing-seed artifact path (written only on "
-                             "mismatch; default verify-failures.json)")
-    args = parser.parse_args(argv)
-
     names = args.oracle or sorted(ORACLES)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
     engine = _make_engine(parser, args, progress=False)
@@ -630,18 +458,15 @@ def _verify_main(argv: list[str]) -> int:
     print(f"[verify: {len(reports)} checks, {len(failures)} mismatches; "
           f"{elapsed:.1f}s total]")
     if args.bench_json:
-        record_names = [f"verify:{name}" for name in names]
-        _append_bench_record(args.bench_json, record_names, None, elapsed)
-        _amend_last_bench_record(
-            args.bench_json,
-            checks=len(reports),
-            mismatches=len(failures),
+        _append_bench_record(
+            args.bench_json, [f"verify:{name}" for name in names], None,
+            elapsed, checks=len(reports), mismatches=len(failures),
             seeds=[seeds.start, seeds.stop],
         )
     return 1 if failures else 0
 
 
-def _fuzz_main(argv: list[str]) -> int:
+def _fuzz_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi fuzz`` — continuous fault fuzzing with a persistent
     anomaly corpus.
 
@@ -650,54 +475,19 @@ def _fuzz_main(argv: list[str]) -> int:
     ``--replay KEY``, exit 1 while the stored anomaly still reproduces
     and 0 once it no longer does.
     """
-    from .harness.fuzz import CorpusDB, replay_entry, run_fuzz
-
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi fuzz",
-        description="Fuzz fault schedules through every registered oracle, "
-                    "shrinking and persisting each anomaly as a "
-                    "derandomized reproduction in an on-disk corpus",
-    )
-    parser.add_argument("--corpus", type=str, default="fuzz-corpus",
-                        metavar="DIR",
-                        help="anomaly corpus directory (default ./fuzz-corpus)")
-    parser.add_argument("--iters", type=_positive_int, default=None,
-                        help="fuzz iterations (one drawn schedule through "
-                             "every oracle each)")
-    parser.add_argument("--budget", type=_duration, default=None,
-                        metavar="DUR",
-                        help="wall-time budget, e.g. 60s, 5m (combinable "
-                             "with --iters: whichever runs out first)")
-    parser.add_argument("--base-seed", type=int, default=0,
-                        help="first schedule seed (seeds increment per "
-                             "iteration)")
-    parser.add_argument("--oracle", choices=sorted(ORACLES), action="append",
-                        default=[],
-                        help="oracle to fuzz (repeatable; default: all)")
-    _add_engine_args(
-        parser, cache=False,
-        jobs_help="iterations whose oracle checks run in parallel worker "
-                  "processes; anomaly handling (shrinking, corpus "
-                  "writes) stays serial in this process (default 1)",
-    )
-    parser.add_argument("--no-shrink", action="store_true",
-                        help="persist failing schedules unminimized")
-    parser.add_argument("--replay", type=str, default=None, metavar="KEY",
-                        help="re-run one stored corpus entry instead of "
-                             "fuzzing")
-    parser.add_argument("--list", action="store_true",
-                        help="list corpus entries and exit")
-    args = parser.parse_args(argv)
-
     corpus = CorpusDB(args.corpus)
 
     if args.list:
+        # An entry naming an oracle no longer in the catalog can only
+        # replay as a usage error: it is stale, not an open anomaly.
         entries = corpus.entries()
+        stale = sum(1 for entry in entries if entry.oracle not in ORACLES)
         for entry in entries:
-            print(f"{entry.key}  {entry.kind:12s} {entry.oracle} "
+            status = "open" if entry.oracle in ORACLES else "stale"
+            print(f"{entry.key}  {status:5s} {entry.kind:12s} {entry.oracle} "
                   f"seed={entry.seed}  {entry.detail}")
         print(f"{len(entries)} corpus entr{'y' if len(entries) == 1 else 'ies'} "
-              f"in {corpus.root}")
+              f"in {corpus.root} ({len(entries) - stale} open, {stale} stale)")
         return 0
 
     if args.replay is not None:
@@ -754,57 +544,13 @@ def _fuzz_main(argv: list[str]) -> int:
     return 1 if stats.anomalies else 0
 
 
-def _amend_last_bench_record(path: str, **extra) -> None:
-    """Fold verify-specific fields into the record just appended."""
-    try:
-        with open(path) as fh:
-            records = json.load(fh)
-        records[-1].update(extra)
-    except (OSError, ValueError, IndexError, AttributeError):
-        return
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
-
-
-def _serve_main(argv: list[str]) -> int:
+def _serve_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi serve`` — run the long-lived experiment service.
 
     The server owns the job queue and the persistent job index and
     advertises the shared result cache to workers; it runs no
     simulations itself.  Stop with Ctrl-C.
     """
-    from .harness.service import DEFAULT_HOST, DEFAULT_PORT, ExperimentServer
-
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi serve",
-        description="Long-lived experiment service: accepts jobs from "
-                    "--service clients, hands them to pull-model "
-                    "`repro-mpi worker` processes, and answers repeats "
-                    "from the shared result cache",
-    )
-    parser.add_argument("--host", type=str, default=DEFAULT_HOST,
-                        help=f"listen address (default {DEFAULT_HOST})")
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT,
-                        help=f"listen port; 0 picks a free one "
-                             f"(default {DEFAULT_PORT})")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="shared result cache advertised to workers "
-                             "(default $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="run store-less: every submission queues, "
-                             "workers keep results to themselves")
-    parser.add_argument("--index-dir", type=str, default=None,
-                        help="persistent job index directory (default "
-                             "<cache-dir>/service-index)")
-    parser.add_argument("--lease", type=float, default=None, metavar="SECONDS",
-                        help="per-job lease: requeue a running job whose "
-                             "worker has not finished or heartbeat within "
-                             "SECONDS (default: requeue only when the "
-                             "worker's connection drops)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job lifecycle lines")
-    args = parser.parse_args(argv)
     if args.lease is not None and args.lease <= 0:
         parser.error("--lease must be positive")
 
@@ -832,45 +578,13 @@ def _serve_main(argv: list[str]) -> int:
     return 0
 
 
-def _worker_main(argv: list[str]) -> int:
+def _worker_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """``repro-mpi worker`` — pull-model executor for the service.
 
     Connects to a running ``repro-mpi serve``, long-polls for jobs, and
     executes them with the same engine job body an in-process run uses.
     Exits 0 when the server shuts down (or after ``--max-jobs``).
     """
-    from .harness.dispatch import parse_address
-    from .harness.service import run_worker
-
-    parser = argparse.ArgumentParser(
-        prog="repro-mpi worker",
-        description="Pull-model experiment-service worker: fetches jobs "
-                    "from a `repro-mpi serve` instance and writes results "
-                    "(including checkpoint images) into the shared cache",
-    )
-    parser.add_argument("--connect", type=str, required=True,
-                        metavar="HOST:PORT",
-                        help="experiment service address")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="override the server-advertised artifact "
-                             "store (rarely needed; must be shared with "
-                             "clients for warm-cache reruns)")
-    parser.add_argument("--max-jobs", type=_positive_int, default=None,
-                        help="exit after executing N jobs (default: run "
-                             "until the server shuts down)")
-    parser.add_argument("--connect-retries", type=int, default=5,
-                        metavar="N",
-                        help="retry the initial connection up to N times "
-                             "with capped exponential backoff, so workers "
-                             "may be launched before their server "
-                             "(default 5; 0 fails fast)")
-    parser.add_argument("--connect-backoff", type=float, default=0.5,
-                        metavar="SECONDS",
-                        help="first connect-retry delay; doubles per "
-                             "attempt, capped at 15s (default 0.5)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress lines")
-    args = parser.parse_args(argv)
     if args.connect_retries < 0:
         parser.error("--connect-retries must be >= 0")
     if args.connect_backoff < 0:
@@ -900,21 +614,12 @@ def _worker_main(argv: list[str]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "cache":
-        return _cache_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        return _sweep_main(argv[1:])
-    if argv and argv[0] == "verify":
-        return _verify_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return _fuzz_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "worker":
-        return _worker_main(argv[1:])
+def _parser() -> argparse.ArgumentParser:
+    """The whole ``repro-mpi`` command tree, one subcommand per handler.
+
+    Built per call, not at import: registries such as ``ORACLES`` (the
+    ``--oracle`` choices) are read as they are now.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-mpi",
         description=(
@@ -922,61 +627,248 @@ def main(argv: list[str] | None = None) -> int:
             "Checkpointing for MPI: A Topological Sort Approach' (CLUSTER 2024)"
         ),
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(PLANNERS) + ["all"],
-        help="which table/figure to regenerate (or `cache` to manage "
-             "the result cache)",
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND",
+                                     required=True)
+
+    def command(name, handler, helptext, *parents, description=None):
+        sub = commands.add_parser(name, help=helptext, parents=parents,
+                                  description=description or helptext)
+        sub.set_defaults(run=partial(handler, sub))
+        return sub
+
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--jobs", "-j", type=_positive_int, default=1,
+                        help="parallel worker processes (default 1)")
+    engine.add_argument("--service", type=str, default=None,
+                        metavar="HOST:PORT",
+                        help="send jobs to the experiment service at this "
+                             "address (see `repro-mpi serve`) instead of "
+                             "running them here")
+    engine.add_argument("--quiet", action="store_true",
+                        help="suppress per-job progress lines")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache-dir", type=str, default=None,
+                       help="result cache directory (default "
+                            "$REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
+    cache.add_argument("--no-cache", action="store_true",
+                       help="neither read nor write the result cache")
+    cache.add_argument("--bench-json", type=str, default=None,
+                       help="append a JSON record of this run's engine "
+                            "stats and wall time to PATH")
+    recovery = argparse.ArgumentParser(add_help=False)
+    recovery.add_argument(
+        "--recover", action="store_true",
+        help="chase crashed jobs with bounded restart chains: each crash "
+             "restarts from the last committed image (or from scratch when "
+             "nothing ever committed) until clean completion or the retry "
+             "budget runs out",
     )
-    parser.add_argument("--procs", type=_int_list, default=None,
-                        help="comma-separated process counts (fig5a/fig5b/fig6/fig8)")
-    parser.add_argument("--nprocs", type=_positive_int, default=None,
-                        help="process count (table1/fig7)")
-    parser.add_argument("--nodes", type=_int_list, default=None,
-                        help="comma-separated node counts (fig9)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--repeats", type=_positive_int, default=None,
-                        help="repetitions per cell, seeds seed..seed+n-1 "
-                             "(fig5a/fig7/fig8)")
-    parser.add_argument("--ppn", type=_positive_int, default=None,
-                        help="ranks per node (table1/fig7/fig8/fig9)")
-    parser.add_argument("--scenario", type=_scenario_arg, default=None,
-                        metavar="NAME[:K=V,...]",
-                        help="run every figure cell under a registered "
-                             "scenario (fat-tree, dragonfly, straggler, "
-                             "jitter, degraded-link; e.g. "
-                             "straggler:rank=1,factor=8.0)")
-    _add_engine_args(
-        parser, jobs_help="parallel simulation worker processes (default 1)"
+    recovery.add_argument(
+        "--max-attempts", type=_positive_int, metavar="N",
+        default=RecoveryPolicy().max_attempts,
+        help="recovery legs allowed per crashed job under --recover "
+             "(default %(default)s)",
     )
-    _add_recovery_args(parser)
-    args = parser.parse_args(argv)
 
-    engine = _make_engine(parser, args, progress=not args.quiet)
+    figures = {name: ([name], inspect.getdoc(planner).splitlines()[0])
+               for name, planner in PLANNERS.items()}
+    figures["all"] = (sorted(PLANNERS),
+                      "Every table and figure as ONE engine batch, so the "
+                      "cells they share simulate once.")
+    for name, (names, summary) in figures.items():
+        sub = command(name, _figures_main, summary, engine, cache, recovery)
+        sub.set_defaults(figures=names)
+        _add_figure_flags(sub, {n: PLANNERS[n] for n in names})
+        sub.add_argument("--scenario", type=_scenario_arg, default=None,
+                         metavar="NAME[:K=V,...]",
+                         help="run every figure cell under a registered "
+                              "scenario (fat-tree, dragonfly, straggler, "
+                              "jitter, degraded-link; e.g. "
+                              "straggler:rank=1,factor=8.0)")
 
-    names = sorted(PLANNERS) if args.experiment == "all" else [args.experiment]
-    plans = [PLANNERS[name](**_planner_kwargs(name, args)) for name in names]
-    if args.scenario:
-        plans = [plan_with_scenario(plan, args.scenario) for plan in plans]
-    t0 = time.time()
-    # One batch for everything requested: cross-figure dedupe is the
-    # whole point of batching `all`.
-    with engine:
-        results = run_plans(plans, engine)
-    for result in results:
-        print(result.render())
-        print()
-    stats = engine.last_stats
-    if stats is not None:
-        print(f"[{'+'.join(names)}: {stats.summary()}; "
-              f"{time.time() - t0:.1f}s total]")
-    if args.bench_json:
-        _append_bench_record(args.bench_json, names, stats, time.time() - t0)
-    return 0
+    sub = command("cache", _cache_main,
+                  "inspect and manage the on-disk simulation result cache")
+    actions = sub.add_subparsers(dest="action", required=True)
+    for name, desc in (
+        ("stats", "entry count, on-disk bytes, image tier, recorded timings"),
+        ("clear", "delete every cached result and image set "
+                  "(timings survive)"),
+        ("prune", "evict entries by figure, age, count, and/or "
+                  "image-tier size"),
+    ):
+        p = actions.add_parser(name, help=desc)
+        p.add_argument("--cache-dir", type=str, default=None,
+                       help="cache directory (default $REPRO_CACHE_DIR "
+                            "or ~/.cache/repro-mpi)")
+        if name == "prune":
+            p.add_argument("--figure", choices=sorted(PLANNERS), default=None,
+                           help="figure whose default-parameter cells to evict")
+            p.add_argument("--older-than", type=_duration, default=None,
+                           metavar="AGE",
+                           help="evict entries last stored more than AGE ago "
+                                "(e.g. 90, 30m, 12h, 7d)")
+            p.add_argument("--max-entries", type=_positive_int, default=None,
+                           metavar="N",
+                           help="evict oldest entries until at most N remain")
+            p.add_argument("--max-image-bytes", type=_byte_size, default=None,
+                           metavar="SIZE",
+                           help="evict oldest image sets until the "
+                                "tier is at most SIZE (e.g. 512M, 2G; "
+                                "results are untouched)")
+
+    sub = command("sweep", _sweep_main,
+                  "run a cartesian scenario sweep (protocol x app x scale "
+                  "grids as one deduplicated engine batch)",
+                  engine, cache, recovery)
+    sub.add_argument("--study", choices=sorted(STUDIES), default=None,
+                     help="run a predefined sweep study instead of --axis")
+    sub.add_argument("--axis", type=_axis_arg, action="append", default=[],
+                     metavar="KEY=V1,V2,...",
+                     help="sweep axis (repeatable; declaration order is "
+                          "expansion order)")
+    sub.add_argument("--base", type=_base_arg, action="append", default=[],
+                     metavar="KEY=VALUE",
+                     help="constant merged into every point (repeatable)")
+    sub.add_argument("--mask", choices=sorted(MASKS), action="append",
+                     default=[],
+                     help="named NA mask to apply (repeatable; "
+                          "2pc-nonblocking is always on)")
+    sub.add_argument("--pivot", type=str, default=None,
+                     help="pivot axis for the folded table (e.g. protocol)")
+    sub.add_argument("--baseline", type=str, default=None,
+                     help="pivot value to report overhead %% against")
+    sub.add_argument("--x-axis", type=str, default=None,
+                     help="numeric axis for series output (with --pivot)")
+    sub.add_argument("--metric", type=str, default=None,
+                     help="metric column (runtime, ckpt_time, ...)")
+    sub.add_argument("--name", type=str, default="sweep",
+                     help="sweep name used in titles and bench records")
+    _add_figure_flags(sub, STUDIES)
+
+    sub = command("verify", _verify_main,
+                  "check the paper's claims under randomized fault schedules",
+                  engine, cache,
+                  description="Differential-oracle verification under "
+                              "randomized fault schedules (checkpoint-request "
+                              "timing, rank completion races, restart depth). "
+                              "With --jobs N the (oracle, seed) checks run in "
+                              "worker processes; the report sequence is "
+                              "byte-identical to a serial sweep.")
+    sub.add_argument("--seeds", type=_positive_int, default=5,
+                     help="fault-schedule seeds per oracle (default 5)")
+    sub.add_argument("--base-seed", type=int, default=0,
+                     help="first seed (failing-seed artifacts replay with "
+                          "--seeds 1 --base-seed N)")
+    sub.add_argument("--oracle", choices=sorted(ORACLES), action="append",
+                     default=[],
+                     help="oracle to run (repeatable; default: all)")
+    sub.add_argument("--artifact", type=str, default="verify-failures.json",
+                     metavar="PATH",
+                     help="failing-seed artifact path (written only on "
+                          "mismatch; default verify-failures.json)")
+
+    sub = command("fuzz", _fuzz_main,
+                  "fuzz fault schedules into a persistent anomaly corpus",
+                  engine,
+                  description="Fuzz fault schedules through every registered "
+                              "oracle, shrinking and persisting each anomaly "
+                              "as a derandomized reproduction in an on-disk "
+                              "corpus. With --jobs N iterations' oracle "
+                              "checks run in worker processes; shrinking and "
+                              "corpus writes stay in this process.")
+    sub.add_argument("--corpus", type=str, default="fuzz-corpus",
+                     metavar="DIR",
+                     help="anomaly corpus directory (default ./fuzz-corpus)")
+    sub.add_argument("--iters", type=_positive_int, default=None,
+                     help="fuzz iterations (one drawn schedule through "
+                          "every oracle each)")
+    sub.add_argument("--budget", type=_duration, default=None,
+                     metavar="DUR",
+                     help="wall-time budget, e.g. 60s, 5m (combinable "
+                          "with --iters: whichever runs out first)")
+    sub.add_argument("--base-seed", type=int, default=0,
+                     help="first schedule seed (seeds increment per "
+                          "iteration)")
+    sub.add_argument("--oracle", choices=sorted(ORACLES), action="append",
+                     default=[],
+                     help="oracle to fuzz (repeatable; default: all)")
+    sub.add_argument("--no-shrink", action="store_true",
+                     help="persist failing schedules unminimized")
+    sub.add_argument("--replay", type=str, default=None, metavar="KEY",
+                     help="re-run one stored corpus entry instead of "
+                          "fuzzing")
+    sub.add_argument("--list", action="store_true",
+                     help="list corpus entries (stale ones tagged) and exit")
+
+    sub = command("serve", _serve_main,
+                  "run the long-lived experiment service",
+                  description="Long-lived experiment service: accepts jobs "
+                              "from --service clients, hands them to "
+                              "pull-model `repro-mpi worker` processes, and "
+                              "answers repeats from the shared result cache")
+    sub.add_argument("--host", type=str, default=DEFAULT_HOST,
+                     help=f"listen address (default {DEFAULT_HOST})")
+    sub.add_argument("--port", type=int, default=DEFAULT_PORT,
+                     help=f"listen port; 0 picks a free one "
+                          f"(default {DEFAULT_PORT})")
+    sub.add_argument("--cache-dir", type=str, default=None,
+                     help="shared result cache advertised to workers "
+                          "(default $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
+    sub.add_argument("--no-cache", action="store_true",
+                     help="run store-less: every submission queues, "
+                          "workers keep results to themselves")
+    sub.add_argument("--index-dir", type=str, default=None,
+                     help="persistent job index directory (default "
+                          "<cache-dir>/service-index)")
+    sub.add_argument("--lease", type=float, default=None, metavar="SECONDS",
+                     help="per-job lease: requeue a running job whose "
+                          "worker has not finished or heartbeat within "
+                          "SECONDS (default: requeue only when the "
+                          "worker's connection drops)")
+    sub.add_argument("--quiet", action="store_true",
+                     help="suppress per-job lifecycle lines")
+
+    sub = command("worker", _worker_main,
+                  "pull jobs from a `repro-mpi serve` instance and run them",
+                  description="Pull-model experiment-service worker: fetches "
+                              "jobs from a `repro-mpi serve` instance and "
+                              "writes results (including checkpoint images) "
+                              "into the shared cache")
+    sub.add_argument("--connect", type=str, required=True,
+                     metavar="HOST:PORT",
+                     help="experiment service address")
+    sub.add_argument("--cache-dir", type=str, default=None,
+                     help="override the server-advertised artifact "
+                          "store (rarely needed; must be shared with "
+                          "clients for warm-cache reruns)")
+    sub.add_argument("--max-jobs", type=_positive_int, default=None,
+                     help="exit after executing N jobs (default: run "
+                          "until the server shuts down)")
+    sub.add_argument("--connect-retries", type=int, default=5,
+                     metavar="N",
+                     help="retry the initial connection up to N times "
+                          "with capped exponential backoff, so workers "
+                          "may be launched before their server "
+                          "(default 5; 0 fails fast)")
+    sub.add_argument("--connect-backoff", type=float, default=0.5,
+                     metavar="SECONDS",
+                     help="first connect-retry delay; doubles per "
+                          "attempt, capped at 15s (default 0.5)")
+    sub.add_argument("--quiet", action="store_true",
+                     help="suppress per-job progress lines")
+    return parser
 
 
-def _append_bench_record(path: str, names: list[str], stats, total: float) -> None:
-    """Accumulate one run's engine metrics in a JSON list at ``path``."""
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.run(args)
+
+
+def _append_bench_record(
+    path: str, names: list[str], stats, total: float, **extra
+) -> None:
+    """Accumulate one run's engine metrics (plus any command-specific
+    ``extra`` fields) in a JSON list at ``path``."""
     record = {
         "figures": names,
         "total_seconds": round(total, 3),
@@ -993,6 +885,7 @@ def _append_bench_record(path: str, names: list[str], stats, total: float) -> No
             "prediction_hit_rate": round(stats.prediction_hit_rate, 4),
             "wall_time": round(stats.wall_time, 3),
         }
+    record.update(extra)
     try:
         with open(path) as fh:
             records = json.load(fh)

@@ -5,24 +5,14 @@ from .cache import TIMINGS_MAX_ENTRIES, ResultCache, default_cache_dir
 from .dispatch import DispatchError, fan_out, resolve_dispatch
 from .engine import DEFAULT_MAX_EVENTS, EngineStats, ExperimentEngine
 from .experiments import (
-    EXPERIMENTS,
     PLANNERS,
     STUDIES,
     ExperimentResult,
     FigurePlan,
-    fig5a,
-    fig5b,
-    fig6,
-    fig7,
-    fig8,
-    fig9,
     plan_ckpt_freq,
     plan_scale_grid,
     plan_with_scenario,
     run_plans,
-    sweep_fold,
-    sweep_plan,
-    table1,
 )
 from .recovery import (
     RecoveryError,
@@ -98,21 +88,11 @@ __all__ = [
     "SweepCell",
     "SweepError",
     "MASKS",
-    "sweep_plan",
-    "sweep_fold",
     "plan_scale_grid",
     "plan_ckpt_freq",
     "plan_with_scenario",
     "STUDIES",
-    "EXPERIMENTS",
     "PLANNERS",
-    "table1",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
     "ORACLES",
     "FaultSchedule",
     "Oracle",

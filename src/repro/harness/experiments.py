@@ -9,13 +9,13 @@ lists to approach the paper's 128-2048 range.
 Architecture: each figure is a *planner* (``plan_fig7`` etc., listed in
 :data:`PLANNERS`) that builds the declarative :class:`RunSpec` list for
 every cell and returns it with a *fold* that turns the engine's
-``{spec: RunResult}`` map back into the rendered table.  The figure
-functions (``fig7`` etc., :data:`EXPERIMENTS`) are derived from the
-planners: same arguments plus ``engine=``, they submit the one plan to
-an :class:`ExperimentEngine`.  :func:`run_plans` submits *several
-figures as one batch*, which is how ``repro-mpi all`` dedupes the native
-baselines shared by Table 1, Figure 7, and Figure 8, and how Figure 9's
-probe/checkpoint/restart chains each simulate once.
+``{spec: RunResult}`` map back into the rendered table.  A planner is
+the one place a figure's knobs are declared: ``repro-mpi <figure>``
+offers exactly the flags its signature names.  :func:`run_plans`
+submits *several figures as one batch* (run one figure with
+``run_plans([PLANNERS[name](...)])[0]``), which is how ``repro-mpi all``
+dedupes the native baselines shared by Table 1, Figure 7, and Figure 8,
+and how Figure 9's probe/checkpoint/restart chains each simulate once.
 
 The expected *shapes* (who wins, where NA appears, where the dip is)
 are stated in each planner's docstring and asserted by ``tests/paper/``.
@@ -39,19 +39,10 @@ __all__ = [
     "FigurePlan",
     "plan_with_scenario",
     "run_plans",
-    "sweep_plan",
-    "sweep_fold",
     "plan_scale_grid",
     "plan_ckpt_freq",
     "plan_restart_chain",
     "STUDIES",
-    "table1",
-    "fig5a",
-    "fig5b",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
     "plan_table1",
     "plan_fig5a",
     "plan_fig5b",
@@ -59,7 +50,6 @@ __all__ = [
     "plan_fig7",
     "plan_fig8",
     "plan_fig9",
-    "EXPERIMENTS",
     "PLANNERS",
 ]
 
@@ -208,6 +198,31 @@ def _note_na(
         result.add_note(f"NA[{label}/{proto}]: {reasons[proto]}")
 
 
+def _osu_cells(
+    procs: Sequence[int], kinds: Sequence[str], sizes: Sequence[int],
+    iters: int, seed: int, repeats: int, *, blocking: bool,
+) -> list[tuple[str, int, int, dict[str, list[RunSpec]]]]:
+    """Figure 5's OSU grid: one native/2PC/CC cell per kind x size x
+    procs, minus the cells the paper's memory limit omits."""
+    cells = []
+    for kind in kinds:
+        for size in sizes:
+            for p in procs:
+                if _memory_limited(kind, size, p):
+                    continue
+                cell = _protocol_cell(
+                    "osu",
+                    {"niters": iters, "kind": kind, "nbytes": size, "blocking": blocking},
+                    p,
+                    ("native", "2pc", "cc"),
+                    ppn=max(p // 2, 1),
+                    seed=seed,
+                    repeats=repeats,
+                )
+                cells.append((kind, size, p, cell))
+    return cells
+
+
 # --------------------------------------------------------------------- #
 # Table 1: collective and p2p call rates per application
 # --------------------------------------------------------------------- #
@@ -273,22 +288,7 @@ def plan_fig5a(
     inserted barrier destroys the loose tree), near zero at 1 MB for the
     naturally synchronizing kinds; CC stays below 2PC on every cell.
     """
-    cells = []
-    for kind in kinds:
-        for size in sizes:
-            for p in procs:
-                if _memory_limited(kind, size, p):
-                    continue
-                cell = _protocol_cell(
-                    "osu",
-                    {"niters": iters, "kind": kind, "nbytes": size, "blocking": True},
-                    p,
-                    ("native", "2pc", "cc"),
-                    ppn=max(p // 2, 1),
-                    seed=seed,
-                    repeats=repeats,
-                )
-                cells.append((kind, size, p, cell))
+    cells = _osu_cells(procs, kinds, sizes, iters, seed, repeats, blocking=True)
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         result = ExperimentResult(
@@ -331,21 +331,7 @@ def plan_fig5b(
     CC pays two wrapper crossings per operation, which shows on small
     messages and decays with the message size.
     """
-    cells = []
-    for kind in kinds:
-        for size in sizes:
-            for p in procs:
-                if _memory_limited(kind, size, p):
-                    continue
-                cell = _protocol_cell(
-                    "osu",
-                    {"niters": iters, "kind": kind, "nbytes": size, "blocking": False},
-                    p,
-                    ("native", "2pc", "cc"),
-                    ppn=max(p // 2, 1),
-                    seed=seed,
-                )
-                cells.append((kind, size, p, cell))
+    cells = _osu_cells(procs, kinds, sizes, iters, seed, 1, blocking=False)
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         result = ExperimentResult(
@@ -390,9 +376,11 @@ def plan_fig6(
     iters: int = 40,
     seed: int = 0,
 ) -> FigurePlan:
-    """Overlap of communication and computation (Figure 6): CC keeps the
-    native overlap, because the wrappers never touch the background
-    progress of an initiated operation."""
+    """Overlap of communication and computation, native vs CC (Figure 6).
+
+    CC keeps the native overlap, because the wrappers never touch the
+    background progress of an initiated operation.
+    """
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -568,9 +556,11 @@ def plan_fig9(
     niters: int = 10,
     image_bytes_per_rank: int = 398 << 20,
 ) -> FigurePlan:
-    """Checkpoint and restart times, 2PC vs CC, vs node count (Figure 9):
-    nearly identical between the protocols (the image write dominates)
-    and growing once the file system's aggregate bandwidth saturates."""
+    """Checkpoint and restart times, 2PC vs CC, vs node count (Figure 9).
+
+    Nearly identical between the protocols (the image write dominates)
+    and growing once the file system's aggregate bandwidth saturates.
+    """
     storage = StorageModel(
         per_node_bandwidth=2.0e9, aggregate_bandwidth=6.0e9, base_latency=1.0
     )
@@ -635,24 +625,6 @@ def plan_fig9(
 # --------------------------------------------------------------------- #
 # Sweep-DSL studies: scenario grids beyond the paper's figures
 # --------------------------------------------------------------------- #
-
-def sweep_plan(sweep: Sweep, **fold_kwargs) -> FigurePlan:
-    """A :class:`Sweep` as a figure plan (generic plan/fold pair).
-
-    The plan's spec list is the sweep's deduplicated product; the fold
-    is :meth:`Sweep.fold` bound to ``fold_kwargs``.  Because it is an
-    ordinary :class:`FigurePlan`, sweeps batch with figures through
-    :func:`run_plans` and dedupe against their cells.
-    """
-    return sweep.plan(**fold_kwargs)
-
-
-def sweep_fold(
-    sweep: Sweep, results: Mapping[RunSpec, RunResult], **fold_kwargs
-) -> ExperimentResult:
-    """Fold an engine result map through ``sweep`` (see :meth:`Sweep.fold`)."""
-    return sweep.fold(results, **fold_kwargs)
-
 
 #: Per-app default step counts for sweep studies (scaled-down sizes in
 #: the same spirit as the figure defaults above).
@@ -844,18 +816,3 @@ PLANNERS = {
     "fig9": plan_fig9,
 }
 
-
-def _figure(name: str, planner: Callable[..., FigurePlan]) -> Callable[..., ExperimentResult]:
-    """The run-it-now form of a planner: the planner's own arguments plus
-    ``engine=``; plans, runs the one plan, returns the folded result."""
-
-    def figure(*args, engine: ExperimentEngine | None = None, **kwargs) -> ExperimentResult:
-        return run_plans([planner(*args, **kwargs)], engine)[0]
-
-    figure.__name__ = figure.__qualname__ = name
-    figure.__doc__ = planner.__doc__
-    return figure
-
-
-EXPERIMENTS = {name: _figure(name, planner) for name, planner in PLANNERS.items()}
-table1, fig5a, fig5b, fig6, fig7, fig8, fig9 = EXPERIMENTS.values()

@@ -177,6 +177,22 @@ class TestTopLevelRejections:
             "expected comma-separated integers",
         )
 
+    @pytest.mark.parametrize(
+        "figure,flag",
+        [("table1", ["--procs", "4"]), ("fig5a", ["--nodes", "2"]),
+         ("fig6", ["--repeats", "2"]), ("fig7", ["--procs", "4"]),
+         ("fig9", ["--repeats", "1"])],
+    )
+    def test_flag_the_figure_does_not_take_is_a_usage_error(
+        self, capsys, figure, flag
+    ):
+        # A figure takes exactly its planner's parameters; anything else
+        # must not be dropped silently while the default scale runs.
+        _expect_usage_error(
+            capsys, [figure, *flag, "--no-cache", "--quiet"],
+            f"unrecognized arguments: {flag[0]}",
+        )
+
     def test_removed_backend_flag_is_a_usage_error(self, capsys):
         # The kernel has one execution mechanism; the old selector must
         # fail like any unknown flag, not as a traceback further in.

@@ -1,7 +1,18 @@
 """Tests for experiment memory-limit handling (mirroring the paper's own
 omissions) and render formatting."""
 
-from repro.harness.experiments import _fmt_size, _memory_limited
+import hashlib
+
+import pytest
+
+from repro.harness import PLANNERS, run_plans
+from repro.harness.experiments import (
+    _fmt_size,
+    _memory_limited,
+    plan_fig5a,
+    plan_fig5b,
+)
+from repro.harness.spec import spec_hash
 
 
 def test_memory_limited_cells_match_paper():
@@ -16,13 +27,43 @@ def test_memory_limited_cells_match_paper():
 
 
 def test_fig5a_skips_limited_cells():
-    from repro.harness import fig5a
-
-    res = fig5a(procs=(8, 32), kinds=("alltoall",), sizes=(1 << 20,), iters=4)
+    (res,) = run_plans([PLANNERS["fig5a"](
+        procs=(8, 32), kinds=("alltoall",), sizes=(1 << 20,), iters=4
+    )])
     procs_covered = {row[2] for row in res.rows}
     assert 8 in procs_covered
     assert 32 not in procs_covered
     assert "memory" in res.notes
+
+
+#: (spec count, sha256 over the space-joined spec hashes) of Figure 5's
+#: OSU grids, recorded before fig5a and fig5b shared a grid builder: at
+#: the planners' defaults and at the end-to-end benchmark's workload
+#: sizes (``benchmarks/e2e/workloads.py`` ``SCALES``, full and smoke).
+OSU_GRID_PINS = [
+    (plan_fig5a, {}, 102,
+     "e01f4f50f08b4f964eab1872c4a19cae9e3e0f2bfb046611dcbe8382483367e7"),
+    (plan_fig5a, dict(procs=(8, 16), sizes=(4, 1024, 65536), iters=10), 72,
+     "59237bc2d7a7b2b33b4b0b1a48c4fbc28891ddaa8f33493ead7b038ff8348609"),
+    (plan_fig5a, dict(procs=(4,), kinds=("bcast", "allreduce"),
+                      sizes=(4, 1024), iters=4), 12,
+     "ba1d8b3089185429b9217bb468e6d44350c91a1f50bc4e207aef8c66fcb523cd"),
+    (plan_fig5b, {}, 102,
+     "5faaa29335ce886918cb531141c39c8c9c374d596f442a99321aa81a4ab74232"),
+    (plan_fig5b, dict(procs=(8, 16), sizes=(1024, 65536), iters=8), 48,
+     "4348015f3a6333aaa98b966a93ccffef02aa4306bd8a684986b131a8d8fc2fd1"),
+    (plan_fig5b, dict(procs=(4,), kinds=("allreduce",), sizes=(1024,),
+                      iters=3), 3,
+     "ad8b536990e956ec21b57f8517ed044440ae01d928e41bed2c2ada767446da77"),
+]
+
+
+@pytest.mark.parametrize("planner,kwargs,count,digest", OSU_GRID_PINS)
+def test_osu_grid_spec_hashes_are_pinned(planner, kwargs, count, digest):
+    specs = planner(**kwargs).specs
+    joined = " ".join(spec_hash(spec) for spec in specs)
+    assert len(specs) == count
+    assert hashlib.sha256(joined.encode()).hexdigest() == digest
 
 
 def test_fmt_size():

@@ -1,12 +1,13 @@
 """Tests for the runner, experiment drivers, and CLI."""
 
 import os
+import re
 
 import pytest
 
 from repro.apps import make_app_factory
 from repro.apps.base import MpiApp
-from repro.harness import EXPERIMENTS, fig5b, fig9, table1
+from repro.harness import PLANNERS, run_plans
 from repro.harness.runner import RunResult, launch_run
 
 
@@ -102,14 +103,18 @@ class TestCpuConfinement:
         assert run.per_rank == [sorted(before)] * 2
 
 
+def _figure(name, **kwargs):
+    return run_plans([PLANNERS[name](**kwargs)])[0]
+
+
 class TestExperiments:
     def test_registry_covers_every_table_and_figure(self):
-        assert set(EXPERIMENTS) == {
+        assert set(PLANNERS) == {
             "table1", "fig5a", "fig5b", "fig6", "fig7", "fig8", "fig9"
         }
 
     def test_table1_shape(self):
-        res = table1(nprocs=8)
+        res = _figure("table1", nprocs=8)
         assert len(res.rows) == 6
         apps = [row[0] for row in res.rows]
         assert apps[0].startswith("osu")
@@ -120,12 +125,12 @@ class TestExperiments:
         assert poisson_row[2] == "NA"
 
     def test_fig5b_reports_na_for_2pc(self):
-        res = fig5b(procs=(4,), kinds=("allreduce",), sizes=(4,), iters=10)
+        res = _figure("fig5b", procs=(4,), kinds=("allreduce",), sizes=(4,), iters=10)
         assert all(row[3] == "NA" for row in res.rows)
         assert "NA" in res.render()
 
     def test_render_series_table(self):
-        res = fig9(nodes=(1, 2), ppn=2, niters=5)
+        res = _figure("fig9", nodes=(1, 2), ppn=2, niters=5)
         text = res.render()
         assert "nodes" in text
         assert "CC ckpt" in text
@@ -172,3 +177,43 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_help_names_every_command(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in [*PLANNERS, "all", "cache", "sweep", "verify", "fuzz",
+                        "serve", "worker"]:
+            assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+
+    def test_figure_help_shows_only_its_planners_flags(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig9", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--nodes" in out and "--procs" not in out
+        # The description is the planner's docstring summary line.
+        assert "Checkpoint and restart times, 2PC vs CC" in out
+
+    def test_all_applies_each_flag_to_the_figures_that_take_it(self):
+        from repro.cli import _parser, _planner_kwargs
+
+        args = _parser().parse_args(
+            ["all", "--procs", "4", "--nprocs", "4", "--repeats", "1"]
+        )
+        assert {
+            name: _planner_kwargs(PLANNERS[name], args) for name in args.figures
+        } == {
+            "fig5a": {"procs": (4,), "repeats": 1, "seed": 0},
+            "fig5b": {"procs": (4,), "seed": 0},
+            "fig6": {"procs": (4,), "seed": 0},
+            "fig7": {"nprocs": 4, "repeats": 1, "seed": 0},
+            "fig8": {"procs": (4,), "repeats": 1, "seed": 0},
+            "fig9": {"seed": 0},
+            "table1": {"nprocs": 4, "seed": 0},
+        }

@@ -9,8 +9,6 @@ from repro.harness import (
     ResultCache,
     Sweep,
     SweepError,
-    sweep_fold,
-    sweep_plan,
 )
 from repro.harness.spec import RunSpec, SpecError, spec_hash
 
@@ -227,7 +225,7 @@ class TestExecutionAndFold:
     def test_flat_fold_rows_and_na_notes(self):
         engine = ExperimentEngine()
         sweep = tiny_sweep()
-        result = sweep_fold(sweep, engine.run_sweep(sweep))
+        result = sweep.fold(engine.run_sweep(sweep))
         assert result.headers[:5] == ["niters", "seed", "app", "protocol", "nprocs"]
         assert len(result.rows) == 6
         na_rows = [r for r in result.rows if "NA" in r]
@@ -274,11 +272,11 @@ class TestExecutionAndFold:
             tiny_sweep().fold(results)
 
     def test_sweep_plan_batches_with_figures(self):
-        """sweep_plan rides run_plans like any figure plan."""
+        """Sweep.plan rides run_plans like any figure plan."""
         from repro.harness import run_plans
 
         engine = ExperimentEngine()
-        plan = sweep_plan(tiny_sweep())
+        plan = tiny_sweep().plan()
         (result,) = run_plans([plan], engine)
         assert result.name == "tiny"
         assert engine.last_stats.submitted == 5

@@ -15,7 +15,7 @@ import dataclasses
 from functools import lru_cache
 
 from repro.apps import make_app_factory
-from repro.harness import EXPERIMENTS
+from repro.harness import PLANNERS, run_plans
 from repro.harness.runner import launch_run
 from repro.netmodel import ModelParams
 from repro.util.stats import overhead_pct
@@ -34,7 +34,7 @@ SCALE = {
 
 @lru_cache(maxsize=None)
 def figure(name):
-    return EXPERIMENTS[name](**SCALE[name])
+    return run_plans([PLANNERS[name](**SCALE[name])])[0]
 
 
 # --------------------------------------------------------------------- #

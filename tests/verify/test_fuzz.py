@@ -443,6 +443,26 @@ class TestFuzzCli:
         out = capsys.readouterr().out
         assert "mismatch" in out and "1 corpus entry" in out
 
+    def test_list_tags_entries_of_oracles_gone_from_the_catalog(
+        self, tmp_path, capsys
+    ):
+        # `engine` was an oracle once; its entries can only replay as a
+        # usage error, so they are stale rather than open anomalies.
+        corpus = CorpusDB(tmp_path / "corpus")
+        gone = _entry(FaultSchedule(seed=3), oracle="engine")
+        live = _entry(FaultSchedule(seed=4), oracle="safe-cut")
+        corpus.add(gone)
+        corpus.add(live)
+        assert main(["fuzz", "--corpus", str(corpus.root), "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (gone_line,) = [l for l in lines if l.startswith(gone.key)]
+        (live_line,) = [l for l in lines if l.startswith(live.key)]
+        assert "stale" in gone_line.split()
+        assert "stale" not in live_line.split()
+        assert lines[-1] == (
+            f"2 corpus entries in {corpus.root} (1 open, 1 stale)"
+        )
+
     def test_missing_budget_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fuzz", "--corpus", str(tmp_path / "c")])
