@@ -10,18 +10,26 @@ hand-off is mediated by the event queue, and entries are ordered by
 ``(time, sequence_number)``, execution is fully deterministic for a
 fixed program — no dependence on OS thread scheduling.
 
-Suspension is a *baton* protocol.  Every process has a carrier OS
-thread (so its stack survives a suspension), and there is no dedicated
-scheduler thread: whichever thread holds the baton runs the event loop
-(:meth:`Simulator._drive`).  A process that suspends keeps driving on
-its own carrier; when its own wake event comes up — the common case for
-compute/sleep loops — resuming is a plain function return, zero lock
-operations.  Otherwise the driver releases the next process's
-``_resume`` lock and parks (one hand-off).  The thread inside
-:meth:`Simulator.run` drives until the first transfer, then parks until
-the loop reaches a terminal state.  The dedicated-scheduler-thread
+Suspension is a *baton* protocol.  Every live process is bound to a
+carrier OS thread (so its stack survives a suspension), and there is no
+dedicated scheduler thread: whichever thread holds the baton runs the
+event loop (:meth:`Simulator._drive`).  A process that suspends keeps
+driving on its own carrier; when its own wake event comes up — the
+common case for compute/sleep loops — resuming is a plain function
+return, zero lock operations.  Otherwise the driving thread releases
+the next process's ``_resume`` lock and parks (one hand-off).  The
+thread inside :meth:`Simulator.run` drives until the first transfer,
+then parks until the loop reaches a terminal state.  The dedicated-scheduler-thread
 design this replaced lives on as the differential reference in
 ``tests/des/reference_kernel.py``.
+
+Carriers outlive their processes.  A carrier is a raw lock plus the
+process bound to it, parked in a process-global pool between
+processes: :meth:`Simulator.spawn` binds an idle one (re-pinned to the
+spawner's CPU mask when that differs from the mask it last ran under)
+or starts a new one on a :data:`_STACK_SIZE` stack.  A finished process
+is unbound, and its carrier back in the pool, before the baton leaves
+that carrier, so a job of short runs starts each OS thread once.
 
 Hot-path design (every simulated second is millions of these):
 
@@ -48,13 +56,15 @@ Hot-path design (every simulated second is millions of these):
 * **Consecutive same-time resumes of one process coalesce** into a
   single resume event (a double wake at the same instant was previously
   a latent spurious-wakeup hazard).
-* **Teardown is explicit**: :meth:`Simulator.close` joins every
-  carrier, then drops each process's body and preallocated callbacks
-  (a bound method of the process stored on the process is a cycle) and
-  the three event queues.  A finished run is freed by refcounting the
-  moment its owner lets go — no full-heap collection between runs —
-  while ``processes``, ``event_count``, ``now()`` and each process's
-  ``name``/``state``/``result``/``exception`` stay readable.
+* **Teardown is explicit**: :meth:`Simulator.close` unwinds every
+  process still bound to a carrier (the carrier is back in the pool
+  before it hands control back), then drops each process's body and
+  preallocated callbacks (a bound method of the process stored on the
+  process is a cycle) and the three event queues.  A finished run is
+  freed by refcounting the moment its owner lets go — no full-heap
+  collection between runs — while ``processes``, ``event_count``,
+  ``now()`` and each process's ``name``/``state``/``result``/``exception``
+  stay readable.
 
 This is the substrate on which ``repro.simmpi`` (the simulated MPI
 library) and ``repro.mana`` (the checkpointing layer) are built.
@@ -73,6 +83,7 @@ Typical usage::
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from collections import deque
 from functools import partial as _partial
@@ -116,6 +127,115 @@ _ALIVE_STATES = (_NEW, _READY, _RUNNING, _BLOCKED)
 _STACK_SIZE = 512 * 1024
 _stack_size_lock = threading.Lock()
 
+#: Most idle carriers kept parked for the next spawn.  The repo's largest
+#: jobs (Figures 5a/5b/6 at 32 procs, Figure 9 at 8 nodes x 4 ppn) have
+#: 32 ranks, so each of them reseats on parked carriers; a carrier that
+#: finishes while this many are idle exits instead of parking.
+_POOL_MAX = 32
+
+#: Idle carriers, the last one parked on top.  Guarded by ``_pool_lock``.
+_idle: "list[_Carrier]" = []
+_pool_lock = threading.Lock()
+
+
+class _Carrier:
+    """An OS thread that runs the stack of one bound process at a time.
+
+    ``lock`` doubles as the bound process's ``_resume`` lock and is held
+    whenever the carrier is parked, bound or idle.  ``mask`` is the CPU
+    set the thread runs under (None without an affinity API) and
+    ``tid`` its native id, for re-pinning.  The thread starts here, on a
+    :data:`_STACK_SIZE` stack: CPython reads ``threading.stack_size()``
+    when a thread *starts*, so the process-global setting is bracketed
+    around ``start()`` — under a lock, or two simulations spawning from
+    different threads (service workers) could each restore the other's
+    small size.
+    """
+
+    __slots__ = ("lock", "proc", "mask", "tid")
+
+    def __init__(self, mask: "set[int] | None"):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.proc: SimProcess | None = None
+        self.mask = mask
+        thread = threading.Thread(
+            target=_carrier_main, args=(self,), name="sim-carrier", daemon=True
+        )
+        with _stack_size_lock:
+            try:
+                old = threading.stack_size(_STACK_SIZE)
+            except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
+                thread.start()
+            else:
+                try:
+                    thread.start()
+                finally:
+                    threading.stack_size(old)
+        self.tid = thread.native_id
+
+
+def _carrier_main(carrier: _Carrier) -> None:
+    """A carrier's life: park, run the bound process, unbind, park again.
+
+    The process is unbound and the carrier back in the pool before the
+    baton leaves this thread, so once the run's owner regains control
+    nothing of the run is reachable from here.  A carrier finishing
+    while the pool is full, or woken with no process bound, exits.
+    """
+    lock = carrier.lock
+    while True:
+        lock.acquire()
+        if carrier.proc is None:
+            return
+        handoff = carrier.proc._bootstrap()
+        carrier.proc = None
+        with _pool_lock:
+            parked = len(_idle) < _POOL_MAX
+            if parked:
+                _idle.append(carrier)
+        handoff.release()
+        if not parked:
+            return
+
+
+def _take_carrier() -> _Carrier:
+    """An idle carrier running under the calling thread's CPU mask, or a
+    new one (a new thread inherits that mask).  The idle carrier on top
+    of the pool is re-pinned if its mask differs; if the OS refuses, it
+    stays parked and a new carrier is started instead."""
+    try:
+        mask = os.sched_getaffinity(0)
+    except AttributeError:  # no affinity API: masks play no part
+        mask = None
+    with _pool_lock:
+        if _idle:
+            carrier = _idle[-1]
+            try:
+                if carrier.mask != mask:
+                    os.sched_setaffinity(carrier.tid, mask)
+                    carrier.mask = mask
+            except OSError:
+                pass  # refused: it stays parked under its old mask
+            else:
+                return _idle.pop()
+    return _Carrier(mask)
+
+
+def _forget_carriers() -> None:
+    """In a forked child only the forking thread exists: the parent's
+    carriers cannot be bound, and a pool lock held across the fork by
+    another thread would never be released."""
+    global _pool_lock, _stack_size_lock
+    _idle.clear()
+    _pool_lock = threading.Lock()
+    _stack_size_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_carriers)
+
+
 class Interrupted:
     """Sentinel type returned by interruptible sleeps that were cut short."""
 
@@ -154,8 +274,9 @@ class SimProcess:
     """A simulated process: a suspendable call stack run only when scheduled.
 
     Do not instantiate directly; use :meth:`Simulator.spawn`.  The body
-    runs on a carrier OS thread parked on the raw ``_resume`` lock
-    whenever another thread holds the baton (see the module docstring).
+    runs on a pooled carrier OS thread, parked on the raw ``_resume``
+    lock whenever another thread holds the baton (see the module
+    docstring).
     """
 
     __slots__ = (
@@ -176,7 +297,6 @@ class SimProcess:
         "_resume_action",
         "_wake_action",
         "_resume",
-        "_thread",
     )
 
     def __init__(
@@ -210,13 +330,11 @@ class SimProcess:
         # lambda here — the dispatch stays in C, no closure frame.
         self._resume_action = self._resume_now
         self._wake_action = _partial(sim._make_ready, self)
-        # Raw Lock (not Semaphore): acquire/release are C-level, and the
-        # kernel's strict one-runner-at-a-time handoff never needs counts.
-        self._resume = threading.Lock()
-        self._resume.acquire()
-        self._thread = threading.Thread(
-            target=self._bootstrap, name=f"sim:{name}", daemon=True
-        )
+        #: The bound carrier's lock (None while unbound); releasing it
+        #: resumes this process.  Raw Lock (not Semaphore): acquire and
+        #: release are C-level, and the kernel's strict
+        #: one-runner-at-a-time handoff never needs counts.
+        self._resume: threading.Lock | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -247,47 +365,38 @@ class SimProcess:
     # Control transfer
     # ------------------------------------------------------------------ #
 
-    def _start_carrier(self) -> None:
-        """Start the carrier thread on a :data:`_STACK_SIZE` stack.
-
-        CPython reads ``threading.stack_size()`` when a thread *starts*,
-        so the process-global setting is bracketed around ``start()`` —
-        under a lock, or two simulations spawning from different threads
-        (service workers) could each restore the other's small size.
-        """
-        with _stack_size_lock:
-            try:
-                old = threading.stack_size(_STACK_SIZE)
-            except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
-                self._thread.start()
-                return
-            try:
-                self._thread.start()
-            finally:
-                threading.stack_size(old)
+    def _bind_carrier(self) -> None:
+        """Seat this process on a carrier (:func:`_take_carrier`); its
+        first resume wakes the carrier into :meth:`_bootstrap`.  The
+        hook ``tests/des/reference_kernel.py`` overrides to start a
+        dedicated thread instead."""
+        carrier = _take_carrier()
+        carrier.proc = self
+        self._resume = carrier.lock
 
     def _release(self) -> None:
-        """Teardown (from :meth:`Simulator.close`, after the carrier was
-        joined): drop the body, the preallocated callbacks and every
-        link back into the simulation, so refcounting alone frees what
-        the process ran.  ``name``/``state``/``result``/``exception``
+        """Teardown (from :meth:`Simulator.close`, once the process no
+        longer holds a carrier): drop the body, the preallocated
+        callbacks and every link back into the simulation, so
+        refcounting alone frees what the process ran.  ``name``/``state``/``result``/``exception``
         stay readable.  (A *failed* body is the exception: its
         traceback's frames reach the whole run, this process included,
         and that cycle is left to the garbage collector.)"""
         self.sim = self.fn = self.args = self.kwargs = None
         self._resume_action = self._wake_action = None
-        self._thread = self._sleep_timer = None
+        self._sleep_timer = None
         self._waiters_on_exit.clear()
 
-    def _bootstrap(self) -> None:
-        """Carrier-thread main: wait for the first resume, run the body,
-        then keep the baton moving until it can be handed on."""
+    def _bootstrap(self) -> threading.Lock:
+        """Run on the carrier woken by this process's first resume: run
+        the body, then keep the baton moving until it can be handed on.
+        Returns the lock whose release hands it on, with this process
+        already unbound (the carrier releases it once parked)."""
         sim = self.sim
-        _tls.proc = self
-        self._resume.acquire()
         if self._killed:
             self.state = _KILLED
         else:
+            _tls.proc = self
             self.state = _RUNNING
             try:
                 self.result = self.fn(*self.args, **self.kwargs)
@@ -306,15 +415,15 @@ class SimProcess:
                     waker()
                 self._waiters_on_exit.clear()
             _tls.proc = None
+        self._resume = None
         if sim._closed:
             # Unwound by close(): hand control straight back to it
             # instead of driving the event loop during teardown.
-            sim._token.release()
-            return
+            return sim._token
         # This thread still holds the baton — also when the body died of
         # ProcessKilled mid-run (it crashed itself via kill_process and
         # then suspended): the rest of the simulation must go on.
-        sim._pass_baton(*sim._drive(None))
+        return sim._handoff(*sim._drive(None))
 
     def _resume_now(self) -> None:
         """This process's resume event: name it as the next runner; the
@@ -339,7 +448,7 @@ class SimProcess:
         _tls.proc = None
         kind, payload = sim._drive(self)
         if kind != "resume":
-            sim._pass_baton(kind, payload)
+            sim._handoff(kind, payload).release()
             # An error's traceback starts in _drive, whose frame links
             # back to this one: don't hold the exception from here.
             del payload
@@ -635,7 +744,7 @@ class Simulator:
         self.defer_at(start, proc._resume_action)
         if self._tracer is not None:
             self._trace_emit("spawn", name, "start_at=%g", start)
-        proc._start_carrier()
+        proc._bind_carrier()
         return proc
 
     # ------------------------------------------------------------------ #
@@ -928,15 +1037,14 @@ class Simulator:
             )
         return ("done", self._now)
 
-    def _pass_baton(self, kind: str, payload: Any) -> None:
-        """Pass the baton after :meth:`_drive` stopped: wake the next
-        process's carrier, or deliver the terminal result to the thread
-        parked in :meth:`_run_loop`."""
+    def _handoff(self, kind: str, payload: Any) -> threading.Lock:
+        """The lock whose release passes the baton after :meth:`_drive`
+        stopped: the next process's carrier, or — with the terminal
+        result stored for it — the thread parked in :meth:`_run_loop`."""
         if kind == "switch":
-            payload._resume.release()
-        else:
-            self._terminal = (kind, payload)
-            self._token.release()
+            return payload._resume
+        self._terminal = (kind, payload)
+        return self._token
 
     # ------------------------------------------------------------------ #
     # Internal transfer of control
@@ -974,18 +1082,17 @@ class Simulator:
             return
         self._closed = True
         for proc in self._processes:
-            # Deliver ProcessKilled and run the stack to completion.
+            # Deliver ProcessKilled and run the stack to completion; the
+            # carrier is unbound and parked by the time it hands back.
             # Crashed processes (kill_process) still own a parked stack:
             # the crash only marked them dead, so they are unwound here
-            # like any live process.
-            if (proc.alive or proc.state == _CRASHED) and proc._thread.is_alive():
+            # like any live process.  (No carrier: its spawn failed.)
+            if (proc.alive or proc.state == _CRASHED) and proc._resume is not None:
                 proc._killed = True
                 self._trace_emit("kill", proc.name, "")
                 proc._resume.release()
                 self._token.acquire()
         for proc in self._processes:
-            if proc._thread.is_alive():
-                proc._thread.join(timeout=5.0)
             proc._release()
         self._heap.clear()
         self._nowq.clear()

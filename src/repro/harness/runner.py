@@ -102,9 +102,11 @@ def _confine_to_current_cpu() -> "set[int] | None":
     The kernel runs exactly one carrier thread at a time, so spreading
     a simulation's carriers over cores buys nothing and turns every
     cross-rank hand-off into a cross-core futex wake plus a GIL
-    hand-off (2-4x the wall time of the same run on one CPU).  Threads
-    inherit the mask of the thread that starts them, so narrowing the
-    launcher before the first ``spawn`` confines the whole simulation.
+    hand-off (2-4x the wall time of the same run on one CPU).  Every
+    carrier a ``spawn`` binds runs under the spawner's mask: a new
+    carrier inherits it, a pooled one is re-pinned to it (or, if the OS
+    refuses, passed over for a new one).  So narrowing the launcher
+    before the first ``spawn`` confines the whole simulation.
     Returns the mask to restore, or ``None`` when nothing was changed
     (already on one CPU, no affinity API, or the OS refused).
     """

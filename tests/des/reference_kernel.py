@@ -11,13 +11,17 @@ reference to the src merge — so a schedule both kernels agree on is
 agreed on by two implementations, not one.
 
 It reaches the src kernel through two override points only: the process
-class ``spawn`` builds and the loop ``run`` enters.  Whole-run
+class ``spawn`` builds and the loop ``run`` enters.  That process class
+also keeps the seed's thread lifecycle: it overrides the carrier-binding
+hook to start one dedicated thread per process, which ends with the
+process, where the src kernel reuses pooled carriers.  Whole-run
 differentials patch ``repro.harness.runner.Simulator`` with
 :class:`ReferenceSimulator`; nothing in ``src/`` knows this file exists.
 """
 
 from __future__ import annotations
 
+import threading
 from heapq import heappop, heappush
 
 from repro.des.errors import (
@@ -48,6 +52,13 @@ class _ThreadProcess(SimProcess):
     def __init__(self, *args):
         super().__init__(*args)
         self._resume_action = self._transfer_in
+
+    def _bind_carrier(self) -> None:
+        self._resume = threading.Lock()
+        self._resume.acquire()
+        threading.Thread(
+            target=self._bootstrap, name=f"ref:{self.name}", daemon=True
+        ).start()
 
     def _bootstrap(self) -> None:
         sim = self.sim

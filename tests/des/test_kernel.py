@@ -378,27 +378,26 @@ def test_on_exit_after_done_fires_immediately():
         assert fired == [True]
 
 
-def test_carrier_threads_start_on_the_small_stack(monkeypatch):
+def test_carrier_threads_start_on_the_small_stack(carrier_pool, thread_starts):
     # CPython reads threading.stack_size() when a thread *starts*; the
     # kernel used to bracket the Thread constructor instead, so every
     # carrier got the platform default (8 MiB mappings on Linux).
+    # Carriers are pooled: only a spawn that finds none idle starts one.
     import threading
 
     from repro.des import kernel
 
-    seen = []
-    real_start = threading.Thread.start
-
-    def start(thread):
-        seen.append((thread.name, threading.stack_size()))
-        real_start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
     before = threading.stack_size()
-    with Simulator() as sim:
-        sim.spawn(lambda: sim.sleep(1.0), name="a")
-        sim.spawn(lambda: None, name="b")
-        assert threading.stack_size() == before  # restored after each spawn
-        sim.run()
-    assert seen == [("sim:a", kernel._STACK_SIZE), ("sim:b", kernel._STACK_SIZE)]
+
+    def job():
+        with Simulator() as sim:
+            sim.spawn(lambda: sim.sleep(1.0), name="a")
+            sim.spawn(lambda: None, name="b")
+            assert threading.stack_size() == before  # restored after each spawn
+            sim.run()
+
+    job()
+    assert [size for _, size in thread_starts] == [kernel._STACK_SIZE] * 2
     assert threading.stack_size() == before
+    job()
+    assert len(thread_starts) == 2  # the second run reuses both carriers
