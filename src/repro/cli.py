@@ -13,9 +13,6 @@ Usage::
     repro-mpi verify --oracle rank-completion --seeds 1 --base-seed 17
     repro-mpi fuzz --budget 5m --corpus fuzz-corpus
     repro-mpi fuzz --corpus fuzz-corpus --replay <key>
-    repro-mpi serve --port 7463 &
-    repro-mpi worker --connect 127.0.0.1:7463 &
-    repro-mpi all --service 127.0.0.1:7463
     repro-mpi cache stats
     repro-mpi cache prune --older-than 7d --max-entries 2000
 
@@ -41,7 +38,6 @@ from .harness import (
     STUDIES,
     CorpusDB,
     ExperimentEngine,
-    ExperimentServer,
     RecoveryPolicy,
     ResultCache,
     Sweep,
@@ -51,10 +47,7 @@ from .harness import (
     run_fuzz,
     run_oracles,
     run_plans,
-    run_worker,
 )
-from .harness.dispatch import DispatchError, parse_address
-from .harness.service import DEFAULT_HOST, DEFAULT_PORT
 from .util.codec import encode
 
 
@@ -156,21 +149,16 @@ def _make_engine(
     """The engine the engine and cache flags (and, where the command
     has them, the recovery flags) describe.
 
-    Anything wrong with the request — an unusable cache directory, a
-    malformed service address — is a usage error here, before any job
+    An unusable cache directory is a usage error here, before any job
     runs.
     """
     cache = _open_cache(parser, args)
     recovery = None
     if getattr(args, "recover", False):
         recovery = RecoveryPolicy(max_attempts=args.max_attempts)
-    try:
-        return ExperimentEngine(
-            jobs=args.jobs, cache=cache, progress=progress,
-            service=args.service, recovery=recovery,
-        )
-    except (DispatchError, ValueError) as exc:
-        parser.error(str(exc))
+    return ExperimentEngine(
+        jobs=args.jobs, cache=cache, progress=progress, recovery=recovery,
+    )
 
 
 def _run_and_print(
@@ -182,8 +170,7 @@ def _run_and_print(
     append the ``--bench-json`` record."""
     engine = _make_engine(parser, args, progress=not args.quiet)
     t0 = time.time()
-    with engine:
-        results = run_plans(plans, engine)
+    results = run_plans(plans, engine)
     for result in results:
         print(result.render())
         print()
@@ -437,7 +424,6 @@ def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     t0 = time.time()
     reports = run_oracles(
         names, seeds, engine=engine, progress=progress, jobs=args.jobs,
-        service=args.service,
     )
     elapsed = time.time() - t0
 
@@ -524,9 +510,8 @@ def _fuzz_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             shrink=not args.no_shrink,
             progress=progress,
             jobs=args.jobs,
-            service=args.service,
         )
-    except (DispatchError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     for entry in stats.anomalies:
         print(f"{entry.kind}: {entry.oracle} seed={entry.seed} -> "
@@ -542,76 +527,6 @@ def _fuzz_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
           f"corpus {corpus.root} holds {len(corpus)}; "
           f"{stats.elapsed:.1f}s total]")
     return 1 if stats.anomalies else 0
-
-
-def _serve_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """``repro-mpi serve`` — run the long-lived experiment service.
-
-    The server owns the job queue and the persistent job index and
-    advertises the shared result cache to workers; it runs no
-    simulations itself.  Stop with Ctrl-C.
-    """
-    if args.lease is not None and args.lease <= 0:
-        parser.error("--lease must be positive")
-
-    cache = _open_cache(parser, args)
-    cache_dir = None if cache is None else cache.root
-
-    server = ExperimentServer(
-        args.host, args.port,
-        cache_dir=cache_dir,
-        index_dir=args.index_dir,
-        lease=args.lease,
-        progress=not args.quiet,
-    )
-    host, port = server.start()
-    print(f"[serve] listening on {host}:{port} "
-          f"(workers: repro-mpi worker --connect {host}:{port}; "
-          f"clients: --service {host}:{port})",
-          file=sys.stderr, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-    return 0
-
-
-def _worker_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """``repro-mpi worker`` — pull-model executor for the service.
-
-    Connects to a running ``repro-mpi serve``, long-polls for jobs, and
-    executes them with the same engine job body an in-process run uses.
-    Exits 0 when the server shuts down (or after ``--max-jobs``).
-    """
-    if args.connect_retries < 0:
-        parser.error("--connect-retries must be >= 0")
-    if args.connect_backoff < 0:
-        parser.error("--connect-backoff must be >= 0")
-
-    try:
-        addr = parse_address(args.connect)
-    except DispatchError as exc:
-        parser.error(str(exc))
-    try:
-        executed = run_worker(
-            addr,
-            cache_dir=args.cache_dir,
-            max_jobs=args.max_jobs,
-            connect_retries=args.connect_retries,
-            connect_backoff=args.connect_backoff,
-            progress=not args.quiet,
-        )
-    except KeyboardInterrupt:
-        return 130
-    except (DispatchError, OSError) as exc:
-        print(f"[worker] {exc}", file=sys.stderr)
-        return 1
-    if not args.quiet:
-        print(f"[worker] done: {executed} job(s) executed",
-              file=sys.stderr, flush=True)
-    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -639,11 +554,6 @@ def _parser() -> argparse.ArgumentParser:
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument("--jobs", "-j", type=_positive_int, default=1,
                         help="parallel worker processes (default 1)")
-    engine.add_argument("--service", type=str, default=None,
-                        metavar="HOST:PORT",
-                        help="send jobs to the experiment service at this "
-                             "address (see `repro-mpi serve`) instead of "
-                             "running them here")
     engine.add_argument("--quiet", action="store_true",
                         help="suppress per-job progress lines")
     cache = argparse.ArgumentParser(add_help=False)
@@ -800,62 +710,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument("--list", action="store_true",
                      help="list corpus entries (stale ones tagged) and exit")
 
-    sub = command("serve", _serve_main,
-                  "run the long-lived experiment service",
-                  description="Long-lived experiment service: accepts jobs "
-                              "from --service clients, hands them to "
-                              "pull-model `repro-mpi worker` processes, and "
-                              "answers repeats from the shared result cache")
-    sub.add_argument("--host", type=str, default=DEFAULT_HOST,
-                     help=f"listen address (default {DEFAULT_HOST})")
-    sub.add_argument("--port", type=int, default=DEFAULT_PORT,
-                     help=f"listen port; 0 picks a free one "
-                          f"(default {DEFAULT_PORT})")
-    sub.add_argument("--cache-dir", type=str, default=None,
-                     help="shared result cache advertised to workers "
-                          "(default $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-    sub.add_argument("--no-cache", action="store_true",
-                     help="run store-less: every submission queues, "
-                          "workers keep results to themselves")
-    sub.add_argument("--index-dir", type=str, default=None,
-                     help="persistent job index directory (default "
-                          "<cache-dir>/service-index)")
-    sub.add_argument("--lease", type=float, default=None, metavar="SECONDS",
-                     help="per-job lease: requeue a running job whose "
-                          "worker has not finished or heartbeat within "
-                          "SECONDS (default: requeue only when the "
-                          "worker's connection drops)")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress per-job lifecycle lines")
-
-    sub = command("worker", _worker_main,
-                  "pull jobs from a `repro-mpi serve` instance and run them",
-                  description="Pull-model experiment-service worker: fetches "
-                              "jobs from a `repro-mpi serve` instance and "
-                              "writes results (including checkpoint images) "
-                              "into the shared cache")
-    sub.add_argument("--connect", type=str, required=True,
-                     metavar="HOST:PORT",
-                     help="experiment service address")
-    sub.add_argument("--cache-dir", type=str, default=None,
-                     help="override the server-advertised artifact "
-                          "store (rarely needed; must be shared with "
-                          "clients for warm-cache reruns)")
-    sub.add_argument("--max-jobs", type=_positive_int, default=None,
-                     help="exit after executing N jobs (default: run "
-                          "until the server shuts down)")
-    sub.add_argument("--connect-retries", type=int, default=5,
-                     metavar="N",
-                     help="retry the initial connection up to N times "
-                          "with capped exponential backoff, so workers "
-                          "may be launched before their server "
-                          "(default 5; 0 fails fast)")
-    sub.add_argument("--connect-backoff", type=float, default=0.5,
-                     metavar="SECONDS",
-                     help="first connect-retry delay; doubles per "
-                          "attempt, capped at 15s (default 0.5)")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress per-job progress lines")
     return parser
 
 

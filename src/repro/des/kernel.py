@@ -148,7 +148,7 @@ class _Carrier:
     :data:`_STACK_SIZE` stack: CPython reads ``threading.stack_size()``
     when a thread *starts*, so the process-global setting is bracketed
     around ``start()`` — under a lock, or two simulations spawning from
-    different threads (service workers) could each restore the other's
+    different threads could each restore the other's
     small size.
     """
 

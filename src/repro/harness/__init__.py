@@ -2,7 +2,7 @@
 the on-disk result cache, and per-figure experiment drivers."""
 
 from .cache import TIMINGS_MAX_ENTRIES, ResultCache, default_cache_dir
-from .dispatch import DispatchError, fan_out, resolve_dispatch
+from .dispatch import fan_out, resolve_dispatch
 from .engine import DEFAULT_MAX_EVENTS, EngineStats, ExperimentEngine
 from .experiments import (
     PLANNERS,
@@ -20,7 +20,6 @@ from .recovery import (
     RecoveryPolicy,
     run_recovery,
 )
-from .service import ExperimentServer, ServiceDispatch, run_worker
 from .sweep import MASKS, Sweep, SweepCell, SweepError
 from .runner import RunResult, launch_run, restart_run
 from .fuzz import (
@@ -68,16 +67,12 @@ __all__ = [
     "ExperimentEngine",
     "EngineStats",
     "DEFAULT_MAX_EVENTS",
-    "DispatchError",
     "fan_out",
     "resolve_dispatch",
     "RecoveryError",
     "RecoveryOutcome",
     "RecoveryPolicy",
     "run_recovery",
-    "ExperimentServer",
-    "ServiceDispatch",
-    "run_worker",
     "ResultCache",
     "default_cache_dir",
     "TIMINGS_MAX_ENTRIES",

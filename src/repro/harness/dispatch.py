@@ -2,18 +2,15 @@
 
 Everything the harness runs in bulk — a wave of simulations, a grid of
 oracle checks, a block of fuzz iterations — is a list of independent
-jobs, and :func:`fan_out` is the one way to run such a list.  Where the
-jobs run is read off the caller's inputs, never named: an experiment
-service connection (``--service HOST:PORT``, see
-:mod:`repro.harness.service`) ships them to its worker fleet; otherwise
-they run here, in this process when ``jobs == 1`` or there is a single
-job, else in a spawn-context process pool of ``jobs`` workers.
+jobs, and :func:`fan_out` is the one way to run such a list.  Jobs run
+here: in this process when ``jobs == 1`` or there is a single job, else
+in a spawn-context process pool of ``jobs`` workers.
 
 A payload is a dictionary carrying everything its job needs:
 
 * ``{"kind": "sim", "spec", "deps", "guard", "cache_dir"}`` — one
   :class:`~repro.harness.spec.RunSpec` with its resolved ancestors;
-  its value is ``(result, elapsed, images_served, cached)``.
+  its value is ``(result, elapsed, images_served)``.
 * ``{"kind": "check", "oracle", "schedule", "cache_dir"}`` — one
   :class:`~repro.harness.verify.FaultSchedule` document through one
   oracle; its value is ``{"report": ..., "duration": ...}``.
@@ -29,56 +26,23 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import closing, nullcontext
 from multiprocessing import get_context
 from typing import Any, Iterator, Sequence
 
 from ..util.codec import decode, encode
 
 __all__ = [
-    "DispatchError",
-    "connect",
     "fan_out",
-    "parse_address",
     "resolve_dispatch",
     "run_check",
     "run_job",
 ]
 
 
-class DispatchError(RuntimeError):
-    """Misconfigured or failed job fan-out."""
-
-
-def parse_address(text: str) -> tuple[str, int]:
-    """``HOST:PORT`` -> ``(host, port)`` (loud on anything else)."""
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise DispatchError(
-            f"service address must look like HOST:PORT, got {text!r}"
-        )
-    try:
-        return host, int(port)
-    except ValueError:
-        raise DispatchError(
-            f"service address port must be an integer, got {text!r}"
-        ) from None
-
-
-def connect(service: "str | None"):
-    """Context manager: the connection a ``HOST:PORT`` ``service``
-    names, closed on exit; ``None`` (jobs run locally) stays ``None``."""
-    if service is None:
-        return nullcontext()
-    from .service import ServiceDispatch
-
-    return closing(ServiceDispatch(parse_address(service)))
-
-
-def resolve_dispatch(service: "str | None" = None) -> str:
-    """Name of the fan-out a ``service`` address selects, for reports
+def resolve_dispatch(_service=None) -> str:
+    """Name of the fan-out jobs go through, for reports
     (``benchmarks/e2e/child.py``, frozen, records it)."""
-    return "service" if service else "local-pool"
+    return "local-pool"
 
 
 def run_job(payload: dict) -> Any:
@@ -94,10 +58,9 @@ def run_job(payload: dict) -> Any:
         )
     from . import engine as engine_mod
 
-    result, elapsed, served = engine_mod._execute_job(
+    return engine_mod._execute_job(
         payload["spec"], payload["deps"], payload["guard"], payload["cache_dir"]
     )
-    return result, elapsed, served, False
 
 
 def run_check(oracle: str, schedule: dict, cache_dir=None) -> dict:
@@ -117,15 +80,12 @@ def run_check(oracle: str, schedule: dict, cache_dir=None) -> dict:
 
 
 def fan_out(
-    payloads: Sequence[dict], *, jobs: int = 1, service=None
+    payloads: Sequence[dict], *, jobs: int = 1
 ) -> Iterator[tuple[int, Any]]:
     """Run independent job payloads; yield ``(index, value)`` as each
-    finishes.  ``service`` is an open
-    :class:`~repro.harness.service.ServiceDispatch` or ``None``."""
+    finishes."""
     payloads = list(payloads)
-    if service is not None:
-        yield from service.fan_out(payloads)
-    elif jobs == 1 or len(payloads) <= 1:
+    if jobs == 1 or len(payloads) <= 1:
         for index, payload in enumerate(payloads):
             yield index, run_job(payload)
     else:

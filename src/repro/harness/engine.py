@@ -22,12 +22,10 @@ values — typically every cell of one or several figures at once — and:
    starts first and the pool never idles behind a stragglers' tail;
 5. **fans out** the remaining unique jobs through
    :func:`repro.harness.dispatch.fan_out`: in this process at
-   ``jobs=1``, over a spawn-safe ``ProcessPoolExecutor`` at ``jobs=N``,
-   or — when the engine was given a ``service`` address — over a socket
-   to a long-lived experiment server (:mod:`repro.harness.service`)
-   whose pull-model workers share the content-addressed cache as their
-   artifact store.  Every job carries the per-job ``max_events`` guard,
-   and progress lines go to stderr wherever it ran.
+   ``jobs=1``, or over a spawn-safe ``ProcessPoolExecutor`` at
+   ``jobs=N`` whose workers read restart images from the same cache.
+   Every job carries the per-job ``max_events`` guard, and progress
+   lines go to stderr wherever it ran.
 
 Results are keyed by spec and identical whether the batch ran serially
 or in parallel — workers only ever execute independent simulations, and
@@ -49,10 +47,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .cache import ResultCache
-from .dispatch import fan_out, parse_address
+from .dispatch import fan_out
 from .recovery import RecoveryPolicy, run_recovery
 from .runner import RunResult
-from .service import ServiceDispatch
 from .spec import ImageTier, RunSpec, execute
 
 __all__ = [
@@ -168,9 +165,6 @@ class ExperimentEngine:
         cache: optional :class:`ResultCache`; hits skip simulation.
         max_events: per-job event guard for specs without their own.
         progress: emit one line per executed job on stderr.
-        service: ``HOST:PORT`` of a ``repro-mpi serve`` experiment
-            service; jobs go to its worker fleet instead of running
-            here (``jobs`` is then unused).
         recovery: automatic crash recovery for submitted specs whose
             results crashed.  ``None``/``False`` disables (callers can
             still opt in per batch with ``run_batch(..., recover=True)``);
@@ -180,9 +174,6 @@ class ExperimentEngine:
             are substituted with the chain's final (clean) result — the
             cache keeps every leg, including the crashed ones, under
             their own keys.
-
-    The engine is a context manager; ``close()`` releases the service
-    connection.  Both are optional without a service.
     """
 
     def __init__(
@@ -192,36 +183,17 @@ class ExperimentEngine:
         cache: ResultCache | None = None,
         max_events: int | None = DEFAULT_MAX_EVENTS,
         progress: bool = False,
-        service: str | None = None,
         recovery=None,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.max_events = max_events
         self.progress = progress
-        # The address is parsed here (a malformed one fails at
-        # construction, not mid-batch); the connection opens on first
-        # use and persists across waves and batches, so a sweep is one
-        # client session server-side.
-        self._service = (
-            None if service is None else ServiceDispatch(parse_address(service))
-        )
         self.recovery = bool(recovery)
         self._policy = (
             recovery if isinstance(recovery, RecoveryPolicy) else RecoveryPolicy()
         )
         self.last_stats: EngineStats | None = None
-
-    def close(self) -> None:
-        """Release the service connection (idempotent)."""
-        if self._service is not None:
-            self._service.close()
-
-    def __enter__(self) -> "ExperimentEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ----------------------------------------------------------------- #
 
@@ -349,21 +321,15 @@ class ExperimentEngine:
                 else self.cache.batched_timings()
             )
             with one_sidecar_write:
-                for spec, result, elapsed, served, cached in self._execute_wave(
+                for spec, result, elapsed, served in self._execute_wave(
                     pending, resolved
                 ):
                     resolved[spec] = result
-                    if cached:
-                        # Served from the service's shared store without a
-                        # simulation anywhere — a cache hit, just one that
-                        # was discovered server-side instead of locally.
-                        stats.cache_hits += 1
-                    else:
-                        stats.executed += 1
+                    stats.executed += 1
                     stats.images_reused += served
                     done += 1
-                    self._report(done, total, spec, "cached" if cached else "ran")
-                    if self.cache is not None and not cached:
+                    self._report(done, total, spec, "ran")
+                    if self.cache is not None:
                         self.cache.put(spec, result, elapsed=elapsed)
             # A run frees itself (see ``launch_run``); one collection
             # per executed wave is the backstop for what teardown
@@ -433,10 +399,10 @@ class ExperimentEngine:
         self,
         pending: Sequence[RunSpec],
         resolved: Mapping[RunSpec, RunResult],
-    ) -> Iterable[tuple[RunSpec, RunResult, float, int, bool]]:
+    ) -> Iterable[tuple[RunSpec, RunResult, float, int]]:
         """Fan one wave out (:func:`repro.harness.dispatch.fan_out`).
 
-        Yields ``(spec, result, elapsed, served, cached)`` in whatever
+        Yields ``(spec, result, elapsed, served)`` in whatever
         order jobs complete; the caller keys by spec, so ordering only
         affects progress lines, never results.
         """
@@ -446,9 +412,7 @@ class ExperimentEngine:
              "guard": self.max_events, "cache_dir": cache_dir}
             for spec in pending
         ]
-        for index, value in fan_out(
-            payloads, jobs=self.jobs, service=self._service
-        ):
+        for index, value in fan_out(payloads, jobs=self.jobs):
             yield (pending[index], *value)
 
     def _report(self, done: int, total: int, spec: RunSpec, how: str) -> None:

@@ -494,18 +494,19 @@ def plan_fig7(
 def plan_fig8(
     procs: Sequence[int] = (8, 16, 32),
     *,
-    ppn: int | None = None,
+    ppn: int = 8,
     seed: int = 0,
     repeats: int = 2,
     niters: int = 12,
 ) -> FigurePlan:
     """VASP runtime overhead, 2PC vs CC, across node counts (Figure 8).
 
-    The first entry runs on one node; doubling the process count adds
-    nodes, raising the base communication cost and producing the paper's
-    dip in *relative* overhead at two nodes.
+    Every cell fills nodes of ``ppn`` ranks, so a process count plans
+    the same cell whatever else is asked for.  At the defaults the first
+    entry runs on one node; doubling the process count adds nodes,
+    raising the base communication cost and producing the paper's dip
+    in *relative* overhead at two nodes.
     """
-    ppn = ppn or procs[0]
     cells = [
         (
             p,

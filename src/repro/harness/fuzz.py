@@ -335,7 +335,6 @@ def run_fuzz(
     progress: "Callable[[str], None] | None" = None,
     clock: Callable[[], float] = time.monotonic,
     jobs: int = 1,
-    service: "str | None" = None,
 ) -> FuzzStats:
     """Draw schedules and oracle-check them until the budget runs out.
 
@@ -347,13 +346,11 @@ def run_fuzz(
     and recorded in the returned stats whether new or duplicate.
 
     The checks of ``jobs`` iterations at a time go through
-    :func:`repro.harness.dispatch.fan_out` (``service``, a ``HOST:PORT``,
-    sends them to an experiment-service fleet instead of a local pool).
-    Anomaly detection, shrinking, corpus writes, and the cost model stay
-    in the parent and process results in draw order, so the corpus and
-    stats are independent of completion order; the budget is checked at
-    block boundaries, and check durations are measured where the check
-    ran.
+    :func:`repro.harness.dispatch.fan_out`.  Anomaly detection,
+    shrinking, corpus writes, and the cost model stay in the parent and
+    process results in draw order, so the corpus and stats are
+    independent of completion order; the budget is checked at block
+    boundaries, and check durations are measured where the check ran.
     """
     if iters is None and budget is None:
         raise ValueError("give iters, budget, or both")
@@ -364,7 +361,7 @@ def run_fuzz(
                 f"unknown oracle {name!r}; expected one of {sorted(ORACLES)}"
             )
 
-    from .dispatch import connect, fan_out
+    from .dispatch import fan_out
 
     cost_model = corpus.load_cost_model()
     stats = FuzzStats()
@@ -425,37 +422,36 @@ def run_fuzz(
                 cost_model.setdefault(name, []).append(dur)
 
     iteration = 0
-    with connect(service) as conn:
-        while True:
-            if iters is not None and iteration >= iters:
-                break
-            if budget is not None and clock() - started >= budget:
-                break
-            block = max(1, jobs)
-            if iters is not None:
-                block = min(block, iters - iteration)
-            seeds = [base_seed + iteration + i for i in range(block)]
-            checks = [
-                (name, schedule)
-                for schedule in map(FaultSchedule.draw, seeds)
-                for name in names
-            ]
-            values = dict(fan_out(
-                [check_payload(name, schedule) for name, schedule in checks],
-                jobs=jobs, service=conn,
-            ))
-            # Draw order, not completion order: the corpus and the
-            # cost model must not depend on worker timing.
-            for index, (name, schedule) in enumerate(checks):
-                value = values[index]
-                report = decode(OracleReport, value["report"])
-                process(name, schedule, report, value["duration"])
-            for seed in seeds:
-                iteration += 1
-                stats.iterations = iteration
-                say(f"iter {iteration}: seed {seed}, "
-                    f"{len(stats.anomalies)} anomal"
-                    f"{'y' if len(stats.anomalies) == 1 else 'ies'} so far")
+    while True:
+        if iters is not None and iteration >= iters:
+            break
+        if budget is not None and clock() - started >= budget:
+            break
+        block = max(1, jobs)
+        if iters is not None:
+            block = min(block, iters - iteration)
+        seeds = [base_seed + iteration + i for i in range(block)]
+        checks = [
+            (name, schedule)
+            for schedule in map(FaultSchedule.draw, seeds)
+            for name in names
+        ]
+        values = dict(fan_out(
+            [check_payload(name, schedule) for name, schedule in checks],
+            jobs=jobs,
+        ))
+        # Draw order, not completion order: the corpus and the
+        # cost model must not depend on worker timing.
+        for index, (name, schedule) in enumerate(checks):
+            value = values[index]
+            report = decode(OracleReport, value["report"])
+            process(name, schedule, report, value["duration"])
+        for seed in seeds:
+            iteration += 1
+            stats.iterations = iteration
+            say(f"iter {iteration}: seed {seed}, "
+                f"{len(stats.anomalies)} anomal"
+                f"{'y' if len(stats.anomalies) == 1 else 'ies'} so far")
 
     stats.elapsed = clock() - started
     corpus.save_cost_model(cost_model)

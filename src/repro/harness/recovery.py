@@ -18,7 +18,7 @@ run back into a finished one:
 * :class:`RecoveryOutcome` records every attempt and content-hashes
   the whole chain (:meth:`RecoveryOutcome.chain_key`), so two recovery
   runs of the same spec under the same policy and fault plan are
-  byte-comparable across processes, pools and service fleets.
+  byte-comparable across processes and pools.
 
 Every leg is a plain :class:`~repro.harness.spec.RunSpec` executed
 through an :class:`~repro.harness.engine.ExperimentEngine` (with its

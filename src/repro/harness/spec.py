@@ -26,7 +26,7 @@ Dependent phases are part of the spec language:
 ``*_from_dict`` names at the bottom are entry points into the one codec
 (:mod:`repro.util.codec`): a :class:`RunSpec`, a :class:`RunResult`
 (with its :class:`CheckpointRecord` and :class:`CheckpointImage`
-metadata) and a service job are documents that codec writes and reads
+metadata) and a simulation job are documents that codec writes and reads
 from the dataclasses' own fields, so results can cross process and disk
 boundaries.  Image *payloads* (application state, call logs, drained
 messages) are deliberately dropped in the JSON form
@@ -780,15 +780,15 @@ def job_to_dict(
     # Accepted and ignored: benchmarks/e2e/drivers.py (frozen) passes it.
     sim_backend: "str | None" = None,
 ) -> dict:
-    """JSON-representable form of one dispatchable simulation job.
+    """JSON-representable form of one simulation job.
 
     The spec, the already-resolved ancestor results :func:`execute`
-    needs, and the ``max_events`` guard — everything a worker on the
-    far side of a socket needs to reproduce the submitting engine's
-    in-process execution byte-for-byte.  Image payloads are dropped
-    from the deps exactly as they are in the result cache; workers
-    recover them from the shared image tier or by parent re-simulation,
-    the same degradation path a warm cache already exercises.
+    needs, and the ``max_events`` guard.  Image payloads are dropped
+    from the deps exactly as they are in the result cache; a restart
+    recovers them from the image tier or by parent re-simulation, the
+    same degradation path a warm cache already exercises.
+    ``benchmarks/e2e/drivers.py`` times this round trip as the per-job
+    wire cost.
     """
     pairs = [
         {"spec": encode(dep), "result": run_result_to_dict(result)}

@@ -7,8 +7,8 @@ systematic adversarial validation keeps true as the system grows.  This
 module checks that claim and the drain/restart semantics built on it
 (the online-vs-offline cut test, commit through rank completion, drain
 conservation, crash faults and recovery chains) as one reusable
-subsystem.  Harness differentials (serial vs pool vs service, cold vs
-tier-fed restart) are pinned by the test suite, not here.
+subsystem.  Harness differentials (serial vs pool, cold vs tier-fed
+restart) are pinned by the test suite, not here.
 
 * :class:`FaultSchedule` — a seed-deterministic draw of the adversarial
   knobs: checkpoint-request timing (mid-run fractions *and*
@@ -1024,7 +1024,6 @@ def run_oracles(
     engine: "ExperimentEngine | None" = None,
     progress=None,
     jobs: int = 1,
-    service: "str | None" = None,
 ) -> "list[OracleReport]":
     """Sweep the named oracles over ``seeds``; returns every report.
 
@@ -1033,9 +1032,8 @@ def run_oracles(
 
     Every (oracle, seed) check is one job through
     :func:`repro.harness.dispatch.fan_out` — in this process at
-    ``jobs=1``, over a spawn-safe pool at ``jobs=N``, on an
-    experiment-service fleet when ``service`` (``HOST:PORT``) is given —
-    and runs on an engine of its own rooted at ``engine``'s cache
+    ``jobs=1``, over a spawn-safe pool at ``jobs=N`` — and runs on an
+    engine of its own rooted at ``engine``'s cache
     directory, so cache-aware oracles serve and warm the same store
     wherever they run.  Reports (and ``progress`` calls) come in
     (oracle-order, seed-order) sequence whatever the completion order
@@ -1043,7 +1041,7 @@ def run_oracles(
     simulation, so the fan-out can only change wall time, never a
     report (``tests/verify`` pins the byte-identity).
     """
-    from .dispatch import connect, fan_out
+    from .dispatch import fan_out
 
     seeds = list(seeds)
     tasks: list[tuple[str, int]] = []
@@ -1062,11 +1060,10 @@ def run_oracles(
     ]
     landed: "dict[int, OracleReport]" = {}
     reports: list[OracleReport] = []
-    with connect(service) as conn:
-        for index, value in fan_out(payloads, jobs=jobs, service=conn):
-            landed[index] = decode(OracleReport, value["report"])
-            while len(reports) in landed:
-                reports.append(landed.pop(len(reports)))
-                if progress is not None:
-                    progress(reports[-1])
+    for index, value in fan_out(payloads, jobs=jobs):
+        landed[index] = decode(OracleReport, value["report"])
+        while len(reports) in landed:
+            reports.append(landed.pop(len(reports)))
+            if progress is not None:
+                progress(reports[-1])
     return reports

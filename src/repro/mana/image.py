@@ -7,7 +7,7 @@ pickles the rank's heavy half — application state, the replayable call
 log, drained messages, the request table, a finished rank's result —
 into ``payload`` exactly once; :meth:`CheckpointImage.load` is the one
 matching unpickle, at restore.  Everything in between (the coordinator's
-record, a pool or service hop, the archive) moves those bytes and reads
+record, a pool hop, the archive) moves those bytes and reads
 only the small plain attributes beside them.  Nothing from the lower half
 (simulated MPI world, matching engines, requests) pickles, so the
 ``dumps`` in ``seal`` doubles as the guard against lower-half leakage

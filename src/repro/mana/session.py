@@ -933,7 +933,7 @@ class Session:
             sess._pending_remaining = image.remaining_compute
         sess._vreqs = heavy["vreq_table"]
         sess._pending_recv_ids = list(image.pending_recvs)
-        sess._next_vrid = image.stats.get("next_vrid", len(sess._vreqs))
+        sess._next_vrid = image.stats["next_vrid"]
         return sess
 
     def rebuild_lower(self) -> None:

@@ -5,8 +5,8 @@ fabric, a straggler rank, a perturbed link — that parameterizes any
 app/protocol run.  Scenarios travel through the harness as *canonical
 strings* (``"fat-tree"``, ``"straggler:factor=4.0,rank=1"``): the
 string is what enters the :class:`~repro.harness.spec.RunSpec` content
-hash, the sweep axis, the fault-schedule draw, and the service wire
-format, so two spellings of the same condition always hash alike.
+hash, the sweep axis, the fault-schedule draw, and the result cache,
+so two spellings of the same condition always hash alike.
 
 This package imports only :mod:`repro.netmodel` — never the harness —
 so the dependency arrow stays one-way: harness → scenarios → netmodel.

@@ -5,9 +5,9 @@ JSON-canonical python types and :func:`decode` rebuilds it from the
 class's type hints.  What the hints cannot say — a field that never
 travels, one written only when set, one spelled differently on the
 wire, a validating constructor — is the class's ``__codec__``
-:class:`Shape`; most classes need none.  Result-cache entries, the
-service's job and check payloads, the fuzz corpus and the content
-hashes over all of them are this one walk, so a new field is one edit.
+:class:`Shape`; most classes need none.  Result-cache entries, oracle
+check payloads and reports, the fuzz corpus and the content hashes
+over all of them are this one walk, so a new field is one edit.
 
 Anything wrong with a document's *shape* — a list where an object
 belongs, a missing field that has no default, a tuple of the wrong

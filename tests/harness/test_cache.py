@@ -54,7 +54,7 @@ def _with_images(document, images):
 
 
 #: Ways a ``{"spec": ..., "result": ...}`` document — a cache entry, or
-#: one dep of a service job — goes wrong.  The first two are not JSON at
+#: one dep of a simulation job — goes wrong.  The first two are not JSON at
 #: all (text, written as it stands), which only a file can be.
 MALFORMED = [
     ("not-json", lambda doc: "{not json"),
@@ -97,6 +97,32 @@ def test_malformed_job_dep_is_a_codec_error(mangle):
     assert job_from_dict(json.loads(json.dumps(job)))[0::2] == (spec, 7)
     with pytest.raises(CodecError):
         job_from_dict({**job, "deps": [mangle(job["deps"][0])]})
+
+
+def test_job_dep_travels_without_image_payloads():
+    parent = _spec(protocol="cc", checkpoint_fractions=(0.5,))
+    spec = _spec(protocol="cc", restart_of=parent)
+    result = execute(parent)
+    job = json.loads(json.dumps(job_to_dict(spec, {parent: result}, guard=7)))
+    [(dep, back)] = job_from_dict(job)[1].items()
+    assert dep == parent and back.runtime == result.runtime
+    [sent], [received] = result.checkpoints, back.checkpoints
+    assert sorted(received.images) == sorted(sent.images)
+    assert all(image.payload is not None for image in sent.images.values())
+    assert all(image.payload is None for image in received.images.values())
+
+
+def test_job_codec_ignores_a_sim_backend():
+    spec = _spec()
+    job = job_to_dict(spec, guard=10**8, sim_backend="threads")
+    assert job == job_to_dict(spec, guard=10**8)
+    assert job_from_dict(json.loads(json.dumps(job))) == (spec, {}, 10**8)
+
+
+def test_job_from_dict_refuses_a_check_job():
+    job = {**job_to_dict(_spec(), guard=7), "kind": "check"}
+    with pytest.raises(CodecError, match="not a simulation job"):
+        job_from_dict(job)
 
 
 def test_entry_is_inspectable_json(tmp_path):

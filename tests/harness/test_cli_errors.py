@@ -163,8 +163,9 @@ class TestPruneParsers:
 # --------------------------------------------------------------------- #
 
 class TestTopLevelRejections:
-    def test_unknown_experiment_lists_choices(self, capsys):
-        _expect_usage_error(capsys, ["fig99"], "invalid choice: 'fig99'")
+    @pytest.mark.parametrize("command", ["fig99", "serve", "worker"])
+    def test_unknown_experiment_lists_choices(self, capsys, command):
+        _expect_usage_error(capsys, [command], f"invalid choice: '{command}'")
 
     def test_nonpositive_jobs_rejected(self, capsys):
         _expect_usage_error(
@@ -202,15 +203,18 @@ class TestTopLevelRejections:
         )
 
     @pytest.mark.parametrize(
+        "flag", [["--dispatch", "inline"], ["--service", "127.0.0.1:7463"]]
+    )
+    @pytest.mark.parametrize(
         "command",
         [["fig5a"], ["all"], ["sweep", "--study", "ckpt_freq"], ["verify"],
          ["fuzz", "--iters", "1"]],
     )
-    def test_removed_dispatch_flag_is_a_usage_error(self, capsys, command):
-        # Where jobs run follows from --service/--jobs; nothing names it.
+    def test_removed_dispatch_flag_is_a_usage_error(self, capsys, command, flag):
+        # Jobs run here, over --jobs; no flag sends them elsewhere.
         _expect_usage_error(
-            capsys, [*command, "--dispatch", "inline"],
-            "unrecognized arguments: --dispatch inline",
+            capsys, [*command, *flag],
+            f"unrecognized arguments: {' '.join(flag)}",
         )
 
     @pytest.mark.parametrize("command", [["verify"], ["fuzz", "--iters", "1"]])
@@ -219,10 +223,4 @@ class TestTopLevelRejections:
         # The recovery-chain oracle's budget follows from its schedule.
         _expect_usage_error(
             capsys, [*command, *flag], f"unrecognized arguments: {' '.join(flag)}",
-        )
-
-    def test_malformed_service_address_is_a_usage_error(self, capsys):
-        _expect_usage_error(
-            capsys, ["table1", "--no-cache", "--service", "nowhere"],
-            "service address must look like HOST:PORT",
         )

@@ -1,19 +1,16 @@
-"""The job fan-out: one function, where the jobs run read off its inputs.
+"""The job fan-out: one function, where the jobs run read off ``jobs``.
 
 The contract is absolute: fan-out may change *where* a job runs and
 *how long* the list takes, never a value.  These tests pin the order and
-the byte-identity of a mixed simulation/check payload list in-process,
-over a two-worker pool and through a live service, and that nothing but
-``service=``/``jobs=`` (``--service``/``--jobs``) can choose between
-them; the service's own behaviours are in ``test_service.py``.
+the byte-identity of a mixed simulation/check payload list in-process
+and over a two-worker pool, and that nothing but ``jobs=`` (``--jobs``)
+can choose between them.
 """
 
 import json
 import os
-import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -21,19 +18,12 @@ import pytest
 from repro.cli import main
 from repro.harness import resolve_dispatch
 from repro.harness.cache import ResultCache
-from repro.harness.dispatch import (
-    DispatchError,
-    connect,
-    fan_out,
-    parse_address,
-)
+from repro.harness.dispatch import fan_out
 from repro.harness.engine import DEFAULT_MAX_EVENTS, ExperimentEngine
-from repro.harness.service import ExperimentServer, run_worker
 from repro.harness.spec import RunSpec, run_result_to_dict
 from repro.harness.verify import FaultSchedule, check_payload
 
 SRC = Path(__file__).resolve().parents[2] / "src"
-
 
 def _specs(n=3):
     return [
@@ -74,8 +64,8 @@ def _canonical(pairs):
             assert value["duration"] > 0
             out.append([index, value["report"]])
         else:
-            result, _elapsed, served, cached = value
-            out.append([index, run_result_to_dict(result), served, cached])
+            result, _elapsed, served = value
+            out.append([index, run_result_to_dict(result), served])
     return json.dumps(out, sort_keys=True)
 
 
@@ -94,7 +84,7 @@ class TestFanOut:
     def test_empty_list_is_empty(self):
         assert list(fan_out([], jobs=2)) == []
 
-    def test_pool_and_service_match_in_process_byte_for_byte(self, tmp_path):
+    def test_pool_matches_in_process_byte_for_byte(self):
         payloads = _mixed_payloads()
         reference = _canonical(fan_out(payloads, jobs=1))
 
@@ -102,44 +92,24 @@ class TestFanOut:
         assert sorted(index for index, _ in pooled) == [0, 1, 2, 3, 4]
         assert _canonical(pooled) == reference
 
-        server = ExperimentServer("127.0.0.1", 0, cache_dir=tmp_path / "store")
-        host, port = server.start()
-        worker = threading.Thread(
-            target=run_worker, args=((host, port),), daemon=True
-        )
-        worker.start()
-        try:
-            with connect(f"{host}:{port}") as conn:
-                served = list(fan_out(payloads, service=conn))
-        finally:
-            server.shutdown()
-            worker.join(timeout=30)
-        assert sorted(index for index, _ in served) == [0, 1, 2, 3, 4]
-        assert _canonical(served) == reference
-
-    def test_identical_payloads_each_get_their_pair(self, tmp_path):
-        # Same content key server-side: one job, every index answered.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_identical_payloads_each_get_their_pair(self, jobs):
         payloads = [_mixed_payloads()[1]] * 2
-        server = ExperimentServer("127.0.0.1", 0, cache_dir=tmp_path / "store")
-        host, port = server.start()
-        worker = threading.Thread(
-            target=run_worker, args=((host, port),),
-            kwargs={"max_jobs": 1}, daemon=True,
-        )
-        worker.start()
-        try:
-            with connect(f"{host}:{port}") as conn:
-                pairs = dict(fan_out(payloads, service=conn))
-        finally:
-            server.shutdown()
-            worker.join(timeout=30)
-        assert sorted(pairs) == [0, 1] and pairs[0] == pairs[1]
+        pairs = dict(fan_out(payloads, jobs=jobs))
+        assert sorted(pairs) == [0, 1]
+        assert pairs[0]["report"] == pairs[1]["report"]
 
     def test_a_failing_job_raises_out_of_the_pool(self):
         bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {},
                "cache_dir": None}
         with pytest.raises(KeyError, match="no-such-oracle"):
             list(fan_out([bad, bad], jobs=2))
+
+    def test_a_failing_job_raises_in_process(self):
+        bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {},
+               "cache_dir": None}
+        with pytest.raises(KeyError, match="no-such-oracle"):
+            list(fan_out([bad, bad], jobs=1))
 
     def test_engine_job_body_is_the_one_simulation_body(self, monkeypatch):
         from repro.harness import engine as engine_mod
@@ -158,28 +128,8 @@ class TestFanOut:
 
 
 class TestTheChoiceIsDerived:
-    def test_no_address_means_local(self):
+    def test_jobs_run_here(self):
         assert resolve_dispatch(None) == "local-pool"
-        assert resolve_dispatch("127.0.0.1:7463") == "service"
-        with connect(None) as conn:
-            assert conn is None
-
-    def test_parse_address(self):
-        assert parse_address("localhost:80") == ("localhost", 80)
-        with pytest.raises(DispatchError):
-            parse_address("no-port")
-        with pytest.raises(DispatchError):
-            parse_address("host:notanint")
-
-    def test_malformed_service_address_fails_at_construction(self):
-        # Not waves later, mid-batch.
-        with pytest.raises(DispatchError, match="HOST:PORT"):
-            ExperimentEngine(service="nowhere")
-
-    def test_unreachable_service_is_loud(self):
-        with ExperimentEngine(service="127.0.0.1:1") as eng:
-            with pytest.raises(DispatchError, match="cannot reach"):
-                eng.run_batch(_specs(1))
 
     def test_exported_service_address_does_not_reroute_an_engine(
         self, monkeypatch
@@ -196,12 +146,15 @@ class TestTheChoiceIsDerived:
         from repro.harness.fuzz import CorpusDB, run_fuzz
         from repro.harness.verify import run_oracles
 
-        with pytest.raises(TypeError):
-            ExperimentEngine(dispatch="inline")
-        with pytest.raises(TypeError):
-            run_oracles(["safe-cut"], [0], dispatch="inline")
-        with pytest.raises(TypeError):
-            run_fuzz(CorpusDB(tmp_path / "c"), iters=1, dispatch="inline")
+        for removed in ({"dispatch": "inline"}, {"service": "127.0.0.1:7463"}):
+            with pytest.raises(TypeError):
+                ExperimentEngine(**removed)
+            with pytest.raises(TypeError):
+                run_oracles(["safe-cut"], [0], **removed)
+            with pytest.raises(TypeError):
+                run_fuzz(CorpusDB(tmp_path / "c"), iters=1, **removed)
+            with pytest.raises(TypeError):
+                list(fan_out(_mixed_payloads()[:1], **removed))
 
 
 class TestEngineDifferential:
@@ -209,20 +162,20 @@ class TestEngineDifferential:
 
     def test_pool_matches_in_process(self):
         specs = _specs()
-        with ExperimentEngine(cache=None, progress=False) as eng:
-            reference = _batch_json(eng.run_batch(specs))
-        with ExperimentEngine(cache=None, progress=False, jobs=2) as eng:
-            assert _batch_json(eng.run_batch(specs)) == reference
+        eng = ExperimentEngine(cache=None, progress=False)
+        reference = _batch_json(eng.run_batch(specs))
+        eng = ExperimentEngine(cache=None, progress=False, jobs=2)
+        assert _batch_json(eng.run_batch(specs)) == reference
 
     def test_warm_cache_is_respected(self, tmp_path):
         specs = _specs()
-        with ExperimentEngine(cache=ResultCache(tmp_path)) as eng:
-            cold = _batch_json(eng.run_batch(specs))
-            assert eng.last_stats.executed == len(specs)
-        with ExperimentEngine(cache=ResultCache(tmp_path), jobs=2) as eng:
-            warm = _batch_json(eng.run_batch(specs))
-            assert eng.last_stats.executed == 0
-            assert eng.last_stats.cache_hits == len(specs)
+        eng = ExperimentEngine(cache=ResultCache(tmp_path))
+        cold = _batch_json(eng.run_batch(specs))
+        assert eng.last_stats.executed == len(specs)
+        eng = ExperimentEngine(cache=ResultCache(tmp_path), jobs=2)
+        warm = _batch_json(eng.run_batch(specs))
+        assert eng.last_stats.executed == 0
+        assert eng.last_stats.cache_hits == len(specs)
         assert warm == cold
 
 
@@ -246,7 +199,7 @@ class TestVerifyHonoursTheCacheWhereverChecksRun:
 
 
 # --------------------------------------------------------------------- #
-# Real processes: serve + worker + a client, against --jobs 2
+# Real processes: the module entry point at --jobs 1 and --jobs 2
 # --------------------------------------------------------------------- #
 
 SWEEP = [
@@ -256,46 +209,24 @@ SWEEP = [
 ]
 
 
-def _cli(*argv, **kwargs):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv], env=env, text=True,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs,
-    )
-
-
 def _tables(stdout: str) -> str:
     return "\n".join(
         line for line in stdout.splitlines() if not line.startswith("[")
     )
 
 
-def test_serve_worker_and_client_processes_match_a_local_pool(tmp_path):
-    local = _cli(*SWEEP, "--jobs", "2")
-    server = _cli("serve", "--port", "0", "--cache-dir", str(tmp_path / "store"),
-                  "--quiet")
-    worker = None
-    try:
-        banner = server.stderr.readline()
-        addr = re.search(r"listening on (\S+:\d+)", banner).group(1)
-        worker = _cli("worker", "--connect", addr, "--quiet")
-        client = _cli(*SWEEP, "--service", addr)
-        served_out, served_err = client.communicate(timeout=120)
-        assert client.returncode == 0, served_err
-        local_out, local_err = local.communicate(timeout=120)
-        assert local.returncode == 0, local_err
-        assert "4 simulated" in served_out
-        assert _tables(served_out) == _tables(local_out)
-        assert "comd" in _tables(served_out)
-    finally:
-        server.terminate()
-        for proc in (server, worker, local):
-            if proc is None:
-                continue
-            try:
-                proc.communicate(timeout=30)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.communicate()
-    # The server going away is what releases the worker.
-    assert worker.returncode == 0
+def test_entry_point_pool_matches_in_process():
+    # Spawned workers re-import the parent's ``__main__``; under
+    # ``python -m repro.cli`` that is the CLI module itself.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    outputs = []
+    for jobs in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *SWEEP, "--jobs", jobs],
+            env=env, text=True, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "4 simulated" in proc.stdout
+        outputs.append(_tables(proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert "comd" in outputs[0]

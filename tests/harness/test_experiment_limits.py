@@ -11,6 +11,7 @@ from repro.harness.experiments import (
     _memory_limited,
     plan_fig5a,
     plan_fig5b,
+    plan_fig8,
 )
 from repro.harness.spec import spec_hash
 
@@ -39,8 +40,10 @@ def test_fig5a_skips_limited_cells():
 #: (spec count, sha256 over the space-joined spec hashes) of Figure 5's
 #: OSU grids, recorded before fig5a and fig5b shared a grid builder: at
 #: the planners' defaults and at the end-to-end benchmark's workload
-#: sizes (``benchmarks/e2e/workloads.py`` ``SCALES``, full and smoke).
-OSU_GRID_PINS = [
+#: sizes (``benchmarks/e2e/workloads.py`` ``SCALES``, full and smoke);
+#: and of Figure 8 at its defaults, recorded when its ppn defaulted to
+#: the first process count (8 at the default counts).
+GRID_PINS = [
     (plan_fig5a, {}, 102,
      "e01f4f50f08b4f964eab1872c4a19cae9e3e0f2bfb046611dcbe8382483367e7"),
     (plan_fig5a, dict(procs=(8, 16), sizes=(4, 1024, 65536), iters=10), 72,
@@ -55,15 +58,31 @@ OSU_GRID_PINS = [
     (plan_fig5b, dict(procs=(4,), kinds=("allreduce",), sizes=(1024,),
                       iters=3), 3,
      "ad8b536990e956ec21b57f8517ed044440ae01d928e41bed2c2ada767446da77"),
+    (plan_fig8, {}, 18,
+     "a25ce64aa357b8a3bfccaccfec45f2477e8016f3df0e17243d6bfe640526e584"),
 ]
 
 
-@pytest.mark.parametrize("planner,kwargs,count,digest", OSU_GRID_PINS)
-def test_osu_grid_spec_hashes_are_pinned(planner, kwargs, count, digest):
+@pytest.mark.parametrize("planner,kwargs,count,digest", GRID_PINS)
+def test_grid_spec_hashes_are_pinned(planner, kwargs, count, digest):
     specs = planner(**kwargs).specs
     joined = " ".join(spec_hash(spec) for spec in specs)
     assert len(specs) == count
     assert hashlib.sha256(joined.encode()).hexdigest() == digest
+
+
+def test_fig8_cell_layout_does_not_depend_on_the_other_counts():
+    alone = plan_fig8(procs=(256,)).specs
+    among = [s for s in plan_fig8(procs=(128, 256)).specs if s.nprocs == 256]
+    assert len(alone) == 6
+    assert alone == among
+
+
+@pytest.mark.parametrize("kwargs,ppn", [({}, 8), ({"ppn": 4}, 4), ({"ppn": 16}, 16)])
+def test_fig8_cells_fill_nodes_of_ppn_ranks(kwargs, ppn):
+    specs = plan_fig8(procs=(16, 32), **kwargs).specs
+    assert {s.nprocs for s in specs} == {16, 32}
+    assert {s.ppn for s in specs} == {ppn}
 
 
 def test_fmt_size():

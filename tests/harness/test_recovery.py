@@ -3,8 +3,8 @@
 Pinned here: policy validation, image-restart vs
 degrade-to-scratch planning, multi-hop crash storms under a retry
 budget, chain content-hashing, the engine's auto-recovery seam — and
-byte-identity of a full recovery chain in-process, over a two-worker
-pool and through an experiment service.
+byte-identity of a full recovery chain in-process and over a
+two-worker pool.
 """
 
 import json
@@ -18,7 +18,6 @@ from repro.harness.recovery import (
     RecoveryPolicy,
     run_recovery,
 )
-from repro.harness.service import ExperimentServer, run_worker
 from repro.harness.spec import RunSpec, execute, run_result_to_dict
 from repro.harness.verify import result_fingerprint
 from repro.netmodel import StorageModel
@@ -140,10 +139,8 @@ class TestRecoveryChains:
 class TestEngineAutoRecovery:
     def test_engine_recovers_crashed_jobs(self, base_fp):
         spec = _crash_spec()
-        with ExperimentEngine(
-            cache=None, progress=False, recovery=True
-        ) as eng:
-            results = eng.run_batch([spec])
+        eng = ExperimentEngine(cache=None, progress=False, recovery=True)
+        results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == []
         assert result_fingerprint(results[spec]) == base_fp
         assert eng.last_stats.recoveries == 1
@@ -152,42 +149,34 @@ class TestEngineAutoRecovery:
 
     def test_recovery_off_by_default(self):
         spec = _crash_spec()
-        with ExperimentEngine(
-            cache=None, progress=False
-        ) as eng:
-            results = eng.run_batch([spec])
+        eng = ExperimentEngine(cache=None, progress=False)
+        results = eng.run_batch([spec])
         assert results[spec].crashed_ranks == [1]
         assert eng.last_stats.recoveries == 0
 
     def test_per_batch_opt_in_and_opt_out(self):
         spec = _crash_spec()
-        with ExperimentEngine(
-            cache=None, progress=False
-        ) as eng:
-            assert eng.run_batch([spec], recover=True)[spec].crashed_ranks == []
-        with ExperimentEngine(
-            cache=None, progress=False, recovery=True
-        ) as eng:
-            assert eng.run_batch(
-                [spec], recover=False
-            )[spec].crashed_ranks == [1]
+        eng = ExperimentEngine(cache=None, progress=False)
+        assert eng.run_batch([spec], recover=True)[spec].crashed_ranks == []
+        eng = ExperimentEngine(cache=None, progress=False, recovery=True)
+        assert eng.run_batch(
+            [spec], recover=False
+        )[spec].crashed_ranks == [1]
 
     def test_engine_run_recovery_uses_custom_policy(self):
-        with ExperimentEngine(
-            cache=None, progress=False
-        ) as eng:
-            outcome = eng.run_recovery(
-                _crash_spec(),
-                RecoveryPolicy(max_attempts=1),
-                leg_faults=[((2, 0.1),)],
-            )
+        eng = ExperimentEngine(cache=None, progress=False)
+        outcome = eng.run_recovery(
+            _crash_spec(),
+            RecoveryPolicy(max_attempts=1),
+            leg_faults=[((2, 0.1),)],
+        )
         assert not outcome.completed
         assert outcome.recovery_legs == 1
 
 
 class TestBackendByteIdentity:
-    """One recovery chain — in-process, over a pool, through a service —
-    identical bytes."""
+    """One recovery chain — in-process and over a pool — identical
+    bytes."""
 
     LEG_FAULTS = [((2, 0.4),)]
 
@@ -204,42 +193,16 @@ class TestBackendByteIdentity:
             run_result_to_dict(outcome.final_result), sort_keys=True
         )
 
-    def test_chain_identical_across_all_backends(self, tmp_path):
-        import threading
-
-        with ExperimentEngine(
-            cache=None, progress=False
-        ) as eng:
-            reference = self._chain(eng)
+    def test_chain_identical_across_all_backends(self):
+        reference = self._chain(ExperimentEngine(cache=None, progress=False))
         assert reference.completed
 
-        with ExperimentEngine(
-            cache=None, progress=False, jobs=2
-        ) as eng:
-            pooled = self._chain(eng)
-
-        server = ExperimentServer(
-            "127.0.0.1", 0, cache_dir=tmp_path / "store"
+        pooled = self._chain(
+            ExperimentEngine(cache=None, progress=False, jobs=2)
         )
-        host, port = server.start()
-        worker = threading.Thread(
-            target=run_worker, args=((host, port),), daemon=True
-        )
-        worker.start()
-        try:
-            with ExperimentEngine(
-                cache=None, progress=False, service=f"{host}:{port}",
-            ) as eng:
-                served = self._chain(eng)
-        finally:
-            server.shutdown()
-            worker.join(timeout=30)
 
-        want = self._final_bytes(reference)
-        assert self._final_bytes(pooled) == want
-        assert self._final_bytes(served) == want
+        assert self._final_bytes(pooled) == self._final_bytes(reference)
         assert pooled.chain_key() == reference.chain_key()
-        assert served.chain_key() == reference.chain_key()
-        assert [a.restarted_from for a in served.attempts] == [
+        assert [a.restarted_from for a in pooled.attempts] == [
             a.restarted_from for a in reference.attempts
         ]

@@ -185,9 +185,10 @@ class TestCli:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for command in [*PLANNERS, "all", "cache", "sweep", "verify", "fuzz",
-                        "serve", "worker"]:
+        for command in [*PLANNERS, "all", "cache", "sweep", "verify", "fuzz"]:
             assert re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
+        for command in ["serve", "worker"]:
+            assert not re.search(rf"^\s+{command}\s", out, re.MULTILINE), command
 
     def test_figure_help_shows_only_its_planners_flags(self, capsys):
         from repro.cli import main

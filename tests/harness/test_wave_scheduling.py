@@ -130,7 +130,8 @@ def test_a_wave_of_puts_writes_the_sidecar_once(tmp_path, sidecar_writes):
     assert len(sidecar_writes) == 2
 
     # Outside a wave a put still persists its own time immediately
-    # (service workers put through a throwaway cache object).
+    # (an oracle check in a pool worker puts through a cache object of
+    # its own).
     ResultCache(tmp_path).put(_spec(seed=9), fresh.get(specs[0]), elapsed=0.5)
     assert len(sidecar_writes) == 3
     assert ResultCache(tmp_path).recorded_time(_spec(seed=9)) == 0.5

@@ -141,6 +141,56 @@ class TestRequestTableStaysBounded:
         assert acc(rs) == acc(native)
 
 
+class VridLogApp(MpiApp):
+    """Carries one non-blocking allreduce across every boundary, like
+    :class:`CarriedRequestApp`, and returns the virtual request id of
+    every request it initiated, in order."""
+
+    name = "vrid-log"
+
+    def setup(self, ctx):
+        ctx.state["req"] = None
+        ctx.state["vrids"] = []
+
+    def step(self, ctx, i):
+        ctx.compute_jittered(3e-6, i)
+        carried = ctx.state["req"]
+        if carried is not None:
+            carried.wait()
+        burst = [ctx.world.iallreduce(float(ctx.rank + k)) for k in range(2)]
+        v_wait_all(burst)
+        req = ctx.world.iallreduce(float(ctx.rank * i))
+        # ---- commit block ----
+        ctx.state["req"] = req
+        ctx.state["vrids"] = ctx.state["vrids"] + [r.vrid for r in (*burst, req)]
+
+    def finalize(self, ctx):
+        ctx.state["req"].wait()
+        return ctx.state["vrids"]
+
+
+class TestRequestNumberingSurvivesRestart:
+    """A restarted session numbers new requests from the image's
+    ``next_vrid``: a fresh request never takes the id of one carried
+    across the cut, so the ids match the uninterrupted run's."""
+
+    FACTORY = staticmethod(lambda: VridLogApp(niters=10))
+
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 0.75])
+    def test_restart_issues_the_uninterrupted_ids(self, frac):
+        plain = launch_run(self.FACTORY, 3, protocol="cc", seed=1)
+        ck = launch_run(
+            self.FACTORY, 3, protocol="cc", seed=1,
+            checkpoint_at=[plain.runtime * frac], storage=STORAGE,
+        )
+        images = ck.committed_images()
+        for image in images.values():
+            table = image.load()["vreq_table"]
+            assert image.stats["next_vrid"] > max(table, default=0)
+        rs = restart_run(self.FACTORY, images, seed=1, storage=STORAGE)
+        assert rs.per_rank == plain.per_rank
+
+
 class CarriedIrecvApp(MpiApp):
     """Rank 1 posts ``irecv(source=0, tag=i)`` in step *i*, keeps the
     handle in ``ctx.state`` and waits on it at the top of step *i+1*.

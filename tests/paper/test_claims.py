@@ -27,7 +27,7 @@ SCALE = {
     "fig5b": dict(procs=(8,), sizes=(4, 1 << 20), iters=20),
     "fig6": dict(procs=(8,), iters=20),
     "fig7": dict(nprocs=8, ppn=4, repeats=1),
-    "fig8": dict(procs=(4, 8, 16), repeats=1, niters=6),
+    "fig8": dict(procs=(4, 8, 16), ppn=4, repeats=1, niters=6),
     "fig9": dict(nodes=(1, 2, 4), ppn=2, niters=6),
 }
 

@@ -4,16 +4,13 @@ Each registered scenario is run under both checkpoint protocols and
 pinned to a result hash captured at introduction time — a scenario that
 silently changes its simulated physics moves a constant here.  The same
 specs are then pushed through every place the harness can run a job:
-this process, a two-worker pool, and an experiment service.  A scenario may change *what* the simulation does, never
-*whether* it is reproducible.
+this process and a two-worker pool.  A scenario may change *what* the
+simulation does, never *whether* it is reproducible.
 """
-
-import threading
 
 import pytest
 
 from repro.harness.engine import ExperimentEngine
-from repro.harness.service import ExperimentServer, run_worker
 from repro.harness.spec import RunSpec, run_result_to_dict
 from repro.scenarios import SCENARIOS
 from repro.util.hashing import stable_json_hash
@@ -75,24 +72,6 @@ def test_parallel_workers_match_pins():
     results = ExperimentEngine(jobs=2).run_batch(list(specs.values()))
     for cell, spec in specs.items():
         assert _hash(results[spec]) == PINNED[cell], cell
-
-
-def test_service_workers_match_pins(tmp_path):
-    specs = {cell: _mk(*cell) for cell in CELLS}
-    server = ExperimentServer("127.0.0.1", 0, cache_dir=tmp_path / "store")
-    host, port = server.start()
-    worker = threading.Thread(
-        target=run_worker, args=((host, port),), daemon=True
-    )
-    worker.start()
-    try:
-        engine = ExperimentEngine(service=f"{host}:{port}")
-        results = engine.run_batch(list(specs.values()))
-        for cell, spec in specs.items():
-            assert _hash(results[spec]) == PINNED[cell], cell
-    finally:
-        server.shutdown()
-        worker.join(timeout=10)
 
 
 @pytest.mark.parametrize("protocol", ("2pc", "cc"))

@@ -327,6 +327,27 @@ class TestFuzzLoop:
         with pytest.raises(KeyError, match="unknown oracle"):
             run_fuzz(CorpusDB(tmp_path / "c"), iters=1, oracles=["nope"])
 
+    def test_fuzz_parallel_matches_serial(self, tmp_path):
+        serial_corpus = CorpusDB(tmp_path / "serial")
+        serial = run_fuzz(
+            serial_corpus, iters=3, oracles=["safe-cut", "drain-conservation"]
+        )
+        parallel_corpus = CorpusDB(tmp_path / "parallel")
+        parallel = run_fuzz(
+            parallel_corpus,
+            iters=3,
+            oracles=["safe-cut", "drain-conservation"],
+            jobs=2,
+        )
+        assert parallel.iterations == serial.iterations
+        assert parallel.checks == serial.checks
+        assert sorted(e.key for e in parallel_corpus.entries()) == sorted(
+            e.key for e in serial_corpus.entries()
+        )
+        assert [e.key for e in parallel.anomalies] == [
+            e.key for e in serial.anomalies
+        ]
+
 
 class TestBrokenSessionMutation:
     """Acceptance: a deliberately-broken tree yields a corpus entry whose
