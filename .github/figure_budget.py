@@ -1,6 +1,9 @@
 """Regenerate one paper figure cold, in its own process, under a budget.
 
     python .github/figure_budget.py fig6
+    python .github/figure_budget.py fig8 --procs 128
+
+Arguments after the figure go to ``repro-mpi <figure>`` unchanged.
 
 Fails on a non-zero exit, more than WALL_S seconds of wall time or a
 peak resident set above RSS_MIB (the child's ``ru_maxrss``).  This is
@@ -42,11 +45,13 @@ def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (AS_MIB << 20, AS_MIB << 20))
 
 
-def main(figure: str) -> int:
+def main(figure: str, *args: str) -> int:
+    name = " ".join((figure, *args))
     t0 = time.monotonic()
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "repro.cli", figure, "--no-cache", "--quiet"],
+            [sys.executable, "-m", "repro.cli", figure, *args,
+             "--no-cache", "--quiet"],
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
             stdout=subprocess.DEVNULL,  # the tables are not the point
             stderr=subprocess.PIPE,
@@ -55,24 +60,24 @@ def main(figure: str) -> int:
             preexec_fn=_limit_address_space,
         )
     except subprocess.TimeoutExpired:
-        print(f"OVER BUDGET {figure}: still running after {WALL_S} s (killed)")
+        print(f"OVER BUDGET {name}: still running after {WALL_S} s (killed)")
         return 1
     wall = time.monotonic() - t0
     status = child.returncode
     sys.stderr.write(child.stderr)
     rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"{figure}: exit {status}, {wall:.1f} s, {rss:.0f} MiB")
+    print(f"{name}: exit {status}, {wall:.1f} s, {rss:.0f} MiB")
     if status != 0:
         if any(sign in child.stderr for sign in _OUT_OF_MEMORY):
-            print(f"OVER BUDGET {figure}: MemoryError under {AS_MIB} MiB")
+            print(f"OVER BUDGET {name}: MemoryError under {AS_MIB} MiB")
         return status
     if rss > RSS_MIB:
-        print(f"OVER BUDGET {figure}: peak RSS {rss:.0f} MiB > {RSS_MIB} MiB")
+        print(f"OVER BUDGET {name}: peak RSS {rss:.0f} MiB > {RSS_MIB} MiB")
         return 1
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2:
         sys.exit(__doc__)
-    sys.exit(main(sys.argv[1]))
+    sys.exit(main(*sys.argv[1:]))

@@ -27,10 +27,12 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from functools import partial
 
+from .des.errors import DeadlockError, SchedulingError
 from .harness import (
     MASKS,
     ORACLES,
@@ -167,10 +169,15 @@ def _run_and_print(
 ) -> int:
     """Run ``plans`` as ONE engine batch (cells they share simulate
     once), print each folded result and the engine-stats line, and
-    append the ``--bench-json`` record."""
+    append the ``--bench-json`` record.  A job that wedged or ran away
+    ends the command with one line naming it (exit 1), not a traceback."""
     engine = _make_engine(parser, args, progress=not args.quiet)
     t0 = time.time()
-    results = run_plans(plans, engine)
+    try:
+        results = run_plans(plans, engine)
+    except (DeadlockError, SchedulingError) as exc:
+        print(f"repro-mpi: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     for result in results:
         print(result.render())
         print()
@@ -205,6 +212,8 @@ def _byte_size(text: str) -> int:
         if body != body.strip():
             raise ValueError(body)
         value = float(body)
+        if not math.isfinite(value):
+            raise ValueError(body)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a size like 1048576, 64K, 512M, or 2G, got {text!r}"
@@ -226,6 +235,8 @@ def _duration(text: str) -> float:
         if body != body.strip():
             raise ValueError(body)
         value = float(body)
+        if not math.isfinite(value):
+            raise ValueError(body)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a duration like 90, 30m, 12h, or 7d, got {text!r}"
@@ -247,7 +258,6 @@ def _cache_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         print(f"size:           {cache.total_bytes() / 1024:.1f} KiB")
         print(f"image sets:     {cache.image_count()}")
         print(f"image size:     {cache.image_bytes() / 1024:.1f} KiB")
-        print(f"recorded times: {cache.timing_count()}")
         return 0
     if args.action == "clear":
         removed = cache.clear()
@@ -600,9 +610,8 @@ def _parser() -> argparse.ArgumentParser:
                   "inspect and manage the on-disk simulation result cache")
     actions = sub.add_subparsers(dest="action", required=True)
     for name, desc in (
-        ("stats", "entry count, on-disk bytes, image tier, recorded timings"),
-        ("clear", "delete every cached result and image set "
-                  "(timings survive)"),
+        ("stats", "entry count, on-disk bytes, image tier"),
+        ("clear", "delete every cached result and image set"),
         ("prune", "evict entries by figure, age, count, and/or "
                   "image-tier size"),
     ):
@@ -736,7 +745,6 @@ def _append_bench_record(
             "cache_hits": stats.cache_hits,
             "executed": stats.executed,
             "images_reused": stats.images_reused,
-            "prediction_hit_rate": round(stats.prediction_hit_rate, 4),
             "wall_time": round(stats.wall_time, 3),
         }
     record.update(extra)

@@ -1,7 +1,7 @@
 """Experiment harness: runners, declarative specs, the batch engine,
 the on-disk result cache, and per-figure experiment drivers."""
 
-from .cache import TIMINGS_MAX_ENTRIES, ResultCache, default_cache_dir
+from .cache import ResultCache, default_cache_dir
 from .dispatch import fan_out, resolve_dispatch
 from .engine import DEFAULT_MAX_EVENTS, EngineStats, ExperimentEngine
 from .experiments import (
@@ -75,7 +75,6 @@ __all__ = [
     "run_recovery",
     "ResultCache",
     "default_cache_dir",
-    "TIMINGS_MAX_ENTRIES",
     "ExperimentResult",
     "FigurePlan",
     "run_plans",

@@ -30,15 +30,11 @@ their spec's entry by ``clear``/``prune``, age out with
 ``prune_older_than``, and the tier's total footprint can be capped with
 :meth:`ResultCache.prune_images_to_max_bytes`.
 
-Alongside results, the cache records each spec's **execution wall
-time** — both inside the entry document (``"elapsed"``) and in a small
-sidecar (``v<SCHEMA>-timings.json``).  The sidecar survives ``clear``
-(a wiped cache still schedules from history) but tracks evictions:
-``prune`` variants drop the evicted hashes' timings, and the sidecar is
-capped at :data:`TIMINGS_MAX_ENTRIES` entries (oldest records evicted
-first) so it cannot grow without bound.  The engine uses these recorded
-times to schedule each dependency wave longest-pole-first; see
-:meth:`ResultCache.recorded_time`.
+Each entry also carries its spec's **execution wall time**
+(``"elapsed"``), read back by :meth:`ResultCache.recorded_time`; it is
+recorded nowhere else.  A cache is its directory and nothing more: the
+entries and the image tier.  A ``v<SCHEMA>-timings.json`` sidecar that
+earlier versions kept next to them is never read or rewritten.
 
 The default location is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-mpi``.
 Writes are atomic (tempfile + rename) so concurrent engine workers and
@@ -47,11 +43,9 @@ concurrent CLI invocations can share a cache directory safely.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -69,16 +63,9 @@ from .spec import (
     spec_to_dict,
 )
 
-__all__ = ["ResultCache", "default_cache_dir", "TIMINGS_MAX_ENTRIES"]
+__all__ = ["ResultCache", "default_cache_dir"]
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: Hard cap on timing-sidecar entries.  The sidecar survives ``clear``
-#: by design (it is the scheduling cost model; a schema bump starts a
-#: new one, the path being ``v<SCHEMA>-timings.json``), which also
-#: means nothing else ever shrinks it; the cap evicts the oldest
-#: records once the model outgrows any plausible working set.
-TIMINGS_MAX_ENTRIES = 4096
 
 
 def default_cache_dir() -> Path:
@@ -91,33 +78,11 @@ def default_cache_dir() -> Path:
     return base / "repro-mpi"
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Image-tier traffic: sets written on ``put`` / served to restarts.
-    image_stores: int = 0
-    image_hits: int = 0
-
-
 class ResultCache:
     """Spec-hash-keyed JSON store for :class:`RunResult` values."""
 
     def __init__(self, directory: "Path | str | None" = None):
         self.root = Path(directory) if directory is not None else default_cache_dir()
-        self.stats = CacheStats()
-        #: spec hash -> (wall seconds, record epoch); lazily loaded from
-        #: the sidecar on first use.
-        self._timings: dict[str, tuple[float, float]] | None = None
-        #: Hashes explicitly evicted this session — excluded when the
-        #: sidecar write merges concurrent writers' entries back in, so
-        #: an eviction is not undone by the merge.
-        self._dropped_timings: set[str] = set()
-        #: Inside :meth:`batched_timings`: records stay in memory and
-        #: ``_timings_unwritten`` marks that the block owes a write.
-        self._timings_batched = False
-        self._timings_unwritten = False
 
     @property
     def version_dir(self) -> Path:
@@ -127,13 +92,6 @@ class ResultCache:
     def images_dir(self) -> Path:
         """The image tier: one file per (spec, committed checkpoint)."""
         return self.root / f"v{SCHEMA_VERSION}-images"
-
-    @property
-    def timings_path(self) -> Path:
-        # Deliberately *outside* version_dir so clear()/prune() leave the
-        # cost model intact: after a cache wipe the next batch still
-        # schedules longest-pole-first from historical times.
-        return self.root / f"v{SCHEMA_VERSION}-timings.json"
 
     # Entries and image files are fanned into 256 shard directories
     # named by the key's first two hex digits.  Every method hashes its
@@ -157,149 +115,19 @@ class ResultCache:
 
     def get(self, spec: RunSpec) -> RunResult | None:
         """The cached result for ``spec``, or None on miss/corruption."""
-        key = spec_hash(spec)
         try:
-            document = json.loads(self._entry_path(key).read_text())
-            result = run_result_from_dict(document["result"])
+            document = json.loads(self.path_for(spec).read_text())
+            return run_result_from_dict(document["result"])
         except (OSError, ValueError, KeyError, TypeError):
-            self.stats.misses += 1
             return None
-        elapsed = document.get("elapsed")
-        if isinstance(elapsed, (int, float)) and elapsed > 0:
-            # Harvest the recorded time into memory (no sidecar write):
-            # a warm run learns its cost model from the entries it reads.
-            # Stamped "now": a hit re-confirms the entry, so if the
-            # harvest ever reaches the sidecar it must not sort as
-            # ancient and be first out at the cap.
-            timings = self._load_timings()
-            stamp = max(
-                time.time(), timings[key][1] if key in timings else 0.0
-            )
-            timings[key] = (float(elapsed), stamp)
-        self.stats.hits += 1
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Execution-time records (the engine's scheduling cost model)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _parse_timing(value) -> "tuple[float, float] | None":
-        """One sidecar entry, ``[seconds, epoch]``; anything else is dropped."""
-        if (
-            isinstance(value, (list, tuple))
-            and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)
-            and value[0] > 0
-        ):
-            return (float(value[0]), float(value[1]))
-        return None
-
-    def _read_timings_file(self) -> dict[str, tuple[float, float]]:
-        try:
-            raw = json.loads(self.timings_path.read_text())
-            if not isinstance(raw, dict):
-                return {}
-        except (OSError, ValueError):
-            return {}
-        out: dict[str, tuple[float, float]] = {}
-        for key, value in raw.items():
-            parsed = self._parse_timing(value)
-            if parsed is not None:
-                out[str(key)] = parsed
-        return out
-
-    def _load_timings(self) -> dict[str, tuple[float, float]]:
-        if self._timings is None:
-            self._timings = self._read_timings_file()
-        return self._timings
-
-    def _write_timings(self) -> None:
-        """Merge-on-write sidecar replacement.
-
-        Re-reads the sidecar and merges entries other writers added, so
-        concurrent engines sharing a cache directory lose at most a race
-        on the *same* spec's time, never each other's entries.  Hashes
-        this cache explicitly evicted stay evicted, and the result is
-        capped at :data:`TIMINGS_MAX_ENTRIES` (oldest records first out)
-        so the sidecar cannot grow without bound across cleared caches
-        and pruned figures.
-        """
-        self._timings_unwritten = False
-        timings = self._load_timings()
-        for key, value in self._read_timings_file().items():
-            if key not in self._dropped_timings:
-                timings.setdefault(key, value)
-        if len(timings) > TIMINGS_MAX_ENTRIES:
-            keep = sorted(timings.items(), key=lambda kv: kv[1][1], reverse=True)
-            timings = dict(keep[:TIMINGS_MAX_ENTRIES])
-            self._timings = timings
-        atomic_write(
-            self.timings_path,
-            json.dumps(
-                {k: [s, t] for k, (s, t) in timings.items()},
-                separators=(",", ":"),
-            ),
-        )
 
     def recorded_time(self, spec: RunSpec) -> float | None:
-        """Last recorded execution wall time for ``spec``, if any."""
-        entry = self._load_timings().get(spec_hash(spec))
-        return None if entry is None else entry[0]
-
-    def record_time(self, spec_or_hash: "RunSpec | str", seconds: float) -> None:
-        """Record a spec's execution wall time in the sidecar."""
-        if seconds <= 0:
-            return
-        key = self._key(spec_or_hash)
-        self._load_timings()[key] = (seconds, time.time())
-        self._dropped_timings.discard(key)
-        if self._timings_batched:
-            self._timings_unwritten = True
-        else:
-            self._write_timings()
-
-    @contextlib.contextmanager
-    def batched_timings(self):
-        """Hold :meth:`record_time`'s sidecar writes back until the
-        block exits, then merge-write once (the engine wraps each wave:
-        re-reading, merging and rewriting the whole sidecar per ``put``
-        made a job's fixed cost grow with the batch).  The write happens
-        even when the block raises; a process killed inside it loses
-        only a scheduling hint that every entry still carries as
-        ``"elapsed"`` and :meth:`get` re-harvests."""
-        self._timings_batched = True
+        """The execution wall seconds stored with ``spec``'s entry, or
+        None on a miss (or an entry stored without one)."""
         try:
-            yield
-        finally:
-            self._timings_batched = False
-            if self._timings_unwritten:
-                self._write_timings()
-
-    def drop_timings(self, hashes: Iterable[str]) -> int:
-        """Evict the given spec hashes from the timing sidecar.
-
-        Returns how many were present in this cache's own view.  The
-        sidecar is rewritten whenever anything was *requested*, not
-        only when the in-memory view held it: a concurrent writer may
-        have recorded the hash after this cache loaded its view, and
-        the merge-on-write (which excludes ``_dropped_timings``) is
-        what makes the eviction stick on disk.
-        """
-        timings = self._load_timings()
-        dropped = 0
-        requested = False
-        for key in hashes:
-            requested = True
-            self._dropped_timings.add(key)
-            if timings.pop(key, None) is not None:
-                dropped += 1
-        if requested:
-            self._write_timings()
-        return dropped
-
-    def timing_count(self) -> int:
-        return len(self._load_timings())
+            return float(json.loads(self.path_for(spec).read_text())["elapsed"])
+        except (OSError, ValueError, KeyError, TypeError):
+            return None
 
     # ------------------------------------------------------------------ #
     # Image tier (full checkpoint images for warm restarts)
@@ -327,7 +155,6 @@ class ResultCache:
                 continue
             atomic_write(self.image_path_for(key, index), pack_image_set(record.images))
             written += 1
-            self.stats.image_stores += 1
         return written
 
     def get_images(
@@ -341,13 +168,11 @@ class ResultCache:
         re-simulating the parent.
         """
         try:
-            images = unpack_image_set(
+            return unpack_image_set(
                 self.image_path_for(spec_or_hash, index).read_bytes()
             )
         except (OSError, ImageError):
             return None
-        self.stats.image_hits += 1
-        return images
 
     def has_images(self, spec_or_hash: "RunSpec | str", index: int) -> bool:
         """Cheap existence probe (no read/verify) used by wave planning.
@@ -411,7 +236,7 @@ class ResultCache:
         """Atomically store ``result`` under ``spec``'s hash.
 
         ``elapsed`` (execution wall seconds) rides along in the document
-        and feeds the scheduling cost model via :meth:`record_time`.
+        (see :meth:`recorded_time`).
         A result still carrying full checkpoint images also lands in the
         image tier (:meth:`put_images`) so later restarts of this spec
         skip re-simulating it.
@@ -435,9 +260,7 @@ class ResultCache:
         }
         if elapsed is not None and elapsed > 0:
             document["elapsed"] = elapsed
-            self.record_time(key, elapsed)
         atomic_write(path, json.dumps(document, separators=(",", ":")))
-        self.stats.stores += 1
         return path
 
     def _entry_files(self) -> "list[Path]":
@@ -445,35 +268,24 @@ class ResultCache:
         return list(self.version_dir.glob(f"{self._SHARD_GLOB}/*.json"))
 
     def clear(self) -> int:
-        """Delete all entries for the current schema; returns the count.
-
-        Image sets go with their entries; recorded execution times (the
-        scheduling cost model) survive.
-        """
+        """Delete all entries for the current schema, and every image
+        set with them; returns the entry count."""
         removed = sum(_unlink(entry) for entry in self._entry_files())
         for path in self._image_files():
             _unlink(path)
         return removed
 
     def prune(self, specs: "Iterable[RunSpec]") -> int:
-        """Delete the entries for ``specs`` (misses ignored); returns the
-        number removed.  Unlike :meth:`clear`, prune targets specific
-        cells, so their recorded execution times are evicted too — a
-        pruned cell's next run re-records its cost.  The timing falls
-        even when the entry file is already gone (a cell can have a
-        recorded time with no stored result, e.g. after a concurrent
-        writer's record survived this cache's earlier eviction)."""
+        """Delete the entries and image sets for ``specs`` (misses
+        ignored); returns the number of entries removed."""
         hashes = [spec_hash(spec) for spec in specs]
         removed = sum(_unlink(self._entry_path(key)) for key in hashes)
         self._drop_images(hashes)
-        self.drop_timings(hashes)
         return removed
 
     def _prune_paths(self, paths: "Iterable[Path]") -> int:
-        """Unlink entry files and evict their timings and image sets
-        (stems are hashes)."""
+        """Unlink entry files and their image sets (stems are hashes)."""
         evicted = [path.stem for path in paths if _unlink(path)]
-        self.drop_timings(evicted)
         self._drop_images(evicted)
         return len(evicted)
 

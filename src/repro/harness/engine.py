@@ -16,9 +16,9 @@ values — typically every cell of one or several figures at once — and:
    parent's committed images are already stored needs no parent job at
    all, so it schedules as wave-0 work and the parent simulation is
    dropped from the batch (``EngineStats.images_reused``);
-4. **orders every wave longest-pole-first** using a per-spec cost
-   model — the wall time recorded in the cache when the spec last ran,
-   falling back to a ``nprocs × niters`` heuristic — so the slowest job
+4. **orders every wave longest-pole-first** by
+   :meth:`RunSpec.cost_hint` (``nprocs × niters`` shaped; a stable sort
+   keeps equal-cost specs in submission order), so the slowest job
    starts first and the pool never idles behind a stragglers' tail;
 5. **fans out** the remaining unique jobs through
    :func:`repro.harness.dispatch.fan_out`: in this process at
@@ -39,36 +39,29 @@ cells and probe/restart parents dedupe like any figure's.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import sys
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from ..des.errors import DeadlockError, SchedulingError
 from .cache import ResultCache
 from .dispatch import fan_out
 from .recovery import RecoveryPolicy, run_recovery
 from .runner import RunResult
-from .spec import ImageTier, RunSpec, execute
+from .spec import ImageTier, RunSpec, execute, spec_hash
 
 __all__ = [
     "EngineStats",
     "ExperimentEngine",
     "DEFAULT_MAX_EVENTS",
-    "HEURISTIC_SECONDS_PER_UNIT",
 ]
 
 #: Runaway-simulation guard applied to jobs that don't set their own
 #: ``max_events``.  Two orders of magnitude above the largest legitimate
 #: scaled-down run; a job that trips it is wedged, not slow.
 DEFAULT_MAX_EVENTS = 100_000_000
-
-#: Rough wall seconds per ``RunSpec.cost_hint`` unit (one rank-iteration),
-#: calibrated on the scaled-down figure cells.  Only used to let
-#: heuristic estimates sort alongside recorded wall times; ordering, not
-#: accuracy, is what matters.
-HEURISTIC_SECONDS_PER_UNIT = 2e-3
 
 
 @dataclass
@@ -88,10 +81,6 @@ class EngineStats:
     #: exists but fails verification degrades to re-simulation and is
     #: not reported.
     images_reused: int = 0
-    #: Executed jobs whose scheduling cost came from a recorded wall time.
-    predicted_recorded: int = 0
-    #: Executed jobs scheduled by the ``nprocs × niters`` fallback.
-    predicted_heuristic: int = 0
     #: Submitted specs whose crashed results were chased by the
     #: auto-recovery planner (``recover=True`` / ``recovery=`` policy).
     recoveries: int = 0
@@ -103,14 +92,6 @@ class EngineStats:
     def deduped(self) -> int:
         return self.submitted - self.unique
 
-    @property
-    def prediction_hit_rate(self) -> float:
-        """Fraction of scheduled jobs with a history-based cost estimate."""
-        total = self.predicted_recorded + self.predicted_heuristic
-        if total == 0:
-            return 0.0
-        return self.predicted_recorded / total
-
     def summary(self) -> str:
         """One-line human-readable account (printed by the CLI)."""
         line = (
@@ -120,9 +101,6 @@ class EngineStats:
         )
         if self.images_reused:
             line += f", {self.images_reused} restarts fed from image tier"
-        scheduled = self.predicted_recorded + self.predicted_heuristic
-        if scheduled:
-            line += f", {self.prediction_hit_rate:.0%} costs from history"
         if self.recoveries:
             line += (
                 f", {self.recoveries} crashed jobs recovered "
@@ -143,17 +121,25 @@ def _execute_job(
     a local :class:`ResultCache` whose image tier feeds restart parents
     without re-simulation.  Returns ``(result,
     elapsed_seconds, images_served)`` — the wall time is measured in the
-    worker so pool queueing delays never pollute the cost model, and
-    ``images_served`` counts the parent image maps the tier *actually*
-    restored a restart from (an image file that exists at planning time
-    but fails verification or decoding here degrades to re-simulation,
-    and must not be reported as reuse).
+    worker so pool queueing delays never reach the cache entry's
+    ``"elapsed"``, and ``images_served`` counts the parent image maps
+    the tier *actually* restored a restart from (an image file that
+    exists at planning time but fails verification or decoding here
+    degrades to re-simulation, and must not be reported as reuse).
+
+    A job that wedges (:class:`DeadlockError`) or runs away past its
+    ``max_events`` guard (:class:`SchedulingError`) re-raises as the same
+    type with the spec's label and hash in front of the message, so a
+    failed batch names the job that failed it.
     """
     images = None
     if cache_dir is not None:
         images = ImageTier(ResultCache(cache_dir).get_images)
     t0 = time.perf_counter()
-    result = execute(spec, deps, max_events_guard=guard, images=images)
+    try:
+        result = execute(spec, deps, max_events_guard=guard, images=images)
+    except (DeadlockError, SchedulingError) as exc:
+        raise type(exc)(f"{spec.label()} [{spec_hash(spec)}]: {exc}") from exc
     return result, time.perf_counter() - t0, images.served if images else 0
 
 
@@ -311,26 +297,17 @@ class ExperimentEngine:
             # from hiding behind a late-started slow job; serially it
             # just front-loads the expensive cells.  Stable sort keeps
             # equal-cost specs in submission order (determinism).
-            pending.sort(key=lambda spec: self._predicted_cost(spec, stats),
-                         reverse=True)
-            # The wave's puts share one merge-write of the timing
-            # sidecar, flushed even when a job raises mid-wave.
-            one_sidecar_write = (
-                contextlib.nullcontext()
-                if self.cache is None
-                else self.cache.batched_timings()
-            )
-            with one_sidecar_write:
-                for spec, result, elapsed, served in self._execute_wave(
-                    pending, resolved
-                ):
-                    resolved[spec] = result
-                    stats.executed += 1
-                    stats.images_reused += served
-                    done += 1
-                    self._report(done, total, spec, "ran")
-                    if self.cache is not None:
-                        self.cache.put(spec, result, elapsed=elapsed)
+            pending.sort(key=RunSpec.cost_hint, reverse=True)
+            for spec, result, elapsed, served in self._execute_wave(
+                pending, resolved
+            ):
+                resolved[spec] = result
+                stats.executed += 1
+                stats.images_reused += served
+                done += 1
+                self._report(done, total, spec, "ran")
+                if self.cache is not None:
+                    self.cache.put(spec, result, elapsed=elapsed)
             # A run frees itself (see ``launch_run``); one collection
             # per executed wave is the backstop for what teardown
             # cannot cut: cycles an application body builds itself.
@@ -375,16 +352,6 @@ class ExperimentEngine:
         )
 
     # ----------------------------------------------------------------- #
-
-    def _predicted_cost(self, spec: RunSpec, stats: EngineStats) -> float:
-        """Estimated execution seconds for wave ordering."""
-        if self.cache is not None:
-            recorded = self.cache.recorded_time(spec)
-            if recorded is not None:
-                stats.predicted_recorded += 1
-                return recorded
-        stats.predicted_heuristic += 1
-        return spec.cost_hint() * HEURISTIC_SECONDS_PER_UNIT
 
     def _deps_for(
         self, spec: RunSpec, resolved: Mapping[RunSpec, RunResult]

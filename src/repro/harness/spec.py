@@ -446,12 +446,8 @@ class RunSpec:
     def cost_hint(self) -> float:
         """Relative execution-cost estimate (``nprocs × niters`` shaped).
 
-        The engine's wave scheduler prefers *recorded* wall times from
-        the result cache; this heuristic is the fallback for specs never
-        executed before.  Units are arbitrary — only the ordering within
-        a wave matters — but :data:`~repro.harness.engine.HEURISTIC_SECONDS_PER_UNIT`
-        maps them onto rough seconds so recorded and estimated costs can
-        sort together.
+        The engine orders every wave by it, longest first.  Units are
+        arbitrary: only the ordering within a wave matters.
 
         ``restart_of`` chains are folded iteratively, deepest ancestor
         first, and each link's value is memoized on the (immutable)

@@ -37,7 +37,6 @@ def test_miss_then_hit(tmp_path):
     assert cached is not None
     assert cached.runtime == result.runtime
     assert cached.per_rank == result.per_rank
-    assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
 def test_different_specs_do_not_collide(tmp_path):
@@ -84,7 +83,6 @@ def test_malformed_entry_is_a_miss_and_is_overwritten(tmp_path, mangle):
     bad = mangle(json.loads(path.read_text()))
     path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
     assert cache.get(spec) is None
-    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
     cache.put(spec, result)
     assert cache.get(spec).runtime == result.runtime
 
@@ -155,52 +153,38 @@ def test_default_cache_dir_env(tmp_path, monkeypatch):
     assert default_cache_dir() == tmp_path / "xdg" / "repro-mpi"
 
 
-class TestTimingEviction:
-    """The timing sidecar is capped and tracks prune evictions
-    (regression: it was merge-on-write only and grew without bound)."""
+class TestRecordedTime:
+    """A spec's wall time lives in its entry and leaves with it."""
 
-    def test_prune_drops_evicted_timings(self, tmp_path):
+    def test_prune_drops_recorded_time(self, tmp_path):
         cache = ResultCache(tmp_path)
         a, b = _spec(seed=0), _spec(seed=1)
         cache.put(a, execute(a), elapsed=0.5)
         cache.put(b, execute(b), elapsed=0.7)
-        assert cache.timing_count() == 2
         assert cache.prune([a]) == 1
         assert cache.recorded_time(a) is None
         assert cache.recorded_time(b) == 0.7
         fresh = ResultCache(tmp_path)
-        assert fresh.timing_count() == 1
+        assert fresh.recorded_time(a) is None
         assert fresh.recorded_time(b) == 0.7
 
-    def test_clear_still_keeps_timings(self, tmp_path):
+    def test_clear_drops_recorded_times(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = _spec()
         cache.put(spec, execute(spec), elapsed=0.5)
-        cache.clear()
-        assert ResultCache(tmp_path).recorded_time(spec) == 0.5
+        assert cache.clear() == 1
+        assert ResultCache(tmp_path).recorded_time(spec) is None
+        # Re-putting records the new time, never an old one.
+        cache.put(spec, execute(spec), elapsed=0.25)
+        assert ResultCache(tmp_path).recorded_time(spec) == 0.25
 
-    def test_sidecar_capped_oldest_first(self, tmp_path, monkeypatch):
-        import repro.harness.cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "TIMINGS_MAX_ENTRIES", 5)
+    @pytest.mark.parametrize("elapsed", [None, 0.0])
+    def test_entry_without_elapsed_has_no_recorded_time(self, tmp_path, elapsed):
         cache = ResultCache(tmp_path)
-        specs = [_spec(seed=i) for i in range(8)]
-        for i, spec in enumerate(specs):
-            cache.record_time(spec, 0.1 + i)
-        assert cache.timing_count() == 5
-        # The most recent records survive; the earliest were evicted.
-        assert cache.recorded_time(specs[0]) is None
-        assert cache.recorded_time(specs[-1]) == 0.1 + 7
-
-    def test_merge_does_not_resurrect_dropped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        a, b = _spec(seed=0), _spec(seed=1)
-        cache.record_time(a, 0.5)
-        cache.drop_timings([spec_hash(a)])
-        cache.record_time(b, 0.7)  # merge-on-write happens here
-        fresh = ResultCache(tmp_path)
-        assert fresh.recorded_time(a) is None
-        assert fresh.recorded_time(b) == 0.7
+        spec = _spec()
+        cache.put(spec, execute(spec), elapsed=elapsed)
+        assert cache.get(spec) is not None
+        assert cache.recorded_time(spec) is None
 
 
 class TestAgeAndSizePrune:

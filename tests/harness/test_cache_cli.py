@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.harness import ExperimentEngine, ResultCache
 from repro.harness.experiments import plan_fig6
+from repro.harness.spec import RunSpec, execute
 
 
 def _populate_fig6_defaults(cache_dir):
@@ -21,32 +22,32 @@ def _populate_fig6_defaults(cache_dir):
     return cache, 6
 
 
-def test_cache_stats_reports_entries_and_timings(tmp_path, capsys):
+def test_cache_stats_reports_entries_and_image_tier(tmp_path, capsys):
     cache, n = _populate_fig6_defaults(tmp_path)
     assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert f"entries:        {n}" in out
+    assert "image sets:     0" in out
     assert str(tmp_path) in out
-    assert "recorded times:" in out
 
 
-def test_cache_clear_removes_entries_keeps_timings(tmp_path, capsys):
+def test_cache_clear_removes_entries_and_image_sets(tmp_path, capsys):
     cache, n = _populate_fig6_defaults(tmp_path)
-    timings_before = ResultCache(tmp_path).timing_count()
-    assert timings_before > 0
+    ckpt = RunSpec.create("comd", 2, app_kwargs={"niters": 3}, protocol="cc",
+                          checkpoint_fractions=(0.5,))
+    cache.put(ckpt, execute(ckpt), elapsed=0.5)
+    assert cache.image_count() == 1
     assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert f"removed {n} cache entries" in out
+    assert f"removed {n + 1} cache entries" in out
     fresh = ResultCache(tmp_path)
-    assert len(fresh) == 0
-    assert fresh.timing_count() == timings_before
+    assert len(fresh) == 0 and fresh.image_count() == 0
+    assert fresh.recorded_time(ckpt) is None
 
 
 def test_cache_prune_figure_removes_only_that_figure(tmp_path, capsys):
     cache, n = _populate_fig6_defaults(tmp_path)
     # An unrelated (non-default-plan) entry must survive the prune.
-    from repro.harness.spec import RunSpec
-
     other = RunSpec.create("poisson", 2, app_kwargs={"niters": 2}, seed=99)
     result = ExperimentEngine(jobs=1).run(other)
     cache.put(other, result)

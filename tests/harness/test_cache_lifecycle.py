@@ -1,12 +1,9 @@
 """ResultCache lifecycle invariants under arbitrary operation orders.
 
 A hypothesis *stateful* test drives one cache through interleaved
-``put`` / ``get`` / ``prune`` / ``clear`` / timing-merge / reload
-operations and asserts, after every step:
+``put`` / ``get`` / ``prune`` / ``clear`` / reload operations and
+asserts, after every step:
 
-* the timings sidecar never resurrects a pruned hash (``prune`` evicts
-  the hash and the merge-on-write must not bring it back) until the
-  spec is genuinely re-put;
 * image sets never orphan: every file in the image tier belongs to a
   live entry (images leave with their entry on every eviction path);
 * ``get`` returns exactly the entries the model says are live, and the
@@ -81,7 +78,6 @@ class CacheLifecycle(RuleBasedStateMachine):
         self.hashes = [spec_hash(spec) for spec, _ in self.pool]
         #: Model state.
         self.live: set[int] = set()
-        self.pruned_timing_hashes: set[str] = set()
 
     # -- operations ----------------------------------------------------- #
 
@@ -90,7 +86,6 @@ class CacheLifecycle(RuleBasedStateMachine):
         spec, result = self.pool[i]
         self.cache.put(spec, result, elapsed=elapsed)
         self.live.add(i)
-        self.pruned_timing_hashes.discard(self.hashes[i])
 
     @rule(i=_INDEX)
     def get(self, i):
@@ -110,23 +105,11 @@ class CacheLifecycle(RuleBasedStateMachine):
         removed = self.cache.prune([spec])
         assert removed == (1 if i in self.live else 0)
         self.live.discard(i)
-        self.pruned_timing_hashes.add(self.hashes[i])
 
     @rule()
     def clear(self):
         self.cache.clear()
-        # clear() keeps timings by design — only prune evicts them.
         self.live.clear()
-
-    @rule(i=_INDEX, seconds=st.floats(0.001, 2.0))
-    def merge_foreign_timing(self, i, seconds):
-        """A concurrent engine sharing the directory records a time;
-        our cache's next write must merge it without resurrecting
-        anything our cache pruned."""
-        foreign = ResultCache(self._dir)
-        spec, _ = self.pool[i]
-        if self.hashes[i] not in self.pruned_timing_hashes:
-            foreign.record_time(spec, seconds)
 
     @rule(keep=st.integers(0, 3))
     def prune_to_max_entries(self, keep):
@@ -137,12 +120,7 @@ class CacheLifecycle(RuleBasedStateMachine):
             # Oldest-first eviction: the model only tracks membership, so
             # resync from disk (hash -> index is bijective).
             remaining = {p.stem for p in self.cache._entry_files()}
-            evicted = {
-                i for i in self.live if self.hashes[i] not in remaining
-            }
-            for i in evicted:
-                self.pruned_timing_hashes.add(self.hashes[i])
-            self.live -= evicted
+            self.live = {i for i in self.live if self.hashes[i] in remaining}
 
     @rule()
     def reload(self):
@@ -155,12 +133,6 @@ class CacheLifecycle(RuleBasedStateMachine):
     @invariant()
     def entry_count_matches_model(self):
         assert len(self.cache) == len(self.live)
-
-    @invariant()
-    def pruned_hashes_never_resurrect_in_timings(self):
-        on_disk = ResultCache(self._dir)._read_timings_file()
-        ghosts = self.pruned_timing_hashes & set(on_disk)
-        assert not ghosts, f"pruned hashes back in the sidecar: {ghosts}"
 
     @invariant()
     def image_sets_never_orphan(self):
@@ -184,24 +156,26 @@ CacheLifecycle.TestCase.settings = settings(
 TestCacheLifecycle = CacheLifecycle.TestCase
 
 
-def test_prune_evicts_timing_recorded_by_concurrent_writer(tmp_path):
-    """Deterministic form of the resurrection race the state machine
-    found: cache A's timings view is loaded (and stale) when writer B
-    records a time; A's prune must still evict it from *disk* — the
-    stale in-memory pop finds nothing, so the rewrite has to happen on
-    request, not on hit."""
+def test_prune_evicts_entry_a_concurrent_writer_put_back(tmp_path):
+    """Cache A prunes a spec, writer B (another engine sharing the
+    directory) stores it again, and A's next prune must still evict it
+    and its image set from disk: a cache acts on the directory, never on
+    a view of it loaded earlier."""
     spec, result = _pool()[0]
     a = ResultCache(tmp_path)
-    a.put(spec, result, elapsed=1.0)  # loads + writes A's timings view
-    a.prune([spec])
+    a.put(spec, result, elapsed=1.0)
+    assert a.prune([spec]) == 1
 
-    b = ResultCache(tmp_path)  # concurrent engine sharing the directory
-    b.record_time(spec, 2.5)
-    assert spec_hash(spec) in ResultCache(tmp_path)._read_timings_file()
+    b = ResultCache(tmp_path)
+    b.put(spec, result, elapsed=2.5)
+    assert a.recorded_time(spec) == 2.5
+    assert a.has_images(spec, 0)
 
-    a.prune([spec])  # A's in-memory view no longer holds the hash
-    on_disk = ResultCache(tmp_path)._read_timings_file()
-    assert spec_hash(spec) not in on_disk
+    assert a.prune([spec]) == 1
+    fresh = ResultCache(tmp_path)
+    assert fresh.recorded_time(spec) is None
+    assert not fresh.has_images(spec, 0)
+    assert fresh.image_count() == 0
 
 
 def test_reput_refreshes_image_age(tmp_path):

@@ -4,14 +4,20 @@ Complements the golden-output CLI tests: here every rejection is pinned
 to ``SystemExit(2)`` (argparse usage-error convention) plus the exact
 diagnostic substring, so error messages can't silently regress into
 stack traces or vague one-liners.  Also pins the ``cache prune``
-size/duration micro-parsers across their unit matrices.
+size/duration micro-parsers across their unit matrices, and the one-line
+exit 1 of a job that runs away.
 """
 
 import argparse
+import re
 
 import pytest
 
 from repro.cli import _byte_size, _duration, main
+from repro.des.errors import SchedulingError
+from repro.harness import ExperimentEngine
+from repro.harness.spec import RunSpec, spec_hash
+from repro.harness.verify import _classify_exception
 
 
 def _expect_usage_error(capsys, argv, *needles):
@@ -104,7 +110,9 @@ class TestPruneParsers:
     def test_byte_sizes(self, text, expected):
         assert _byte_size(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "12Q", "M", "garbage", "--3", "1 G"])
+    @pytest.mark.parametrize(
+        "text", ["", "12Q", "M", "garbage", "--3", "1 G", "inf", "nan", "1e400"]
+    )
     def test_bad_byte_sizes(self, text):
         with pytest.raises(argparse.ArgumentTypeError, match="expected a size"):
             _byte_size(text)
@@ -127,7 +135,9 @@ class TestPruneParsers:
     def test_durations(self, text, expected):
         assert _duration(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "1w", "d", "soon", "1 d"])
+    @pytest.mark.parametrize(
+        "text", ["", "1w", "d", "soon", "1 d", "inf", "nan", "1e400"]
+    )
     def test_bad_durations(self, text):
         with pytest.raises(argparse.ArgumentTypeError, match="expected a duration"):
             _duration(text)
@@ -224,3 +234,32 @@ class TestTopLevelRejections:
         _expect_usage_error(
             capsys, [*command, *flag], f"unrecognized arguments: {' '.join(flag)}",
         )
+
+
+# --------------------------------------------------------------------- #
+# a job that runs away names itself
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_runaway_job_is_one_named_line_not_a_traceback(capsys, jobs):
+    # Two cells, so --jobs 2 really runs them in a pool.
+    assert main(
+        ["sweep", "--axis", "protocol=native,cc", "--base", "app=comd",
+         "--base", "nprocs=2", "--base", "niters=3", "--base", "max_events=50",
+         "--no-cache", "--quiet", "--jobs", jobs]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"repro-mpi: error: SchedulingError: comd/(native|cc) p=2 "
+        r"\[[0-9a-f]{16}\]: exceeded max_events=50; "
+        r"possible runaway protocol loop\n",
+        captured.err,
+    ), captured.err
+
+    specs = [RunSpec.create("comd", 2, app_kwargs={"niters": 3}, protocol=p,
+                            max_events=50) for p in ("native", "cc")]
+    with pytest.raises(SchedulingError) as exc:
+        ExperimentEngine(jobs=int(jobs)).run_batch(specs)
+    assert any(f"{s.label()} [{spec_hash(s)}]: " in str(exc.value) for s in specs)
+    assert _classify_exception(exc.value) == "deadlock"

@@ -184,7 +184,6 @@ def test_put_stores_image_blobs(tmp_path):
     assert cache.has_images(spec, 0)
     assert not cache.has_images(spec, 1)
     assert cache.image_bytes() > 0
-    assert cache.stats.image_stores == 1
     restored = cache.get_images(spec, 0)
     assert restored is not None
     assert set(restored) == set(result.checkpoints[-1].images)
@@ -495,8 +494,8 @@ def test_no_cache_engine_unchanged(tmp_path):
 def test_pre_sharding_files_are_a_clean_miss(tmp_path):
     """The sharded layout is the only one.  Whatever an older version
     left directly under the version directories — a flat entry, a flat
-    image file, a bare-float timing — is not an error, not served, not
-    counted, and never rewritten."""
+    image file — or next to them — a timing sidecar — is not an error,
+    not served, not counted, and never rewritten."""
     cache = ResultCache(tmp_path)
     spec = _ckpt_spec()
     result = execute(spec)
@@ -512,9 +511,10 @@ def test_pre_sharding_files_are_a_clean_miss(tmp_path):
     flat_image.write_bytes(image.read_bytes())
     entry.unlink()
     image.unlink()
-    cache.timings_path.write_text(json.dumps({key: 1.5}))
+    sidecar = tmp_path / "v2-timings.json"
+    sidecar.write_text(json.dumps({key: [1.5, 0.0]}))
     left_behind = {
-        path: path.read_bytes() for path in (flat_entry, flat_image)
+        path: path.read_bytes() for path in (flat_entry, flat_image, sidecar)
     }
 
     fresh = ResultCache(tmp_path)
@@ -531,8 +531,9 @@ def test_pre_sharding_files_are_a_clean_miss(tmp_path):
         assert path.read_bytes() == content
 
     # A fresh store lands in the shards and is served from there.
-    fresh.put(spec, result)
+    fresh.put(spec, result, elapsed=0.25)
     assert fresh.get(spec) is not None
+    assert fresh.recorded_time(spec) == 0.25
     assert fresh.get_images(spec, 0) is not None
     assert len(fresh) == 1 and fresh.image_count() == 1
     for path, content in left_behind.items():
