@@ -40,7 +40,6 @@ from .harness import (
     STUDIES,
     CorpusDB,
     ExperimentEngine,
-    RecoveryPolicy,
     ResultCache,
     Sweep,
     SweepError,
@@ -144,25 +143,6 @@ def _open_cache(
     return cache
 
 
-def _make_engine(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, *,
-    progress: bool,
-) -> ExperimentEngine:
-    """The engine the engine and cache flags (and, where the command
-    has them, the recovery flags) describe.
-
-    An unusable cache directory is a usage error here, before any job
-    runs.
-    """
-    cache = _open_cache(parser, args)
-    recovery = None
-    if getattr(args, "recover", False):
-        recovery = RecoveryPolicy(max_attempts=args.max_attempts)
-    return ExperimentEngine(
-        jobs=args.jobs, cache=cache, progress=progress, recovery=recovery,
-    )
-
-
 def _run_and_print(
     parser: argparse.ArgumentParser, args: argparse.Namespace,
     plans: list, names: list[str],
@@ -171,7 +151,8 @@ def _run_and_print(
     once), print each folded result and the engine-stats line, and
     append the ``--bench-json`` record.  A job that wedged or ran away
     ends the command with one line naming it (exit 1), not a traceback."""
-    engine = _make_engine(parser, args, progress=not args.quiet)
+    engine = ExperimentEngine(jobs=args.jobs, cache=_open_cache(parser, args),
+                              progress=not args.quiet)
     t0 = time.time()
     try:
         results = run_plans(plans, engine)
@@ -419,7 +400,6 @@ def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     """
     names = args.oracle or sorted(ORACLES)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    engine = _make_engine(parser, args, progress=False)
 
     def progress(report) -> None:
         if not args.quiet:
@@ -432,9 +412,7 @@ def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
             )
 
     t0 = time.time()
-    reports = run_oracles(
-        names, seeds, engine=engine, progress=progress, jobs=args.jobs,
-    )
+    reports = run_oracles(names, seeds, progress=progress, jobs=args.jobs)
     elapsed = time.time() - t0
 
     failures = [r for r in reports if not r.ok]
@@ -572,23 +550,10 @@ def _parser() -> argparse.ArgumentParser:
                             "$REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
     cache.add_argument("--no-cache", action="store_true",
                        help="neither read nor write the result cache")
-    cache.add_argument("--bench-json", type=str, default=None,
+    bench = argparse.ArgumentParser(add_help=False)
+    bench.add_argument("--bench-json", type=str, default=None,
                        help="append a JSON record of this run's engine "
                             "stats and wall time to PATH")
-    recovery = argparse.ArgumentParser(add_help=False)
-    recovery.add_argument(
-        "--recover", action="store_true",
-        help="chase crashed jobs with bounded restart chains: each crash "
-             "restarts from the last committed image (or from scratch when "
-             "nothing ever committed) until clean completion or the retry "
-             "budget runs out",
-    )
-    recovery.add_argument(
-        "--max-attempts", type=_positive_int, metavar="N",
-        default=RecoveryPolicy().max_attempts,
-        help="recovery legs allowed per crashed job under --recover "
-             "(default %(default)s)",
-    )
 
     figures = {name: ([name], inspect.getdoc(planner).splitlines()[0])
                for name, planner in PLANNERS.items()}
@@ -596,7 +561,7 @@ def _parser() -> argparse.ArgumentParser:
                       "Every table and figure as ONE engine batch, so the "
                       "cells they share simulate once.")
     for name, (names, summary) in figures.items():
-        sub = command(name, _figures_main, summary, engine, cache, recovery)
+        sub = command(name, _figures_main, summary, engine, cache, bench)
         sub.set_defaults(figures=names)
         _add_figure_flags(sub, {n: PLANNERS[n] for n in names})
         sub.add_argument("--scenario", type=_scenario_arg, default=None,
@@ -638,7 +603,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = command("sweep", _sweep_main,
                   "run a cartesian scenario sweep (protocol x app x scale "
                   "grids as one deduplicated engine batch)",
-                  engine, cache, recovery)
+                  engine, cache, bench)
     sub.add_argument("--study", choices=sorted(STUDIES), default=None,
                      help="run a predefined sweep study instead of --axis")
     sub.add_argument("--axis", type=_axis_arg, action="append", default=[],
@@ -666,7 +631,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sub = command("verify", _verify_main,
                   "check the paper's claims under randomized fault schedules",
-                  engine, cache,
+                  engine, bench,
                   description="Differential-oracle verification under "
                               "randomized fault schedules (checkpoint-request "
                               "timing, rank completion races, restart depth). "

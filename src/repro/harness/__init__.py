@@ -3,7 +3,7 @@ the on-disk result cache, and per-figure experiment drivers."""
 
 from .cache import ResultCache, default_cache_dir
 from .dispatch import fan_out, resolve_dispatch
-from .engine import DEFAULT_MAX_EVENTS, EngineStats, ExperimentEngine
+from .engine import EngineStats, ExperimentEngine
 from .experiments import (
     PLANNERS,
     STUDIES,
@@ -40,6 +40,7 @@ from .verify import (
     run_oracles,
 )
 from .spec import (
+    DEFAULT_MAX_EVENTS,
     SCHEMA_VERSION,
     RunSpec,
     SpecError,

@@ -8,18 +8,20 @@ in a spawn-context process pool of ``jobs`` workers.
 
 A payload is a dictionary carrying everything its job needs:
 
-* ``{"kind": "sim", "spec", "deps", "guard", "cache_dir"}`` — one
+* ``{"kind": "sim", "spec", "deps", "cache_dir"}`` — one
   :class:`~repro.harness.spec.RunSpec` with its resolved ancestors;
-  its value is ``(result, elapsed, images_served)``.
-* ``{"kind": "check", "oracle", "schedule", "cache_dir"}`` — one
+  ``cache_dir`` roots the result cache whose image tier feeds its
+  restart parents (``None`` runs it cache-less).  Its value is
+  ``(result, elapsed, images_served)``.
+* ``{"kind": "check", "oracle", "schedule"}`` — one
   :class:`~repro.harness.verify.FaultSchedule` document through one
-  oracle; its value is ``{"report": ..., "duration": ...}``.
+  oracle, simulated from scratch; its value is
+  ``{"report": ..., "duration": ...}``.
 
-``cache_dir`` roots the result cache the job reads and writes (``None``
-runs it cache-less).  Pairs arrive as jobs finish — submission order
-in-process, completion order otherwise — and callers that need an order
-index into a list.  Fan-out may change where a job runs and how long
-the list takes, never a value.
+Pairs arrive as jobs finish — submission order in-process, completion
+order otherwise — and callers that need an order index into a list.
+Fan-out may change where a job runs and how long the list takes, never
+a value.
 """
 
 from __future__ import annotations
@@ -53,29 +55,22 @@ def run_job(payload: dict) -> Any:
     body sees every in-process execution.
     """
     if payload["kind"] == "check":
-        return run_check(
-            payload["oracle"], payload["schedule"], payload["cache_dir"]
-        )
+        return run_check(payload["oracle"], payload["schedule"])
     from . import engine as engine_mod
 
     return engine_mod._execute_job(
-        payload["spec"], payload["deps"], payload["guard"], payload["cache_dir"]
+        payload["spec"], payload["deps"], payload["cache_dir"]
     )
 
 
-def run_check(oracle: str, schedule: dict, cache_dir=None) -> dict:
-    """One oracle check, on an engine rooted at ``cache_dir``; returns
-    the report document and the wall duration measured where the check
-    ran (the fuzzer's cost-model input)."""
-    from .cache import ResultCache
-    from .engine import ExperimentEngine
+def run_check(oracle: str, schedule: dict) -> dict:
+    """One oracle check; returns the report document and the wall
+    duration measured where the check ran (the fuzzer's cost-model
+    input)."""
     from .verify import ORACLES, FaultSchedule
 
-    engine = ExperimentEngine(
-        cache=None if cache_dir is None else ResultCache(cache_dir)
-    )
     t0 = time.perf_counter()
-    report = ORACLES[oracle].check_schedule(decode(FaultSchedule, schedule), engine)
+    report = ORACLES[oracle].check_schedule(decode(FaultSchedule, schedule))
     return {"report": encode(report), "duration": time.perf_counter() - t0}
 
 

@@ -24,8 +24,7 @@ values — typically every cell of one or several figures at once — and:
    :func:`repro.harness.dispatch.fan_out`: in this process at
    ``jobs=1``, or over a spawn-safe ``ProcessPoolExecutor`` at
    ``jobs=N`` whose workers read restart images from the same cache.
-   Every job carries the per-job ``max_events`` guard, and progress
-   lines go to stderr wherever it ran.
+   Progress lines go to stderr wherever a job ran.
 
 Results are keyed by spec and identical whether the batch ran serially
 or in parallel — workers only ever execute independent simulations, and
@@ -35,6 +34,12 @@ Declarative scenario grids submit through :meth:`ExperimentEngine.run_sweep`
 (see :mod:`repro.harness.sweep`): the sweep's masked cells never reach
 the engine, and its cartesian product arrives as one batch so shared
 cells and probe/restart parents dedupe like any figure's.
+
+The engine is the batch runner for figure and sweep cells, and for
+nothing else: oracle checks (:mod:`repro.harness.verify`) and recovery
+chains (:mod:`repro.harness.recovery`) run their legs on
+:func:`~repro.harness.spec.execute` over one deps map, and the
+``max_events`` guard is :func:`~repro.harness.spec.execute`'s.
 """
 
 from __future__ import annotations
@@ -48,20 +53,13 @@ from typing import Iterable, Mapping, Sequence
 from ..des.errors import DeadlockError, SchedulingError
 from .cache import ResultCache
 from .dispatch import fan_out
-from .recovery import RecoveryPolicy, run_recovery
 from .runner import RunResult
 from .spec import ImageTier, RunSpec, execute, spec_hash
 
 __all__ = [
     "EngineStats",
     "ExperimentEngine",
-    "DEFAULT_MAX_EVENTS",
 ]
-
-#: Runaway-simulation guard applied to jobs that don't set their own
-#: ``max_events``.  Two orders of magnitude above the largest legitimate
-#: scaled-down run; a job that trips it is wedged, not slow.
-DEFAULT_MAX_EVENTS = 100_000_000
 
 
 @dataclass
@@ -81,11 +79,6 @@ class EngineStats:
     #: exists but fails verification degrades to re-simulation and is
     #: not reported.
     images_reused: int = 0
-    #: Submitted specs whose crashed results were chased by the
-    #: auto-recovery planner (``recover=True`` / ``recovery=`` policy).
-    recoveries: int = 0
-    #: Recovery legs executed across all chains (excludes initial runs).
-    recovery_attempts: int = 0
     wall_time: float = 0.0
 
     @property
@@ -101,18 +94,12 @@ class EngineStats:
         )
         if self.images_reused:
             line += f", {self.images_reused} restarts fed from image tier"
-        if self.recoveries:
-            line += (
-                f", {self.recoveries} crashed jobs recovered "
-                f"({self.recovery_attempts} restart legs)"
-            )
         return line
 
 
 def _execute_job(
     spec: RunSpec,
     deps: dict[RunSpec, RunResult],
-    guard: int | None,
     cache_dir=None,
 ) -> tuple[RunResult, float, int]:
     """Top-level worker entry point (must be picklable by name for spawn).
@@ -137,7 +124,7 @@ def _execute_job(
         images = ImageTier(ResultCache(cache_dir).get_images)
     t0 = time.perf_counter()
     try:
-        result = execute(spec, deps, max_events_guard=guard, images=images)
+        result = execute(spec, deps, images=images)
     except (DeadlockError, SchedulingError) as exc:
         raise type(exc)(f"{spec.label()} [{spec_hash(spec)}]: {exc}") from exc
     return result, time.perf_counter() - t0, images.served if images else 0
@@ -149,17 +136,7 @@ class ExperimentEngine:
     Args:
         jobs: worker processes; ``1`` (the default) runs in-process.
         cache: optional :class:`ResultCache`; hits skip simulation.
-        max_events: per-job event guard for specs without their own.
         progress: emit one line per executed job on stderr.
-        recovery: automatic crash recovery for submitted specs whose
-            results crashed.  ``None``/``False`` disables (callers can
-            still opt in per batch with ``run_batch(..., recover=True)``);
-            ``True`` enables with the default policy; a
-            :class:`~repro.harness.recovery.RecoveryPolicy` enables with
-            that budget.  Recovered specs' entries in the returned map
-            are substituted with the chain's final (clean) result — the
-            cache keeps every leg, including the crashed ones, under
-            their own keys.
     """
 
     def __init__(
@@ -167,18 +144,11 @@ class ExperimentEngine:
         jobs: int = 1,
         *,
         cache: ResultCache | None = None,
-        max_events: int | None = DEFAULT_MAX_EVENTS,
         progress: bool = False,
-        recovery=None,
     ):
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.max_events = max_events
         self.progress = progress
-        self.recovery = bool(recovery)
-        self._policy = (
-            recovery if isinstance(recovery, RecoveryPolicy) else RecoveryPolicy()
-        )
         self.last_stats: EngineStats | None = None
 
     # ----------------------------------------------------------------- #
@@ -197,18 +167,8 @@ class ExperimentEngine:
         """
         return self.run_batch(sweep.specs())
 
-    def run_batch(
-        self, specs: Sequence[RunSpec], *, recover: bool | None = None
-    ) -> dict[RunSpec, RunResult]:
-        """Run many specs; returns results keyed by the submitted specs.
-
-        ``recover`` overrides the engine's ``recovery`` setting for this
-        batch: ``True`` chases every crashed submitted spec with a
-        bounded restart chain after the waves drain (see
-        :mod:`repro.harness.recovery`), ``False`` suppresses it (the
-        planner itself runs its legs this way), ``None`` follows the
-        engine.
-        """
+    def run_batch(self, specs: Sequence[RunSpec]) -> dict[RunSpec, RunResult]:
+        """Run many specs; returns results keyed by the submitted specs."""
         t0 = time.perf_counter()
         stats = EngineStats(submitted=len(specs))
 
@@ -313,43 +273,9 @@ class ExperimentEngine:
             # cannot cut: cycles an application body builds itself.
             gc.collect()
 
-        # Automatic crash recovery: after every wave has drained (so
-        # each leg can batch on its own), chase submitted specs whose
-        # results crashed with a bounded restart chain.  Only the
-        # *returned map* sees the substitution — the cache keeps the
-        # crashed leg under its own key, and the chain's legs cache
-        # under theirs.
-        do_recover = self.recovery if recover is None else recover
-        if do_recover:
-            for spec in unique:
-                result = resolved[spec]
-                if not result.crashed_ranks:
-                    continue
-                outcome = run_recovery(
-                    spec, self._policy, engine=self, initial=result
-                )
-                stats.recoveries += 1
-                stats.recovery_attempts += outcome.recovery_legs
-                if self.progress:
-                    print(
-                        f"[engine] {outcome.describe()}: {spec.label()}",
-                        file=sys.stderr,
-                        flush=True,
-                    )
-                if outcome.completed:
-                    resolved[spec] = outcome.final_result
-
         stats.wall_time = time.perf_counter() - t0
         self.last_stats = stats
         return {spec: resolved[spec] for spec in unique}
-
-    def run_recovery(self, spec: RunSpec, policy=None, *, leg_faults=()):
-        """Run one spec under explicit crash recovery (see
-        :func:`repro.harness.recovery.run_recovery`); legs execute
-        through this engine's cache and fan-out."""
-        return run_recovery(
-            spec, policy, leg_faults=leg_faults, engine=self
-        )
 
     # ----------------------------------------------------------------- #
 
@@ -376,7 +302,7 @@ class ExperimentEngine:
         cache_dir = None if self.cache is None else self.cache.root
         payloads = [
             {"kind": "sim", "spec": spec, "deps": self._deps_for(spec, resolved),
-             "guard": self.max_events, "cache_dir": cache_dir}
+             "cache_dir": cache_dir}
             for spec in pending
         ]
         for index, value in fan_out(payloads, jobs=self.jobs):

@@ -20,27 +20,22 @@ run back into a finished one:
   runs of the same spec under the same policy and fault plan are
   byte-comparable across processes and pools.
 
-Every leg is a plain :class:`~repro.harness.spec.RunSpec` executed
-through an :class:`~repro.harness.engine.ExperimentEngine` (with its
-own auto-recovery disabled — the planner owns the loop), so legs
-dedupe, cache, and fan out like any other job.  The engine integrates
-the other direction too: ``ExperimentEngine(recovery=...)`` or
-``run_batch(..., recover=True)`` auto-recovers any submitted spec whose
-result crashed (see :meth:`ExperimentEngine.run_batch`).
+Every leg is a plain :class:`~repro.harness.spec.RunSpec` run
+in-process by :func:`~repro.harness.spec.execute` over one deps map for
+the whole chain: a probe or parent an earlier leg already simulated is
+reused, and a leg equal to one of them (a crash-free leg is its crashed
+predecessor's probe) is not launched again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..util.codec import encode
 from ..util.hashing import stable_json_hash
 from .runner import RunResult
-from .spec import RunSpec, spec_hash
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from .engine import ExperimentEngine
+from .spec import RunSpec, execute, spec_hash
 
 __all__ = [
     "RecoveryError",
@@ -186,8 +181,6 @@ def run_recovery(
     policy: RecoveryPolicy | None = None,
     *,
     leg_faults: Sequence[Sequence[tuple[int, float]]] = (),
-    engine: "ExperimentEngine | None" = None,
-    initial: RunResult | None = None,
 ) -> RecoveryOutcome:
     """Run ``spec`` and chase any crash with bounded restart attempts.
 
@@ -199,37 +192,30 @@ def run_recovery(
             the ``crash_fracs`` armed on recovery leg ``i+1`` (empty /
             exhausted → the leg runs crash-free).  This is how
             multi-hop storms are expressed deterministically.
-        engine: the :class:`ExperimentEngine` that executes each leg
-            (auto-recovery suppressed for the legs — this function owns
-            the loop).  ``None`` builds a throwaway in-process engine.
-        initial: an already-computed result for ``spec`` (the engine's
-            auto-recovery path passes the crashed result it just
-            collected so leg 0 is not re-run).
 
     Returns a :class:`RecoveryOutcome`; it never raises on budget
     exhaustion — check ``outcome.completed`` (the ``recovery-chain``
     oracle raises :class:`RecoveryError` for you).
     """
     policy = policy or RecoveryPolicy()
-    if engine is None:
-        from .engine import ExperimentEngine
-
-        engine = ExperimentEngine()
     hops = [_normalize_hop(h) for h in leg_faults]
+    deps: dict[RunSpec, RunResult] = {}
 
-    if initial is None:
-        initial = engine.run_batch([spec], recover=False)[spec]
+    def run(leg: RunSpec) -> RunResult:
+        if leg not in deps:
+            deps[leg] = execute(leg, deps)
+        return deps[leg]
+
     outcome = RecoveryOutcome(policy=policy)
-    outcome.attempts.append(RecoveryAttempt(spec=spec, result=initial))
+    outcome.attempts.append(RecoveryAttempt(spec=spec, result=run(spec)))
 
     attempt = 0
     while outcome.attempts[-1].crashed and attempt < policy.max_attempts:
         attempt += 1
         hop = hops[attempt - 1] if attempt <= len(hops) else ()
         leg, how = _plan_next_leg(outcome.attempts, hop)
-        result = engine.run_batch([leg], recover=False)[leg]
         outcome.attempts.append(
-            RecoveryAttempt(spec=leg, result=result, restarted_from=how)
+            RecoveryAttempt(spec=leg, result=run(leg), restarted_from=how)
         )
     outcome.completed = not outcome.attempts[-1].crashed
     return outcome

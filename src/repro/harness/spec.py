@@ -54,6 +54,7 @@ from .runner import RunResult, launch_run
 
 __all__ = [
     "SCHEMA_VERSION",
+    "DEFAULT_MAX_EVENTS",
     "SPEC_POINT_FIELDS",
     "RunSpec",
     "SpecError",
@@ -73,6 +74,12 @@ __all__ = [
 #: Bump whenever the meaning of a spec field or the serialized result
 #: layout changes; the cache segregates entries by this version.
 SCHEMA_VERSION = 2
+
+#: Runaway-simulation guard :func:`execute` applies to every spec that
+#: sets no ``max_events`` of its own.  Two orders of magnitude above the
+#: largest legitimate scaled-down run; a job that trips it is wedged,
+#: not slow.  Read at call time, so a test can lower it.
+DEFAULT_MAX_EVENTS = 100_000_000
 
 #: Point keys :meth:`RunSpec.from_point` routes to spec fields; every
 #: other key becomes an app kwarg.  ``restart`` (bool) is the sweep
@@ -129,6 +136,20 @@ def _normalize_kwargs(app_kwargs: Any) -> tuple[tuple[str, Any], ...]:
             )
         out.append((key, value))
     return tuple(out)
+
+
+def _crash_pairs(value: Any) -> tuple[tuple[int, float], ...]:
+    """Canonical sorted-by-rank form of ``crash_fracs``, so equal fault
+    schedules compare (and hash) equal regardless of construction order."""
+    try:
+        pairs = tuple(value)
+        if isinstance(value, str) or any(isinstance(p, str) for p in pairs):
+            raise TypeError
+        return tuple(sorted((int(r), float(f)) for r, f in pairs))
+    except (TypeError, ValueError):
+        raise SpecError(
+            f"crash_fracs must be (rank, frac) pairs, got {value!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -230,11 +251,7 @@ class RunSpec:
             checkpoint_completion_fracs=tuple(
                 float(f) for f in checkpoint_completion_fracs
             ),
-            # Canonical sorted-by-rank form so equal fault schedules
-            # compare (and hash) equal regardless of construction order.
-            crash_fracs=tuple(
-                sorted((int(r), float(f)) for r, f in crash_fracs)
-            ),
+            crash_fracs=_crash_pairs(crash_fracs),
             storage=storage,
             params=params,
             max_events=max_events,
@@ -537,7 +554,6 @@ def execute(
     spec: RunSpec,
     deps: MutableMapping[RunSpec, RunResult] | None = None,
     *,
-    max_events_guard: int | None = None,
     images: "ImageTier | None" = None,
 ) -> RunResult:
     """Run one spec (resolving probe/restart chains) and return its result.
@@ -545,13 +561,13 @@ def execute(
     Args:
         spec: the job to run.
         deps: optional already-computed results for this spec's
-            ancestors (the engine passes wave-N-1 results here).  A
-            parent result lacking full checkpoint images — e.g. one
-            deserialized from the JSON cache — is transparently
-            re-simulated, since images never cross the JSON boundary.
-        max_events_guard: per-job event ceiling applied to specs that do
-            not set their own ``max_events`` (runaway-simulation guard;
-            it never alters the result of a job that completes).
+            ancestors (the engine passes wave-N-1 results here).  Every
+            ancestor this call has to simulate is recorded in it, so a
+            caller running a chain of legs over one map simulates each
+            distinct spec once.  A parent result lacking full checkpoint
+            images — e.g. one deserialized from the JSON cache — is
+            transparently re-simulated, since images never cross the
+            JSON boundary.
         images: optional :class:`ImageTier`.  When it serves a restart
             parent's images, the parent is not simulated at all — the
             warm-restart fast path.  Any miss, and any served set that
@@ -559,21 +575,22 @@ def execute(
             a tier can only make execution faster, never change a
             result.
 
-    A job whose protocol cannot wrap the application (the paper's NA
-    cells, e.g. 2PC with non-blocking collectives) returns a
-    :class:`RunResult` with ``na_reason`` set rather than raising, so
-    batch execution records *why* the cell is NA instead of dying.
+    Every simulation it launches — the spec's and any ancestor's — runs
+    under the spec's own ``max_events``, else :data:`DEFAULT_MAX_EVENTS`
+    (the guard never alters the result of a job that completes).  A job
+    whose protocol cannot wrap the application (the paper's NA cells,
+    e.g. 2PC with non-blocking collectives) returns a :class:`RunResult`
+    with ``na_reason`` set rather than raising, so batch execution
+    records *why* the cell is NA instead of dying.
     """
     deps = deps if deps is not None else {}
-    return _execute(spec, deps, guard=max_events_guard, images=images)
+    return _execute(spec, deps, images)
 
 
 def _execute(
     spec: RunSpec,
     deps: MutableMapping[RunSpec, RunResult],
-    *,
-    guard: int | None,
-    images: "ImageTier | None" = None,
+    images: "ImageTier | None",
 ) -> RunResult:
     checkpoint_at = spec.checkpoint_at
     crash_at: dict[int, float] | None = None
@@ -582,8 +599,7 @@ def _execute(
         probe_result = _resolve_parent(
             probe,
             deps,
-            guard=guard,
-            images=images,
+            images,
             need_images=False,
             # Completion fractions anchor on per-rank finish instants; a
             # probe result cached before that field existed is unusable
@@ -607,7 +623,9 @@ def _execute(
                 rank: f * probe_result.runtime for rank, f in spec.crash_fracs
             }
 
-    max_events = spec.max_events if spec.max_events is not None else guard
+    max_events = (
+        spec.max_events if spec.max_events is not None else DEFAULT_MAX_EVENTS
+    )
 
     def launch(restore_images: "dict[int, CheckpointImage] | None") -> RunResult:
         try:
@@ -665,9 +683,7 @@ def _execute(
             else:
                 images.served += 1
                 return result
-    parent = _resolve_parent(
-        spec.restart_of, deps, guard=guard, images=images, need_images=True
-    )
+    parent = _resolve_parent(spec.restart_of, deps, images, need_images=True)
     if parent.na_reason:
         return _na_result(spec, parent.na_reason)
     committed = [r for r in parent.checkpoints if r.committed]
@@ -689,9 +705,8 @@ def _execute(
 def _resolve_parent(
     parent: RunSpec,
     deps: MutableMapping[RunSpec, RunResult],
-    *,
-    guard: int | None,
     images: "ImageTier | None",
+    *,
     need_images: bool,
     need_finish_times: bool = False,
 ) -> RunResult:
@@ -703,7 +718,7 @@ def _resolve_parent(
             known = None
     if known is not None:
         return known
-    fresh = _execute(parent, deps, guard=guard, images=images)
+    fresh = _execute(parent, deps, images)
     deps[parent] = fresh
     return fresh
 

@@ -17,19 +17,23 @@ restart) are pinned by the test suite, not here.
   schedule's perturbations reach simulation through declarative
   :class:`RunSpec` fields (``checkpoint_fractions``,
   ``checkpoint_completion_fracs``, app kwargs), so they enter the spec
-  content hash and the result cache just like any figure cell.
+  content hash just like any figure cell.
 * :class:`Oracle` — one check: run the scenario a fault schedule
   describes and compare two independent derivations of the same truth
   (online vs offline cut, interrupted vs uninterrupted fingerprint).
   The oracles share one vocabulary of leg helpers (crash draw,
-  post-commit anchor, leaked-image and fingerprint checks).
+  post-commit anchor, leaked-image and fingerprint checks).  Every leg
+  runs in this process on :func:`~repro.harness.spec.execute` over the
+  check's one deps map, under its ``max_events`` guard, and is never
+  served from a cache: a verdict depends only on the code and the
+  seed.
 * :func:`run_oracles` — sweep oracles over seeds; every failure carries
   a *derandomized reproduction command* (``repro-mpi verify --oracle X
   --seeds 1 --base-seed N``) so a nightly CI hit replays locally in one
   paste.
 
-``repro-mpi verify`` is the CLI face (cache-aware where an oracle
-permits, ``--bench-json``, failing-seed artifact on mismatch).
+``repro-mpi verify`` is the CLI face (``--jobs``, ``--bench-json``,
+failing-seed artifact on mismatch).
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from ..mana import CheckpointRecord
 from ..scenarios import SCENARIOS
 from ..util.codec import Shape, decode, encode
 from ..util.hashing import stable_json_hash
-from .engine import ExperimentEngine
 from .runner import RunResult
 from .spec import RunSpec, execute
 
@@ -135,7 +138,7 @@ class FaultSchedule:
     """One seed's adversarial scenario, fully declarative.
 
     Everything here flows into :class:`RunSpec` fields or app kwargs,
-    so equal schedules build equal (content-hashed, cacheable) specs.
+    so equal schedules build equal (content-hashed) specs.
     """
 
     seed: int
@@ -281,7 +284,7 @@ class FaultSchedule:
 
     def uninterrupted_spec(self) -> RunSpec:
         """The baseline run (identical to the checkpoint spec's probe,
-        so the engine dedupes the two)."""
+        so a check's deps map serves one as the other)."""
         return self._spec()
 
     def checkpoint_spec(self) -> RunSpec:
@@ -325,7 +328,7 @@ class FaultSchedule:
         Intermediate legs carry their own absolute-time request so the
         next leg has an image set to adopt; the request instant is a
         pure function of the (deterministic) base runtime, so the chain
-        specs are cache-stable.
+        specs are too.
         """
         chain: list[RunSpec] = []
         parent = self.checkpoint_spec()
@@ -406,10 +409,8 @@ class Oracle(ABC):
     name: str = "abstract"
     #: One-line catalog entry (README / ``--help``).
     description: str = ""
-    #: Whether the check can serve (and warm) the shared result cache.
-    cache_aware: bool = False
 
-    def check(self, seed: int, engine: "ExperimentEngine | None" = None) -> OracleReport:
+    def check(self, seed: int) -> OracleReport:
         """Run the check for one seed; never raises.
 
         A mismatch is the oracle's verdict; any *other* exception — a
@@ -418,13 +419,9 @@ class Oracle(ABC):
         failing report too (with the same derandomized repro command)
         instead of crashing the remaining seeds and losing the artifact.
         """
-        return self.check_schedule(FaultSchedule.draw(seed), engine)
+        return self.check_schedule(FaultSchedule.draw(seed))
 
-    def check_schedule(
-        self,
-        schedule: FaultSchedule,
-        engine: "ExperimentEngine | None" = None,
-    ) -> OracleReport:
+    def check_schedule(self, schedule: FaultSchedule) -> OracleReport:
         """:meth:`check` for an explicit (possibly hand-built) schedule.
 
         The fuzzer's shrinker re-checks *mutated* schedules that no seed
@@ -432,11 +429,9 @@ class Oracle(ABC):
         schedule's originating seed.
         """
         seed = schedule.seed
-        if engine is None or not self.cache_aware:
-            engine = ExperimentEngine()
         kind = ""
         try:
-            detail = self.verify(schedule, engine)
+            detail = self.verify(schedule)
             ok = True
         except OracleMismatch as exc:
             detail = str(exc)
@@ -459,7 +454,7 @@ class Oracle(ABC):
         )
 
     @abstractmethod
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         """Perform the check; return a human-readable detail line or
         raise :class:`OracleMismatch`."""
 
@@ -558,14 +553,11 @@ class RankCompletionOracle(Oracle):
         "requests racing rank exits commit, and restart chains from the "
         "committed images reproduce the uninterrupted fingerprint"
     )
-    cache_aware = True
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
-        base = schedule.uninterrupted_spec()
-        ckpt = schedule.checkpoint_spec()
-        results = engine.run_batch([base, ckpt])
-        base_res = _checked("baseline", results[base])
-        ckpt_res = _checked("ckpt run", results[ckpt])
+    def verify(self, schedule: FaultSchedule) -> str:
+        deps: dict = {}
+        base_res = _run("baseline", schedule.uninterrupted_spec(), deps)
+        ckpt_res = _run("ckpt run", schedule.checkpoint_spec(), deps)
 
         n_requests = len(schedule.completion_fracs) + len(schedule.mid_fracs)
         self._require(
@@ -585,12 +577,10 @@ class RankCompletionOracle(Oracle):
 
         _require_fingerprint("interrupted run", ckpt_res, base_res)
 
-        chain = schedule.restart_chain(base_res.runtime)
-        final = engine.run_batch(chain)[chain[-1]]
+        for depth, leg in enumerate(schedule.restart_chain(base_res.runtime), 1):
+            final = _run(f"depth-{depth} restart", leg, deps)
         _require_fingerprint(
-            f"depth-{schedule.restart_depth} restart",
-            _checked("restart", final),
-            base_res,
+            f"depth-{schedule.restart_depth} restart", final, base_res
         )
         finished_images = sum(
             1
@@ -613,9 +603,7 @@ def _safe_cut_detail(
     Runs the schedule-known ``scheduled`` app, checkpoints it at a
     seed-drawn instant, and verifies the per-group SEQ values frozen in
     the images equal :func:`repro.core.graph.compute_safe_cut` applied
-    to the request-time reports (paper Section 4.2.2).  Executes fresh
-    (never from cache): the comparison needs the full images' SEQ
-    tables, which never cross the JSON boundary.  The scenario changes
+    to the request-time reports (paper Section 4.2.2).  The scenario changes
     *when* the cut lands (fabric and compute skew shift every request
     instant), never *whether* its structure is safe — exactly what the
     scenario-invariance oracle leans on.
@@ -679,9 +667,8 @@ class SafeCutOracle(Oracle):
         "committed SEQ tables equal the offline topological-sort fixpoint "
         "of the request-time reports"
     )
-    cache_aware = False
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         return _safe_cut_detail(schedule, scenario=schedule.scenario)
 
 
@@ -704,9 +691,8 @@ class DrainConservationOracle(Oracle):
         "and consumed after resume, and crash-aborted rounds reclaim "
         "(not leak) the corpse's drain debts"
     )
-    cache_aware = False
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         parent = schedule.checkpoint_spec()
         deps: dict = {}
         parent_res = _run("ckpt run", parent, deps)
@@ -762,7 +748,6 @@ class CrashFaultOracle(Oracle):
         "restart from the last pre-crash commit matches the "
         "uninterrupted fingerprint"
     )
-    cache_aware = False
 
     def _check_crash_run(
         self,
@@ -815,7 +800,7 @@ class CrashFaultOracle(Oracle):
                 )
         return committed, aborted
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         rng = np.random.default_rng(np.random.SeedSequence([0xDEAD, schedule.seed]))
         fallback = _crash_draw(rng, range(schedule.nprocs), 0.35, 0.95)
         early_fracs = schedule.crash_fracs or (fallback,)
@@ -882,9 +867,8 @@ class RecoveryChainOracle(Oracle):
         "bounded retry to the uninterrupted run's fingerprint, with no "
         "leaked images and drain conservation across every hop"
     )
-    cache_aware = False
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         from .recovery import RecoveryError, RecoveryPolicy, run_recovery
 
         rng = np.random.default_rng(
@@ -927,14 +911,10 @@ class RecoveryChainOracle(Oracle):
             )
 
         # Budget: enough for every armed hop plus slack, and never less
-        # than the default.  Every leg runs in-process: this oracle is
-        # not cache-aware, so ``engine`` is a private cache-less one.
+        # than the default.
         policy = RecoveryPolicy(max_attempts=max(3, len(hops) + 2))
         outcome = run_recovery(
-            schedule.crash_spec(crash_fracs),
-            policy,
-            leg_faults=hops,
-            engine=engine,
+            schedule.crash_spec(crash_fracs), policy, leg_faults=hops
         )
         if not outcome.completed:
             raise RecoveryError(
@@ -981,9 +961,8 @@ class ScenarioInvarianceOracle(Oracle):
         "every registered scenario commits, conserves drains, and keeps "
         "the safe cut"
     )
-    cache_aware = False
 
-    def verify(self, schedule: FaultSchedule, engine: ExperimentEngine) -> str:
+    def verify(self, schedule: FaultSchedule) -> str:
         names = sorted(SCENARIOS)
         for name in names:
             res = _run(name, replace(schedule, scenario=name).checkpoint_spec())
@@ -1009,19 +988,15 @@ ORACLES: "dict[str, Oracle]" = {
 }
 
 
-def check_payload(
-    name: str, schedule: FaultSchedule, cache_dir=None
-) -> dict:
+def check_payload(name: str, schedule: FaultSchedule) -> dict:
     """The :func:`repro.harness.dispatch.fan_out` job for one check."""
-    return {"kind": "check", "oracle": name,
-            "schedule": encode(schedule), "cache_dir": cache_dir}
+    return {"kind": "check", "oracle": name, "schedule": encode(schedule)}
 
 
 def run_oracles(
     names: Iterable[str],
     seeds: Iterable[int],
     *,
-    engine: "ExperimentEngine | None" = None,
     progress=None,
     jobs: int = 1,
 ) -> "list[OracleReport]":
@@ -1032,10 +1007,8 @@ def run_oracles(
 
     Every (oracle, seed) check is one job through
     :func:`repro.harness.dispatch.fan_out` — in this process at
-    ``jobs=1``, over a spawn-safe pool at ``jobs=N`` — and runs on an
-    engine of its own rooted at ``engine``'s cache
-    directory, so cache-aware oracles serve and warm the same store
-    wherever they run.  Reports (and ``progress`` calls) come in
+    ``jobs=1``, over a spawn-safe pool at ``jobs=N``.  Reports (and
+    ``progress`` calls) come in
     (oracle-order, seed-order) sequence whatever the completion order
     and carry the same contents — each check is an independent
     simulation, so the fan-out can only change wall time, never a
@@ -1052,11 +1025,8 @@ def run_oracles(
             )
         tasks.extend((name, seed) for seed in seeds)
 
-    cache = None if engine is None else engine.cache
     payloads = [
-        check_payload(name, FaultSchedule.draw(seed),
-                      None if cache is None else cache.root)
-        for name, seed in tasks
+        check_payload(name, FaultSchedule.draw(seed)) for name, seed in tasks
     ]
     landed: "dict[int, OracleReport]" = {}
     reports: list[OracleReport] = []

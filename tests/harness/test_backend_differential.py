@@ -60,7 +60,7 @@ def test_oracle_seed_verdict_identical_across_kernels(monkeypatch):
     # One fault-injection oracle seed: the serialized verdict (flag +
     # detail string, which embeds simulated quantities) must match.
     def verdict():
-        reports = run_oracles(["safe-cut"], [7], engine=ExperimentEngine(jobs=1))
+        reports = run_oracles(["safe-cut"], [7])
         assert len(reports) == 1
         assert reports[0].ok, reports[0].detail
         return reports[0]

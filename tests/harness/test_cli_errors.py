@@ -227,12 +227,25 @@ class TestTopLevelRejections:
             f"unrecognized arguments: {' '.join(flag)}",
         )
 
-    @pytest.mark.parametrize("command", [["verify"], ["fuzz", "--iters", "1"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["verify"], ["fuzz", "--iters", "1"], ["fig5a"], ["all"],
+         ["sweep", "--study", "ckpt_freq"]],
+    )
     @pytest.mark.parametrize("flag", [["--recover"], ["--max-attempts", "5"]])
     def test_oracle_commands_take_no_recovery_flags(self, capsys, command, flag):
-        # The recovery-chain oracle's budget follows from its schedule.
+        # No command takes them: recovery chains run only in the
+        # recovery-chain oracle, whose budget follows from its schedule.
         _expect_usage_error(
             capsys, [*command, *flag], f"unrecognized arguments: {' '.join(flag)}",
+        )
+
+    @pytest.mark.parametrize("flag", [["--no-cache"], ["--cache-dir", "c"]])
+    def test_verify_takes_no_cache_flags(self, capsys, flag):
+        # A verdict is simulated from the code under test, never served
+        # from a result cache.
+        _expect_usage_error(
+            capsys, ["verify", *flag], f"unrecognized arguments: {' '.join(flag)}",
         )
 
 

@@ -15,11 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.harness import resolve_dispatch
 from repro.harness.cache import ResultCache
 from repro.harness.dispatch import fan_out
-from repro.harness.engine import DEFAULT_MAX_EVENTS, ExperimentEngine
+from repro.harness.engine import ExperimentEngine
 from repro.harness.spec import RunSpec, run_result_to_dict
 from repro.harness.verify import FaultSchedule, check_payload
 
@@ -43,8 +42,7 @@ def _mixed_payloads():
     """Simulations and oracle checks interleaved, one list."""
     schedule = FaultSchedule.draw(3)
     sims = [
-        {"kind": "sim", "spec": spec, "deps": {},
-         "guard": DEFAULT_MAX_EVENTS, "cache_dir": None}
+        {"kind": "sim", "spec": spec, "deps": {}, "cache_dir": None}
         for spec in _specs(3)
     ]
     return [
@@ -100,14 +98,12 @@ class TestFanOut:
         assert pairs[0]["report"] == pairs[1]["report"]
 
     def test_a_failing_job_raises_out_of_the_pool(self):
-        bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {},
-               "cache_dir": None}
+        bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {}}
         with pytest.raises(KeyError, match="no-such-oracle"):
             list(fan_out([bad, bad], jobs=2))
 
     def test_a_failing_job_raises_in_process(self):
-        bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {},
-               "cache_dir": None}
+        bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {}}
         with pytest.raises(KeyError, match="no-such-oracle"):
             list(fan_out([bad, bad], jobs=1))
 
@@ -117,9 +113,9 @@ class TestFanOut:
         seen = []
         real = engine_mod._execute_job
 
-        def spy(spec, deps, guard, cache_dir=None):
+        def spy(spec, deps, cache_dir=None):
             seen.append(spec)
-            return real(spec, deps, guard, cache_dir)
+            return real(spec, deps, cache_dir)
 
         monkeypatch.setattr(engine_mod, "_execute_job", spy)
         specs = _specs(2)
@@ -144,6 +140,7 @@ class TestTheChoiceIsDerived:
 
     def test_removed_parameters_are_type_errors(self, tmp_path):
         from repro.harness.fuzz import CorpusDB, run_fuzz
+        from repro.harness.recovery import run_recovery
         from repro.harness.verify import run_oracles
 
         for removed in ({"dispatch": "inline"}, {"service": "127.0.0.1:7463"}):
@@ -155,6 +152,14 @@ class TestTheChoiceIsDerived:
                 run_fuzz(CorpusDB(tmp_path / "c"), iters=1, **removed)
             with pytest.raises(TypeError):
                 list(fan_out(_mixed_payloads()[:1], **removed))
+        # Recovery and the event guard are not the engine's business.
+        for removed in ({"recovery": True}, {"max_events": 10}):
+            with pytest.raises(TypeError):
+                ExperimentEngine(**removed)
+        with pytest.raises(TypeError):
+            run_oracles(["safe-cut"], [0], engine=None)
+        with pytest.raises(TypeError):
+            run_recovery(_specs(1)[0], engine=None)
 
 
 class TestEngineDifferential:
@@ -177,25 +182,6 @@ class TestEngineDifferential:
         assert eng.last_stats.executed == 0
         assert eng.last_stats.cache_hits == len(specs)
         assert warm == cold
-
-
-class TestVerifyHonoursTheCacheWhereverChecksRun:
-    ARGS = ["verify", "--oracle", "rank-completion", "--seeds", "2", "--quiet"]
-
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_cache_dir_is_written_and_serves_the_rerun(
-        self, tmp_path, capsys, jobs
-    ):
-        cache_dir = tmp_path / "cache"
-        argv = [*self.ARGS, "--jobs", jobs, "--cache-dir", str(cache_dir),
-                "--artifact", str(tmp_path / "f.json")]
-        assert main(argv) == 0
-        cold = capsys.readouterr().out.splitlines()[0]
-        entries = len(ResultCache(cache_dir))
-        assert entries > 0
-        assert main(argv) == 0
-        assert capsys.readouterr().out.splitlines()[0] == cold
-        assert len(ResultCache(cache_dir)) == entries
 
 
 # --------------------------------------------------------------------- #

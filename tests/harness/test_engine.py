@@ -58,9 +58,8 @@ class TestEngineCore:
         assert "non-blocking" in result.na_reason
 
     def test_max_events_guard_trips(self):
-        engine = ExperimentEngine(max_events=10)
-        with pytest.raises(SchedulingError, match="max_events"):
-            engine.run(_spec())
+        with pytest.raises(SchedulingError, match="max_events=10"):
+            ExperimentEngine().run(_spec(max_events=10))
 
     def test_cache_hit_skips_execution(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -2,23 +2,20 @@
 
 Pinned here: policy validation, image-restart vs
 degrade-to-scratch planning, multi-hop crash storms under a retry
-budget, chain content-hashing, the engine's auto-recovery seam — and
-byte-identity of a full recovery chain in-process and over a
-two-worker pool.
+budget, chain content-hashing, and that a chain's legs share one deps
+map (a leg an earlier leg already simulated is not launched again).
 """
-
-import json
 
 import pytest
 
-from repro.harness.engine import ExperimentEngine
+from repro.harness import spec as spec_mod
 from repro.harness.recovery import (
     RecoveryError,
     RecoveryOutcome,
     RecoveryPolicy,
     run_recovery,
 )
-from repro.harness.spec import RunSpec, execute, run_result_to_dict
+from repro.harness.spec import RunSpec, execute
 from repro.harness.verify import result_fingerprint
 from repro.netmodel import StorageModel
 
@@ -78,9 +75,17 @@ class TestRecoveryChains:
         assert outcome.attempts[1].spec.restart_of is None
         assert result_fingerprint(outcome.final_result) == base_fp
 
-    def test_multi_hop_storm_crash_restart_crash(self, base_fp):
+    def test_multi_hop_storm_crash_restart_crash(self, base_fp, monkeypatch):
         # The first recovery leg is crashed too (a restart-leg crash);
         # the second gets through.  Both restart from the same image.
+        restored = []  # per launch: did it restore images?
+        real = spec_mod.launch_run
+
+        def counted(*args, **kwargs):
+            restored.append(kwargs["restore_images"] is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spec_mod, "launch_run", counted)
         outcome = run_recovery(
             _crash_spec(),
             RecoveryPolicy(max_attempts=4),
@@ -92,6 +97,11 @@ class TestRecoveryChains:
         ]
         assert outcome.attempts[1].result.crashed_ranks == [2]
         assert result_fingerprint(outcome.final_result) == base_fp
+        # One deps map for the chain: the probe, the crashed initial
+        # run, the crashed leg's probe and the crashed leg.  The last
+        # leg is that probe, reused, not launched again.
+        assert restored == [False, False, True, True]
+        assert outcome.chain_key() == "00c744edd60dee54"
 
     def test_budget_exhaustion_is_reported_not_raised(self):
         # Every leg crashes; the budget runs dry after two recovery legs.
@@ -134,75 +144,3 @@ class TestRecoveryChains:
     def test_empty_outcome_raises(self):
         with pytest.raises(RecoveryError, match="empty"):
             RecoveryOutcome().final_result
-
-
-class TestEngineAutoRecovery:
-    def test_engine_recovers_crashed_jobs(self, base_fp):
-        spec = _crash_spec()
-        eng = ExperimentEngine(cache=None, progress=False, recovery=True)
-        results = eng.run_batch([spec])
-        assert results[spec].crashed_ranks == []
-        assert result_fingerprint(results[spec]) == base_fp
-        assert eng.last_stats.recoveries == 1
-        assert eng.last_stats.recovery_attempts == 1
-        assert "1 crashed jobs recovered" in eng.last_stats.summary()
-
-    def test_recovery_off_by_default(self):
-        spec = _crash_spec()
-        eng = ExperimentEngine(cache=None, progress=False)
-        results = eng.run_batch([spec])
-        assert results[spec].crashed_ranks == [1]
-        assert eng.last_stats.recoveries == 0
-
-    def test_per_batch_opt_in_and_opt_out(self):
-        spec = _crash_spec()
-        eng = ExperimentEngine(cache=None, progress=False)
-        assert eng.run_batch([spec], recover=True)[spec].crashed_ranks == []
-        eng = ExperimentEngine(cache=None, progress=False, recovery=True)
-        assert eng.run_batch(
-            [spec], recover=False
-        )[spec].crashed_ranks == [1]
-
-    def test_engine_run_recovery_uses_custom_policy(self):
-        eng = ExperimentEngine(cache=None, progress=False)
-        outcome = eng.run_recovery(
-            _crash_spec(),
-            RecoveryPolicy(max_attempts=1),
-            leg_faults=[((2, 0.1),)],
-        )
-        assert not outcome.completed
-        assert outcome.recovery_legs == 1
-
-
-class TestBackendByteIdentity:
-    """One recovery chain — in-process and over a pool — identical
-    bytes."""
-
-    LEG_FAULTS = [((2, 0.4),)]
-
-    def _chain(self, engine):
-        return run_recovery(
-            _crash_spec(),
-            RecoveryPolicy(max_attempts=4),
-            leg_faults=self.LEG_FAULTS,
-            engine=engine,
-        )
-
-    def _final_bytes(self, outcome):
-        return json.dumps(
-            run_result_to_dict(outcome.final_result), sort_keys=True
-        )
-
-    def test_chain_identical_across_all_backends(self):
-        reference = self._chain(ExperimentEngine(cache=None, progress=False))
-        assert reference.completed
-
-        pooled = self._chain(
-            ExperimentEngine(cache=None, progress=False, jobs=2)
-        )
-
-        assert self._final_bytes(pooled) == self._final_bytes(reference)
-        assert pooled.chain_key() == reference.chain_key()
-        assert [a.restarted_from for a in pooled.attempts] == [
-            a.restarted_from for a in reference.attempts
-        ]

@@ -41,6 +41,11 @@ class TestSpecValue:
         with pytest.raises(SpecError):
             RunSpec.create("osu", 4, app_kwargs={"sizes": [1, 2]})
 
+    @pytest.mark.parametrize("crash_fracs", [0.5, 1, "0:0.5", ((0,),)])
+    def test_malformed_crash_fracs_rejected(self, crash_fracs):
+        with pytest.raises(SpecError, match=r"must be \(rank, frac\) pairs"):
+            _spec(protocol="cc", crash_fracs=crash_fracs)
+
     def test_native_checkpoint_rejected(self):
         with pytest.raises(SpecError):
             _spec(protocol="native", checkpoint_at=(1.0,))

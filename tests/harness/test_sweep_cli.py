@@ -160,6 +160,16 @@ class TestSweepCli:
             main(["sweep", "--axis", "app=comdd", "--base", "nprocs=2",
                   "--quiet", "--no-cache"])
 
+    def test_malformed_crash_fracs_fold_to_an_na_cell(self, capsys):
+        out = _run(
+            ["sweep", "--axis", "protocol=cc", "--base", "app=comd",
+             "--base", "nprocs=2", "--base", "niters=3",
+             "--base", "crash_fracs=0.5", "--quiet", "--no-cache"],
+            capsys,
+        )
+        assert ("NA[comd/2/3/0.5/0/cc]: crash_fracs must be (rank, frac) "
+                "pairs, got 0.5") in out.splitlines()
+
     def test_value_coercion(self, capsys):
         """bools/ints/floats in axis values reach the spec typed."""
         out = _run(

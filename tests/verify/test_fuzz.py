@@ -146,9 +146,8 @@ class _FailsOnCrash(Oracle):
 
     name = "fails-on-crash"
     description = "test stub"
-    cache_aware = False
 
-    def verify(self, schedule, engine):
+    def verify(self, schedule):
         if schedule.crash_fracs:
             raise OracleMismatch(f"crash present: {schedule.crash_fracs}")
         return "no crash, ok"
@@ -157,9 +156,8 @@ class _FailsOnCrash(Oracle):
 class _Wedges(Oracle):
     name = "wedges"
     description = "test stub"
-    cache_aware = False
 
-    def verify(self, schedule, engine):
+    def verify(self, schedule):
         from repro.des.errors import SchedulingError
 
         raise SchedulingError("simulation exceeded max_events=50000")
@@ -224,7 +222,7 @@ class TestShrinking:
             name = "flips"
             description = "stub"
 
-            def verify(self, schedule, engine):
+            def verify(self, schedule):
                 # Any simplification turns the mismatch into a crash —
                 # a *different* anomaly the shrinker must not chase.
                 if schedule == original:
@@ -283,7 +281,7 @@ class TestFuzzLoop:
         assert not replay_entry(corpus, key).ok
         # "Fix the bug": the oracle stops failing; replay now passes.
         monkeypatch.setattr(
-            _FailsOnCrash, "verify", lambda self, schedule, engine: "fixed"
+            _FailsOnCrash, "verify", lambda self, schedule: "fixed"
         )
         assert replay_entry(corpus, key).ok
 
@@ -292,7 +290,7 @@ class TestFuzzLoop:
             name = "passes"
             description = "stub"
 
-            def verify(self, schedule, engine):
+            def verify(self, schedule):
                 return "ok"
 
         monkeypatch.setitem(ORACLES, "passes", Passes())
@@ -390,7 +388,7 @@ class TestBrokenSessionMutation:
         # The repro command is one paste: run it through the real CLI.
         argv = entry.repro.split()
         assert argv[0] == "repro-mpi"
-        rc = main(argv[1:] + ["--no-cache", "--quiet",
+        rc = main(argv[1:] + ["--quiet",
                               "--artifact", str(tmp_path / "art.json")])
         assert rc == 1
         out = capsys.readouterr().out
@@ -406,6 +404,22 @@ class TestFuzzCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0 anomalies" in out
+
+    def test_wedged_leg_exits_one_as_a_deadlock_entry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every oracle leg runs under execute's event guard: a leg that
+        # outruns it is a typed deadlock anomaly, not a hung fuzzer.
+        monkeypatch.setattr("repro.harness.spec.DEFAULT_MAX_EVENTS", 50)
+        corpus_dir = tmp_path / "corpus"
+        assert main([
+            "fuzz", "--iters", "1", "--no-shrink", "--oracle", "safe-cut",
+            "--corpus", str(corpus_dir), "--quiet",
+        ]) == 1
+        [entry] = CorpusDB(corpus_dir).entries()
+        assert entry.kind == "deadlock"
+        assert "max_events=50" in entry.detail
+        assert "deadlock: safe-cut seed=0" in capsys.readouterr().out
 
     def test_anomaly_exits_one_and_prints_replay(
         self, tmp_path, stub_oracles, capsys

@@ -11,18 +11,15 @@ restart-of-restart chains through terminal snapshots).
 
 import pytest
 
-from repro.harness import ExperimentEngine, FaultSchedule
+from repro.harness import FaultSchedule
 from repro.harness.verify import ORACLES, RankCompletionOracle
 
 N_SEEDS = 24
 
-#: One engine for the whole sweep (no cache: every seed simulates).
-ENGINE = ExperimentEngine(jobs=1)
-
 
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_request_racing_completion_commits_and_restarts_identically(seed):
-    report = ORACLES["rank-completion"].check(seed, ENGINE)
+    report = ORACLES["rank-completion"].check(seed)
     assert report.ok, f"seed {seed}: {report.detail}\nreproduce: {report.repro}"
     # The detail line documents what the seed exercised.
     assert "commit" in report.detail and "fingerprint ok" in report.detail
@@ -62,8 +59,8 @@ def test_sweep_actually_exercises_finished_rank_images():
 
 def test_oracle_reports_are_reproducible():
     oracle = RankCompletionOracle()
-    a = oracle.check(7, ExperimentEngine())
-    b = oracle.check(7, ExperimentEngine())
+    a = oracle.check(7)
+    b = oracle.check(7)
     assert a.ok and b.ok
     assert a.detail == b.detail
     assert a.repro == "repro-mpi verify --oracle rank-completion --seeds 1 --base-seed 7"

@@ -12,18 +12,16 @@ from repro.harness.verify import ORACLES, Oracle, OracleMismatch
 class _AlwaysFails(Oracle):
     name = "always-fails"
     description = "test stub"
-    cache_aware = False
 
-    def verify(self, schedule, engine):
+    def verify(self, schedule):
         raise OracleMismatch(f"injected mismatch for seed {schedule.seed}")
 
 
 class _AlwaysPasses(Oracle):
     name = "always-passes"
     description = "test stub"
-    cache_aware = False
 
-    def verify(self, schedule, engine):
+    def verify(self, schedule):
         return "stub ok"
 
 
@@ -37,7 +35,7 @@ def test_passing_run_exits_zero(stub_oracles, tmp_path, capsys):
     artifact = tmp_path / "failures.json"
     rc = main([
         "verify", "--oracle", "always-passes", "--seeds", "3",
-        "--no-cache", "--artifact", str(artifact),
+        "--artifact", str(artifact),
     ])
     assert rc == 0
     out = capsys.readouterr().out
@@ -51,7 +49,7 @@ def test_mismatch_exits_one_and_writes_derandomized_artifact(
     artifact = tmp_path / "failures.json"
     rc = main([
         "verify", "--oracle", "always-fails", "--seeds", "2",
-        "--base-seed", "40", "--no-cache", "--quiet",
+        "--base-seed", "40", "--quiet",
         "--artifact", str(artifact),
     ])
     assert rc == 1
@@ -70,7 +68,7 @@ def test_mismatch_exits_one_and_writes_derandomized_artifact(
 def test_mixed_oracles_report_separately(stub_oracles, tmp_path, capsys):
     rc = main([
         "verify", "--oracle", "always-passes", "--oracle", "always-fails",
-        "--seeds", "1", "--no-cache", "--quiet",
+        "--seeds", "1", "--quiet",
         "--artifact", str(tmp_path / "f.json"),
     ])
     assert rc == 1
@@ -83,7 +81,7 @@ def test_bench_json_records_verdicts(stub_oracles, tmp_path):
     bench = tmp_path / "bench.json"
     rc = main([
         "verify", "--oracle", "always-passes", "--seeds", "2",
-        "--no-cache", "--quiet", "--bench-json", str(bench),
+        "--quiet", "--bench-json", str(bench),
         "--artifact", str(tmp_path / "f.json"),
     ])
     assert rc == 0
@@ -113,7 +111,7 @@ def test_harness_differential_oracle_is_a_usage_error(capsys):
 def test_real_oracle_through_the_cli(tmp_path, capsys):
     rc = main([
         "verify", "--oracle", "rank-completion", "--seeds", "1",
-        "--base-seed", "5", "--cache-dir", str(tmp_path), "--quiet",
+        "--base-seed", "5", "--quiet",
         "--artifact", str(tmp_path / "f.json"),
     ])
     assert rc == 0
@@ -124,7 +122,7 @@ def test_jobs_flag_fans_out_with_identical_summary(tmp_path, capsys):
     # Real oracles only: spawned workers re-import the catalog, so
     # monkeypatched stubs don't exist over there.
     argv_tail = [
-        "--oracle", "safe-cut", "--seeds", "2", "--no-cache", "--quiet",
+        "--oracle", "safe-cut", "--seeds", "2", "--quiet",
         "--artifact", str(tmp_path / "f.json"),
     ]
     assert main(["verify", *argv_tail]) == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import ExperimentEngine, FaultSchedule, ResultCache
+from repro.harness import FaultSchedule
 from repro.harness.spec import RunSpec, spec_hash
 from repro.harness.verify import (
     ORACLES,
@@ -91,6 +91,18 @@ class TestOracleCatalog:
         assert report.ok, report.detail
         assert report.detail
 
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_every_leg_runs_under_the_event_guard(self, name, monkeypatch):
+        # A leg that outruns execute's guard is a typed deadlock report
+        # with the usual one-paste repro, not a hung verify.
+        monkeypatch.setattr("repro.harness.spec.DEFAULT_MAX_EVENTS", 50)
+        report = ORACLES[name].check(0)
+        assert report.kind == "deadlock", report.detail
+        assert "max_events=50" in report.detail
+        assert report.repro == (
+            f"repro-mpi verify --oracle {name} --seeds 1 --base-seed 0"
+        )
+
     def test_run_oracles_progress_and_order(self):
         seen = []
         reports = run_oracles(
@@ -110,7 +122,7 @@ class TestOracleCatalog:
             name = "crashes"
             description = "stub"
 
-            def verify(self, schedule, engine):
+            def verify(self, schedule):
                 raise ProtocolError("rank 2 wedged")
 
         report = Crashes().check(9)
@@ -134,13 +146,6 @@ class TestOracleCatalog:
         )
         assert serial == parallel
         assert serial_seen == parallel_seen
-
-    def test_cache_aware_oracle_serves_warm_reruns(self, tmp_path):
-        cold_engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        assert ORACLES["rank-completion"].check(2, cold_engine).ok
-        warm_engine = ExperimentEngine(cache=ResultCache(tmp_path))
-        assert ORACLES["rank-completion"].check(2, warm_engine).ok
-        assert warm_engine.last_stats.executed == 0
 
 
 class TestHelpers:
