@@ -228,8 +228,13 @@ def _duration(text: str) -> float:
 
 
 def _cache_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    """``repro-mpi cache {stats,clear,prune}`` — manage the result cache."""
+    """``repro-mpi cache {stats,clear,prune}`` — manage the result cache.
+    A directory that does not exist is an empty cache; a path that is
+    something other than a directory is a usage error, as it is for the
+    figure commands."""
     cache = ResultCache(args.cache_dir)
+    if cache.root.exists() and not cache.root.is_dir():
+        parser.error(f"cannot use cache directory {cache.root}: not a directory")
 
     if args.action == "stats":
         entries = len(cache)

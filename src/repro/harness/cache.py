@@ -1,18 +1,25 @@
 """Persistent on-disk result cache keyed by spec content hash.
 
-Layout: ``<cache_dir>/v<SCHEMA_VERSION>/<hh>/<spec_hash>.json`` — one
-JSON document per unique :class:`~repro.harness.spec.RunSpec`, fanned
-into 256 two-hex-digit shard directories (``<hh>`` is the hash's first
-two characters) so a long-lived shared cache never accumulates tens of
-thousands of files in one directory.  This is the only layout: files a
-pre-sharding version left directly under ``v<SCHEMA>/`` are never read,
-counted or rewritten (delete the directory to reclaim the space).
-Bumping ``SCHEMA_VERSION`` (a change to spec semantics or result
-layout) silently orphans older entries rather than misreading them;
-corrupt or truncated files count as misses and are overwritten on the
-next store.
+Layout: ``<cache_dir>/v<SCHEMA_VERSION>/<hh>/<spec_hash>.pkl`` — one
+document per unique :class:`~repro.harness.spec.RunSpec`, fanned into
+256 two-hex-digit shard directories (``<hh>`` is the hash's first two
+characters) so a long-lived shared cache never accumulates tens of
+thousands of files in one directory.  An entry is the codec's
+``{"spec", "result", "elapsed"}`` document — dicts, lists, strings and
+numbers — written as a pickle, so a warm read parses no text
+(``python -m pickle <entry>`` prints one).  It is read back by an
+unpickler that refuses every global, which such a document never
+needs, and then decoded by the codec exactly as any other document.
+This is the only layout: ``.json`` entries earlier versions wrote in
+the same shards, and files a pre-sharding version left directly under
+``v<SCHEMA>/``, are never read, counted or rewritten (delete them, or
+the directory, to reclaim the space).  Bumping ``SCHEMA_VERSION`` (a
+change to spec semantics or result layout) silently orphans older
+entries rather than misreading them; an entry that is unreadable,
+truncated, not a pickle, names a global, or does not decode counts as
+a miss and is overwritten on the next store.
 
-The cache stores the JSON form of :class:`RunResult`, which drops
+The cache stores the document form of :class:`RunResult`, which drops
 checkpoint-image payloads (see ``spec.py``); on its own, a cached
 checkpointing run replays every *measurement* but cannot seed a
 restart.  The **image tier** closes that gap: whenever a stored result
@@ -43,8 +50,9 @@ concurrent CLI invocations can share a cache directory safely.
 
 from __future__ import annotations
 
-import json
+import io
 import os
+import pickle
 import time
 from pathlib import Path
 from typing import Iterable
@@ -68,6 +76,27 @@ __all__ = ["ResultCache", "default_cache_dir"]
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 
+class _DocumentUnpickler(pickle.Unpickler):
+    """Loads a plain document: a stored entry never names a global, so
+    one that does is refused before anything is imported or called."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(
+            f"a cache entry names no globals, found {module}.{name}"
+        )
+
+
+#: What unpickling bytes that are not one of our documents can raise:
+#: it is not limited to pickle's own error, and a mangled length field
+#: asks for an allocation that cannot succeed (``MemoryError``).  Only
+#: the unpickling is guarded this widely; decoding a document that did
+#: load is not.
+_NOT_A_PICKLE = (
+    EOFError, pickle.UnpicklingError, ValueError, LookupError, TypeError,
+    AttributeError, OverflowError, MemoryError,
+)
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro-mpi``."""
     env = os.environ.get(ENV_CACHE_DIR)
@@ -79,7 +108,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Spec-hash-keyed JSON store for :class:`RunResult` values."""
+    """Spec-hash-keyed store for :class:`RunResult` values."""
 
     def __init__(self, directory: "Path | str | None" = None):
         self.root = Path(directory) if directory is not None else default_cache_dir()
@@ -108,25 +137,43 @@ class ResultCache:
         return spec_hash(spec_or_hash)
 
     def _entry_path(self, key: str) -> Path:
-        return self.version_dir / key[:2] / f"{key}.json"
+        return self.version_dir / key[:2] / f"{key}.pkl"
 
     def path_for(self, spec: RunSpec) -> Path:
         return self._entry_path(spec_hash(spec))
 
+    def _document(self, spec: RunSpec) -> dict | None:
+        """``spec``'s stored document, or None when there is none or
+        what is there is not a pickled dict."""
+        try:
+            data = self.path_for(spec).read_bytes()
+        except OSError:
+            return None
+        try:
+            document = _DocumentUnpickler(io.BytesIO(data)).load()
+        except _NOT_A_PICKLE:
+            return None
+        return document if type(document) is dict else None
+
     def get(self, spec: RunSpec) -> RunResult | None:
         """The cached result for ``spec``, or None on miss/corruption."""
+        document = self._document(spec)
+        if document is None:
+            return None
         try:
-            document = json.loads(self.path_for(spec).read_text())
             return run_result_from_dict(document["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             return None
 
     def recorded_time(self, spec: RunSpec) -> float | None:
         """The execution wall seconds stored with ``spec``'s entry, or
         None on a miss (or an entry stored without one)."""
+        document = self._document(spec)
+        if document is None:
+            return None
         try:
-            return float(json.loads(self.path_for(spec).read_text())["elapsed"])
-        except (OSError, ValueError, KeyError, TypeError):
+            return float(document["elapsed"])
+        except (ValueError, KeyError, TypeError):
             return None
 
     # ------------------------------------------------------------------ #
@@ -143,7 +190,7 @@ class ResultCache:
         """Store every committed checkpoint's full images for a spec.
 
         Records without full images (e.g. a result that already crossed
-        the JSON boundary) are skipped silently; returns the number of
+        the document boundary) are skipped silently; returns the number of
         image sets stored.  Writes are atomic for the same reason entry
         writes are.
         """
@@ -214,8 +261,8 @@ class ResultCache:
 
         The size knob applies to the image tier alone: images dominate
         the cache's footprint by orders of magnitude, and evicting one
-        only costs a future warm restart its fast path (the JSON results
-        — every *measurement* — stay intact).
+        only costs a future warm restart its fast path (the entries —
+        every *measurement* — stay intact).
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -253,19 +300,20 @@ class ResultCache:
             pass
         path = self._entry_path(key)
         document = {
-            # The spec rides along for debuggability (`cat` a cache entry
-            # to see which job it belongs to); only the hash keys lookup.
+            # The spec rides along for debuggability (`python -m pickle`
+            # an entry to see which job it belongs to); only the hash
+            # keys lookup.
             "spec": spec_to_dict(spec),
             "result": run_result_to_dict(result),
         }
         if elapsed is not None and elapsed > 0:
             document["elapsed"] = elapsed
-        atomic_write(path, json.dumps(document, separators=(",", ":")))
+        atomic_write(path, pickle.dumps(document, protocol=5))
         return path
 
     def _entry_files(self) -> "list[Path]":
         """Every current-schema entry file."""
-        return list(self.version_dir.glob(f"{self._SHARD_GLOB}/*.json"))
+        return list(self.version_dir.glob(f"{self._SHARD_GLOB}/*.pkl"))
 
     def clear(self) -> int:
         """Delete all entries for the current schema, and every image

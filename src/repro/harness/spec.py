@@ -565,9 +565,9 @@ def execute(
             ancestor this call has to simulate is recorded in it, so a
             caller running a chain of legs over one map simulates each
             distinct spec once.  A parent result lacking full checkpoint
-            images — e.g. one deserialized from the JSON cache — is
-            transparently re-simulated, since images never cross the
-            JSON boundary.
+            images — e.g. one read back from the result cache — is
+            transparently re-simulated, since image payloads never
+            cross the document boundary.
         images: optional :class:`ImageTier`.  When it serves a restart
             parent's images, the parent is not simulated at all — the
             warm-restart fast path.  Any miss, and any served set that

@@ -1,17 +1,25 @@
 """Tests for the on-disk result cache."""
 
 import json
+import os
+import pickle
+import pickletools
 
 import pytest
 
+from repro.harness import ExperimentEngine
 from repro.harness.cache import ResultCache, default_cache_dir
+from repro.harness.experiments import plan_fig6
 from repro.harness.spec import (
     SCHEMA_VERSION,
     RunSpec,
     execute,
     job_from_dict,
     job_to_dict,
+    run_result_from_dict,
+    run_result_to_dict,
     spec_hash,
+    spec_to_dict,
 )
 from repro.util.codec import CodecError
 
@@ -29,10 +37,10 @@ def test_miss_then_hit(tmp_path):
     result = execute(spec)
     path = cache.put(spec, result)
     assert path.exists()
-    # Sharded layout: v<SCHEMA>/<first-two-hex-of-hash>/<hash>.json
+    # Sharded layout: v<SCHEMA>/<first-two-hex-of-hash>/<hash>.pkl
     assert path.parent.name == path.stem[:2]
     assert path.parent.parent.name == f"v{SCHEMA_VERSION}"
-    assert path.stem == spec_hash(spec)
+    assert path.stem == spec_hash(spec) and path.suffix == ".pkl"
     cached = cache.get(spec)
     assert cached is not None
     assert cached.runtime == result.runtime
@@ -52,12 +60,23 @@ def _with_images(document, images):
     return {**document, "result": result}
 
 
+def _half(document):
+    data = pickle.dumps(document, protocol=5)
+    return data[: len(data) // 2]
+
+
+#: A pickle stream that, unpickled without restriction, calls
+#: ``os.system("true")``: protocol 0's GLOBAL, a MARK'd tuple, REDUCE.
+CALLS_OS_SYSTEM = b"cos\nsystem\n(S'true'\ntR."
+
 #: Ways a ``{"spec": ..., "result": ...}`` document — a cache entry, or
-#: one dep of a simulation job — goes wrong.  The first two are not JSON at
-#: all (text, written as it stands), which only a file can be.
+#: one dep of a simulation job — goes wrong.  The first three are not
+#: documents at all (bytes, written as they stand), which only a file
+#: can be.
 MALFORMED = [
-    ("not-json", lambda doc: "{not json"),
-    ("truncated", lambda doc: json.dumps(doc)[: len(json.dumps(doc)) // 2]),
+    ("not-a-pickle", lambda doc: b"\x00{not a pickle"),
+    ("truncated", _half),
+    ("names-a-global", lambda doc: CALLS_OS_SYSTEM),
     ("no-result", lambda doc: {"spec": doc["spec"]}),
     ("result-is-a-list", lambda doc: {**doc, "result": []}),
     ("result-is-a-number", lambda doc: {**doc, "result": 3}),
@@ -75,19 +94,121 @@ def _malformed(rows):
 
 
 @_malformed(MALFORMED)
-def test_malformed_entry_is_a_miss_and_is_overwritten(tmp_path, mangle):
+def test_malformed_entry_is_a_miss_and_is_overwritten(
+    tmp_path, monkeypatch, mangle
+):
+    # A global the unpickler resolved would be called: it never is.
+    calls = []
+    monkeypatch.setattr(os, "system", calls.append)
     cache = ResultCache(tmp_path)
     spec = _spec(protocol="cc", checkpoint_fractions=(0.5,))
     result = execute(spec)
     path = cache.put(spec, result)
-    bad = mangle(json.loads(path.read_text()))
-    path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+    bad = mangle(pickle.loads(path.read_bytes()))
+    path.write_bytes(bad if isinstance(bad, bytes) else pickle.dumps(bad))
     assert cache.get(spec) is None
+    assert calls == []
     cache.put(spec, result)
     assert cache.get(spec).runtime == result.runtime
 
 
-@_malformed(MALFORMED[2:])
+#: Opcodes that import a name, call something or hand off to a hook:
+#: a stored document of dicts, lists, strings and numbers has none.
+CODE_OPCODES = {
+    "GLOBAL", "STACK_GLOBAL", "REDUCE", "BUILD", "INST", "OBJ", "NEWOBJ",
+    "NEWOBJ_EX", "EXT1", "EXT2", "EXT4", "PERSID", "BINPERSID",
+}
+
+
+def _chain_and_osu_cell():
+    """Every leg of a small checkpoint -> restart chain of miniVASP
+    under CC with real state (probe, checkpoint, restart), and one
+    non-blocking OSU cell, each with its result."""
+    common = dict(
+        app_kwargs={"niters": 3, "bands": 4, "npw": 64},
+        protocol="cc", ppn=4, seed=0,
+    )
+    ckpt = RunSpec.create("minivasp", 4, checkpoint_fractions=(0.75,), **common)
+    restart = RunSpec.create("minivasp", 4, restart_of=ckpt, **common)
+    [osu, *_] = plan_fig6(procs=(4,), kinds=("bcast",), sizes=(1024,),
+                          iters=3).specs
+    legs = {}
+    legs[restart] = execute(restart, legs)
+    legs[osu] = execute(osu)
+    assert len(legs) == 4 and ckpt in legs
+    return legs
+
+
+def _committed_checkpoint():
+    """One CC run of comd with a committed checkpoint, and its result."""
+    spec = _spec(protocol="cc", checkpoint_fractions=(0.5,))
+    return {spec: execute(spec)}
+
+
+@pytest.mark.parametrize(
+    "legs", [_committed_checkpoint, _chain_and_osu_cell],
+    ids=["committed-checkpoint", "chain-and-osu-cell"],
+)
+def test_stored_entry_is_plain_data(tmp_path, legs):
+    cache = ResultCache(tmp_path)
+    with_images = 0
+    for spec, result in legs().items():
+        data = cache.put(spec, result, elapsed=0.5).read_bytes()
+        ops = {op.name for op, _, _ in pickletools.genops(data)}
+        assert not ops & CODE_OPCODES, spec.label()
+        stored = pickle.loads(data)["result"]["checkpoints"]
+        for record, document in zip(result.checkpoints, stored):
+            if record.committed and record.images:
+                with_images += 1
+                assert sorted(document["images"]) == sorted(
+                    str(r) for r in record.images
+                )
+    # Image metadata is in the documents the opcodes were checked over.
+    assert with_images
+
+
+def test_pickled_entry_decodes_like_its_json_round_trip(tmp_path):
+    """The entry format is invisible to every caller: what ``get``
+    returns is what the JSON form of the same document decodes to."""
+    cache = ResultCache(tmp_path)
+    for spec, result in _chain_and_osu_cell().items():
+        cache.put(spec, result, elapsed=0.5)
+        from_pickle = cache.get(spec)
+        from_json = run_result_from_dict(
+            json.loads(json.dumps(run_result_to_dict(result)))
+        )
+        assert from_pickle == from_json
+        assert run_result_to_dict(from_pickle) == run_result_to_dict(from_json)
+
+
+def test_json_entry_of_an_older_tree_is_ignored(tmp_path):
+    spec = _spec(seed=5)
+    result = execute(spec)
+    cache = ResultCache(tmp_path)
+    key = spec_hash(spec)
+    old = cache.version_dir / key[:2] / f"{key}.json"
+    old.parent.mkdir(parents=True)
+    text = json.dumps(
+        {"spec": spec_to_dict(spec), "result": run_result_to_dict(result),
+         "elapsed": 0.5},
+        separators=(",", ":"),
+    )
+    old.write_text(text)
+    assert cache.get(spec) is None and cache.recorded_time(spec) is None
+    assert len(cache) == 0 and cache.total_bytes() == 0
+    assert cache.prune_to_max_entries(0) == 0
+    engine = ExperimentEngine(jobs=1, cache=cache)
+    engine.run_batch([spec])
+    assert engine.last_stats.executed == 1
+    assert cache.path_for(spec).suffix == ".pkl"
+    assert cache.get(spec).runtime == result.runtime
+    assert len(cache) == 1
+    assert cache.total_bytes() == cache.path_for(spec).stat().st_size
+    assert cache.clear() == 1
+    assert old.read_text() == text
+
+
+@_malformed(MALFORMED[3:])
 def test_malformed_job_dep_is_a_codec_error(mangle):
     parent = _spec(protocol="cc", checkpoint_fractions=(0.5,))
     spec = _spec(protocol="cc", restart_of=parent)
@@ -123,12 +244,13 @@ def test_job_from_dict_refuses_a_check_job():
         job_from_dict(job)
 
 
-def test_entry_is_inspectable_json(tmp_path):
+def test_entry_is_an_inspectable_document(tmp_path):
     """Cache entries carry the spec for debuggability."""
     cache = ResultCache(tmp_path)
     spec = _spec()
     path = cache.put(spec, execute(spec))
-    document = json.loads(path.read_text())
+    with open(path, "rb") as fh:
+        document = pickle.load(fh)
     assert document["spec"]["app"] == "comd"
     assert document["result"]["nprocs"] == 2
 

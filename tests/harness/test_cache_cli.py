@@ -65,6 +65,26 @@ def test_cache_prune_requires_known_figure(tmp_path):
         main(["cache", "prune", "--figure", "nope", "--cache-dir", str(tmp_path)])
 
 
+@pytest.mark.parametrize("action", [
+    ["stats"], ["clear"], ["prune", "--max-entries", "1"],
+])
+def test_cache_dir_that_is_a_file_is_a_usage_error(tmp_path, capsys, action):
+    path = tmp_path / "not-a-dir"
+    path.write_text("keep me")
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", *action, "--cache-dir", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot use cache directory {path}" in capsys.readouterr().err
+    assert path.read_text() == "keep me"
+
+
+def test_missing_cache_dir_is_an_empty_cache(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    assert main(["cache", "stats", "--cache-dir", str(missing)]) == 0
+    assert "entries:        0" in capsys.readouterr().out
+    assert not missing.exists()
+
+
 def test_cache_requires_action(tmp_path):
     with pytest.raises(SystemExit):
         main(["cache"])

@@ -2,6 +2,7 @@
 and a run's wall time is recorded in its cache entry alone."""
 
 import json
+import pickle
 
 import pytest
 
@@ -63,7 +64,7 @@ def test_execution_records_wall_time_in_cache(tmp_path):
     recorded = cache.recorded_time(spec)
     assert recorded is not None and recorded > 0
     # The entry is the one record of the time.
-    assert recorded == json.loads(cache.path_for(spec).read_text())["elapsed"]
+    assert recorded == pickle.loads(cache.path_for(spec).read_bytes())["elapsed"]
     assert cache.prune([spec]) == 1
     assert cache.recorded_time(spec) is None
     assert cache.recorded_time(ckpt) is not None
@@ -78,7 +79,7 @@ def test_fresh_cache_reads_elapsed_from_entry_document(tmp_path):
     ExperimentEngine(jobs=1, cache=ResultCache(tmp_path)).run_batch([spec])
     # A new cache object holds no state of its own: no ``get`` first.
     fresh = ResultCache(tmp_path)
-    entry = json.loads(fresh.path_for(spec).read_text())
+    entry = pickle.loads(fresh.path_for(spec).read_bytes())
     assert fresh.recorded_time(spec) == entry["elapsed"] > 0
 
 
