@@ -14,14 +14,22 @@ Suspension is a *baton* protocol.  Every live process is bound to a
 carrier OS thread (so its stack survives a suspension), and there is no
 dedicated scheduler thread: whichever thread holds the baton runs the
 event loop (:meth:`Simulator._drive`).  A process that suspends keeps
-driving on its own carrier; when its own wake event comes up — the
-common case for compute/sleep loops — resuming is a plain function
-return, zero lock operations.  Otherwise the driving thread releases
-the next process's ``_resume`` lock and parks (one hand-off).  The
-thread inside :meth:`Simulator.run` drives until the first transfer,
-then parks until the loop reaches a terminal state.  The dedicated-scheduler-thread
-design this replaced lives on as the differential reference in
-``tests/des/reference_kernel.py``.
+driving on its own carrier; when its own wake event comes up, resuming
+is a plain function return, zero lock operations.  Otherwise the
+driving thread releases the next process's ``_resume`` lock and parks
+(one hand-off).  On collective-heavy jobs the hand-off is the common
+case: one batch of the ``osu_blocking`` benchmark workload makes
+47.5 k carrier hand-offs for 48.5 k suspends, ``apps_p2p`` 30.0 k for
+43.1 k.  So every carrier runs under ``SCHED_BATCH`` where the OS
+grants it: the release only makes the next carrier runnable, and it
+runs once the releaser parks and the GIL is free, instead of
+preempting the releaser and then waiting on the GIL the releaser still
+holds.  On one pinned core of a 2-core host a hand-off costs 4.1–5.1 µs
+instead of 6.0–10.1 µs; an in-place resume, 1.6–1.8 µs, does not
+change.  The thread inside :meth:`Simulator.run` drives until the first
+transfer, then parks until the loop reaches a terminal state.  The
+dedicated-scheduler-thread design this replaced lives on as the
+differential reference in ``tests/des/reference_kernel.py``.
 
 Carriers outlive their processes.  A carrier is a raw lock plus the
 process bound to it, parked in a process-global pool between
@@ -182,7 +190,15 @@ def _carrier_main(carrier: _Carrier) -> None:
     baton leaves this thread, so once the run's owner regains control
     nothing of the run is reachable from here.  A carrier finishing
     while the pool is full, or woken with no process bound, exits.
+
+    The carrier first moves itself to ``SCHED_BATCH`` (see the module
+    docstring for why); where the OS refuses or has no such policy it
+    keeps the one it inherited.
     """
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
     lock = carrier.lock
     while True:
         lock.acquire()

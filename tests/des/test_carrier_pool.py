@@ -1,7 +1,9 @@
 """The kernel's carrier pool: simulated processes run on OS threads that
 outlive them.  A spawn binds an idle carrier (re-pinned to the
 spawner's CPU mask) or starts a new one; a process that ends, however it
-ends, gives its carrier back before control leaves it."""
+ends, gives its carrier back before control leaves it.  Every carrier
+runs under ``SCHED_BATCH`` where the OS grants it, and nothing else
+does."""
 
 import os
 import sys
@@ -11,10 +13,15 @@ import time
 import pytest
 
 from repro.des import ProcessFailed, Simulator, kernel
+from repro.harness.experiments import plan_fig5a
+from repro.harness.spec import execute, run_result_to_dict
 
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs an affinity API and two allowed CPUs",
+)
+needs_sched_batch = pytest.mark.skipif(
+    not hasattr(os, "SCHED_BATCH"), reason="needs the SCHED_BATCH policy"
 )
 
 
@@ -22,16 +29,20 @@ def _mask():
     return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
 
-def _job(nprocs):
-    """One run of ``nprocs`` processes that interleave; returns each
-    process's CPU mask as its body saw it."""
+def _policy():
+    return os.sched_getscheduler(0)
+
+
+def _job(nprocs, probe=_mask):
+    """One run of ``nprocs`` processes that interleave; returns what
+    ``probe`` (by default the CPU mask) read in each process's body."""
     with Simulator() as sim:
         procs = []
         for i in range(nprocs):
             def body(i=i):
                 sim.sleep(0.1 * (i % 3))
                 sim.sleep(1.0)
-                return _mask()
+                return probe()
             procs.append(sim.spawn(body, name=f"p{i}"))
         sim.run()
     return [p.result for p in procs]
@@ -182,6 +193,49 @@ def test_simulations_on_concurrent_threads_never_share_a_carrier(carrier_pool):
     assert len({id(c) for c in carrier_pool}) == len(carrier_pool)
 
 
+def _twopc_cell():
+    plan = plan_fig5a(procs=(4,), kinds=("bcast",), sizes=(1024,), iters=20)
+    (spec,) = [s for s in plan.specs if s.protocol == "2pc"]
+    return spec
+
+
+@needs_sched_batch
+def test_every_body_runs_under_sched_batch(carrier_pool):
+    assert _job(4, _policy) == [os.SCHED_BATCH] * 4
+
+
+@needs_sched_batch
+def test_a_refused_policy_changes_no_result(carrier_pool, monkeypatch):
+    spec = _twopc_cell()
+    inherited = _policy()
+
+    def refuse(pid, policy, param):
+        raise PermissionError("no")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_setscheduler", refuse)
+        refused = execute(spec)
+    # Retire the refused carriers, so the granted run starts its own.
+    with kernel._pool_lock:
+        parked = carrier_pool[:]
+        carrier_pool.clear()
+    assert parked and {os.sched_getscheduler(c.tid) for c in parked} == {inherited}
+    for carrier in parked:
+        carrier.lock.release()
+
+    granted = execute(spec)
+    assert {os.sched_getscheduler(c.tid) for c in carrier_pool} == {os.SCHED_BATCH}
+    assert granted.sim_events == refused.sim_events
+    assert run_result_to_dict(granted) == run_result_to_dict(refused)
+
+
+@needs_sched_batch
+def test_the_launching_thread_keeps_its_policy(carrier_pool):
+    before = _policy()
+    execute(_twopc_cell())
+    assert _policy() == before
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_forked_child_starts_with_an_empty_pool(carrier_pool):
     _job(2)
@@ -191,8 +245,10 @@ def test_a_forked_child_starts_with_an_empty_pool(carrier_pool):
         code = 1
         try:
             if not kernel._idle:
-                _job(2)
+                policies = _job(2, _policy)
                 code = 0 if len(kernel._idle) == 2 else 2
+                if hasattr(os, "SCHED_BATCH") and policies != [os.SCHED_BATCH] * 2:
+                    code = 3  # the child's fresh carriers set it themselves
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)
