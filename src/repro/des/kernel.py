@@ -19,7 +19,7 @@ is a plain function return, zero lock operations.  Otherwise the
 driving thread releases the next process's ``_resume`` lock and parks
 (one hand-off).  On collective-heavy jobs the hand-off is the common
 case: one batch of the ``osu_blocking`` benchmark workload makes
-47.5 k carrier hand-offs for 48.5 k suspends, ``apps_p2p`` 30.0 k for
+29.7 k carrier hand-offs for 29.9 k suspends, ``apps_p2p`` 29.8 k for
 43.1 k.  So every carrier runs under ``SCHED_BATCH`` where the OS
 grants it: the release only makes the next carrier runnable, and it
 runs once the releaser parks and the GIL is free, instead of
@@ -61,6 +61,11 @@ Hot-path design (every simulated second is millions of these):
 * **Tracing is free when off**: ``_trace_emit`` defers ``%``-style
   formatting (or a callable detail) until a tracer is attached, and hot
   call sites skip the call entirely when ``tracer is None``.
+* **A poll that finds nothing stays in the event loop.**
+  :meth:`Simulator.poll` is the loop ``sleep(test)``, check, ``sleep(gap)``
+  with each empty round run as callbacks that queue the same entries the
+  process would have; the process is resumed only when ``ready()``
+  holds.  2PC's trivial-barrier test loop runs on it.
 * **Consecutive same-time resumes of one process coalesce** into a
   single resume event (a double wake at the same instant was previously
   a latent spurious-wakeup hazard).
@@ -503,6 +508,48 @@ class SimProcess:
             self._waiters_on_exit.append(waker)
 
 
+class _Poll:
+    """The resume action of a process inside :meth:`Simulator.poll`.
+
+    Each resume is first handed to the process's own resume action
+    (liveness check, trace record, naming it the next runner).  A round
+    the process would spend finding nothing — any gap wake, or a test
+    wake where ``ready()`` is false — is then taken back and run here:
+    the next sleep's wake is queued exactly where the process would have
+    queued it, with the same trace record.  Once the poll is over only
+    ``resume`` is kept: a late resume is then only the process's own.
+    """
+
+    __slots__ = ("sim", "proc", "resume", "test", "gap", "ready", "testing")
+
+    def __init__(self, sim, proc, test, gap, ready):
+        self.sim = sim
+        self.proc = proc
+        self.resume = proc._resume_action
+        self.test = test
+        self.gap = gap
+        self.ready = ready
+        #: Which sleep the process is in: ``test`` (True) or ``gap``.
+        self.testing = True
+
+    def __call__(self) -> None:
+        self.resume()
+        sim = self.sim
+        if sim is None or sim._switch is None:
+            return  # poll over, process dead, or a kernel that ran it in place
+        if self.testing and self.ready():
+            return
+        sim._switch = None
+        self.testing = testing = not self.testing
+        delay = self.test if testing else self.gap
+        proc = self.proc
+        sim.defer(delay, proc._wake_action)
+        proc.state = _BLOCKED
+        proc.blocked_on = "sleep"
+        if sim._tracer is not None:
+            sim._trace_emit("sleep", proc.name, "%g", delay)
+
+
 class Simulator:
     """The event loop: a queue of timed actions plus the process registry.
 
@@ -829,6 +876,31 @@ class Simulator:
                 proc._interrupted = False
                 return INTERRUPTED
         return None
+
+    def poll(self, test: float, gap: float, ready: Callable[[], Any]) -> None:
+        """Run ``while True: sleep(test); if ready(): return; sleep(gap)``.
+
+        Same queue entries, sequence numbers, virtual times and trace
+        records as that loop, but a round that finds ``ready()`` false
+        runs as event-loop callbacks: the process is resumed only at the
+        first ``test`` wake where ``ready()`` holds.  ``ready`` is called
+        in scheduler context and must not change anything.  Any other
+        resume — one queued before the poll began, or every resume under
+        a process class whose resume action runs the process in place
+        (``tests/des/reference_kernel.py``) — takes its round here on the
+        process, as the loop would.
+        """
+        proc = self.current_process()
+        poller = _Poll(self, proc, test, gap, ready)
+        proc._resume_action = poller
+        try:
+            self.sleep(test)
+            while not (poller.testing and ready()):
+                poller.testing = not poller.testing
+                self.sleep(test if poller.testing else gap)
+        finally:
+            proc._resume_action = poller.resume
+            poller.sim = poller.proc = poller.ready = None
 
     def block(self, reason: str = "blocked") -> None:
         """Block the calling process until :meth:`wake` is called on it.

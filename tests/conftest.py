@@ -14,10 +14,14 @@ Three profiles, selected with ``HYPOTHESIS_PROFILE``:
 Per-test ``@settings(max_examples=...)`` decorations intentionally
 still win where present — the profile raises the budget only for tests
 that inherit it.
+
+Tests marked ``nightly`` are too slow for tier-1: they run only under
+the ``nightly`` profile and are skipped otherwise.
 """
 
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile("default", deadline=None)
@@ -31,3 +35,18 @@ settings.register_profile(
 )
 
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "nightly: too slow for tier-1; runs under HYPOTHESIS_PROFILE=nightly"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("HYPOTHESIS_PROFILE") == "nightly":
+        return
+    skip = pytest.mark.skip(reason="nightly only (HYPOTHESIS_PROFILE=nightly)")
+    for item in items:
+        if "nightly" in item.keywords:
+            item.add_marker(skip)

@@ -401,3 +401,152 @@ def test_carrier_threads_start_on_the_small_stack(carrier_pool, thread_starts):
     assert threading.stack_size() == before
     job()
     assert len(thread_starts) == 2  # the second run reuses both carriers
+
+
+# --------------------------------------------------------------------- #
+# Simulator.poll: the sleep(test) / sleep(gap) loop, run in the event loop
+# --------------------------------------------------------------------- #
+
+POLL_TEST, POLL_GAP = 0.1, 1.0
+
+
+def _explicit_loop(sim, ready):
+    """The loop ``Simulator.poll`` stands for."""
+    while True:
+        sim.sleep(POLL_TEST)
+        if ready():
+            return
+        sim.sleep(POLL_GAP)
+
+
+def _poll_run(loop, *, ready_at=None, kill_at=None, self_wake=False):
+    """One process polls a flag a timer raises at ``ready_at`` (never when
+    None) while a ticker interleaves its own events; what the run did."""
+    tracer = Tracer()
+    sleeps = []
+    flag = []
+    seen = []
+
+    class Counting(Simulator):
+        def sleep(self, delay, **kwargs):
+            sleeps.append(delay)
+            return super().sleep(delay, **kwargs)
+
+    sim = Counting(tracer=tracer)
+
+    def poller():
+        if self_wake:
+            # A resume queued before the poll begins cuts its first sleep short.
+            sim.wake(sim.current_process())
+        loop(sim, lambda: bool(flag))
+        seen.append(("returned", sim.now()))
+
+    def ticker():
+        for _ in range(70):
+            sim.sleep(0.35)
+            seen.append(("tick", sim.now()))
+
+    proc = sim.spawn(poller, name="poller")
+    sim.spawn(ticker, name="ticker")
+    if ready_at is not None:
+        sim.call_at(ready_at, lambda: flag.append(True))
+    if kill_at is not None:
+        sim.call_at(kill_at, lambda: sim.kill_process(proc))
+    try:
+        end = sim.run()
+    except SchedulingError as exc:
+        end = str(exc)  # a spare wake (self_wake) outlives the process
+    state = proc.state
+    sim.close()
+    return {
+        "end": end,
+        "events": sim.event_count,
+        "seen": seen,
+        "state": state,
+        "trace": [(r.time, r.kind, r.process, r.detail) for r in tracer],
+    }, sleeps
+
+
+def _poll_method(sim, ready):
+    proc = sim.current_process()
+    own = proc._resume_action
+    sim.poll(POLL_TEST, POLL_GAP, ready)
+    # No poller left wrapping the next poll: each would add a call per resume.
+    assert proc._resume_action == own
+
+
+@pytest.mark.parametrize(
+    "ready_at, rounds", [(0.0, 0), (0.5, 1), (20.0, 19)], ids=["0", "1", "many"]
+)
+def test_poll_matches_the_explicit_loop(ready_at, rounds):
+    """Same events, times, observations and trace as the loop — but one
+    suspension of the polling process instead of one per sleep."""
+    looped, loop_sleeps = _poll_run(_explicit_loop, ready_at=ready_at)
+    polled, poll_sleeps = _poll_run(_poll_method, ready_at=ready_at)
+    assert polled == looped
+    returned = [t for tag, t in looped["seen"] if tag == "returned"]
+    assert returned == [pytest.approx(POLL_TEST + rounds * (POLL_TEST + POLL_GAP))]
+    assert loop_sleeps.count(POLL_TEST) == rounds + 1
+    assert loop_sleeps.count(POLL_GAP) == rounds
+    assert poll_sleeps.count(POLL_TEST) == 1
+    assert POLL_GAP not in poll_sleeps
+
+
+def test_poll_of_a_killed_process_stops_where_its_wake_is_dropped():
+    """Killed mid-poll (inside a gap sleep): its pending wake is inert,
+    nothing resumes it and nothing further is queued for it."""
+    looped, _ = _poll_run(_explicit_loop, kill_at=1.5)
+    polled, _ = _poll_run(_poll_method, kill_at=1.5)
+    assert polled == looped
+    assert polled["state"] == "crashed"
+    assert all(tag == "tick" for tag, _ in polled["seen"])
+    # Its last records: the sleep(gap) whose wake (t=2.2) is inert, the
+    # crash, then close()'s kill.
+    mine = [(t, kind) for t, kind, proc, _ in polled["trace"] if proc == "poller"]
+    assert [kind for _, kind in mine[-3:]] == ["sleep", "crash", "kill"]
+    assert mine[-3][0] == pytest.approx(1.2)
+
+
+def test_poll_takes_a_resume_queued_before_it_on_the_process():
+    """A resume the poll did not queue cuts the current sleep short, as
+    it would the loop's: that round runs on the process."""
+    looped, loop_sleeps = _poll_run(_explicit_loop, ready_at=3.0, self_wake=True)
+    polled, poll_sleeps = _poll_run(_poll_method, ready_at=3.0, self_wake=True)
+    assert polled == looped
+    assert polled["end"].startswith("cannot wake non-live process")
+    assert len(poll_sleeps) < len(loop_sleeps)
+
+
+def test_close_unwinds_a_process_inside_poll():
+    """close() mid-poll unwinds through the poll's one suspension and
+    leaves nothing the poll held for the cycle collector."""
+    import gc
+    import weakref
+
+    class Payload:
+        pass
+
+    payload = Payload()
+    alive = weakref.ref(payload)
+    cleanup = []
+    sim = Simulator()
+
+    def body(data):
+        try:
+            sim.poll(POLL_TEST, POLL_GAP, lambda: data is None)
+        finally:
+            cleanup.append(sim.now())
+
+    proc = sim.spawn(body, payload, name="poller")
+    assert sim.run(until=5.0) == 5.0
+    del payload
+    gc.collect()
+    gc.disable()
+    try:
+        assert alive() is not None
+        sim.close()
+        assert alive() is None, "close() left the poll to the cycle collector"
+    finally:
+        gc.enable()
+    assert cleanup == [5.0]
+    assert proc.state == "killed"

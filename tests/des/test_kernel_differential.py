@@ -323,6 +323,46 @@ def check_self_kill_then_suspend(obs):
     assert dict(obs["states"]) == {"suicidal": "killed", "other": "done"}
 
 
+def poll_rounds(sim):
+    """Two polls beside a ticker: one whose ready() turns true after
+    three empty rounds, one killed inside a gap sleep.  The src kernel
+    runs the empty rounds as event-loop callbacks, the reference resumes
+    the process for each; the schedules must agree."""
+    seen = []
+    flag = []
+
+    def poller():
+        sim.poll(0.1, 1.0, lambda: bool(flag))
+        seen.append(("returned", sim.now()))
+
+    def doomed():
+        sim.poll(0.1, 1.0, lambda: False)
+        seen.append("unreachable")
+
+    def ticker():
+        for _ in range(8):
+            sim.sleep(0.6)
+            seen.append(("tick", sim.now()))
+
+    sim.spawn(poller, name="poller")
+    victim = sim.spawn(doomed, name="doomed")
+    sim.spawn(ticker, name="ticker")
+    sim.call_at(3.0, lambda: flag.append(True))
+    sim.call_at(2.5, lambda: seen.append(("killed", sim.kill_process(victim))))
+    return [_run(sim), seen]
+
+
+def check_poll_rounds(obs):
+    outcome, seen = obs["seen"]
+    assert outcome == ("end", pytest.approx(4.8))
+    assert ("killed", True) in seen and "unreachable" not in seen
+    assert [t for tag, t in seen if tag == "returned"] == [pytest.approx(3.4)]
+    assert dict(obs["states"]) == {
+        "poller": "done", "doomed": "crashed", "ticker": "done"
+    }
+    assert obs["events"] == 46  # as the explicit sleep loop makes
+
+
 max_events.sim_kwargs = {"max_events": 10}
 
 CASES = [
@@ -338,6 +378,7 @@ CASES = [
     (spawn_inside, check_spawn_inside),
     (callback_raises, check_callback_raises),
     (self_kill_then_suspend, check_self_kill_then_suspend),
+    (poll_rounds, check_poll_rounds),
 ]
 _case_ids = [case.__name__ for case, _check in CASES]
 
