@@ -956,14 +956,6 @@ class Simulator:
         proc._waiters_on_exit.clear()
         return True
 
-    def checkpoint_yield(self) -> None:
-        """Yield to the scheduler for zero virtual time.
-
-        Lets same-timestamp events (e.g. a pending message delivery) run
-        before the caller proceeds.  Useful in polling loops.
-        """
-        self.sleep(0.0)
-
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #

@@ -15,8 +15,8 @@ A payload is a dictionary carrying everything its job needs:
   ``(result, elapsed, images_served)``.
 * ``{"kind": "check", "oracle", "schedule"}`` — one
   :class:`~repro.harness.verify.FaultSchedule` document through one
-  oracle, simulated from scratch; its value is
-  ``{"report": ..., "duration": ...}``.
+  oracle, simulated from scratch; its value is the
+  :class:`~repro.harness.verify.OracleReport` document.
 
 Pairs arrive as jobs finish — submission order in-process, completion
 order otherwise — and callers that need an order index into a list.
@@ -26,7 +26,6 @@ a value.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from multiprocessing import get_context
 from typing import Any, Iterator, Sequence
@@ -64,14 +63,12 @@ def run_job(payload: dict) -> Any:
 
 
 def run_check(oracle: str, schedule: dict) -> dict:
-    """One oracle check; returns the report document and the wall
-    duration measured where the check ran (the fuzzer's cost-model
-    input)."""
+    """One oracle check; returns its report document."""
     from .verify import ORACLES, FaultSchedule
 
-    t0 = time.perf_counter()
-    report = ORACLES[oracle].check_schedule(decode(FaultSchedule, schedule))
-    return {"report": encode(report), "duration": time.perf_counter() - t0}
+    return encode(
+        ORACLES[oracle].check_schedule(decode(FaultSchedule, schedule))
+    )
 
 
 def fan_out(

@@ -9,15 +9,15 @@ oracle, and treat *anything* surprising as an anomaly worth keeping:
 * ``mismatch`` — an oracle's two derivations of the same truth disagreed
   (the classic differential verdict);
 * ``deadlock`` — the schedule wedged the simulation (a genuine
-  distributed deadlock, or a runaway poll loop dying at its
-  ``max_events`` guard);
+  distributed deadlock, or a runaway leg dying at the oracle legs'
+  ``max_events`` bound, :data:`~repro.harness.verify.LEG_MAX_EVENTS`);
 * ``recovery`` — a bounded-retry recovery chain exhausted its budget
   without reaching clean completion (every restart leg kept dying; see
   :mod:`repro.harness.recovery` and the ``recovery-chain`` oracle);
-* ``crash`` — the oracle itself blew up (ProtocolError, SpecError, …);
-* ``perf-outlier`` — the check passed but took an order of magnitude
-  longer than the recorded cost model says it should (wedge-adjacent
-  behaviour that a pass/fail verdict would hide).
+* ``crash`` — the oracle itself blew up (ProtocolError, SpecError, …).
+
+Every verdict is a function of (oracle, schedule, code): no anomaly
+class reads the wall clock, so every entry replays and shrinks.
 
 Each anomaly is **shrunk** — the failing schedule is greedily simplified
 while it keeps failing with the same anomaly class — and persisted into
@@ -31,7 +31,6 @@ The corpus directory layout::
 
     <corpus>/
       entries/<16-hex-key>.json   one anomaly each (schedule + verdict)
-      cost_model.json             per-oracle wall-time medians
 
 ``repro-mpi fuzz`` is the CLI face; ``--replay KEY`` re-runs a stored
 entry's exact (oracle, schedule) check and reports whether it still
@@ -44,7 +43,6 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from statistics import median
 from typing import Callable, Iterable, Sequence
 
 from ..util.codec import decode, encode
@@ -70,15 +68,6 @@ __all__ = [
 
 #: Corpus entry format version (bump on incompatible layout changes).
 CORPUS_SCHEMA = 1
-
-#: A passing check this many times slower than the oracle's recorded
-#: median is a ``perf-outlier`` anomaly...
-PERF_OUTLIER_FACTOR = 10.0
-#: ...but never flag a check faster than this absolute floor (a 0.05 s
-#: median would otherwise make 0.6 s an "outlier" on a loaded machine).
-PERF_OUTLIER_FLOOR = 2.0
-#: Don't trust a median of fewer samples than this.
-PERF_MIN_SAMPLES = 8
 
 #: Shrinking re-checks are the expensive part; bound them per anomaly.
 SHRINK_CHECK_BUDGET = 48
@@ -167,30 +156,6 @@ class CorpusDB:
 
     def entries(self) -> "list[CorpusEntry]":
         return [self.load(key) for key in self.keys()]
-
-    # -- cost model ----------------------------------------------------- #
-
-    def load_cost_model(self) -> "dict[str, list[float]]":
-        """Recorded per-oracle check durations (rolling tail)."""
-        path = self.root / "cost_model.json"
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return {}
-        return {
-            str(k): [float(x) for x in v]
-            for k, v in data.items()
-            if isinstance(v, list)
-        }
-
-    def save_cost_model(self, model: "dict[str, list[float]]") -> None:
-        # Keep a bounded tail per oracle: recent machine speed is the
-        # model, not the all-time history.
-        trimmed = {k: v[-64:] for k, v in sorted(model.items())}
-        atomic_write(
-            self.root / "cost_model.json",
-            json.dumps(trimmed, indent=2, sort_keys=True) + "\n",
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -318,12 +283,6 @@ class FuzzStats:
         return not self.anomalies
 
 
-def _perf_threshold(durations: "list[float]") -> "float | None":
-    if len(durations) < PERF_MIN_SAMPLES:
-        return None
-    return max(PERF_OUTLIER_FACTOR * median(durations), PERF_OUTLIER_FLOOR)
-
-
 def run_fuzz(
     corpus: CorpusDB,
     *,
@@ -333,7 +292,6 @@ def run_fuzz(
     oracles: "Sequence[str] | None" = None,
     shrink: bool = True,
     progress: "Callable[[str], None] | None" = None,
-    clock: Callable[[], float] = time.monotonic,
     jobs: int = 1,
 ) -> FuzzStats:
     """Draw schedules and oracle-check them until the budget runs out.
@@ -346,11 +304,10 @@ def run_fuzz(
     and recorded in the returned stats whether new or duplicate.
 
     The checks of ``jobs`` iterations at a time go through
-    :func:`repro.harness.dispatch.fan_out`.  Anomaly detection,
-    shrinking, corpus writes, and the cost model stay in the parent and
-    process results in draw order, so the corpus and stats are
-    independent of completion order; the budget is checked at block
-    boundaries, and check durations are measured where the check ran.
+    :func:`repro.harness.dispatch.fan_out`.  Shrinking and corpus
+    writes stay in the parent and process reports in draw order, so the
+    corpus and stats are independent of completion order; the budget is
+    checked at block boundaries.
     """
     if iters is None and budget is None:
         raise ValueError("give iters, budget, or both")
@@ -363,18 +320,15 @@ def run_fuzz(
 
     from .dispatch import fan_out
 
-    cost_model = corpus.load_cost_model()
     stats = FuzzStats()
-    started = clock()
+    started = time.monotonic()
     say = progress or (lambda _msg: None)
 
-    def record(
-        report: OracleReport, schedule: FaultSchedule, kind: str, detail: str
-    ) -> None:
-        oracle = ORACLES[report.oracle]
+    def record(report: OracleReport, schedule: FaultSchedule) -> None:
+        kind, detail = report.kind, report.detail
         minimized, steps = (
-            shrink_schedule(oracle, schedule, kind)
-            if shrink and kind != "perf-outlier"
+            shrink_schedule(ORACLES[report.oracle], schedule, kind)
+            if shrink
             else (schedule, 0)
         )
         entry = CorpusEntry(
@@ -399,33 +353,11 @@ def run_fuzz(
             say(f"duplicate {kind} anomaly {entry.key} ({report.oracle} "
                 f"seed={report.seed})")
 
-    def process(name: str, schedule: FaultSchedule,
-                report: OracleReport, dur: float) -> None:
-        stats.checks += 1
-        if not report.ok:
-            record(report, schedule, report.kind, report.detail)
-        else:
-            threshold = _perf_threshold(cost_model.get(name, []))
-            if threshold is not None and dur > threshold:
-                record(
-                    report,
-                    schedule,
-                    "perf-outlier",
-                    f"check took {dur:.2f}s against a recorded median "
-                    f"of {median(cost_model[name]):.2f}s "
-                    f"(threshold {threshold:.2f}s)",
-                )
-            else:
-                # Only healthy checks feed the cost model: a wedged
-                # check must not drag the median up until its own
-                # successors stop looking anomalous.
-                cost_model.setdefault(name, []).append(dur)
-
     iteration = 0
     while True:
         if iters is not None and iteration >= iters:
             break
-        if budget is not None and clock() - started >= budget:
+        if budget is not None and time.monotonic() - started >= budget:
             break
         block = max(1, jobs)
         if iters is not None:
@@ -440,12 +372,13 @@ def run_fuzz(
             [check_payload(name, schedule) for name, schedule in checks],
             jobs=jobs,
         ))
-        # Draw order, not completion order: the corpus and the
-        # cost model must not depend on worker timing.
-        for index, (name, schedule) in enumerate(checks):
-            value = values[index]
-            report = decode(OracleReport, value["report"])
-            process(name, schedule, report, value["duration"])
+        # Draw order, not completion order: the corpus must not depend
+        # on worker timing.
+        for index, (_name, schedule) in enumerate(checks):
+            report = decode(OracleReport, values[index])
+            stats.checks += 1
+            if not report.ok:
+                record(report, schedule)
         for seed in seeds:
             iteration += 1
             stats.iterations = iteration
@@ -453,8 +386,7 @@ def run_fuzz(
                 f"{len(stats.anomalies)} anomal"
                 f"{'y' if len(stats.anomalies) == 1 else 'ies'} so far")
 
-    stats.elapsed = clock() - started
-    corpus.save_cost_model(cost_model)
+    stats.elapsed = time.monotonic() - started
     return stats
 
 
@@ -462,8 +394,7 @@ def replay_entry(corpus: CorpusDB, key: str) -> OracleReport:
     """Re-run a stored anomaly's exact (oracle, schedule) check.
 
     Returns the fresh report: a still-failing replay confirms the
-    anomaly reproduces; a passing one means the underlying bug is gone
-    (or was environment-dependent — perf outliers usually are).
+    anomaly reproduces; a passing one means the underlying bug is gone.
     """
     entry = corpus.load(key)
     oracle = ORACLES.get(entry.oracle)

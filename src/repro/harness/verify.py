@@ -24,7 +24,7 @@ restart) are pinned by the test suite, not here.
   The oracles share one vocabulary of leg helpers (crash draw,
   post-commit anchor, leaked-image and fingerprint checks).  Every leg
   runs in this process on :func:`~repro.harness.spec.execute` over the
-  check's one deps map, under its ``max_events`` guard, and is never
+  check's one deps map, under :data:`LEG_MAX_EVENTS`, and is never
   served from a cache: a verdict depends only on the code and the
   seed.
 * :func:`run_oracles` — sweep oracles over seeds; every failure carries
@@ -53,6 +53,7 @@ from .runner import RunResult
 from .spec import RunSpec, execute
 
 __all__ = [
+    "LEG_MAX_EVENTS",
     "FaultSchedule",
     "Oracle",
     "OracleMismatch",
@@ -63,6 +64,16 @@ __all__ = [
     "result_fingerprint",
     "run_oracles",
 ]
+
+
+#: Event bound of every oracle leg: the schedule's specs carry it as
+#: ``max_events``, and the restart and recovery legs built from them
+#: inherit it.  Legs simulate a few thousand events; one that reaches
+#: the bound is wedged, and fails its check as a ``deadlock`` within
+#: seconds instead of running to the figures'
+#: :data:`~repro.harness.spec.DEFAULT_MAX_EVENTS`.  Read at call time,
+#: so a test can lower it.
+LEG_MAX_EVENTS = 100_000
 
 
 class OracleMismatch(AssertionError):
@@ -278,6 +289,7 @@ class FaultSchedule:
             protocol=self.protocol,
             seed=self.seed,
             storage=_storage(),
+            max_events=LEG_MAX_EVENTS,
             scenario=self.scenario,
             **fields,
         )
@@ -367,7 +379,7 @@ class OracleReport:
     #: Anomaly class for failing reports ("" while ``ok``):
     #: ``"mismatch"`` — the oracle's two derivations disagreed;
     #: ``"deadlock"`` — the simulation wedged (a genuine distributed
-    #: deadlock, or a hung schedule dying at its ``max_events`` guard);
+    #: deadlock, or a runaway leg dying at :data:`LEG_MAX_EVENTS`);
     #: ``"recovery"`` — a bounded-retry recovery chain exhausted its
     #: budget without reaching clean completion;
     #: ``"crash"`` — the oracle itself blew up (ProtocolError, SpecError…).
@@ -375,29 +387,27 @@ class OracleReport:
 
 
 def _classify_exception(exc: BaseException) -> str:
-    """Anomaly class of a non-mismatch failure.
+    """Anomaly class of a non-mismatch failure, by type.
 
     A hung schedule surfaces either as a :class:`DeadlockError` (live
     processes blocked with no pending events) or as the ``max_events``
-    guard tripping on a runaway poll loop (:class:`SchedulingError`) —
-    both mean "this schedule wedged the simulation", which is its own
-    anomaly class, distinct from an oracle implementation blowing up.
-    A :class:`~repro.harness.recovery.RecoveryError` — the retry budget
+    guard tripping on a runaway leg (a :class:`SchedulingError`, which
+    also reports kernel misuse, hence the message test) — both mean
+    "this schedule wedged the simulation", which is its own anomaly
+    class, distinct from an oracle implementation blowing up.  A
+    :class:`~repro.harness.recovery.RecoveryError` — the retry budget
     ran dry while the schedule kept crashing the chain — is likewise its
     own class: the interesting question it raises is "why did every
-    restart leg die", not "which oracle broke".
+    restart leg die", not "which oracle broke".  Every check classifies
+    in the process that raised, so the exception arrives intact.
     """
     from .recovery import RecoveryError
 
-    if isinstance(exc, RecoveryError) or "RecoveryError" in str(exc):
+    if isinstance(exc, RecoveryError):
         return "recovery"
     if isinstance(exc, DeadlockError):
         return "deadlock"
     if isinstance(exc, SchedulingError) and "max_events" in str(exc):
-        return "deadlock"
-    # ProcessFailed wraps the body's exception; a deadlock/runaway inside
-    # a worker process arrives stringified, so match on the message too.
-    if "max_events" in str(exc) or "DeadlockError" in str(exc):
         return "deadlock"
     return "crash"
 
@@ -628,6 +638,7 @@ def _safe_cut_detail(
         seed=2,
         checkpoint_fractions=(frac,),
         storage=_storage(),
+        max_events=LEG_MAX_EVENTS,
         scenario=scenario,
     )
     result = _run("run", spec)
@@ -1031,7 +1042,7 @@ def run_oracles(
     landed: "dict[int, OracleReport]" = {}
     reports: list[OracleReport] = []
     for index, value in fan_out(payloads, jobs=jobs):
-        landed[index] = decode(OracleReport, value["report"])
+        landed[index] = decode(OracleReport, value)
         while len(reports) in landed:
             reports.append(landed.pop(len(reports)))
             if progress is not None:

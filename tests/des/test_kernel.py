@@ -338,13 +338,13 @@ def test_nested_run_rejected():
         sim.run()
 
 
-def test_checkpoint_yield_lets_same_time_events_run():
+def test_zero_sleep_lets_same_time_events_run():
     with Simulator() as sim:
         log = []
 
         def a():
             log.append("a1")
-            sim.checkpoint_yield()
+            sim.sleep(0.0)
             log.append("a2")
 
         def b():

@@ -255,7 +255,7 @@ def spawn_inside(sim):
         sim.spawn(child, "now")
         sim.spawn(child, "later", start_at=4.0)
         seen.append(("parent", "spawned", sim.now()))
-        sim.checkpoint_yield()
+        sim.sleep(0.0)
         seen.append(("parent", "resumed", sim.now()))
 
     sim.spawn(parent)

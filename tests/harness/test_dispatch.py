@@ -59,8 +59,7 @@ def _canonical(pairs):
     out = []
     for index, value in sorted(pairs, key=lambda pair: pair[0]):
         if isinstance(value, dict):
-            assert value["duration"] > 0
-            out.append([index, value["report"]])
+            out.append([index, value])
         else:
             result, _elapsed, served = value
             out.append([index, run_result_to_dict(result), served])
@@ -95,7 +94,7 @@ class TestFanOut:
         payloads = [_mixed_payloads()[1]] * 2
         pairs = dict(fan_out(payloads, jobs=jobs))
         assert sorted(pairs) == [0, 1]
-        assert pairs[0]["report"] == pairs[1]["report"]
+        assert pairs[0] == pairs[1]
 
     def test_a_failing_job_raises_out_of_the_pool(self):
         bad = {"kind": "check", "oracle": "no-such-oracle", "schedule": {}}

@@ -144,11 +144,11 @@ class TestAnomalyClassification:
     def test_recovery_error_classifies_as_recovery(self):
         exc = RecoveryError("retry budget (3) exhausted: ...")
         assert _classify_exception(exc) == "recovery"
-        # Stringified across a process boundary it must still classify.
+        # By type only: a message that merely names one is an oracle crash.
         wrapped = RuntimeError(
             "worker died: RecoveryError: retry budget (3) exhausted"
         )
-        assert _classify_exception(wrapped) == "recovery"
+        assert _classify_exception(wrapped) == "crash"
 
 
 _SCENARIO_FP = {}

@@ -5,6 +5,7 @@ import pytest
 from repro.harness import FaultSchedule
 from repro.harness.spec import RunSpec, spec_hash
 from repro.harness.verify import (
+    LEG_MAX_EVENTS,
     ORACLES,
     OracleMismatch,
     program_position_for,
@@ -93,15 +94,36 @@ class TestOracleCatalog:
 
     @pytest.mark.parametrize("name", sorted(ORACLES))
     def test_every_leg_runs_under_the_event_guard(self, name, monkeypatch):
-        # A leg that outruns execute's guard is a typed deadlock report
+        # A leg that outruns the leg bound is a typed deadlock report
         # with the usual one-paste repro, not a hung verify.
-        monkeypatch.setattr("repro.harness.spec.DEFAULT_MAX_EVENTS", 50)
+        monkeypatch.setattr("repro.harness.verify.LEG_MAX_EVENTS", 50)
         report = ORACLES[name].check(0)
         assert report.kind == "deadlock", report.detail
         assert "max_events=50" in report.detail
         assert report.repro == (
             f"repro-mpi verify --oracle {name} --seeds 1 --base-seed 0"
         )
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_every_leg_carries_the_leg_bound(self, name, monkeypatch):
+        # Not only the first leg: every spec an oracle or a recovery
+        # chain executes, and every ancestor execute resolves for it.
+        import repro.harness.recovery as recovery_mod
+        import repro.harness.verify as verify_mod
+
+        legs = []
+        for mod in (verify_mod, recovery_mod):
+            def spy(spec, *args, _real=mod.execute, **kwargs):
+                legs.append(spec)
+                return _real(spec, *args, **kwargs)
+
+            monkeypatch.setattr(mod, "execute", spy)
+        reports = run_oracles([name], range(5))
+        assert all(r.ok for r in reports), [r.detail for r in reports]
+        assert legs
+        for spec in legs:
+            for leg in (spec, *spec.ancestors()):
+                assert leg.max_events == LEG_MAX_EVENTS, leg.label()
 
     def test_run_oracles_progress_and_order(self):
         seen = []
