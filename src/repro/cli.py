@@ -30,6 +30,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from functools import partial
 
 from .des.errors import DeadlockError, SchedulingError
@@ -400,18 +401,21 @@ def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     """``repro-mpi verify`` — sweep fault-injection oracles over seeds.
 
     Exit status 0 when every (oracle, seed) check passes; 1 on any
-    mismatch, in which case a derandomized failing-seed artifact (JSON
-    with per-failure reproduction commands) is written to ``--artifact``.
+    failure — a ``mismatch``, ``deadlock``, ``recovery`` or ``crash``
+    report, each printed under its kind — in which case a derandomized
+    failing-seed artifact (JSON with per-failure reproduction commands)
+    is written to ``--artifact``.
     """
     names = args.oracle or sorted(ORACLES)
     seeds = range(args.base_seed, args.base_seed + args.seeds)
 
     def progress(report) -> None:
         if not args.quiet:
-            verdict = "ok" if report.ok else "MISMATCH"
             print(
-                f"[verify] {report.oracle} seed={report.seed}: {verdict}"
-                + ("" if report.ok else f" — {report.detail}"),
+                f"[verify] {report.oracle} seed={report.seed}: ok"
+                if report.ok else
+                f"[verify] {report.kind}: {report.oracle} seed={report.seed}"
+                f" — {report.detail}",
                 file=sys.stderr,
                 flush=True,
             )
@@ -421,21 +425,25 @@ def _verify_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
     elapsed = time.time() - t0
 
     failures = [r for r in reports if not r.ok]
+    kinds = ", ".join(
+        f"{n} {kind}" for kind, n in sorted(Counter(r.kind for r in failures).items())
+    )
     for name in names:
         mine = [r for r in reports if r.oracle == name]
         good = sum(1 for r in mine if r.ok)
         print(f"oracle {name}: {good}/{len(mine)} seeds ok")
     if failures:
-        print(f"\n{len(failures)} mismatch(es):")
+        print(f"\n{len(failures)} failure(s): {kinds}")
         for report in failures:
-            print(f"  {report.oracle} seed={report.seed}: {report.detail}")
+            print(f"  {report.kind}: {report.oracle} seed={report.seed}")
+            print(f"    {report.detail}")
             print(f"    reproduce: {report.repro}")
         with open(args.artifact, "w") as fh:
             json.dump({"failures": encode(failures)}, fh, indent=2)
             fh.write("\n")
         print(f"failing-seed artifact written to {args.artifact}")
-    print(f"[verify: {len(reports)} checks, {len(failures)} mismatches; "
-          f"{elapsed:.1f}s total]")
+    print(f"[verify: {len(reports)} checks, {len(failures)} failures"
+          + (f" ({kinds})" if failures else "") + f"; {elapsed:.1f}s total]")
     if args.bench_json:
         _append_bench_record(
             args.bench_json, [f"verify:{name}" for name in names], None,

@@ -139,6 +139,7 @@ def launch_run(
     max_events: int | None = None,
     crash_at: dict[int, float] | None = None,
     scenario: "str | Scenario | None" = None,
+    _release_images: bool = False,
 ) -> RunResult:
     """Run one simulated MPI job to completion and return measurements.
 
@@ -151,7 +152,12 @@ def launch_run(
             checkpoint (requires a non-native protocol).
         restore_images: restart from this checkpoint set instead of a
             fresh start; the modelled image-read time is charged before
-            ranks resume.
+            ranks resume.  The set is left as it was given (it may be
+            restarted again), unless the caller hands it over with the
+            private ``_release_images``: then each rank's ``payload`` is
+            dropped as soon as that rank's session is restored from it,
+            so the restarted run holds the restored state alone — as a
+            MANA restart rebuilds the upper half *from* the image.
         crash_at: fault injection — hard-kill ``rank`` at virtual time
             ``crash_at[rank]``.  The kill is a no-op if the rank already
             finished (racing a crash against completion is safe).  The
@@ -223,6 +229,8 @@ def launch_run(
                 sessions[rank] = Session.from_image(
                     world, restore_images[rank], coordinator
                 )
+                if _release_images:
+                    restore_images[rank].payload = None
         if scn is not None:
             factors = scn.compute_factors(nprocs)
             if factors is not None:

@@ -543,7 +543,9 @@ class ImageTier:
     """A cache's image tier, as :func:`execute` uses it."""
 
     #: ``(parent_spec, committed_index) -> image map or None``
-    #: (:meth:`repro.harness.cache.ResultCache.get_images`).
+    #: (:meth:`repro.harness.cache.ResultCache.get_images`).  Every call
+    #: returns a fresh map that the restart it feeds consumes: each
+    #: image's ``payload`` is released once its rank is restored.
     get: "Callable[[RunSpec, int], dict | None]"
     #: Sets that restored a restart.  One that loads but does not
     #: restore was a miss, and is not counted.
@@ -627,7 +629,9 @@ def _execute(
         spec.max_events if spec.max_events is not None else DEFAULT_MAX_EVENTS
     )
 
-    def launch(restore_images: "dict[int, CheckpointImage] | None") -> RunResult:
+    def launch(
+        restore_images: "dict[int, CheckpointImage] | None", owned: bool = False
+    ) -> RunResult:
         try:
             result = launch_run(
                 spec.app_factory(),
@@ -642,6 +646,7 @@ def _execute(
                 max_events=max_events,
                 crash_at=crash_at,
                 scenario=spec.scenario,
+                _release_images=owned,
             )
         except ProcessFailed as exc:
             if isinstance(exc.original, UnsupportedOperationError):
@@ -675,7 +680,9 @@ def _execute(
         tier_set = images.get(spec.restart_of, spec.restart_ckpt)
         if tier_set is not None:
             try:
-                result = launch(tier_set)
+                # The tier read a fresh copy for this restart alone: hand
+                # it over, so each rank's payload is freed once restored.
+                result = launch(tier_set, owned=True)
             except ImageError:
                 # The archive verified but a rank's payload would not
                 # decode here: a miss like a digest mismatch.

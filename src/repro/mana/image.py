@@ -14,6 +14,13 @@ only the small plain attributes beside them.  Nothing from the lower half
 (tested), and one stream per rank keeps a request handle the application
 holds and the table's entry for it the same object.
 
+A set read back from the result cache's image tier belongs to the one
+restart it feeds, which sets each rank's ``payload`` to ``None`` once
+that rank is restored: the restarted run holds its state once, as a MANA
+restart rebuilds the upper half from the image.  Any other set (a parent
+result's, one from :func:`repro.mana.restart.load_checkpoint_set`) is
+left as it was and may seed further restarts.
+
 A committed checkpoint is stored as *one* archive holding its whole
 image map (rank -> image): :func:`pack_image_set` /
 :func:`unpack_image_set`.  Both the result cache's image tier
@@ -149,7 +156,8 @@ class CheckpointImage:
 
     def load(self) -> "dict[str, Any]":
         """Decode the payload into fresh objects, every call its own copy:
-        one image can seed any number of restarts."""
+        one image can seed any number of restarts, as long as none of
+        them was handed the image and released its payload."""
         try:
             return pickle.loads(self.payload)
         except Exception as exc:

@@ -907,9 +907,11 @@ class Session:
                 f"image for {image.nprocs} ranks cannot restart on "
                 f"{world.nprocs} ranks"
             )
-        # The one unpickle: fresh objects the restarted run may mutate,
-        # while the caller's image set stays intact (it may be restarted
-        # again — e.g. a failed first restart attempt).
+        # The one unpickle: fresh objects the restarted run may mutate.
+        # The image itself is left intact, so a borrowed set may be
+        # restarted again (e.g. after a failed first attempt); a runner
+        # the set was handed to (a tier-fed restart) releases the payload
+        # once this returns.
         heavy = image.load()
         sess = cls(world, image.rank, image.protocol, coordinator)
         sess.seq = SeqNumTable.restore(image.seq_table)

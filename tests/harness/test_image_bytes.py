@@ -131,6 +131,21 @@ def test_restarting_twice_from_one_set_is_identical():
     assert images[0].load()["app_state"] is not images[0].load()["app_state"]
 
 
+def test_a_loaded_set_is_borrowed_and_restarts_twice_identically(tmp_path):
+    plain, ck = _checkpointed()
+    save_checkpoint_set(ck.committed_images(), tmp_path)
+    ckpt_id = ck.committed_images()[0].ckpt_id
+    images = load_checkpoint_set(tmp_path, ckpt_id)
+    frozen = {rank: image.payload for rank, image in images.items()}
+    first, second = (
+        restart_run(lambda: TallyApp(niters=16), images, seed=4, storage=STORAGE)
+        for _ in range(2)
+    )
+    assert run_result_to_dict(first) == run_result_to_dict(second)
+    assert first.per_rank == plain.per_rank
+    assert {rank: image.payload for rank, image in images.items()} == frozen
+
+
 class LeakyApp(TallyApp):
     """Rank 1 keeps a lower-half-like object (nothing that holds a lock
     pickles) in its state."""

@@ -11,7 +11,9 @@ Three layers under test:
   parent jobs and produces results byte-identical to a cold recompute.
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness import ExperimentEngine, FaultSchedule, ResultCache, Sweep
+from repro.harness.runner import restart_run
 from repro.harness.spec import (
+    ImageTier,
     RunSpec,
     execute,
     run_result_to_dict,
@@ -538,3 +542,81 @@ def test_pre_sharding_files_are_a_clean_miss(tmp_path):
     assert len(fresh) == 1 and fresh.image_count() == 1
     for path, content in left_behind.items():
         assert path.read_bytes() == content
+
+
+# --------------------------------------------------------------------- #
+# A tier-fed restart owns the set it was served
+# --------------------------------------------------------------------- #
+
+def test_tier_fed_restart_releases_the_set_it_was_served(tmp_path, monkeypatch):
+    """The set the tier reads for a restart is that restart's own: every
+    payload is gone once the run is over, and the result still equals a
+    cold restart, whose parent result (borrowed from ``deps``) keeps its
+    images."""
+    parent = _ckpt_spec(app="minivasp", nprocs=4, ppn=2)
+    restart = _restart_spec(parent, ppn=2, checkpoint_fractions=())
+    deps = {}
+    cold = execute(restart, deps)
+    assert all(
+        image.payload is not None
+        for image in deps[parent].committed_images(restart.restart_ckpt).values()
+    )
+
+    ExperimentEngine(cache=ResultCache(tmp_path)).run(parent)
+    served = []
+    get_images = ResultCache.get_images
+
+    def capture(self, spec, index):
+        images = get_images(self, spec, index)
+        served.append(images)
+        return images
+
+    monkeypatch.setattr(ResultCache, "get_images", capture)
+    engine = ExperimentEngine(cache=ResultCache(tmp_path))
+    warm = engine.run(restart)
+    assert engine.last_stats.images_reused == 1
+    [images] = served
+    assert sorted(images) == list(range(parent.nprocs))
+    assert all(image.payload is None for image in images.values())
+    assert run_result_to_dict(warm) == run_result_to_dict(cold)
+
+
+def _traced_peak(run):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tier_fed_restart_does_not_hold_its_images_beside_the_state():
+    """Both restarts unpickle the same archive while traced; the borrowed
+    set lives through the whole run, the tier-fed one is released rank
+    by rank, so its peak is lower by about the set's payload bytes."""
+    parent = _ckpt_spec(
+        app="minivasp", nprocs=4, ppn=2,
+        app_kwargs={"niters": 4, "bands": 8, "npw": 2048},
+    )
+    restart = _restart_spec(parent, ppn=2, checkpoint_fractions=())
+    blob = pack_image_set(execute(parent).committed_images(restart.restart_ckpt))
+    payload_bytes = sum(
+        len(image.payload) for image in unpack_image_set(blob).values()
+    )
+    assert payload_bytes > 1 << 21
+
+    def borrowed():
+        restart_run(
+            restart.app_factory(), unpack_image_set(blob), ppn=restart.ppn,
+            seed=restart.seed, storage=restart.storage, params=restart.params,
+        )
+
+    def tier_fed():
+        tier = ImageTier(lambda spec, index: unpack_image_set(blob))
+        execute(restart, images=tier)
+        assert tier.served == 1
+
+    borrowed(), tier_fed()  # warm every lazy import and memo first
+    saved = _traced_peak(borrowed) - _traced_peak(tier_fed)
+    assert saved >= 0.8 * payload_bytes, (saved, payload_bytes)

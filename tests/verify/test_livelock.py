@@ -1,11 +1,14 @@
-"""A genuinely livelocked application through ``verify`` and ``fuzz``.
+"""A genuinely livelocked application through ``verify``, ``fuzz`` and
+``sweep``.
 
 No guard is patched: the app's ranks reduce forever, and the oracle
 legs' own event bound (``LEG_MAX_EVENTS``) is what turns the runaway
-into a typed ``deadlock`` verdict within seconds.
+into a typed ``deadlock`` verdict within seconds; a sweep point's
+``max_events`` does the same for ``sweep``.
 """
 
 import json
+import re
 
 import pytest
 
@@ -39,6 +42,7 @@ def test_verify_reports_a_livelock_as_a_deadlock(
         "--artifact", str(artifact),
     ]) == 1
     out = capsys.readouterr().out
+    assert "deadlock: rank-completion seed=0" in out
     assert f"exceeded max_events={LEG_MAX_EVENTS}" in out
     assert (
         "reproduce: repro-mpi verify --oracle rank-completion --seeds 1 "
@@ -60,3 +64,18 @@ def test_fuzz_writes_a_livelock_as_a_deadlock_entry(
     assert entry.kind == "deadlock"
     assert f"max_events={LEG_MAX_EVENTS}" in entry.detail
     assert "deadlock: rank-completion seed=0" in capsys.readouterr().out
+
+
+def test_sweep_stops_a_livelock_at_its_event_bound(capsys, livelocked_earlyexit):
+    assert main([
+        "sweep", "--axis", "nprocs=2", "--base", "app=earlyexit",
+        "--base", "max_events=100000", "--no-cache", "--quiet",
+    ]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"repro-mpi: error: SchedulingError: earlyexit/native p=2 "
+        r"\[[0-9a-f]{16}\]: exceeded max_events=100000; "
+        r"possible runaway protocol loop\n",
+        captured.err,
+    ), captured.err

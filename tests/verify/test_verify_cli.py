@@ -17,6 +17,14 @@ class _AlwaysFails(Oracle):
         raise OracleMismatch(f"injected mismatch for seed {schedule.seed}")
 
 
+class _AlwaysCrashes(Oracle):
+    name = "always-crashes"
+    description = "test stub"
+
+    def verify(self, schedule):
+        raise RuntimeError(f"injected crash for seed {schedule.seed}")
+
+
 class _AlwaysPasses(Oracle):
     name = "always-passes"
     description = "test stub"
@@ -29,6 +37,7 @@ class _AlwaysPasses(Oracle):
 def stub_oracles(monkeypatch):
     monkeypatch.setitem(ORACLES, "always-fails", _AlwaysFails())
     monkeypatch.setitem(ORACLES, "always-passes", _AlwaysPasses())
+    monkeypatch.setitem(ORACLES, "always-crashes", _AlwaysCrashes())
 
 
 def test_passing_run_exits_zero(stub_oracles, tmp_path, capsys):
@@ -56,6 +65,8 @@ def test_mismatch_exits_one_and_writes_derandomized_artifact(
     out = capsys.readouterr().out
     assert "oracle always-fails: 0/2 seeds ok" in out
     assert "injected mismatch for seed 40" in out
+    assert "mismatch: always-fails seed=40" in out
+    assert "2 failure(s): 2 mismatch" in out
     payload = json.loads(artifact.read_text())
     assert [f["seed"] for f in payload["failures"]] == [40, 41]
     for failure in payload["failures"]:
@@ -75,6 +86,24 @@ def test_mixed_oracles_report_separately(stub_oracles, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "oracle always-passes: 1/1 seeds ok" in out
     assert "oracle always-fails: 0/1 seeds ok" in out
+
+
+def test_failures_are_labelled_and_counted_by_kind(
+    stub_oracles, tmp_path, capsys
+):
+    rc = main([
+        "verify", "--oracle", "always-fails", "--oracle", "always-crashes",
+        "--seeds", "1", "--artifact", str(tmp_path / "f.json"),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "[verify] mismatch: always-fails seed=0 — injected mismatch" in captured.err
+    assert "[verify] crash: always-crashes seed=0 — " in captured.err
+    assert "MISMATCH" not in captured.err
+    assert "2 failure(s): 1 crash, 1 mismatch" in captured.out
+    assert "  crash: always-crashes seed=0\n" in captured.out
+    assert "  mismatch: always-fails seed=0\n" in captured.out
+    assert "2 failures (1 crash, 1 mismatch);" in captured.out
 
 
 def test_bench_json_records_verdicts(stub_oracles, tmp_path):
