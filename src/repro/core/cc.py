@@ -30,8 +30,8 @@ class CollectiveClockProtocol(RankProtocol):
     """Per-rank CC state machine."""
 
     name = "cc"
+    label = "CC"
     supports_nonblocking = True
-    adds_wrapper_cost = True
 
     # ------------------------------------------------------------------ #
     # Wrappers (Algorithm 2)

@@ -19,6 +19,7 @@ class NativeProtocol(RankProtocol):
     """Passthrough wrappers."""
 
     name = "native"
+    label = "native"
     supports_nonblocking = True
     adds_wrapper_cost = False
 

@@ -44,6 +44,7 @@ from typing import Any, Callable, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mana.session import Session
+    from ..simmpi import Communicator
 
 __all__ = [
     "RankProtocol",
@@ -77,8 +78,10 @@ class UnsupportedOperationError(Exception):
 class RankProtocol(ABC):
     """Per-rank protocol instance, driven by the session's wrappers."""
 
-    #: Protocol name ("native" / "2pc" / "cc").
+    #: Protocol name: its ``PROTOCOLS`` key.
     name: str = "abstract"
+    #: Column / series label in the rendered figures.
+    label: str = "abstract"
     #: Whether non-blocking collectives are wrappable.
     supports_nonblocking: bool = True
     #: Whether the interposition layer charges wrapper costs (False only
@@ -111,6 +114,14 @@ class RankProtocol(ABC):
         self, ggid: int, members: tuple[int, ...], initiate: Callable[[], Any]
     ) -> Any:
         """Wrap one non-blocking collective initiation."""
+
+    def on_comm_created(self, comm: "Communicator") -> None:
+        """A communicator was created by a protocol-wrapped split or dup
+        (runs inside the creating wrapper, on every member)."""
+
+    def prepare(self) -> None:
+        """In-process setup: runs after MPI_Init, and again after a
+        restart's lower-half rebuild, before the application resumes."""
 
     def on_request_completion_call(self) -> None:
         """Hook charged on wait/test wrappers (the second wrapper of a

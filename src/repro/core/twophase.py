@@ -29,9 +29,13 @@ instead of 48.5 k.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, TYPE_CHECKING
 
 from .protocol import CoordinatorLogic, RankProtocol, UnsupportedOperationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..mana.session import Session
+    from ..simmpi import Communicator
 
 __all__ = ["TwoPhaseCommitProtocol", "TwoPCCoordinatorLogic"]
 
@@ -40,8 +44,33 @@ class TwoPhaseCommitProtocol(RankProtocol):
     """Per-rank 2PC state machine."""
 
     name = "2pc"
+    label = "2PC"
     supports_nonblocking = False
-    adds_wrapper_cost = True
+
+    def __init__(self, session: "Session"):
+        super().__init__(session)
+        #: ggid -> the shadow communicator its trivial barriers run on.
+        self._shadow: dict[int, "Communicator"] = {}
+
+    def on_comm_created(self, comm: "Communicator") -> None:
+        """Create the trivial-barrier comm for ``comm``'s group.
+
+        Shadows are created *eagerly* — creating one lazily at the first
+        barrier would issue an unwrapped collective in the middle of a
+        possibly-pending checkpoint, which is precisely the
+        unprotected-collective hazard 2PC exists to prevent.
+        """
+        ggid = comm.ggid
+        if ggid not in self._shadow:
+            self._shadow[ggid] = self.session.world.comm_dup(
+                comm, label=f"shadow:{ggid:#x}"
+            )
+
+    def prepare(self) -> None:
+        """Shadow every communicator registered so far (COMM_WORLD after
+        MPI_Init; every rebuilt communicator after a restart)."""
+        for _vcid, comm in sorted(self.session._vcomms.items()):
+            self.on_comm_created(comm)
 
     def on_blocking_collective(
         self, ggid: int, members: tuple[int, ...], execute: Callable[[], Any]
@@ -53,10 +82,13 @@ class TwoPhaseCommitProtocol(RankProtocol):
             # Not in the barrier yet: safe point (nobody can be in the
             # real collective if this member hasn't passed the barrier).
             self.park_until_resume()
-        # Phase 1: the trivial barrier.  (None for groups that cannot have
-        # a shadow communicator — create_group comms — a documented
-        # limitation carried over from MANA 2019.)
-        barrier_req = sess.protocol_ibarrier(ggid)
+        # Phase 1: the trivial barrier, an Ibarrier on the group's shadow
+        # communicator (so protocol traffic never perturbs the
+        # application's collective matching).  None for groups that
+        # cannot have a shadow — create_group comms — a documented
+        # limitation carried over from MANA 2019.
+        shadow = self._shadow.get(ggid)
+        barrier_req = None if shadow is None else shadow.ibarrier()
         gap = sess.overheads.ibarrier_poll_gap
         test = sess.overheads.test_call
         control = sess.control

@@ -95,9 +95,11 @@ Typical usage::
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import os
 import threading
+import weakref
 from collections import deque
 from functools import partial as _partial
 from heapq import heappop as _heappop, heappush as _heappush
@@ -157,12 +159,8 @@ class _Carrier:
     ``lock`` doubles as the bound process's ``_resume`` lock and is held
     whenever the carrier is parked, bound or idle.  ``mask`` is the CPU
     set the thread runs under (None without an affinity API) and
-    ``tid`` its native id, for re-pinning.  The thread starts here, on a
-    :data:`_STACK_SIZE` stack: CPython reads ``threading.stack_size()``
-    when a thread *starts*, so the process-global setting is bracketed
-    around ``start()`` — under a lock, or two simulations spawning from
-    different threads could each restore the other's
-    small size.
+    ``tid`` its native id, for re-pinning.  The thread starts here
+    (:func:`_start_carrier`).
     """
 
     __slots__ = ("lock", "proc", "mask", "tid")
@@ -172,23 +170,48 @@ class _Carrier:
         self.lock.acquire()
         self.proc: SimProcess | None = None
         self.mask = mask
-        thread = threading.Thread(
-            target=_carrier_main, args=(self,), name="sim-carrier", daemon=True
-        )
-        with _stack_size_lock:
+        _start_carrier(self)
+
+
+def _start_carrier(carrier: _Carrier) -> None:
+    """Start ``carrier``'s thread and return once it runs.
+
+    The thread starts on a :data:`_STACK_SIZE` stack: CPython reads
+    ``threading.stack_size()`` when a thread *starts*, so the
+    process-global setting is bracketed around the start — under a
+    lock, or two simulations spawning from different threads could each
+    restore the other's small size.
+
+    A bare ``_thread`` thread rather than a ``threading.Thread``: a
+    thread whose stack could be mapped but whose first Python frame
+    cannot be allocated (an address space at its limit) dies before it
+    runs any Python code, and ``Thread.start`` then waits forever for a
+    start it never signals.  Here the wait also ends once the thread's
+    start callable is freed — only the thread holds it, and no frame
+    does, so that is when the thread is gone — and the spawn fails as a
+    thread that cannot be started does.
+    """
+    running = threading.Lock()
+    running.acquire()
+    life = _partial(_carrier_main, carrier, running)
+    held = weakref.ref(life)
+    with _stack_size_lock:
+        try:
+            old = threading.stack_size(_STACK_SIZE)
+        except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
+            _thread.start_new_thread(life, ())
+        else:
             try:
-                old = threading.stack_size(_STACK_SIZE)
-            except (ValueError, RuntimeError):  # pragma: no cover - platform dependent
-                thread.start()
-            else:
-                try:
-                    thread.start()
-                finally:
-                    threading.stack_size(old)
-        self.tid = thread.native_id
+                _thread.start_new_thread(life, ())
+            finally:
+                threading.stack_size(old)
+    del life
+    while not running.acquire(timeout=0.01):
+        if held() is None and not running.acquire(blocking=False):
+            raise RuntimeError("can't start new thread")
 
 
-def _carrier_main(carrier: _Carrier) -> None:
+def _carrier_main(carrier: _Carrier, running: "threading.Lock") -> None:
     """A carrier's life: park, run the bound process, unbind, park again.
 
     The process is unbound and the carrier back in the pool before the
@@ -196,10 +219,13 @@ def _carrier_main(carrier: _Carrier) -> None:
     nothing of the run is reachable from here.  A carrier finishing
     while the pool is full, or woken with no process bound, exits.
 
-    The carrier first moves itself to ``SCHED_BATCH`` (see the module
-    docstring for why); where the OS refuses or has no such policy it
-    keeps the one it inherited.
+    The carrier first reports its native id and that it runs, then
+    moves itself to ``SCHED_BATCH`` (see the module docstring for why);
+    where the OS refuses or has no such policy it keeps the one it
+    inherited.
     """
+    carrier.tid = threading.get_native_id()
+    running.release()
     try:
         os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
     except (AttributeError, OSError):

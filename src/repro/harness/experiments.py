@@ -24,8 +24,9 @@ are stated in each planner's docstring and asserted by ``tests/paper/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from ..core import PROTOCOLS
 from ..netmodel import StorageModel
 from ..util.records import Series, format_series_table, format_table
 from ..util.stats import mean, overhead_pct
@@ -134,17 +135,45 @@ def run_plans(
 # Protocol-sweep cells (the shape `_run_protocols` used to run inline)
 # --------------------------------------------------------------------- #
 
+# The protocol columns are ``PROTOCOLS`` in registry order: "native" is
+# the baseline every overhead is measured against, and every other entry
+# is a checkpointing protocol, labelled by its ``RankProtocol.label``.
+
+def _label(proto: str) -> str:
+    return PROTOCOLS[proto][0].label
+
+
+def _pct_headers(protos: Sequence[str]) -> list[str]:
+    return [f"{_label(q)} %" for q in protos]
+
+
+def _checkpointing() -> tuple[str, ...]:
+    """The checkpointing protocols: every entry but the native baseline."""
+    return tuple(proto for proto in PROTOCOLS if proto != "native")
+
+
+def _overheads(
+    times: Mapping[str, float | None], base: float, protos: Sequence[str]
+) -> list[str]:
+    """One overhead-% cell per protocol vs ``base`` (NA where it refused)."""
+    return [
+        "NA" if times[p] is None else f"{overhead_pct(times[p], base):.1f}"
+        for p in protos
+    ]
+
+
 def _protocol_cell(
     app: str,
     app_kwargs: Mapping[str, Any],
     nprocs: int,
-    protocols: Sequence[str],
     *,
+    protocols: Iterable[str] = PROTOCOLS,
     ppn: int | None = None,
     seed: int = 0,
     repeats: int = 1,
 ) -> dict[str, list[RunSpec]]:
-    """Specs for one app under several protocols: {proto: [spec per rep]}."""
+    """Specs for one app under several protocols (by default every
+    registered one, read at call time): {proto: [spec per rep]}."""
     return {
         proto: [
             RunSpec.create(
@@ -167,27 +196,22 @@ def _cell_specs(cell: dict[str, list[RunSpec]]) -> list[RunSpec]:
 
 def _fold_cell(
     results: Mapping[RunSpec, RunResult], cell: dict[str, list[RunSpec]]
-) -> tuple[dict[str, list[float] | None], dict[str, str]]:
-    """Per-protocol runtimes; NA protocols map to None with the reason.
+) -> tuple[dict[str, float | None], dict[str, str]]:
+    """Per-protocol mean runtimes; NA protocols map to None with the reason.
 
     This replaces the old inline ``_run_protocols``: instead of letting
     an :class:`UnsupportedOperationError` unwind the whole sweep, the
     engine records the refusal per cell and the fold surfaces *why* the
     cell is NA alongside the None.
     """
-    times: dict[str, list[float] | None] = {}
+    times: dict[str, float | None] = {}
     reasons: dict[str, str] = {}
     for proto, specs in cell.items():
-        values: list[float] = []
-        for spec in specs:
-            run = results[spec]
-            if run.na_reason:
-                times[proto] = None
-                reasons[proto] = run.na_reason
-                break
-            values.append(run.runtime)
-        else:
-            times[proto] = values
+        runs = [results[spec] for spec in specs]
+        refused = [run.na_reason for run in runs if run.na_reason]
+        if refused:
+            reasons[proto] = refused[0]
+        times[proto] = None if refused else mean([run.runtime for run in runs])
     return times, reasons
 
 
@@ -198,12 +222,14 @@ def _note_na(
         result.add_note(f"NA[{label}/{proto}]: {reasons[proto]}")
 
 
-def _osu_cells(
-    procs: Sequence[int], kinds: Sequence[str], sizes: Sequence[int],
-    iters: int, seed: int, repeats: int, *, blocking: bool,
-) -> list[tuple[str, int, int, dict[str, list[RunSpec]]]]:
-    """Figure 5's OSU grid: one native/2PC/CC cell per kind x size x
-    procs, minus the cells the paper's memory limit omits."""
+def _osu_figure(
+    name: str, title: str, procs: Sequence[int], kinds: Sequence[str],
+    sizes: Sequence[int], iters: int, seed: int, repeats: int, *,
+    blocking: bool, notes: str = "",
+) -> FigurePlan:
+    """Figure 5's OSU grid — one cell per kind x size x procs under every
+    protocol, minus the cells the paper's memory limit omits — folded to
+    each checkpointing protocol's overhead % vs native."""
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -214,13 +240,48 @@ def _osu_cells(
                     "osu",
                     {"niters": iters, "kind": kind, "nbytes": size, "blocking": blocking},
                     p,
-                    ("native", "2pc", "cc"),
                     ppn=max(p // 2, 1),
                     seed=seed,
                     repeats=repeats,
                 )
                 cells.append((kind, size, p, cell))
-    return cells
+    protos = _checkpointing()
+    prefix = "" if blocking else "i"
+    # The paper's central claim for Figure 5b: 2PC *must* reject
+    # non-blocking collectives, as must every protocol without
+    # ``supports_nonblocking``.  An assert would vanish under
+    # `python -O`, so the fold checks explicitly.
+    refusing = [] if blocking else [
+        q for q in protos if not PROTOCOLS[q][0].supports_nonblocking
+    ]
+
+    def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
+        result = ExperimentResult(
+            name=name,
+            title=title,
+            headers=["benchmark", "msg", "procs", *_pct_headers(protos)],
+            notes=notes,
+        )
+        for kind, size, p, cell in cells:
+            times, reasons = _fold_cell(results, cell)
+            for q in refusing:
+                if times[q] is not None:
+                    raise RuntimeError(
+                        f"{_label(q)} unexpectedly ran non-blocking {kind} at "
+                        f"{_fmt_size(size)}/{p} procs — it must reject "
+                        "non-blocking collectives (paper Sections 2.2, 5.2)"
+                    )
+            base = times["native"]
+            result.rows.append(
+                [f"{prefix}{kind}", _fmt_size(size), p,
+                 *_overheads(times, base, protos)]
+            )
+            _note_na(result, f"{prefix}{kind}/{_fmt_size(size)}/{p}", reasons)
+        return result
+
+    return FigurePlan(
+        name, [s for _, _, _, cell in cells for s in _cell_specs(cell)], fold
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -288,28 +349,12 @@ def plan_fig5a(
     inserted barrier destroys the loose tree), near zero at 1 MB for the
     naturally synchronizing kinds; CC stays below 2PC on every cell.
     """
-    cells = _osu_cells(procs, kinds, sizes, iters, seed, repeats, blocking=True)
-
-    def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
-        result = ExperimentResult(
-            name="fig5a",
-            title="Figure 5a: OSU blocking collectives, runtime overhead % vs native",
-            headers=["benchmark", "msg", "procs", "2PC %", "CC %"],
-            notes="(alltoall/allgather at 1MB limited to 16 procs — memory, as in the paper)",
-        )
-        for kind, size, p, cell in cells:
-            times, reasons = _fold_cell(results, cell)
-            base = mean(times["native"])
-            o2 = overhead_pct(mean(times["2pc"]), base)
-            oc = overhead_pct(mean(times["cc"]), base)
-            result.rows.append(
-                [f"{kind}", _fmt_size(size), p, f"{o2:.1f}", f"{oc:.1f}"]
-            )
-            _note_na(result, f"{kind}/{_fmt_size(size)}/{p}", reasons)
-        return result
-
-    return FigurePlan(
-        "fig5a", [s for _, _, _, cell in cells for s in _cell_specs(cell)], fold
+    return _osu_figure(
+        "fig5a",
+        "Figure 5a: OSU blocking collectives, runtime overhead % vs native",
+        procs, kinds, sizes, iters, seed, repeats,
+        blocking=True,
+        notes="(alltoall/allgather at 1MB limited to 16 procs — memory, as in the paper)",
     )
 
 
@@ -331,36 +376,12 @@ def plan_fig5b(
     CC pays two wrapper crossings per operation, which shows on small
     messages and decays with the message size.
     """
-    cells = _osu_cells(procs, kinds, sizes, iters, seed, 1, blocking=False)
-
-    def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
-        result = ExperimentResult(
-            name="fig5b",
-            title="Figure 5b: OSU non-blocking collectives, CC overhead % vs native "
-            "(2PC does not support non-blocking collectives)",
-            headers=["benchmark", "msg", "procs", "2PC %", "CC %"],
-        )
-        for kind, size, p, cell in cells:
-            times, reasons = _fold_cell(results, cell)
-            base = mean(times["native"])
-            # The paper's central claim for this figure: 2PC *must*
-            # reject non-blocking collectives.  An assert would vanish
-            # under `python -O`, so check explicitly.
-            if times["2pc"] is not None:
-                raise RuntimeError(
-                    f"2PC unexpectedly ran non-blocking {kind} at "
-                    f"{_fmt_size(size)}/{p} procs — it must reject "
-                    "non-blocking collectives (paper Sections 2.2, 5.2)"
-                )
-            oc = overhead_pct(mean(times["cc"]), base)
-            result.rows.append(
-                [f"i{kind}", _fmt_size(size), p, "NA", f"{oc:.1f}"]
-            )
-            _note_na(result, f"i{kind}/{_fmt_size(size)}/{p}", reasons)
-        return result
-
-    return FigurePlan(
-        "fig5b", [s for _, _, _, cell in cells for s in _cell_specs(cell)], fold
+    return _osu_figure(
+        "fig5b",
+        "Figure 5b: OSU non-blocking collectives, CC overhead % vs native "
+        "(2PC does not support non-blocking collectives)",
+        procs, kinds, sizes, iters, seed, 1,
+        blocking=False,
     )
 
 
@@ -381,6 +402,8 @@ def plan_fig6(
     CC keeps the native overlap, because the wrappers never touch the
     background progress of an initiated operation.
     """
+    # Only the protocols that can wrap a non-blocking collective overlap.
+    protos = [q for q, (cls, _) in PROTOCOLS.items() if cls.supports_nonblocking]
     cells = []
     for kind in kinds:
         for size in sizes:
@@ -389,7 +412,7 @@ def plan_fig6(
                     "osu_overlap",
                     {"niters": iters, "kind": kind, "nbytes": size},
                     p,
-                    ("native", "cc"),
+                    protocols=protos,
                     ppn=max(p // 2, 1),
                     seed=seed,
                 )
@@ -399,21 +422,15 @@ def plan_fig6(
         result = ExperimentResult(
             name="fig6",
             title="Figure 6: overlap %% of non-blocking collectives (native vs CC)",
-            headers=["benchmark", "msg", "procs", "native %", "CC %"],
+            headers=["benchmark", "msg", "procs", *_pct_headers(protos)],
         )
         for kind, size, p, cell in cells:
-            values = {}
-            for proto, specs in cell.items():
-                run = results[specs[0]]
-                values[proto] = mean([x["overlap_pct"] for x in run.per_rank])
+            overlaps = [
+                mean([x["overlap_pct"] for x in results[specs[0]].per_rank])
+                for specs in cell.values()
+            ]
             result.rows.append(
-                [
-                    f"i{kind}",
-                    _fmt_size(size),
-                    p,
-                    f"{values['native']:.1f}",
-                    f"{values['cc']:.1f}",
-                ]
+                [f"i{kind}", _fmt_size(size), p, *(f"{v:.1f}" for v in overlaps)]
             )
         return result
 
@@ -449,7 +466,6 @@ def plan_fig7(
                 label,
                 kwargs,
                 nprocs,
-                ("native", "2pc", "cc"),
                 ppn=ppn,
                 seed=seed,
                 repeats=repeats,
@@ -458,26 +474,23 @@ def plan_fig7(
         for label, kwargs in configs
     ]
 
+    protos = _checkpointing()
+
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         result = ExperimentResult(
             name="fig7",
             title=f"Figure 7: application runtimes ({nprocs} procs), seconds (virtual)",
-            headers=["application", "native", "2PC", "CC", "2PC %", "CC %"],
+            headers=[
+                "application", "native", *map(_label, protos), *_pct_headers(protos)
+            ],
             notes="(Poisson uses non-blocking collectives: supported by CC, not by 2PC.)",
         )
         for label, cell in cells:
             times, reasons = _fold_cell(results, cell)
-            base = mean(times["native"])
+            base = times["native"]
             row = [label, f"{base:.4f}"]
-            if times["2pc"] is None:
-                row += ["NA", f"{mean(times['cc']):.4f}", "NA"]
-            else:
-                row += [
-                    f"{mean(times['2pc']):.4f}",
-                    f"{mean(times['cc']):.4f}",
-                    f"{overhead_pct(mean(times['2pc']), base):.1f}",
-                ]
-            row.append(f"{overhead_pct(mean(times['cc']), base):.1f}")
+            row += ["NA" if times[q] is None else f"{times[q]:.4f}" for q in protos]
+            row += _overheads(times, base, protos)
             result.rows.append(row)
             _note_na(result, label, reasons)
         return result
@@ -514,7 +527,6 @@ def plan_fig8(
                 "minivasp",
                 {"niters": niters},
                 p,
-                ("native", "2pc", "cc"),
                 ppn=ppn,
                 seed=seed,
                 repeats=repeats,
@@ -523,20 +535,21 @@ def plan_fig8(
         for p in procs
     ]
 
+    protos = _checkpointing()
+
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
-        s2 = Series("2PC %")
-        sc = Series("CC %")
+        series = {q: Series(f"{_label(q)} %") for q in protos}
         result = ExperimentResult(
             name="fig8",
             title=f"Figure 8: miniVASP runtime overhead vs process count (ppn={ppn})",
-            series=[s2, sc],
+            series=list(series.values()),
             x_label="procs",
         )
         for p, cell in cells:
             times, reasons = _fold_cell(results, cell)
-            base = mean(times["native"])
-            s2.add(p, overhead_pct(mean(times["2pc"]), base))
-            sc.add(p, overhead_pct(mean(times["cc"]), base))
+            base = times["native"]
+            for q, s in series.items():
+                s.add(p, overhead_pct(times[q], base))
             _note_na(result, f"{p}procs", reasons)
         return result
 
@@ -565,10 +578,11 @@ def plan_fig9(
     storage = StorageModel(
         per_node_bandwidth=2.0e9, aggregate_bandwidth=6.0e9, base_latency=1.0
     )
+    protos = _checkpointing()
     cells = []
     for n in nodes:
         nprocs = n * ppn
-        for proto in ("2pc", "cc"):
+        for proto in protos:
             kwargs = {"niters": niters, "memory_bytes": image_bytes_per_rank}
             # Checkpoint mid-run: the fraction schedule makes the probe
             # an explicit dependent phase the engine can dedupe/cache
@@ -597,10 +611,9 @@ def plan_fig9(
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         series = {
-            ("2pc", "ckpt"): Series("2PC ckpt (s)"),
-            ("cc", "ckpt"): Series("CC ckpt (s)"),
-            ("2pc", "restart"): Series("2PC restart (s)"),
-            ("cc", "restart"): Series("CC restart (s)"),
+            (proto, phase): Series(f"{_label(proto)} {phase} (s)")
+            for phase in ("ckpt", "restart")
+            for proto in protos
         }
         for n, proto, ckpt, restart in cells:
             committed = [c for c in results[ckpt].checkpoints if c.committed]
@@ -657,7 +670,7 @@ def plan_scale_grid(
         "scale_grid",
         axes={
             "app": tuple(apps),
-            "protocol": ("native", "2pc", "cc"),
+            "protocol": tuple(PROTOCOLS),
             "nprocs": tuple(int(p) for p in procs),
         },
         base={"seed": seed},
@@ -699,7 +712,7 @@ def plan_ckpt_freq(
     )
     sweep = Sweep(
         "ckpt_freq",
-        axes={"protocol": ("native", "2pc", "cc"), "n_ckpts": tuple(n_ckpts)},
+        axes={"protocol": tuple(PROTOCOLS), "n_ckpts": tuple(n_ckpts)},
         base={
             "app": app,
             "nprocs": int(nprocs),
@@ -754,7 +767,7 @@ def plan_restart_chain(
         "restart_chain",
         axes={
             "app": tuple(apps),
-            "protocol": ("2pc", "cc"),
+            "protocol": _checkpointing(),
             "restart": (False, True),
         },
         base={

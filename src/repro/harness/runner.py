@@ -147,7 +147,7 @@ def launch_run(
         app_factory: zero-argument callable producing the app instance
             (one per rank, so per-rank state never aliases).
         nprocs: number of MPI ranks.
-        protocol: ``"native"``, ``"2pc"``, or ``"cc"``.
+        protocol: a ``repro.core.PROTOCOLS`` key.
         checkpoint_at: virtual times at which the coordinator requests a
             checkpoint (requires a non-native protocol).
         restore_images: restart from this checkpoint set instead of a
@@ -257,7 +257,7 @@ def launch_run(
                         # receives) before the application resumes.
                         sim.sleep(restart_read_time)
                         sess.rebuild_lower()
-                        sess.prepare_protocol()
+                        sess.protocol.prepare()
                         ready_times.append(sim.now())
                         if sess.finished:
                             # Checkpointed through rank completion: the
@@ -273,7 +273,7 @@ def launch_run(
                             sess.on_app_finished()
                             return sess.final_result
                     else:
-                        sess.prepare_protocol()
+                        sess.protocol.prepare()
                     ctx = AppContext(sess, seed=seed)
                     result = apps[rank].run(ctx)
                     # Stash the terminal result *before* announcing

@@ -43,11 +43,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, MutableMapping
 
 from ..apps import make_app_factory, resolve_app_name
-from ..core import UnsupportedOperationError
+from ..core import PROTOCOLS, UnsupportedOperationError
 from ..des import ProcessFailed
 from ..mana import CheckpointImage, CheckpointRecord, ImageError
 from ..netmodel import ModelParams, StorageModel
-from ..scenarios import ScenarioError, canonical_scenario
+from ..scenarios import canonical_scenario
 from ..util.codec import CodecError, Shape, decode, encode
 from ..util.hashing import stable_json_hash
 from .runner import RunResult, launch_run
@@ -232,10 +232,9 @@ class RunSpec:
         restart_ckpt: int = 0,
         scenario: Any = None,
     ) -> "RunSpec":
-        try:
-            scenario = canonical_scenario(scenario)
-        except ScenarioError as exc:
-            raise SpecError(str(exc)) from None
+        # An unknown scenario (here) or protocol (in validate) is a plain
+        # ValueError naming the catalogue, not a SpecError: a sweep fails
+        # on a typo'd name up front instead of folding it to NA cells.
         spec = cls(
             # Canonicalize aliases ("vasp" -> "minivasp") here, where
             # nprocs/seed are already being normalized: spec equality,
@@ -257,7 +256,7 @@ class RunSpec:
             max_events=max_events,
             restart_of=restart_of,
             restart_ckpt=int(restart_ckpt),
-            scenario=scenario,
+            scenario=canonical_scenario(scenario),
         )
         spec.validate()
         return spec
@@ -324,8 +323,11 @@ class RunSpec:
     def validate(self) -> None:
         if self.nprocs < 1:
             raise SpecError(f"nprocs must be >= 1, got {self.nprocs}")
-        if self.protocol not in ("native", "2pc", "cc"):
-            raise SpecError(f"unknown protocol {self.protocol!r}")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {self.protocol!r}; expected one of "
+                f"{sorted(PROTOCOLS)}"
+            )
         wants_ckpt = bool(
             self.checkpoint_at
             or self.checkpoint_fractions
@@ -361,10 +363,7 @@ class RunSpec:
             if any(f <= 0 for _r, f in self.crash_fracs):
                 raise SpecError("crash fractions must be positive")
         if self.scenario is not None:
-            try:
-                canonical = canonical_scenario(self.scenario)
-            except ScenarioError as exc:
-                raise SpecError(str(exc)) from None
+            canonical = canonical_scenario(self.scenario)
             if canonical != self.scenario:
                 raise SpecError(
                     f"scenario {self.scenario!r} is not canonical (expected "
@@ -397,10 +396,7 @@ class RunSpec:
         images to replay faithfully, so the rewrite recurses through
         ``restart_of``.
         """
-        try:
-            canonical = canonical_scenario(scenario)
-        except ScenarioError as exc:
-            raise SpecError(str(exc)) from None
+        canonical = canonical_scenario(scenario)
         parent = (
             None
             if self.restart_of is None

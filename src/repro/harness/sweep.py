@@ -8,7 +8,7 @@ of that matrix used to mean hand-writing a plan/fold pair; a
 
     Sweep(
         "scale_grid",
-        axes={"app": ("minivasp", "comd"), "protocol": ("native", "2pc", "cc"),
+        axes={"app": ("minivasp", "comd"), "protocol": tuple(PROTOCOLS),
               "nprocs": (4, 8, 16)},
         base={"seed": 0},
         derive={"ppn": lambda p: max(p["nprocs"] // 2, 1)},
@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from ..apps import app_uses_nonblocking
+from ..core import PROTOCOLS
 from ..util.hashing import stable_json_hash
 from ..util.records import Series
 from ..util.stats import overhead_pct
@@ -89,19 +90,22 @@ _DISPLAY_TYPES = (bool, int, float, str, type(None), tuple)
 
 def mask_2pc_nonblocking(point: Mapping[str, Any]) -> str | None:
     """The paper's flagship NA cell: MANA's 2PC cannot wrap non-blocking
-    collectives (Sections 2.2 and 5.2)."""
-    if point.get("protocol") != "2pc":
-        return None
+    collectives (Sections 2.2 and 5.2) — nor can any protocol without
+    ``supports_nonblocking``."""
+    entry = PROTOCOLS.get(point.get("protocol"))
     app = point.get("app")
-    if app is None:
+    if entry is None or entry[0].supports_nonblocking or app is None:
         return None
     try:
         nonblocking = app_uses_nonblocking(app, point)
     except ValueError:
         return None  # unknown app: reported by spec construction instead
-    if nonblocking:
-        return "2PC does not support non-blocking collectives (paper §2.2, §5.2)"
-    return None
+    if not nonblocking:
+        return None
+    return (
+        f"{entry[0].label} does not support non-blocking collectives "
+        "(paper §2.2, §5.2)"
+    )
 
 
 def mask_paper_memory_limit(point: Mapping[str, Any]) -> str | None:
@@ -282,9 +286,10 @@ class Sweep:
                 point.pop(name, None)
             try:
                 # RunSpec.create canonicalizes app aliases and rejects
-                # unknown names: a typo'd app axis fails the whole sweep
-                # (ValueError with the known-app list) up front, while a
-                # structurally impossible point folds to an NA cell.
+                # unknown names: a typo'd app, protocol or scenario fails
+                # the whole sweep (ValueError with the known names) up
+                # front, while a structurally impossible point folds to
+                # an NA cell.
                 spec = RunSpec.from_point(point)
             except SpecError as exc:
                 yield SweepCell(coords, None, str(exc))

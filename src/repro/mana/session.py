@@ -89,7 +89,6 @@ class Session:
         self._ckey_of_vcid: dict[int, tuple[int, int]] = {}
         self._ggid_ordinal: dict[int, int] = {}
         self.creation_log: list[tuple] = []
-        self._shadow: dict[int, Communicator] = {}  # ggid -> 2PC barrier comm
         self._pending_recv_ids: list[int] = []
 
         # Virtual requests.
@@ -357,42 +356,6 @@ class Session:
             return vreq
 
         return self.protocol.on_nonblocking_collective(ggid, members, initiate)
-
-    def protocol_ibarrier(self, ggid: int):
-        """The 2PC trivial barrier: an Ibarrier on a shadow communicator
-        dedicated to this group (so protocol traffic never perturbs the
-        application's collective matching).
-
-        Shadows are created *eagerly* when a communicator is registered —
-        creating one lazily here would issue an unwrapped collective in
-        the middle of a possibly-pending checkpoint, which is precisely
-        the unprotected-collective hazard 2PC exists to prevent.  Returns
-        ``None`` when no shadow exists (create_group comms under 2PC, a
-        documented MANA-2019 limitation) and the caller skips phase 1.
-        """
-        shadow = self._shadow.get(ggid)
-        if shadow is None:
-            return None
-        return shadow.ibarrier()
-
-    def _ensure_shadow(self, comm: Communicator) -> None:
-        """Create the 2PC trivial-barrier comm for ``comm``'s group."""
-        if self.protocol_name != "2pc":
-            return
-        ggid = comm.ggid
-        if ggid not in self._shadow:
-            self._shadow[ggid] = self.world.comm_dup(
-                comm, label=f"shadow:{ggid:#x}"
-            )
-
-    def prepare_protocol(self) -> None:
-        """In-process protocol setup (runs after MPI_Init, and again after
-        a restart's lower-half rebuild): eagerly create 2PC shadows for
-        every registered communicator."""
-        if self.protocol_name != "2pc":
-            return
-        for vcid in sorted(self._vcomms):
-            self._ensure_shadow(self._vcomms[vcid])
 
     # ------------------------------------------------------------------ #
     # Point-to-point
@@ -663,7 +626,7 @@ class Session:
                 self._record(_COMM, None, "split")
                 return None
             vcomm = self._register_comm(new)
-            self._ensure_shadow(new)
+            self.protocol.on_comm_created(new)
             self._record(_COMM, vcomm.vcid, "split")
             return vcomm
 
@@ -681,7 +644,7 @@ class Session:
             new = self.world.comm_dup(comm)
             self.creation_log.append(("dup", vcid))
             vcomm = self._register_comm(new)
-            self._ensure_shadow(new)
+            self.protocol.on_comm_created(new)
             self._record(_COMM, vcomm.vcid, "dup")
             return vcomm
 
@@ -704,10 +667,10 @@ class Session:
             new = self.world.comm_create_group(comm, group)
             self.creation_log.append(("create_group", vcid, tuple(world_ranks)))
             vcomm = self._register_comm(new)
-            # No shadow for create_group comms under 2PC (their first
-            # barrier would need the shadow before the comm exists) —
-            # the 2PC wrapper skips phase 1 for them, as MANA 2019 did
-            # not support comm_create_group at all.
+            # No on_comm_created: 2PC has no shadow for create_group
+            # comms (their first barrier would need the shadow before
+            # the comm exists) and skips phase 1 for them, as MANA 2019
+            # did not support comm_create_group at all.
             self._record(_COMM, vcomm.vcid, "create_group")
             return vcomm
 

@@ -17,7 +17,7 @@ class RunRecord:
 
     Attributes:
         app: application name (e.g. ``"minivasp"``).
-        protocol: ``"native"``, ``"2pc"``, or ``"cc"``.
+        protocol: a ``repro.core.PROTOCOLS`` key.
         nprocs: number of simulated MPI processes.
         nnodes: number of simulated nodes.
         runtime: virtual wall time of the run, seconds.

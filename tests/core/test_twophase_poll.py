@@ -32,7 +32,8 @@ class _LoopTwoPhase(TwoPhaseCommitProtocol):
         self.absorb_control()
         if self.intent:
             self.park_until_resume()
-        barrier_req = sess.protocol_ibarrier(ggid)
+        shadow = self._shadow.get(ggid)
+        barrier_req = None if shadow is None else shadow.ibarrier()
         gap = sess.overheads.ibarrier_poll_gap
         test = sess.overheads.test_call
         while barrier_req is not None:

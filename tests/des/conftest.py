@@ -1,5 +1,6 @@
 """Fixtures for tests that watch the kernel's carrier pool."""
 
+import _thread
 import threading
 
 import pytest
@@ -22,16 +23,35 @@ def carrier_pool(monkeypatch):
         carrier.lock.release()
 
 
+class _Started:
+    """One carrier thread the kernel started: alive until its carrier's
+    life (``kernel._carrier_main``) has returned."""
+
+    def __init__(self):
+        self.done = threading.Event()
+
+    def is_alive(self):
+        return not self.done.is_set()
+
+
 @pytest.fixture
 def thread_starts(monkeypatch):
-    """Every ``Thread.start`` during the test, as ``(thread, stack size
-    in effect)`` pairs."""
+    """Every thread start during the test, as ``(thread, stack size in
+    effect)`` pairs."""
     seen = []
-    real_start = threading.Thread.start
+    real_start = _thread.start_new_thread
 
-    def start(thread):
+    def start(function, args):
+        thread = _Started()
+
+        def life(*args):
+            try:
+                function(*args)
+            finally:
+                thread.done.set()
+
         seen.append((thread, threading.stack_size()))
-        real_start(thread)
+        return real_start(life, args)
 
-    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(_thread, "start_new_thread", start)
     return seen

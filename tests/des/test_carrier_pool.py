@@ -5,6 +5,7 @@ ends, gives its carrier back before control leaves it.  Every carrier
 runs under ``SCHED_BATCH`` where the OS grants it, and nothing else
 does."""
 
+import _thread
 import os
 import sys
 import threading
@@ -130,16 +131,48 @@ def test_every_way_a_process_ends_gives_its_carrier_back(
 def test_a_job_larger_than_the_bound_shrinks_back_to_it(
     carrier_pool, thread_starts
 ):
-    baseline = threading.active_count()
+    def alive():
+        return sum(t.is_alive() for t, _ in thread_starts)
+
     _job(kernel._POOL_MAX + 3)
     assert len(thread_starts) == kernel._POOL_MAX + 3
     assert len(carrier_pool) == kernel._POOL_MAX
     # The three carriers that found the pool full exit on their own.
     deadline = time.monotonic() + 10.0
-    while threading.active_count() > baseline + kernel._POOL_MAX:
-        assert time.monotonic() < deadline, threading.active_count()
+    while alive() > kernel._POOL_MAX:
+        assert time.monotonic() < deadline, alive()
         time.sleep(0.01)
-    assert sum(t.is_alive() for t, _ in thread_starts) == kernel._POOL_MAX
+    assert alive() == kernel._POOL_MAX
+
+
+def test_a_carrier_thread_that_dies_unstarted_fails_the_spawn(
+    carrier_pool, monkeypatch
+):
+    # An address space at its limit can hold a new thread's stack but
+    # not its first Python frame: the thread dies before it runs.  The
+    # spawn then fails as for a thread that could not be started at
+    # all, instead of waiting forever for it to report in.
+    real_start = _thread.start_new_thread
+
+    def start(function, args):
+        return real_start(lambda: None, ())  # never runs ``function``
+
+    monkeypatch.setattr(_thread, "start_new_thread", start)
+    raised = []
+
+    def spawn():
+        with Simulator() as sim:
+            try:
+                sim.spawn(lambda: None, name="p")
+            except RuntimeError as exc:
+                raised.append(exc)
+
+    launcher = threading.Thread(target=spawn, daemon=True)
+    launcher.start()
+    launcher.join(timeout=30)
+    assert not launcher.is_alive(), "the spawn is still waiting"
+    assert [str(exc) for exc in raised] == ["can't start new thread"]
+    assert carrier_pool == []
 
 
 def test_simulations_on_concurrent_threads_never_share_a_carrier(carrier_pool):

@@ -89,6 +89,26 @@ class TestSweepRejections:
             "unknown app 'htree'",
         )
 
+    # A typo'd protocol or scenario name is a usage error like a typo'd
+    # app, not a table of NA cells: neither may reach the engine.
+    def test_unknown_protocol_axis_value_lists_known_protocols(self, capsys):
+        _expect_usage_error(
+            capsys,
+            ["sweep", "--axis", "app=comd", "--axis", "protocol=native,ccc",
+             "--axis", "nprocs=4", "--base", "niters=2", "--no-cache", "--quiet"],
+            "unknown protocol 'ccc'; expected one of ['2pc', 'cc', 'native']",
+        )
+
+    def test_unknown_scenario_base_value_lists_known_scenarios(self, capsys):
+        _expect_usage_error(
+            capsys,
+            ["sweep", "--axis", "app=comd", "--axis", "nprocs=4",
+             "--base", "niters=2", "--base", "scenario=nosuchfabric",
+             "--no-cache", "--quiet"],
+            "unknown scenario 'nosuchfabric'; expected one of ['degraded-link', "
+            "'dragonfly', 'fat-tree', 'jitter', 'straggler']",
+        )
+
 
 # --------------------------------------------------------------------- #
 # cache prune: size/duration parsing

@@ -5,15 +5,20 @@ import hashlib
 
 import pytest
 
-from repro.harness import PLANNERS, run_plans
+from repro.harness import PLANNERS, STUDIES, ExperimentEngine, run_plans
 from repro.harness.experiments import (
     _fmt_size,
     _memory_limited,
     plan_fig5a,
     plan_fig5b,
+    plan_fig6,
+    plan_fig7,
     plan_fig8,
+    plan_fig9,
+    plan_table1,
 )
 from repro.harness.spec import spec_hash
+from repro.harness.sweep import Sweep
 
 
 def test_memory_limited_cells_match_paper():
@@ -42,7 +47,10 @@ def test_fig5a_skips_limited_cells():
 #: the planners' defaults and at the end-to-end benchmark's workload
 #: sizes (``benchmarks/e2e/workloads.py`` ``SCALES``, full and smoke);
 #: and of Figure 8 at its defaults, recorded when its ppn defaulted to
-#: the first process count (8 at the default counts).
+#: the first process count (8 at the default counts).  Table 1 and
+#: Figures 6, 7 and 9 at their defaults were recorded while the planners
+#: still spelled the protocol tuples out, before they read
+#: ``repro.core.PROTOCOLS``.
 GRID_PINS = [
     (plan_fig5a, {}, 102,
      "e01f4f50f08b4f964eab1872c4a19cae9e3e0f2bfb046611dcbe8382483367e7"),
@@ -60,6 +68,14 @@ GRID_PINS = [
      "ad8b536990e956ec21b57f8517ed044440ae01d928e41bed2c2ada767446da77"),
     (plan_fig8, {}, 18,
      "a25ce64aa357b8a3bfccaccfec45f2477e8016f3df0e17243d6bfe640526e584"),
+    (plan_table1, {}, 6,
+     "4d71d890a4c1a5c567023506f75e82c084f92a11e543ea1ff2ca7337fe1403d6"),
+    (plan_fig6, {}, 32,
+     "fbeeef415b7f2936f624a56af1b98c247f57eafe5a9c201dd629942e4e59c371"),
+    (plan_fig7, {}, 30,
+     "83885059e88fd03282b5d354fa73277946cbc72486e35467e1255dc30d89993a"),
+    (plan_fig9, {}, 16,
+     "aa00dd4fb01b74c8695dd4bf30aa58fd441d8b76b1d29e758e2ca17b072ef9b3"),
 ]
 
 
@@ -69,6 +85,50 @@ def test_grid_spec_hashes_are_pinned(planner, kwargs, count, digest):
     joined = " ".join(spec_hash(spec) for spec in specs)
     assert len(specs) == count
     assert hashlib.sha256(joined.encode()).hexdigest() == digest
+
+
+#: ``Sweep.signature()`` of each study at its defaults (cells, mask
+#: verdicts and spec hashes), recorded with the planner tuples above.
+STUDY_PINS = {
+    "scale_grid": "fff74cbf02d6c100",
+    "ckpt_freq": "a609fbdc03ba7cfd",
+    "restart_chain": "573cf8c61d4ee753",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STUDY_PINS))
+def test_study_signatures_are_pinned(name, monkeypatch):
+    declared = []
+    plan = Sweep.plan
+
+    def record(self, **fold_kwargs):
+        declared.append(self)
+        return plan(self, **fold_kwargs)
+
+    monkeypatch.setattr(Sweep, "plan", record)
+    STUDIES[name]()
+    (sweep,) = declared
+    assert sweep.signature() == STUDY_PINS[name]
+
+
+#: sha256 of the rendered table of Figures 7, 8 and 9 at a tiny scale,
+#: recorded with the planner tuples above (Figures 5a, 5b, 6 and Table 1
+#: renders are pinned by the end-to-end benchmark's ``expected.json``).
+RENDER_PINS = [
+    (plan_fig7, dict(nprocs=4, ppn=2, repeats=1),
+     "4456e6a222db251c09835996e683932ceb655186f27c3e1e0c800aadf39bbc33"),
+    (plan_fig8, dict(procs=(4,), ppn=2, repeats=1, niters=4),
+     "a8ce42f366f318e0b87348066e076fbb5ea81ea85d201582ae3274a02d22047f"),
+    (plan_fig9, dict(nodes=(1,), ppn=2, niters=4),
+     "e07e96a464ba14836b321c12b9fdb2ff4137c3fb3a913bdae1c47a4dc1888475"),
+]
+
+
+@pytest.mark.parametrize("planner,kwargs,digest", RENDER_PINS,
+                         ids=[p.__name__ for p, _, _ in RENDER_PINS])
+def test_tiny_renders_are_pinned(planner, kwargs, digest):
+    (result,) = run_plans([planner(**kwargs)], ExperimentEngine(jobs=1))
+    assert hashlib.sha256(result.render().encode()).hexdigest() == digest
 
 
 def test_fig8_cell_layout_does_not_depend_on_the_other_counts():

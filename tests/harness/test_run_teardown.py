@@ -18,6 +18,7 @@ import pytest
 
 from repro.apps.base import MpiApp
 from repro.apps.registry import make_app_factory
+from repro.core import PROTOCOLS
 from repro.des import DeadlockError, ProcessFailed
 from repro.des.errors import SchedulingError
 from repro.harness.runner import launch_run
@@ -31,7 +32,6 @@ APPS = {
     "minivasp": dict(niters=3),
     "comd": dict(niters=3),  # the halo-exchange (p2p) app
 }
-PROTOCOLS = ("native", "2pc", "cc")
 MODES = ("plain", "checkpoint", "restart", "crash", "deadlock", "runaway")
 
 
