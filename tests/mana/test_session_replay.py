@@ -325,3 +325,69 @@ class TestImageWindowContents:
             assert im.boundary_index <= im.call_index
             assert len(im.load()["call_log"]) >= im.call_index - im.boundary_index
             assert im.counts["call_log"] == len(im.load()["call_log"])
+
+
+class CreationLogApp(MpiApp):
+    """Builds a communicator with each op the creation log records — a
+    ``split`` that leaves rank 0 out (``None`` colour), a ``dup`` and a
+    ``create_group`` over ranks 0-2 — and uses each every step, so a
+    restart must replay all three against the fresh world before the
+    application resumes."""
+
+    name = "creation-log"
+
+    def setup(self, ctx):
+        ctx.state["acc"] = 0.0
+        ctx.state["odd"] = ctx.world.split(
+            None if ctx.rank == 0 else ctx.rank % 2, key=-ctx.rank
+        )
+        ctx.state["dup"] = ctx.world.dup()
+        ctx.state["low"] = (
+            ctx.world.create_group((0, 1, 2)) if ctx.rank < 3 else None
+        )
+
+    def step(self, ctx, i):
+        ctx.compute_jittered(3e-6, i)
+        total = ctx.world.allreduce(float(ctx.rank + i))
+        odd, low = ctx.state["odd"], ctx.state["low"]
+        if odd is not None:
+            # Weighted by position: the split's key order shows.
+            ranks = odd.allgather(float(ctx.rank))
+            total += sum(k * r for k, r in enumerate(ranks)) * i
+        dup = ctx.state["dup"]
+        total += dup.allreduce(float(ctx.rank))
+        # Same tag on both contexts, received in the other order: the
+        # dup must be a communicator of its own.
+        if ctx.rank == 0:
+            dup.send(1.0, dest=1, tag=7)
+            ctx.world.send(2.0, dest=1, tag=7)
+        elif ctx.rank == 1:
+            total += 10 * ctx.world.recv(source=0, tag=7) + dup.recv(source=0, tag=7)
+        if low is not None:
+            total += low.allreduce(float(i * low.rank()))
+        ctx.state["acc"] = ctx.state["acc"] + total
+
+    def finalize(self, ctx):
+        return ctx.state["acc"]
+
+
+class TestCreationLogReplay:
+    """Every creation op the log holds replays at restart: split (with a
+    rank that got no communicator), dup and create_group."""
+
+    FACTORY = staticmethod(lambda: CreationLogApp(niters=10))
+
+    @pytest.mark.parametrize("frac", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("protocol", ["cc", "2pc"])
+    def test_restart_matches_the_uninterrupted_run(self, protocol, frac):
+        plain = launch_run(self.FACTORY, 4, protocol=protocol, seed=2)
+        ck = launch_run(
+            self.FACTORY, 4, protocol=protocol, seed=2,
+            checkpoint_at=[plain.runtime * frac], storage=STORAGE,
+        )
+        images = ck.committed_images()
+        ops = {entry[0] for entry in images[1].creation_log}
+        assert ops == {"split", "dup", "create_group"}
+        assert images[0].creation_log[0][:3] == ("split", 0, None)
+        rs = restart_run(self.FACTORY, images, seed=2, storage=STORAGE)
+        assert rs.per_rank == plain.per_rank
