@@ -242,15 +242,7 @@ class RankProtocol(ABC):
             self.on_resume()
             return "resumed"
 
-        def report_parked() -> tuple[int, int]:
-            self._park_generation += 1
-            counters = (self.session.ctrl_sent, self.session.ctrl_received)
-            self.session.to_coordinator(
-                ("parked", self.session.rank, self._park_generation, *counters)
-            )
-            return counters
-
-        reported = report_parked()
+        reported = self.report_parked()
         gap = self.session.overheads.ibarrier_poll_gap
         while True:
             if poll is None:
@@ -273,7 +265,18 @@ class RankProtocol(ABC):
             # quiescence bookkeeping must see the new totals or the sums
             # will never balance.
             if (self.session.ctrl_sent, self.session.ctrl_received) != reported:
-                reported = report_parked()
+                reported = self.report_parked()
+
+    def report_parked(self) -> tuple[int, int]:
+        """Report this rank parked under a fresh park generation, with its
+        control-message counters (which it returns).  The finished-rank
+        proxy reports for a rank whose process has exited through here
+        too."""
+        self._park_generation += 1
+        sess = self.session
+        counters = (sess.ctrl_sent, sess.ctrl_received)
+        sess.to_coordinator(("parked", sess.rank, self._park_generation, *counters))
+        return counters
 
     # ------------------------------------------------------------------ #
     # Protocol-specific checkpoint reactions (overridable)

@@ -190,16 +190,30 @@ def launch_run(
     if restore_images is not None:
         if sorted(restore_images) != list(range(nprocs)):
             raise ValueError("restore_images must cover every rank")
-        if restore_images[0].nprocs != nprocs:
-            raise ValueError(
-                f"images were taken on {restore_images[0].nprocs} ranks, "
-                f"cannot restart on {nprocs}"
-            )
-        img_protocol = restore_images[0].protocol
-        if img_protocol != protocol:
-            raise ValueError(
-                f"images were taken under {img_protocol!r}, cannot restart as {protocol!r}"
-            )
+        # One checkpoint's set, each image under its own rank: a set
+        # mixing protocols deadlocks the restart, and swapped images run
+        # to wrong results.
+        ckpt_id = restore_images[0].ckpt_id
+        for rank, image in sorted(restore_images.items()):
+            if image.rank != rank:
+                raise ValueError(
+                    f"restore_images[{rank}] is rank {image.rank}'s image"
+                )
+            if image.nprocs != nprocs:
+                raise ValueError(
+                    f"rank {rank}'s image was taken on {image.nprocs} ranks, "
+                    f"cannot restart on {nprocs}"
+                )
+            if image.protocol != protocol:
+                raise ValueError(
+                    f"rank {rank}'s image was taken under {image.protocol!r}, "
+                    f"cannot restart as {protocol!r}"
+                )
+            if image.ckpt_id != ckpt_id:
+                raise ValueError(
+                    f"rank {rank}'s image is from checkpoint {image.ckpt_id}, "
+                    f"rank 0's from checkpoint {ckpt_id}"
+                )
 
     sim = Simulator(seed=seed, max_events=max_events)
     # Every layer of this run that owns back-references, in teardown

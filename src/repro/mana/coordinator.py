@@ -115,15 +115,16 @@ class _FinishedRankProxy:
       this rank, build and "write" the image with the same modelled
       storage delay a live rank pays.
 
-    All replies pay the same control latency a live rank's would, so
-    proxied rounds stay deterministic and timing-faithful.
+    Every reply goes through the session's own
+    :meth:`~repro.mana.session.Session.to_coordinator` (a park report
+    through :meth:`~repro.core.protocol.RankProtocol.report_parked`), so
+    it pays the control latency a live rank's would and proxied rounds
+    stay deterministic and timing-faithful.
     """
 
     def __init__(self, coordinator: "CheckpointCoordinator", rank: int):
-        self.coord = coordinator
         self.rank = rank
         self.sess = coordinator.sessions[rank]
-        self.sim = coordinator.sim
         #: True between intent and resume/abort; messages arriving
         #: outside an active round are absorbed without reports (e.g. a
         #: straggling target update delivered after the round ended).
@@ -152,24 +153,6 @@ class _FinishedRankProxy:
                 return
             self._handle(msg)
 
-    def _send(self, msg: tuple) -> None:
-        coord = self.coord
-        latency = self.sess.overheads.control_latency
-        self.sim.call_after(latency, lambda: coord.deliver(msg))
-
-    def _report_parked(self) -> None:
-        proto = self.sess.protocol
-        proto._park_generation += 1
-        self._send(
-            (
-                "parked",
-                self.rank,
-                proto._park_generation,
-                self.sess.ctrl_sent,
-                self.sess.ctrl_received,
-            )
-        )
-
     # -- message handling ---------------------------------------------- #
 
     def _handle(self, msg: tuple) -> None:
@@ -178,7 +161,7 @@ class _FinishedRankProxy:
         if kind == "intent":
             self.active = True
             sess.protocol.ckpt_id = msg[1]
-            self._report_parked()
+            sess.protocol.report_parked()
         elif kind == "targets":
             self._check_targets(msg[1])
         elif kind == "target_update":
@@ -188,25 +171,25 @@ class _FinishedRankProxy:
             sess.ctrl_received += 1
             self._check_targets({msg[1]: msg[2]})
             if self.active:
-                self._report_parked()
+                sess.protocol.report_parked()
         elif kind == "confirm?":
             if self.active:
-                self._send(
+                sess.to_coordinator(
                     ("confirm", self.rank, True, sess.ctrl_sent, sess.ctrl_received)
                 )
         elif kind == "commit":
             self._commit()
         elif kind == "drain_p2p":
             self._verify_drained(msg[1])
-            self._send(("p2p_done", self.rank, sess.declared_bytes))
+            sess.to_coordinator(("p2p_done", self.rank, sess.declared_bytes))
         elif kind == "snapshot":
             image = sess.build_image()
             image.stats["drained_nbc"] = 0
             image.stats["drained_p2p"] = 0
             # The live-rank timing: image written after the modelled
             # storage delay, then one control latency back.
-            self.sim.call_after(
-                msg[1], lambda: self._send(("written", self.rank, image))
+            sess.sim.call_after(
+                msg[1], lambda: sess.to_coordinator(("written", self.rank, image))
             )
         elif kind == "resume":
             self.active = False
@@ -241,7 +224,7 @@ class _FinishedRankProxy:
                 f"finished rank {self.rank}: exited with incomplete "
                 f"non-blocking collectives {dangling!r}"
             )
-        self._send(("nbc_done", self.rank, dict(sess.sent_to)))
+        sess.to_coordinator(("nbc_done", self.rank, dict(sess.sent_to)))
 
     def _verify_drained(self, expected: dict[tuple, int]) -> None:
         """A finished rank drained everything by running to completion:
@@ -326,6 +309,12 @@ class CheckpointCoordinator:
     def state(self) -> str:
         return self._state
 
+    @property
+    def _control_latency(self) -> float:
+        """The job's control-plane latency: every session shares one
+        ``world.overheads``."""
+        return next(iter(self.sessions.values())).overheads.control_latency
+
     def _send_to_rank(self, rank: int, msg: tuple) -> None:
         sess = self.sessions[rank]
         latency = sess.overheads.control_latency
@@ -339,14 +328,6 @@ class CheckpointCoordinator:
     def _broadcast(self, msg: tuple) -> None:
         self._broadcast_each({rank: msg for rank in self.sessions})
 
-    def _broadcast_unbatched(self, msgs: "dict[int, tuple]") -> None:
-        """Reference fan-out: one ``defer`` + one interrupt timer per
-        rank.  Kept as the differential baseline the batched path is
-        pinned against (``tests/mana/test_broadcast_batching.py``) and
-        as the fallback for degenerate latency configurations."""
-        for rank, msg in msgs.items():
-            self._send_to_rank(rank, msg)
-
     def _broadcast_each(self, msgs: "dict[int, tuple]") -> None:
         """Deliver a per-rank message map as ONE batched queue entry.
 
@@ -358,17 +339,18 @@ class CheckpointCoordinator:
         preserves the global dispatch order exactly.  The entry counts
         as one logical event per delivery (plus one per interrupt
         nudge), keeping event counts — and determinism fingerprints —
-        byte-identical to the unbatched schedule.
+        byte-identical to the per-rank schedule of :meth:`_send_to_rank`.
         """
-        sessions = self.sessions
-        latencies = {sessions[rank].overheads.control_latency for rank in msgs}
-        if len(latencies) != 1 or next(iter(latencies)) <= 0.0:
-            # Zero latency delivers synchronously inside put() (no queue
-            # entry at all), and mixed latencies have no single batch
-            # instant: both take the reference path.
-            self._broadcast_unbatched(msgs)
+        if not msgs:
+            return  # no ranks attached
+        latency = self._control_latency
+        if latency <= 0.0:
+            # Zero latency delivers synchronously inside put(): no queue
+            # entry to batch.
+            for rank, msg in msgs.items():
+                self._send_to_rank(rank, msg)
             return
-        latency = latencies.pop()
+        sessions = self.sessions
         plan: list[tuple[int, tuple, bool]] = []
         count = 0
         for rank, msg in msgs.items():
@@ -535,8 +517,9 @@ class CheckpointCoordinator:
             # the abort below reach parked survivors first, keeping the
             # round's teardown observable.
             self._teardown_scheduled = True
-            latency = next(iter(self.sessions.values())).overheads.control_latency
-            self.sim.call_after(max(latency, 1e-9) * 8, self._teardown_job)
+            self.sim.call_after(
+                max(self._control_latency, 1e-9) * 8, self._teardown_job
+            )
         if self._state != "idle":
             reclaimed = sum(
                 rank not in reported
@@ -599,8 +582,7 @@ class CheckpointCoordinator:
         if self._deferred_requests > 0:
             self._deferred_requests -= 1
             # Give ranks one control latency to process the round's end.
-            latency = next(iter(self.sessions.values())).overheads.control_latency
-            self.sim.call_after(latency * 2, self.request_checkpoint)
+            self.sim.call_after(self._control_latency * 2, self.request_checkpoint)
 
     # -- phase 1 (CC): Algorithm 1 ---------------------------------------- #
 

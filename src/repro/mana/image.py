@@ -1,11 +1,20 @@
 """Checkpoint images: the per-rank record and the one on-disk format.
 
-One :class:`CheckpointImage` per rank, mirroring MANA: the image contains
-only upper-half state (application state + wrapper bookkeeping), and it
-*is* bytes from the moment it is cut.  :meth:`CheckpointImage.seal`
-pickles the rank's heavy half — application state, the replayable call
-log, drained messages, the request table, a finished rank's result —
-into ``payload`` exactly once; :meth:`CheckpointImage.load` is the one
+MANA's central design (paper Section 2.2, Figure 1) splits each rank in
+two.  The MPI application plus the wrapper state form the *upper half*,
+saved at checkpoint; the MPI library and network state (here: the
+simulator, the simulated ``World``, its communicators, matching engines
+and live requests) form the *lower half*, discarded at checkpoint and
+re-created at restart by replaying the communicator-creation log
+(:meth:`repro.mana.session.Session.rebuild_lower`).  The image *is* the
+upper half: whatever :meth:`repro.mana.session.Session.build_image`
+cuts, and nothing else.
+
+There is one :class:`CheckpointImage` per rank, and it *is* bytes from
+the moment it is cut.  :meth:`CheckpointImage.seal` pickles the rank's
+heavy half — application state, the replayable call log, drained
+messages, the request table, a finished rank's result — into
+``payload`` exactly once; :meth:`CheckpointImage.load` is the one
 matching unpickle, at restore.  Everything in between (the coordinator's
 record, a pool hop, the archive) moves those bytes and reads
 only the small plain attributes beside them.  Nothing from the lower half

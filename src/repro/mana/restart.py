@@ -11,8 +11,6 @@ committed through rank completion.  Such ranks restart as finished:
 they rebuild their lower half (communicator creation is collective, so
 surviving peers need them in the replayed allgathers) and then report
 their restored terminal result without re-entering the application.
-:func:`finished_ranks` and :func:`set_is_terminal` classify a set so
-callers can tell a mid-run snapshot from a terminal one.
 """
 
 from __future__ import annotations
@@ -22,27 +20,7 @@ from pathlib import Path
 from ..util.osenv import atomic_write
 from .image import CheckpointImage, ImageError, pack_image_set, unpack_image_set
 
-__all__ = [
-    "save_checkpoint_set",
-    "load_checkpoint_set",
-    "finished_ranks",
-    "set_is_terminal",
-]
-
-
-def finished_ranks(images: "dict[int, CheckpointImage]") -> set[int]:
-    """Ranks whose application had already returned at the cut."""
-    return {rank for rank, image in images.items() if image.finished}
-
-
-def set_is_terminal(images: "dict[int, CheckpointImage]") -> bool:
-    """True when *every* rank was finished at the cut.
-
-    Restarting a terminal set reconstructs the completed job's results
-    without simulating a single application step — the degenerate (and
-    cheapest) case of checkpointing through rank completion.
-    """
-    return bool(images) and all(image.finished for image in images.values())
+__all__ = ["save_checkpoint_set", "load_checkpoint_set"]
 
 
 def save_checkpoint_set(

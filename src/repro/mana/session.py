@@ -29,7 +29,7 @@ from typing import Any, Callable, Sequence, TYPE_CHECKING
 from ..core import PROTOCOLS, GgidRegistry, SeqNumTable, drain_nonblocking_requests
 from ..core.protocol import ProtocolError, RoundAborted
 from ..des import INTERRUPTED, Mailbox
-from ..simmpi import ANY_SOURCE, ANY_TAG, Communicator, payload_nbytes
+from ..simmpi import ANY_SOURCE, ANY_TAG, Communicator, Group, Status, payload_nbytes
 from .image import CheckpointImage
 from .vcomm import VirtualComm, VirtualRequest
 
@@ -134,7 +134,7 @@ class Session:
         self.checkpoints_taken = 0
 
         # COMM_WORLD is vcid 0, never in the creation log.
-        self._register_comm(world.comm_world)
+        self._assign_handles(world.comm_world)
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -287,21 +287,16 @@ class Session:
                 break
             res = self.sim.sleep(left, interruptible=interruptible)
             if res is INTERRUPTED:
+                # The DMTCP-signal analog: absorb control messages (e.g.
+                # send the SEQ report) without stopping — the rank parks
+                # only at its next collective wrapper, as in the paper's
+                # algorithm (see ``RankProtocol.at_safe_point``).
                 self._in_compute_remaining = max(end - self.sim.now(), 0.0)
-                self._handle_compute_interrupt()
+                self.protocol.absorb_control()
                 self._in_compute_remaining = 0.0
             else:
                 break
         self._record(_COMPUTE, None)
-
-    def _handle_compute_interrupt(self) -> None:
-        """Absorb control messages mid-compute (the DMTCP-signal analog).
-
-        The rank reacts to the intent (sending its SEQ report) without
-        stopping: it parks only at its next collective wrapper, matching
-        the paper's algorithm (see ``RankProtocol.at_safe_point``).
-        """
-        self.protocol.absorb_control()
 
     # ------------------------------------------------------------------ #
     # Collectives
@@ -440,15 +435,11 @@ class Session:
         if self.replaying:
             return self._replay_next(_VALUE, "iprobe")
         self._wrapper_cost()
-        ckey = self._ckey_of_vcid[vcid]
-        for rec in self.drain_buffer:
-            if rec[0] == ckey and _match(rec[1], rec[2], source, tag):
-                from ..simmpi import Status
-
-                status = Status(source=rec[1], tag=rec[2], nbytes=rec[4])
-                self._record(_VALUE, status, "iprobe")
-                return status
-        status = self.lower_comm(vcid).iprobe(source=source, tag=tag)
+        rec = self._buffer_take(vcid, source, tag, peek=True)
+        if rec is not None:
+            status = Status(source=rec[1], tag=rec[2], nbytes=rec[4])
+        else:
+            status = self.lower_comm(vcid).iprobe(source=source, tag=tag)
         self._record(_VALUE, status, "iprobe")
         return status
 
@@ -572,10 +563,15 @@ class Session:
 
     # -- drain-buffer helpers ------------------------------------------------ #
 
-    def _buffer_take(self, vcid: int, source: int, tag: int):
+    def _buffer_take(self, vcid: int, source: int, tag: int, *, peek: bool = False):
+        """The first drained record on ``vcid`` matching ``source`` and
+        ``tag``: taken out of the buffer (and counted consumed) unless
+        ``peek``."""
         ckey = self._ckey_of_vcid[vcid]
         for i, rec in enumerate(self.drain_buffer):
             if rec[0] == ckey and _match(rec[1], rec[2], source, tag):
+                if peek:
+                    return rec
                 self.drain_consumed += 1
                 return self.drain_buffer.pop(i)
         return None
@@ -589,21 +585,32 @@ class Session:
     # Communicator management
     # ------------------------------------------------------------------ #
 
-    def _register_comm(self, comm: Communicator) -> VirtualComm:
-        vcid = self._assign_handles(comm)
-        ggid = comm.ggid
-        self.seq.ensure_group(ggid)
-        return VirtualComm(vcid)
-
     def _assign_handles(self, comm: Communicator) -> int:
+        """Register a lower-half communicator: its vcid, its ckey and its
+        group (a restored SEQ table already holds every group)."""
         vcid = self._next_vcid
         self._next_vcid += 1
         self._vcomms[vcid] = comm
         ggid = self.ggids.register(comm.group.world_ranks)
+        self.seq.ensure_group(ggid)
         ordinal = self._ggid_ordinal.get(ggid, 0)
         self._ggid_ordinal[ggid] = ordinal + 1
         self._ckey_of_vcid[vcid] = (ggid, ordinal)
         return vcid
+
+    def _execute_creation(self, entry: tuple) -> "Communicator | None":
+        """Execute one creation-log entry against this rank's world and
+        return the new lower-half communicator (``None`` for a split
+        this rank is not in).  The live wrappers and
+        :meth:`rebuild_lower` both create communicators through here."""
+        op, parent = entry[0], self.lower_comm(entry[1])
+        if op == "split":
+            return self.world.comm_split(parent, entry[2], entry[3])
+        if op == "dup":
+            return self.world.comm_dup(parent)
+        if op == "create_group":
+            return self.world.comm_create_group(parent, Group(entry[2]))
+        raise ProtocolError(f"unknown creation-log entry {entry!r}")
 
     def comm_split(self, vcid: int, color: "int | None", key: int | None):
         """MPI_Comm_split, protocol-wrapped.
@@ -614,69 +621,49 @@ class Session:
         otherwise a checkpoint's cut could split a creation operation
         (some members inside, some parked), which deadlocks the drain.
         """
-        if self.replaying:
-            payload = self._replay_next(_COMM, "split")
-            return None if payload is None else VirtualComm(payload)
-        comm = self.lower_comm(vcid)
-
-        def execute():
-            new = self.world.comm_split(comm, color, key)
-            self.creation_log.append(("split", vcid, color, key))
-            if new is None:
-                self._record(_COMM, None, "split")
-                return None
-            vcomm = self._register_comm(new)
-            self.protocol.on_comm_created(new)
-            self._record(_COMM, vcomm.vcid, "split")
-            return vcomm
-
-        return self.protocol.on_blocking_collective(
-            comm.ggid, comm.group.world_ranks, execute
-        )
+        return self._create_comm(("split", vcid, color, key))
 
     def comm_dup(self, vcid: int) -> VirtualComm:
         """MPI_Comm_dup, protocol-wrapped (see :meth:`comm_split`)."""
-        if self.replaying:
-            return VirtualComm(self._replay_next(_COMM, "dup"))
-        comm = self.lower_comm(vcid)
-
-        def execute():
-            new = self.world.comm_dup(comm)
-            self.creation_log.append(("dup", vcid))
-            vcomm = self._register_comm(new)
-            self.protocol.on_comm_created(new)
-            self._record(_COMM, vcomm.vcid, "dup")
-            return vcomm
-
-        return self.protocol.on_blocking_collective(
-            comm.ggid, comm.group.world_ranks, execute
-        )
+        return self._create_comm(("dup", vcid))
 
     def comm_create_group(self, vcid: int, world_ranks: tuple[int, ...]) -> VirtualComm:
         """MPI_Comm_create_group, protocol-wrapped over the *new* group."""
+        return self._create_comm(("create_group", vcid, tuple(world_ranks)))
+
+    def _create_comm(self, entry: tuple) -> "VirtualComm | None":
+        """The creation wrappers' one body: replay the result, or execute
+        ``entry`` inside the protocol's collective wrapper, then log it
+        and register the new communicator."""
+        op = entry[0]
         if self.replaying:
-            return VirtualComm(self._replay_next(_COMM, "create_group"))
-        comm = self.lower_comm(vcid)
-        from ..simmpi import Group
+            payload = self._replay_next(_COMM, op)
+            return None if payload is None else VirtualComm(payload)
+        if op == "create_group":
+            # Only the new group's members call it: wrap it on that group.
+            members = Group(entry[2]).world_ranks
+            ggid = self.ggids.register(members)
+            self.seq.ensure_group(ggid)
+        else:
+            parent = self.lower_comm(entry[1])
+            ggid, members = parent.ggid, parent.group.world_ranks
 
-        group = Group(world_ranks)
-        new_ggid = self.ggids.register(group.world_ranks)
-        self.seq.ensure_group(new_ggid)
+        def execute() -> "VirtualComm | None":
+            new = self._execute_creation(entry)
+            self.creation_log.append(entry)
+            vcid = None
+            if new is not None:
+                vcid = self._assign_handles(new)
+                # No shadow for create_group comms: 2PC's first barrier
+                # on one would need the shadow before the comm exists, so
+                # it skips phase 1 for them (MANA 2019 did not support
+                # comm_create_group at all).
+                if op != "create_group":
+                    self.protocol.on_comm_created(new)
+            self._record(_COMM, vcid, op)
+            return None if vcid is None else VirtualComm(vcid)
 
-        def execute():
-            new = self.world.comm_create_group(comm, group)
-            self.creation_log.append(("create_group", vcid, tuple(world_ranks)))
-            vcomm = self._register_comm(new)
-            # No on_comm_created: 2PC has no shadow for create_group
-            # comms (their first barrier would need the shadow before
-            # the comm exists) and skips phase 1 for them, as MANA 2019
-            # did not support comm_create_group at all.
-            self._record(_COMM, vcomm.vcid, "create_group")
-            return vcomm
-
-        return self.protocol.on_blocking_collective(
-            new_ggid, group.world_ranks, execute
-        )
+        return self.protocol.on_blocking_collective(ggid, members, execute)
 
     # ------------------------------------------------------------------ #
     # Commit participation (coordinator-driven)
@@ -863,13 +850,9 @@ class Session:
         """Stage A of restart: restore upper-half state (no communication).
 
         Call :meth:`rebuild_lower` from inside the rank's process before
-        resuming the application.
+        resuming the application.  The set the image belongs to is
+        validated by the runner (:func:`repro.harness.runner.launch_run`).
         """
-        if image.nprocs != world.nprocs:
-            raise ProtocolError(
-                f"image for {image.nprocs} ranks cannot restart on "
-                f"{world.nprocs} ranks"
-            )
         # The one unpickle: fresh objects the restarted run may mutate.
         # The image itself is left intact, so a borrowed set may be
         # restarted again (e.g. after a failed first attempt); a runner
@@ -909,22 +892,9 @@ class Session:
         half.  Must run inside this rank's simulated process.
         """
         for entry in self.creation_log:
-            op = entry[0]
-            parent = self.lower_comm(entry[1])
-            if op == "split":
-                new = self.world.comm_split(parent, entry[2], entry[3])
-                if new is not None:
-                    self._assign_handles(new)
-            elif op == "dup":
-                self._assign_handles(self.world.comm_dup(parent))
-            elif op == "create_group":
-                from ..simmpi import Group
-
-                self._assign_handles(
-                    self.world.comm_create_group(parent, Group(entry[2]))
-                )
-            else:  # pragma: no cover - log is produced by this class
-                raise ProtocolError(f"unknown creation-log entry {entry!r}")
+            new = self._execute_creation(entry)
+            if new is not None:
+                self._assign_handles(new)
         # Re-post receives that were pending at the cut.
         for vrid in sorted(self._pending_recv_ids):
             self._post_recv(self._vreqs[vrid])

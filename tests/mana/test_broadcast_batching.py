@@ -6,8 +6,8 @@ drain_p2p / snapshot / resume) now enters the event queue as ONE
 delivery (plus one per interrupt nudge).  Three pins:
 
 * **differential** — the batched path must produce results
-  byte-identical to the retained per-rank reference fan-out
-  (``_broadcast_unbatched``), including ``sim_events`` and every
+  byte-identical to a per-rank reference fan-out
+  (:func:`_broadcast_unbatched`), including ``sim_events`` and every
   checkpoint-phase timestamp;
 * **fingerprint** — absolute event counts for fixed checkpointed
   scenarios are pinned, so an accidental change to the event accounting
@@ -31,6 +31,13 @@ STORAGE = StorageModel(base_latency=1e-4)
 #: coordinator; byte-identical to the per-rank fan-out by construction
 #: (the differential test below proves it on every run).
 EXPECTED_EVENTS = {"cc": 15307, "2pc": 22395}
+
+
+def _broadcast_unbatched(coord, msgs):
+    """Reference fan-out: one ``defer`` + one interrupt timer per rank
+    (patched over ``CheckpointCoordinator._broadcast_each``)."""
+    for rank, msg in msgs.items():
+        coord._send_to_rank(rank, msg)
 
 
 def _checkpointed_run(protocol):
@@ -66,9 +73,7 @@ def test_batched_broadcast_matches_unbatched_reference(protocol, monkeypatch):
     assert batched.sim_events == EXPECTED_EVENTS[protocol]
 
     monkeypatch.setattr(
-        CheckpointCoordinator,
-        "_broadcast_each",
-        CheckpointCoordinator._broadcast_unbatched,
+        CheckpointCoordinator, "_broadcast_each", _broadcast_unbatched
     )
     reference = _checkpointed_run(protocol)
     # Byte-identical: every measurement, every phase timestamp, every
@@ -83,9 +88,7 @@ def test_batched_broadcast_matches_reference_through_rank_completion(monkeypatch
     assert [c.committed for c in batched.checkpoints] == [True]
 
     monkeypatch.setattr(
-        CheckpointCoordinator,
-        "_broadcast_each",
-        CheckpointCoordinator._broadcast_unbatched,
+        CheckpointCoordinator, "_broadcast_each", _broadcast_unbatched
     )
     reference = _completion_race_run()
     assert run_result_to_dict(batched) == run_result_to_dict(reference)

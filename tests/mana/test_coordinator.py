@@ -226,8 +226,6 @@ class TestCheckpointThroughCompletion:
         assert all(c.images[0].finished for c in r.checkpoints)
 
     def test_request_after_all_finished_commits_terminal_set(self):
-        from repro.mana import set_is_terminal
-
         base, finish = self._finish_times("cc")
         r = launch_run(
             lambda: UnevenTail(), 4, protocol="cc", seed=3,
@@ -235,7 +233,7 @@ class TestCheckpointThroughCompletion:
         )
         rec = r.checkpoints[0]
         assert rec.committed
-        assert set_is_terminal(rec.images)
+        assert rec.images and all(im.finished for im in rec.images.values())
 
     def test_abort_round_still_releases_parked_ranks(self):
         """The abort path is no longer reached by the state machine but
