@@ -24,7 +24,7 @@ accumulation).  All bundled mini-apps follow this.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, TYPE_CHECKING
+from typing import Any, TYPE_CHECKING
 
 from ..core import PROTOCOLS, GgidRegistry, SeqNumTable, drain_nonblocking_requests
 from ..core.protocol import ProtocolError, RoundAborted
