@@ -84,9 +84,9 @@ class TwoPhaseCommitProtocol(RankProtocol):
             self.park_until_resume()
         # Phase 1: the trivial barrier, an Ibarrier on the group's shadow
         # communicator (so protocol traffic never perturbs the
-        # application's collective matching).  None for groups that
-        # cannot have a shadow — create_group comms — a documented
-        # limitation carried over from MANA 2019.
+        # application's collective matching).  None only while a
+        # create_group call builds its own group's first communicator:
+        # the shadow cannot exist before that comm does.
         shadow = self._shadow.get(ggid)
         barrier_req = None if shadow is None else shadow.ibarrier()
         gap = sess.overheads.ibarrier_poll_gap

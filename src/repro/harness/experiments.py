@@ -7,15 +7,20 @@ Scale knobs default to laptop-friendly sizes; pass larger ``procs``
 lists to approach the paper's 128-2048 range.
 
 Architecture: each figure is a *planner* (``plan_fig7`` etc., listed in
-:data:`PLANNERS`) that builds the declarative :class:`RunSpec` list for
-every cell and returns it with a *fold* that turns the engine's
-``{spec: RunResult}`` map back into the rendered table.  A planner is
-the one place a figure's knobs are declared: ``repro-mpi <figure>``
-offers exactly the flags its signature names.  :func:`run_plans`
-submits *several figures as one batch* (run one figure with
-``run_plans([PLANNERS[name](...)])[0]``), which is how ``repro-mpi all``
-dedupes the native baselines shared by Table 1, Figure 7, and Figure 8,
-and how Figure 9's probe/checkpoint/restart chains each simulate once.
+:data:`PLANNERS`) that declares its cell grid as one
+:class:`~repro.harness.sweep.Sweep` (the figure's axes x protocol x
+repetition; the paper's omitted cells are a mask) and returns the
+grid's :class:`RunSpec` list with a figure-specific *fold* that turns
+the engine's ``{spec: RunResult}`` map back into the rendered table.
+Table 1 is the one hand-written grid: its OSU row alone carries
+``kind``/``nbytes`` kwargs, which a Sweep could only give that row by
+special-casing it.  A planner is the one place a figure's knobs are
+declared: ``repro-mpi <figure>`` offers exactly the flags its signature
+names.  :func:`run_plans` submits *several figures as one batch* (run
+one figure with ``run_plans([PLANNERS[name](...)])[0]``), which is how
+``repro-mpi all`` dedupes the native baselines shared by Table 1,
+Figure 7, and Figure 8, and how Figure 9's probe/checkpoint/restart
+chains each simulate once.
 
 The expected *shapes* (who wins, where NA appears, where the dip is)
 are stated in each planner's docstring and asserted by ``tests/paper/``.
@@ -32,7 +37,7 @@ from ..util.records import Series, format_series_table, format_table
 from ..util.stats import mean, overhead_pct
 from .engine import ExperimentEngine
 from .runner import RunResult
-from .spec import RunSpec
+from .spec import RunSpec, SpecError
 from .sweep import MASKS, Sweep, mask_paper_memory_limit
 
 __all__ = [
@@ -132,7 +137,7 @@ def run_plans(
 
 
 # --------------------------------------------------------------------- #
-# Protocol-sweep cells (the shape `_run_protocols` used to run inline)
+# Protocol grids: a figure's axes x protocol x repetition
 # --------------------------------------------------------------------- #
 
 # The protocol columns are ``PROTOCOLS`` in registry order: "native" is
@@ -162,57 +167,61 @@ def _overheads(
     ]
 
 
-def _protocol_cell(
-    app: str,
-    app_kwargs: Mapping[str, Any],
-    nprocs: int,
+def _two_nodes(point: Mapping[str, Any]) -> int:
+    """Ranks per node that spread a cell over two nodes (one if it has
+    a single rank)."""
+    return max(point["nprocs"] // 2, 1)
+
+
+def _figure_sweep(
+    name: str,
+    axes: Mapping[str, Sequence[Any]],
+    base: Mapping[str, Any],
     *,
     protocols: Iterable[str] = PROTOCOLS,
-    ppn: int | None = None,
-    seed: int = 0,
     repeats: int = 1,
-) -> dict[str, list[RunSpec]]:
-    """Specs for one app under several protocols (by default every
-    registered one, read at call time): {proto: [spec per rep]}."""
-    return {
-        proto: [
-            RunSpec.create(
-                app,
-                nprocs,
-                app_kwargs=app_kwargs,
-                protocol=proto,
-                ppn=ppn,
-                seed=seed + rep,
-            )
-            for rep in range(repeats)
-        ]
-        for proto in protocols
-    }
+    derive: Mapping[str, Callable[[dict], Any]] | None = None,
+    mask: Callable | None = None,
+    meta: Sequence[str] = (),
+) -> Sweep:
+    """A figure's grid: ``axes`` x protocol (by default every registered
+    one, read at call time) x ``rep``, where repetition ``rep`` runs with
+    seed ``seed + rep``."""
+    sweep = Sweep(
+        name,
+        axes={**axes, "protocol": tuple(protocols), "rep": tuple(range(repeats))},
+        base=base,
+        derive={**(derive or {}), "seed": lambda p: p["seed"] + p["rep"]},
+        mask=mask,
+        meta=("rep", *meta),
+    )
+    # A point the spec layer rejects is a bad planner argument, not a
+    # cell the paper omits: fail before anything is simulated.
+    for cell in sweep.cells():
+        if cell.spec is None and not (mask and mask(dict(cell.point))):
+            raise SpecError(cell.na_reason)
+    return sweep
 
 
-def _cell_specs(cell: dict[str, list[RunSpec]]) -> list[RunSpec]:
-    return [spec for specs in cell.values() for spec in specs]
-
-
-def _fold_cell(
-    results: Mapping[RunSpec, RunResult], cell: dict[str, list[RunSpec]]
-) -> tuple[dict[str, float | None], dict[str, str]]:
-    """Per-protocol mean runtimes; NA protocols map to None with the reason.
-
-    This replaces the old inline ``_run_protocols``: instead of letting
-    an :class:`UnsupportedOperationError` unwind the whole sweep, the
-    engine records the refusal per cell and the fold surfaces *why* the
-    cell is NA alongside the None.
-    """
-    times: dict[str, float | None] = {}
-    reasons: dict[str, str] = {}
-    for proto, specs in cell.items():
-        runs = [results[spec] for spec in specs]
-        refused = [run.na_reason for run in runs if run.na_reason]
-        if refused:
-            reasons[proto] = refused[0]
-        times[proto] = None if refused else mean([run.runtime for run in runs])
-    return times, reasons
+def _protocol_groups(sweep: Sweep, results: Mapping[RunSpec, RunResult]):
+    """Per group of a figure grid: its key (every axis but protocol and
+    rep), each protocol's mean runtime over the repetitions (None where
+    the engine recorded a refusal), and the refusal reasons.  Groups a
+    mask left without jobs are skipped: the paper omits them."""
+    for key, cells in sweep.groups("protocol", "rep").items():
+        if cells[0].spec is None:
+            continue
+        runs: dict[str, list[RunResult]] = {}
+        for cell in cells:
+            runs.setdefault(cell.values["protocol"], []).append(results[cell.spec])
+        times: dict[str, float | None] = {}
+        reasons: dict[str, str] = {}
+        for proto, group in runs.items():
+            refused = [run.na_reason for run in group if run.na_reason]
+            if refused:
+                reasons[proto] = refused[0]
+            times[proto] = None if refused else mean([run.runtime for run in group])
+        yield key, times, reasons
 
 
 def _note_na(
@@ -230,21 +239,14 @@ def _osu_figure(
     """Figure 5's OSU grid — one cell per kind x size x procs under every
     protocol, minus the cells the paper's memory limit omits — folded to
     each checkpointing protocol's overhead % vs native."""
-    cells = []
-    for kind in kinds:
-        for size in sizes:
-            for p in procs:
-                if _memory_limited(kind, size, p):
-                    continue
-                cell = _protocol_cell(
-                    "osu",
-                    {"niters": iters, "kind": kind, "nbytes": size, "blocking": blocking},
-                    p,
-                    ppn=max(p // 2, 1),
-                    seed=seed,
-                    repeats=repeats,
-                )
-                cells.append((kind, size, p, cell))
+    sweep = _figure_sweep(
+        name,
+        {"kind": tuple(kinds), "nbytes": tuple(sizes), "nprocs": tuple(procs)},
+        {"app": "osu", "niters": iters, "blocking": blocking, "seed": seed},
+        repeats=repeats,
+        derive={"ppn": _two_nodes},
+        mask=mask_paper_memory_limit,
+    )
     protos = _checkpointing()
     prefix = "" if blocking else "i"
     # The paper's central claim for Figure 5b: 2PC *must* reject
@@ -262,8 +264,7 @@ def _osu_figure(
             headers=["benchmark", "msg", "procs", *_pct_headers(protos)],
             notes=notes,
         )
-        for kind, size, p, cell in cells:
-            times, reasons = _fold_cell(results, cell)
+        for (kind, size, p), times, reasons in _protocol_groups(sweep, results):
             for q in refusing:
                 if times[q] is not None:
                     raise RuntimeError(
@@ -279,9 +280,7 @@ def _osu_figure(
             _note_na(result, f"{prefix}{kind}/{_fmt_size(size)}/{p}", reasons)
         return result
 
-    return FigurePlan(
-        name, [s for _, _, _, cell in cells for s in _cell_specs(cell)], fold
-    )
+    return FigurePlan(name, sweep.specs(), fold)
 
 
 # --------------------------------------------------------------------- #
@@ -404,19 +403,13 @@ def plan_fig6(
     """
     # Only the protocols that can wrap a non-blocking collective overlap.
     protos = [q for q, (cls, _) in PROTOCOLS.items() if cls.supports_nonblocking]
-    cells = []
-    for kind in kinds:
-        for size in sizes:
-            for p in procs:
-                cell = _protocol_cell(
-                    "osu_overlap",
-                    {"niters": iters, "kind": kind, "nbytes": size},
-                    p,
-                    protocols=protos,
-                    ppn=max(p // 2, 1),
-                    seed=seed,
-                )
-                cells.append((kind, size, p, cell))
+    sweep = _figure_sweep(
+        "fig6",
+        {"kind": tuple(kinds), "nbytes": tuple(sizes), "nprocs": tuple(procs)},
+        {"app": "osu_overlap", "niters": iters, "seed": seed},
+        protocols=protos,
+        derive={"ppn": _two_nodes},
+    )
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         result = ExperimentResult(
@@ -424,19 +417,17 @@ def plan_fig6(
             title="Figure 6: overlap %% of non-blocking collectives (native vs CC)",
             headers=["benchmark", "msg", "procs", *_pct_headers(protos)],
         )
-        for kind, size, p, cell in cells:
+        for (kind, size, p), cells in sweep.groups("protocol", "rep").items():
             overlaps = [
-                mean([x["overlap_pct"] for x in results[specs[0]].per_rank])
-                for specs in cell.values()
+                mean([x["overlap_pct"] for x in results[cell.spec].per_rank])
+                for cell in cells
             ]
             result.rows.append(
                 [f"i{kind}", _fmt_size(size), p, *(f"{v:.1f}" for v in overlaps)]
             )
         return result
 
-    return FigurePlan(
-        "fig6", [s for _, _, _, cell in cells for s in _cell_specs(cell)], fold
-    )
+    return FigurePlan("fig6", sweep.specs(), fold)
 
 
 # --------------------------------------------------------------------- #
@@ -452,28 +443,14 @@ def plan_fig7(
     CC well below it; SW4/CoMD/LAMMPS are ~0 % under both; Poisson runs
     under CC and is NA under 2PC.
     """
-    configs = [
-        ("minivasp", {"niters": 12}),
-        ("sw4", {"niters": 10}),
-        ("comd", {"niters": 30}),
-        ("lammps", {"niters": 40}),
-        ("poisson", {"niters": 20}),
-    ]
-    cells = [
-        (
-            label,
-            _protocol_cell(
-                label,
-                kwargs,
-                nprocs,
-                ppn=ppn,
-                seed=seed,
-                repeats=repeats,
-            ),
-        )
-        for label, kwargs in configs
-    ]
-
+    niters = {"minivasp": 12, "sw4": 10, "comd": 30, "lammps": 40, "poisson": 20}
+    sweep = _figure_sweep(
+        "fig7",
+        {"app": tuple(niters)},
+        {"nprocs": nprocs, "ppn": ppn, "seed": seed},
+        repeats=repeats,
+        derive={"niters": lambda p: niters[p["app"]]},
+    )
     protos = _checkpointing()
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
@@ -485,19 +462,16 @@ def plan_fig7(
             ],
             notes="(Poisson uses non-blocking collectives: supported by CC, not by 2PC.)",
         )
-        for label, cell in cells:
-            times, reasons = _fold_cell(results, cell)
+        for (app,), times, reasons in _protocol_groups(sweep, results):
             base = times["native"]
-            row = [label, f"{base:.4f}"]
+            row = [app, f"{base:.4f}"]
             row += ["NA" if times[q] is None else f"{times[q]:.4f}" for q in protos]
             row += _overheads(times, base, protos)
             result.rows.append(row)
-            _note_na(result, label, reasons)
+            _note_na(result, app, reasons)
         return result
 
-    return FigurePlan(
-        "fig7", [s for _, cell in cells for s in _cell_specs(cell)], fold
-    )
+    return FigurePlan("fig7", sweep.specs(), fold)
 
 
 # --------------------------------------------------------------------- #
@@ -520,21 +494,12 @@ def plan_fig8(
     raising the base communication cost and producing the paper's dip
     in *relative* overhead at two nodes.
     """
-    cells = [
-        (
-            p,
-            _protocol_cell(
-                "minivasp",
-                {"niters": niters},
-                p,
-                ppn=ppn,
-                seed=seed,
-                repeats=repeats,
-            ),
-        )
-        for p in procs
-    ]
-
+    sweep = _figure_sweep(
+        "fig8",
+        {"nprocs": tuple(procs)},
+        {"app": "minivasp", "niters": niters, "ppn": ppn, "seed": seed},
+        repeats=repeats,
+    )
     protos = _checkpointing()
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
@@ -545,17 +510,14 @@ def plan_fig8(
             series=list(series.values()),
             x_label="procs",
         )
-        for p, cell in cells:
-            times, reasons = _fold_cell(results, cell)
+        for (p,), times, reasons in _protocol_groups(sweep, results):
             base = times["native"]
             for q, s in series.items():
                 s.add(p, overhead_pct(times[q], base))
             _note_na(result, f"{p}procs", reasons)
         return result
 
-    return FigurePlan(
-        "fig8", [s for _, cell in cells for s in _cell_specs(cell)], fold
-    )
+    return FigurePlan("fig8", sweep.specs(), fold)
 
 
 # --------------------------------------------------------------------- #
@@ -575,39 +537,27 @@ def plan_fig9(
     Nearly identical between the protocols (the image write dominates)
     and growing once the file system's aggregate bandwidth saturates.
     """
-    storage = StorageModel(
-        per_node_bandwidth=2.0e9, aggregate_bandwidth=6.0e9, base_latency=1.0
-    )
     protos = _checkpointing()
-    cells = []
-    for n in nodes:
-        nprocs = n * ppn
-        for proto in protos:
-            kwargs = {"niters": niters, "memory_bytes": image_bytes_per_rank}
-            # Checkpoint mid-run: the fraction schedule makes the probe
-            # an explicit dependent phase the engine can dedupe/cache
-            # (it used to be an inline throwaway run).
-            ckpt = RunSpec.create(
-                "minivasp",
-                nprocs,
-                app_kwargs=kwargs,
-                protocol=proto,
-                ppn=ppn,
-                seed=seed,
-                checkpoint_fractions=(0.5,),
-                storage=storage,
-            )
-            restart = RunSpec.create(
-                "minivasp",
-                nprocs,
-                app_kwargs=kwargs,
-                protocol=proto,
-                ppn=ppn,
-                seed=seed,
-                storage=storage,
-                restart_of=ckpt,
-            )
-            cells.append((n, proto, ckpt, restart))
+    # Every cell restarts from a checkpoint its parent spec takes mid-run.
+    sweep = _figure_sweep(
+        "fig9",
+        {"nodes": tuple(nodes)},
+        {
+            "app": "minivasp",
+            "niters": niters,
+            "memory_bytes": image_bytes_per_rank,
+            "ppn": ppn,
+            "seed": seed,
+            "checkpoint_fractions": 0.5,
+            "restart": True,
+            "storage": StorageModel(
+                per_node_bandwidth=2.0e9, aggregate_bandwidth=6.0e9, base_latency=1.0
+            ),
+        },
+        protocols=protos,
+        derive={"nprocs": lambda p: p["nodes"] * p["ppn"]},
+        meta=("nodes",),
+    )
 
     def fold(results: Mapping[RunSpec, RunResult]) -> ExperimentResult:
         series = {
@@ -615,15 +565,17 @@ def plan_fig9(
             for phase in ("ckpt", "restart")
             for proto in protos
         }
-        for n, proto, ckpt, restart in cells:
-            committed = [c for c in results[ckpt].checkpoints if c.committed]
+        for cell in sweep.cells():
+            n, proto = cell.values["nodes"], cell.values["protocol"]
+            ckpt = results[cell.spec.restart_of]
+            committed = [c for c in ckpt.checkpoints if c.committed]
             if not committed:
                 raise RuntimeError(
                     f"no committed checkpoint at {n} nodes ({proto}); "
                     "cannot report Figure 9 for this cell"
                 )
             series[(proto, "ckpt")].add(n, committed[0].checkpoint_time)
-            series[(proto, "restart")].add(n, results[restart].restart_ready_time)
+            series[(proto, "restart")].add(n, results[cell.spec].restart_ready_time)
         return ExperimentResult(
             name="fig9",
             title=f"Figure 9: miniVASP checkpoint/restart times ({ppn} ranks per node)",
@@ -631,9 +583,10 @@ def plan_fig9(
             x_label="nodes",
         )
 
-    return FigurePlan(
-        "fig9", [s for _, _, ckpt, restart in cells for s in (ckpt, restart)], fold
-    )
+    # The fold reads each parent's result too, so the plan lists it,
+    # ahead of its restart.
+    specs = [s for c in sweep.cells() for s in (c.spec.restart_of, c.spec)]
+    return FigurePlan("fig9", specs, fold)
 
 
 # --------------------------------------------------------------------- #
@@ -651,6 +604,13 @@ _STUDY_NITERS = {
     "osu": 80,
     "osu_overlap": 30,
 }
+
+#: Fast burst-buffer-like storage for the checkpointing studies: image
+#: writes and reads stay comparable to the (scaled-down) runs themselves,
+#: so trends read as overhead percentages rather than multiples.
+_BURST_BUFFER = StorageModel(
+    per_node_bandwidth=8.0e9, aggregate_bandwidth=2.0e10, base_latency=1e-3
+)
 
 
 def plan_scale_grid(
@@ -676,7 +636,7 @@ def plan_scale_grid(
         base={"seed": seed},
         derive={
             "niters": lambda p: _STUDY_NITERS.get(p["app"], 16),
-            "ppn": lambda p: max(p["nprocs"] // 2, 1),
+            "ppn": _two_nodes,
         },
         mask=MASKS["2pc-nonblocking"],
     )
@@ -704,12 +664,6 @@ def plan_ckpt_freq(
     derives an empty schedule, so its one baseline cell dedupes across
     the whole frequency axis) and reports runtime overhead vs native.
     """
-    # Fast burst-buffer-like storage: checkpoint pauses stay comparable
-    # to the (scaled-down) run itself, so the frequency trend reads as
-    # overhead percentages rather than multiples.
-    storage = StorageModel(
-        per_node_bandwidth=8.0e9, aggregate_bandwidth=2.0e10, base_latency=1e-3
-    )
     sweep = Sweep(
         "ckpt_freq",
         axes={"protocol": tuple(PROTOCOLS), "n_ckpts": tuple(n_ckpts)},
@@ -720,7 +674,7 @@ def plan_ckpt_freq(
             "memory_bytes": 4 << 20,
             "ppn": max(int(nprocs) // 2, 1),
             "seed": seed,
-            "storage": storage,
+            "storage": _BURST_BUFFER,
         },
         derive={
             "checkpoint_fractions": lambda p: ()
@@ -758,11 +712,6 @@ def plan_restart_chain(
     (``EngineStats.images_reused``) — this study is the cheap way to
     exercise that fast path.
     """
-    # Burst-buffer-like storage (as in ckpt_freq): image write/read
-    # stays comparable to the scaled-down run itself.
-    storage = StorageModel(
-        per_node_bandwidth=8.0e9, aggregate_bandwidth=2.0e10, base_latency=1e-3
-    )
     sweep = Sweep(
         "restart_chain",
         axes={
@@ -775,7 +724,7 @@ def plan_restart_chain(
             "ppn": max(int(nprocs) // 2, 1),
             "seed": seed,
             "checkpoint_fractions": 0.5,
-            "storage": storage,
+            "storage": _BURST_BUFFER,
             "memory_bytes": 4 << 20,
         },
         derive={"niters": lambda p: _STUDY_NITERS.get(p["app"], 16)},
@@ -796,20 +745,6 @@ STUDIES = {
     "ckpt_freq": plan_ckpt_freq,
     "restart_chain": plan_restart_chain,
 }
-
-
-def _memory_limited(kind: str, size: int, procs: int) -> bool:
-    """Cells the paper itself omits: alltoall/allgather buffers grow with
-    p^2 x message size ("do not support a message size of 1 MB over 1024
-    and 2048 processes, due to the default maximum memory limit").
-
-    The rule itself lives in the sweep mask registry so figures and
-    sweeps can never disagree about which cells the paper skips.
-    """
-    return (
-        mask_paper_memory_limit({"kind": kind, "nbytes": size, "nprocs": procs})
-        is not None
-    )
 
 
 def _fmt_size(nbytes: int) -> str:

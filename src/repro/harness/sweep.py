@@ -45,13 +45,16 @@ and expands it into a deduplicated spec batch:
 ``ExperimentEngine.run_sweep``), and :meth:`Sweep.fold` pivots the
 engine's result map back into the existing
 :class:`~repro.harness.experiments.ExperimentResult` table/series
-shapes, including per-protocol overhead-vs-baseline pivots.
+shapes, including per-protocol overhead-vs-baseline pivots.  The
+paper's figures are sweeps with folds of their own; those folds and the
+pivot share one grouping, :meth:`Sweep.groups`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from ..apps import app_uses_nonblocking
@@ -169,8 +172,10 @@ class SweepCell:
     spec: "RunSpec | None"
     na_reason: str = ""
 
-    @property
+    @cached_property
     def values(self) -> dict[str, Any]:
+        """The point as a dict, built once per cell: read it, never
+        mutate it (folds read it for every cell on every pass)."""
         return dict(self.point)
 
     def label(self) -> str:
@@ -237,6 +242,7 @@ class Sweep:
                     f"meta key {name!r} names no axis, base, or derived column"
                 )
         self._cells: tuple[SweepCell, ...] | None = None
+        self._groups: dict[tuple[str, ...], dict[tuple, list[SweepCell]]] = {}
 
     # ----------------------------------------------------------------- #
     # Expansion
@@ -327,6 +333,20 @@ class Sweep:
     # ----------------------------------------------------------------- #
     # Folding results back into tables/series
     # ----------------------------------------------------------------- #
+
+    def groups(self, *pivots: str) -> dict[tuple, list[SweepCell]]:
+        """The cells grouped by every axis except ``pivots``: each key
+        holds the other axes' values in declaration order, and groups
+        and their cells keep expansion order.  Built once per pivot set
+        (a figure folds on every pass): read it, never mutate it."""
+        if pivots not in self._groups:
+            group_axes = [a for a in self.axes if a not in pivots]
+            out: dict[tuple, list[SweepCell]] = {}
+            for cell in self.cells():
+                values = cell.values
+                out.setdefault(tuple(values[a] for a in group_axes), []).append(cell)
+            self._groups[pivots] = out
+        return self._groups[pivots]
 
     def column_names(self) -> list[str]:
         """The point columns, in display order."""
@@ -474,14 +494,10 @@ class Sweep:
         header, fn = chosen[0]
         group_axes = [a for a in self.axes if a != pivot]
         pivot_values = self.axes[pivot]
-
-        groups: dict[tuple, dict[Any, tuple]] = {}
-        for cell in self.cells():
-            values = cell.values
-            key = tuple(values[a] for a in group_axes)
-            groups.setdefault(key, {})[values[pivot]] = self._cell_result(
-                cell, results
-            )
+        groups = {
+            key: {c.values[pivot]: self._cell_result(c, results) for c in cells}
+            for key, cells in self.groups(pivot).items()
+        }
 
         result.headers = list(group_axes)
         for pv in pivot_values:

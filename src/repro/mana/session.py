@@ -654,12 +654,7 @@ class Session:
             vcid = None
             if new is not None:
                 vcid = self._assign_handles(new)
-                # No shadow for create_group comms: 2PC's first barrier
-                # on one would need the shadow before the comm exists, so
-                # it skips phase 1 for them (MANA 2019 did not support
-                # comm_create_group at all).
-                if op != "create_group":
-                    self.protocol.on_comm_created(new)
+                self.protocol.on_comm_created(new)
             self._record(_COMM, vcid, op)
             return None if vcid is None else VirtualComm(vcid)
 

@@ -8,7 +8,6 @@ import pytest
 from repro.harness import PLANNERS, STUDIES, ExperimentEngine, run_plans
 from repro.harness.experiments import (
     _fmt_size,
-    _memory_limited,
     plan_fig5a,
     plan_fig5b,
     plan_fig6,
@@ -17,19 +16,24 @@ from repro.harness.experiments import (
     plan_fig9,
     plan_table1,
 )
-from repro.harness.spec import spec_hash
-from repro.harness.sweep import Sweep
+from repro.harness.spec import SpecError, spec_hash
+from repro.harness.sweep import Sweep, mask_paper_memory_limit
 
 
 def test_memory_limited_cells_match_paper():
     """The paper: alltoall/allgather 'do not support a message size of
     1 MB over 1024 and 2048 processes'; our scaled analog caps at 16."""
-    assert _memory_limited("alltoall", 1 << 20, 32)
-    assert _memory_limited("allgather", 1 << 20, 32)
-    assert not _memory_limited("alltoall", 1 << 20, 16)
-    assert not _memory_limited("alltoall", 1024, 2048)
-    assert not _memory_limited("bcast", 1 << 20, 2048)
-    assert not _memory_limited("allreduce", 1 << 20, 2048)
+
+    def limited(kind, nbytes, nprocs):
+        point = {"kind": kind, "nbytes": nbytes, "nprocs": nprocs}
+        return mask_paper_memory_limit(point) is not None
+
+    assert limited("alltoall", 1 << 20, 32)
+    assert limited("allgather", 1 << 20, 32)
+    assert not limited("alltoall", 1 << 20, 16)
+    assert not limited("alltoall", 1024, 2048)
+    assert not limited("bcast", 1 << 20, 2048)
+    assert not limited("allreduce", 1 << 20, 2048)
 
 
 def test_fig5a_skips_limited_cells():
@@ -50,7 +54,10 @@ def test_fig5a_skips_limited_cells():
 #: the first process count (8 at the default counts).  Table 1 and
 #: Figures 6, 7 and 9 at their defaults were recorded while the planners
 #: still spelled the protocol tuples out, before they read
-#: ``repro.core.PROTOCOLS``.
+#: ``repro.core.PROTOCOLS``.  Figure 6 at the benchmark's sizes and
+#: Table 1 at the ``apps_p2p`` size were recorded while the figure
+#: planners still built their grids from hand-written loops, before they
+#: became ``Sweep`` declarations.
 GRID_PINS = [
     (plan_fig5a, {}, 102,
      "e01f4f50f08b4f964eab1872c4a19cae9e3e0f2bfb046611dcbe8382483367e7"),
@@ -76,6 +83,12 @@ GRID_PINS = [
      "83885059e88fd03282b5d354fa73277946cbc72486e35467e1255dc30d89993a"),
     (plan_fig9, {}, 16,
      "aa00dd4fb01b74c8695dd4bf30aa58fd441d8b76b1d29e758e2ca17b072ef9b3"),
+    (plan_fig6, dict(procs=(8, 16), sizes=(1024, 131072), iters=6), 32,
+     "093ea499139e5d0b58fd9bb0b68e5cd85299cf3c83650e465355877e9ab0124e"),
+    (plan_fig6, dict(procs=(4,), kinds=("bcast",), sizes=(1024,), iters=3), 2,
+     "4d5466fb781136d8bcbbfd6d9d9934bf8625f6ec50f76913bc26f0a11edb5183"),
+    (plan_table1, dict(nprocs=8, ppn=4), 6,
+     "1729540fadba152d0cf054cf83e1c56db78c040ea2abd42522d17db2732047f5"),
 ]
 
 
@@ -111,10 +124,23 @@ def test_study_signatures_are_pinned(name, monkeypatch):
     assert sweep.signature() == STUDY_PINS[name]
 
 
-#: sha256 of the rendered table of Figures 7, 8 and 9 at a tiny scale,
-#: recorded with the planner tuples above (Figures 5a, 5b, 6 and Table 1
-#: renders are pinned by the end-to-end benchmark's ``expected.json``).
+#: sha256 of the rendered table of every figure at a tiny scale.  Figures
+#: 7, 8 and 9 were recorded with the planner tuples above; Figures 5a
+#: (a memory-limited cell included), 5b (2PC NA notes included), 6 and
+#: Table 1 with the grid pins recorded before the figures became
+#: ``Sweep`` declarations.
 RENDER_PINS = [
+    (plan_fig5a, dict(procs=(2, 32), kinds=("alltoall",), sizes=(4, 1 << 20),
+                      iters=2),
+     "da9a06d6748424326bf16f74e57c279cf59ae94fa3b32647f50855b0a1de66ee"),
+    (plan_fig5b, dict(procs=(2,), kinds=("bcast", "allreduce"), sizes=(4,),
+                      iters=2),
+     "18a677df7ff14da4944b75056afab61bf3e835692e5e26412833576b72cb8028"),
+    (plan_fig6, dict(procs=(2,), kinds=("bcast", "alltoall"), sizes=(1024,),
+                     iters=12),
+     "f8639e52ff8c4ae6225ca6935e7697a5a0a69990b44e416f36051fbac7b1e4e5"),
+    (plan_table1, dict(nprocs=4, ppn=2),
+     "b7ffd46f98c04ddb76dfd28fdb844df302be66884e40510a21f1e58597276ed5"),
     (plan_fig7, dict(nprocs=4, ppn=2, repeats=1),
      "4456e6a222db251c09835996e683932ceb655186f27c3e1e0c800aadf39bbc33"),
     (plan_fig8, dict(procs=(4,), ppn=2, repeats=1, niters=4),
@@ -129,6 +155,18 @@ RENDER_PINS = [
 def test_tiny_renders_are_pinned(planner, kwargs, digest):
     (result,) = run_plans([planner(**kwargs)], ExperimentEngine(jobs=1))
     assert hashlib.sha256(result.render().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("planner,kwargs", [
+    (plan_fig5a, dict(procs=(0,))),
+    (plan_fig6, dict(procs=(4, 0))),
+    (plan_fig7, dict(nprocs=0)),
+    (plan_fig8, dict(procs=(0,))),
+    (plan_fig9, dict(nodes=(0,))),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_a_bad_process_count_fails_the_plan(planner, kwargs):
+    with pytest.raises(SpecError, match="nprocs must be >= 1"):
+        planner(**kwargs)
 
 
 def test_fig8_cell_layout_does_not_depend_on_the_other_counts():

@@ -377,7 +377,7 @@ class TestCreationLogReplay:
 
     FACTORY = staticmethod(lambda: CreationLogApp(niters=10))
 
-    @pytest.mark.parametrize("frac", [0.05, 0.3, 0.7])
+    @pytest.mark.parametrize("frac", [0.05, 0.3, 0.5, 0.7])
     @pytest.mark.parametrize("protocol", ["cc", "2pc"])
     def test_restart_matches_the_uninterrupted_run(self, protocol, frac):
         plain = launch_run(self.FACTORY, 4, protocol=protocol, seed=2)
