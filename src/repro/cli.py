@@ -181,16 +181,17 @@ def _figures_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     return _run_and_print(parser, args, plans, args.figures)
 
 
-def _byte_size(text: str) -> int:
-    """argparse type for sizes like ``0``, ``64K``, ``512M``, ``2G`` (bytes)."""
-    units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+def _with_unit(text: str, units: dict, example: str, noun: str) -> float:
+    """A non-negative number with an optional one-letter unit suffix
+    (case-insensitive key of ``units``, scaling the number), or an
+    ``ArgumentTypeError`` that shows ``example`` or names ``noun``."""
     body, scale = text, 1
     if text and text[-1].lower() in units:
         scale = units[text[-1].lower()]
         body = text[:-1]
     try:
         # float() silently strips whitespace ("1 G" would read as 1G);
-        # a spaced size is a shell-quoting accident — reject it loudly.
+        # a spaced value is a shell-quoting accident — reject it loudly.
         if body != body.strip():
             raise ValueError(body)
         value = float(body)
@@ -198,34 +199,25 @@ def _byte_size(text: str) -> int:
             raise ValueError(body)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a size like 1048576, 64K, 512M, or 2G, got {text!r}"
+            f"expected {example}, got {text!r}"
         ) from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"sizes cannot be negative: {text!r}")
-    return int(value * scale)
+        raise argparse.ArgumentTypeError(f"{noun} cannot be negative: {text!r}")
+    return value * scale
+
+
+def _byte_size(text: str) -> int:
+    """argparse type for sizes like ``0``, ``64K``, ``512M``, ``2G`` (bytes)."""
+    units = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
+    example = "a size like 1048576, 64K, 512M, or 2G"
+    return int(_with_unit(text, units, example, "sizes"))
 
 
 def _duration(text: str) -> float:
     """argparse type for ages like ``90``, ``30m``, ``12h``, ``7d`` (seconds)."""
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
-    body, scale = text, 1.0
-    if text and text[-1].lower() in units:
-        scale = units[text[-1].lower()]
-        body = text[:-1]
-    try:
-        # See _byte_size: no whitespace-smuggled values.
-        if body != body.strip():
-            raise ValueError(body)
-        value = float(body)
-        if not math.isfinite(value):
-            raise ValueError(body)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a duration like 90, 30m, 12h, or 7d, got {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"durations cannot be negative: {text!r}")
-    return value * scale
+    example = "a duration like 90, 30m, 12h, or 7d"
+    return _with_unit(text, units, example, "durations")
 
 
 def _cache_main(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -63,7 +63,7 @@ class TwoPhaseCommitProtocol(RankProtocol):
         ggid = comm.ggid
         if ggid not in self._shadow:
             self._shadow[ggid] = self.session.world.comm_dup(
-                comm, label=f"shadow:{ggid:#x}"
+                comm, self.session.rank, label=f"shadow:{ggid:#x}"
             )
 
     def prepare(self) -> None:
@@ -88,7 +88,9 @@ class TwoPhaseCommitProtocol(RankProtocol):
         # create_group call builds its own group's first communicator:
         # the shadow cannot exist before that comm does.
         shadow = self._shadow.get(ggid)
-        barrier_req = None if shadow is None else shadow.ibarrier()
+        barrier_req = None
+        if shadow is not None:
+            barrier_req = shadow._icollective(sess.rank, "barrier", None)
         gap = sess.overheads.ibarrier_poll_gap
         test = sess.overheads.test_call
         control = sess.control

@@ -303,9 +303,7 @@ def launch_run(
             return body
 
         for rank in range(nprocs):
-            proc = sim.spawn(make_body(rank), name=f"rank{rank}")
-            world.register_process(proc, rank)
-            procs[rank] = proc
+            procs[rank] = sim.spawn(make_body(rank), name=f"rank{rank}")
 
         if coordinator is not None:
             coordinator.attach(sessions, procs)

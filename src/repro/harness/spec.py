@@ -426,13 +426,6 @@ class RunSpec:
             stack.extend(spec.parents())
         return tuple(seen)
 
-    def chain_depth(self) -> int:
-        """0 for independent jobs, 1 + max parent depth for chained ones."""
-        parents = self.parents()
-        if not parents:
-            return 0
-        return 1 + max(p.chain_depth() for p in parents)
-
     def app_factory(self):
         """Zero-argument app factory (one instance per rank)."""
         return make_app_factory(self.app, **dict(self.app_kwargs))

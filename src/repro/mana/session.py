@@ -318,7 +318,7 @@ class Session:
         members = comm.group.world_ranks
 
         def execute() -> Any:
-            result = comm._collective(kind, contribution, root=root, op=op)
+            result = comm._collective(self.rank, kind, contribution, root=root, op=op)
             # Record at execution completion (not after the protocol's
             # exit hook): a rank parked at the wrapper *exit* has executed
             # the operation, so a snapshot there must include it in the
@@ -345,7 +345,7 @@ class Session:
         members = comm.group.world_ranks
 
         def initiate() -> VirtualRequest:
-            lower = comm._icollective(kind, contribution, root=root, op=op)
+            lower = comm._icollective(self.rank, kind, contribution, root=root, op=op)
             vreq = self._wrap_request(lower, "coll", (vcid, kind))
             self._record(_VREQ, vreq.vrid, "i" + kind)
             return vreq
@@ -370,7 +370,8 @@ class Session:
         key = (self._ckey_of_vcid[vcid], peer)
         self.sent_to[key] = self.sent_to.get(key, 0) + 1
         self.sim.sleep(self.world.tuning.send_overhead)
-        lower = self.world.engine_for(comm).send(comm.rank(), dest, tag, obj)
+        me = comm.group.rank_of(self.rank)
+        lower = self.world.engine_for(comm).send(me, dest, tag, obj)
         # The message is injected: record *before* blocking on rendezvous
         # completion so a checkpoint taken while we wait does not replay
         # into a duplicate send (the original is in the peer's drain
@@ -391,7 +392,7 @@ class Session:
         peer = comm.group.world_rank(dest)
         key = (self._ckey_of_vcid[vcid], peer)
         self.sent_to[key] = self.sent_to.get(key, 0) + 1
-        lower = comm.isend(obj, dest=dest, tag=tag)
+        lower = comm.isend(self.rank, obj, dest, tag)
         vreq = self._wrap_request(lower, "send", (vcid, dest, tag))
         self._record(_VREQ, vreq.vrid, "isend")
         return vreq
@@ -439,7 +440,7 @@ class Session:
         if rec is not None:
             status = Status(source=rec[1], tag=rec[2], nbytes=rec[4])
         else:
-            status = self.lower_comm(vcid).iprobe(source=source, tag=tag)
+            status = self.lower_comm(vcid).iprobe(self.rank, source, tag)
         self._record(_VALUE, status, "iprobe")
         return status
 
@@ -468,7 +469,7 @@ class Session:
         ones that were pending at the cut)."""
         vcid, source, tag = vreq.desc
         comm = self.lower_comm(vcid)
-        vreq._lower = lower = comm.irecv(source=source, tag=tag)
+        vreq._lower = lower = comm.irecv(self.rank, source, tag)
 
         def capture(req) -> None:
             payload, status = req.value
@@ -605,11 +606,11 @@ class Session:
         :meth:`rebuild_lower` both create communicators through here."""
         op, parent = entry[0], self.lower_comm(entry[1])
         if op == "split":
-            return self.world.comm_split(parent, entry[2], entry[3])
+            return self.world.comm_split(parent, self.rank, entry[2], entry[3])
         if op == "dup":
-            return self.world.comm_dup(parent)
+            return self.world.comm_dup(parent, self.rank)
         if op == "create_group":
-            return self.world.comm_create_group(parent, Group(entry[2]))
+            return self.world.comm_create_group(parent, self.rank, Group(entry[2]))
         raise ProtocolError(f"unknown creation-log entry {entry!r}")
 
     def comm_split(self, vcid: int, color: "int | None", key: int | None):
@@ -740,10 +741,10 @@ class Session:
                 for vcid, comm in self._vcomms.items():
                     ckey = self._ckey_of_vcid[vcid]
                     while True:
-                        status = comm.iprobe(source=ANY_SOURCE, tag=ANY_TAG)
+                        status = comm.iprobe(self.rank, ANY_SOURCE, ANY_TAG)
                         if status is None:
                             break
-                        payload, st = comm.recv_status(source=status.source, tag=status.tag)
+                        payload, st = comm.irecv(self.rank, status.source, status.tag).wait()
                         src_world = comm.group.world_rank(st.source)
                         self.drain_buffer.append(
                             (ckey, st.source, st.tag, payload, st.nbytes)

@@ -1,22 +1,26 @@
-"""Simulated MPI: a complete MPI-like library over the DES kernel.
+"""Simulated MPI: the lower half of the MANA split process.
 
 This is the substitute for Cray MPICH + Slingshot in the paper's setup.
-It implements the semantics the checkpointing protocols rely on:
+Only the upper half's wrapper layer calls it: :mod:`repro.mana.session`
+and the protocol that session runs (2PC's trivial barrier).
+Applications program against virtual handles
+(:class:`~repro.mana.vcomm.VirtualComm`) and never call in here.  It
+implements the semantics the checkpointing protocols rely on:
 
-* non-overtaking point-to-point matching with wildcards and probes,
-* blocking collectives with per-algorithm cost structure (rooted trees
-  are *not* synchronizing; alltoall/allreduce/barrier are),
-* non-blocking collectives with independent background progress,
+* non-overtaking point-to-point matching with wildcards and ``iprobe``,
+  eager up to 64 KiB and rendezvous above,
+* collectives with per-algorithm cost structure (rooted trees are *not*
+  synchronizing; alltoall/allreduce/barrier are), blocking or with
+  independent background progress,
 * communicator/group management (split, dup, create_group,
-  translate_ranks, SIMILAR comparison).
+  translate_ranks, SIMILAR comparison),
+* per-rank call counters (Table 1).
 
-Public surface::
-
-    sim = Simulator()
-    world = World(sim, nprocs=8)
-    def app(comm):
-        ...
-    results = world.run(app)
+Every call that acts for a rank takes the caller's world rank from the
+session: ``World(sim, topo)`` is the job, ``comm.isend(me, obj, dest,
+tag)`` a send, ``comm._collective(me, "allreduce", x, op=SUM)`` a
+collective and ``world.comm_split(comm, me, color, key)`` a new
+communicator.
 """
 
 from .comm import Communicator
@@ -45,14 +49,7 @@ from .errors import (
 )
 from .group import IDENT, SIMILAR, UNEQUAL, Group
 from .matching import MatchingEngine, Status
-from .request import (
-    Request,
-    completed_request,
-    test_all,
-    wait_all,
-    wait_any,
-    wait_some,
-)
+from .request import Request
 from .world import World, WorldStats
 
 __all__ = [
@@ -64,11 +61,6 @@ __all__ = [
     "SIMILAR",
     "UNEQUAL",
     "Request",
-    "completed_request",
-    "test_all",
-    "wait_all",
-    "wait_any",
-    "wait_some",
     "MatchingEngine",
     "Status",
     "ANY_SOURCE",

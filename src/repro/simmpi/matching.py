@@ -83,11 +83,6 @@ class Envelope:
     #: stale references in wildcard-index views skip it lazily.
     consumed: bool = False
 
-    def matches(self, source: int, tag: int) -> bool:
-        return (source == ANY_SOURCE or source == self.src) and (
-            tag == ANY_TAG or tag == self.tag
-        )
-
 
 @dataclass(slots=True)
 class _PostedRecv:
@@ -110,7 +105,7 @@ class _WildIndex:
     * ``by_tag[t]`` — envelopes with tag ``t`` (serves ``(ANY, t)``).
 
     Each view's first non-consumed entry is the earliest match for its
-    pattern, so wildcard peek/take are O(1) amortized.  Removals through
+    pattern, so a wildcard take is O(1) amortized.  Removals through
     *concrete* patterns only tombstone (``Envelope.consumed``); views
     drop tombstones lazily at their heads and compact wholesale when
     stale entries outnumber live ones 4:1.
@@ -176,19 +171,6 @@ class _WildIndex:
             return self.by_tag.get(tag)
         return self.by_src.get(source)
 
-    def head(self, source: int, tag: int) -> Envelope | None:
-        """Earliest live envelope matching a wildcard pattern, or None."""
-        view = self._view(source, tag)
-        if view is None:
-            return None
-        while view:
-            env = view[0]
-            if env.consumed:
-                view.popleft()
-                continue
-            return env
-        return None
-
     def pop(self, source: int, tag: int) -> Envelope | None:
         """Take the earliest live envelope matching a wildcard pattern.
 
@@ -218,14 +200,6 @@ class _WildIndex:
                 yield env
 
 
-@dataclass(slots=True)
-class _ProbeWait:
-    dst: int
-    source: int
-    tag: int
-    request: Request
-
-
 class MatchingEngine:
     """Matching state for one communicator context."""
 
@@ -251,14 +225,13 @@ class MatchingEngine:
         #: posted ``(source, tag)`` *pattern* (wildcards included); each
         #: deque is in post order.
         self._posted: dict[int, dict[tuple[int, int], deque[_PostedRecv]]] = {}
-        #: Blocking probes waiting for a matching arrival.
-        self._probes: dict[int, list[_ProbeWait]] = {}
         #: Lazy per-destination wildcard views over ``_unexpected``;
         #: created on the first wildcard operation for a destination.
         self._wild: dict[int, _WildIndex] = {}
 
     # ------------------------------------------------------------------ #
-    # Introspection (used by the checkpoint drain and by tests)
+    # Introspection (for tests: the checkpoint drain reads the queues
+    # through ``iprobe`` and ``post_recv`` like any receiver)
     # ------------------------------------------------------------------ #
 
     def in_flight_to(self, dst: int) -> list[Envelope]:
@@ -335,7 +308,6 @@ class MatchingEngine:
             wild = self._wild.get(dst)
             if wild is not None:
                 wild.add(env)
-            self._notify_probes(env)
         return send_req
 
     # ------------------------------------------------------------------ #
@@ -385,20 +357,6 @@ class MatchingEngine:
                 return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
         return None
 
-    def probe(self, dst: int, source: int, tag: int) -> Request:
-        """Blocking probe: request completes with a Status once a matching
-        message has arrived; the message is *not* consumed."""
-        self._check_rank(dst)
-        now = self.sim.now()
-        req = Request(self.sim, "probe", meta={"dst": dst, "source": source, "tag": tag})
-        env = self._peek_unexpected(dst, source, tag)
-        if env is not None:
-            status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
-            req.complete_at(max(env.available_at, now), status)
-            return req
-        self._probes.setdefault(dst, []).append(_ProbeWait(dst, source, tag, req))
-        return req
-
     # ------------------------------------------------------------------ #
     # Indexed lookup internals
     # ------------------------------------------------------------------ #
@@ -410,21 +368,6 @@ class MatchingEngine:
         if wild is None:
             wild = self._wild[dst] = _WildIndex(buckets)
         return wild
-
-    def _peek_unexpected(
-        self, dst: int, source: int, tag: int
-    ) -> Envelope | None:
-        """Earliest-sent unexpected envelope matching the pattern."""
-        buckets = self._unexpected.get(dst)
-        if not buckets:
-            return None
-        if source != ANY_SOURCE and tag != ANY_TAG:
-            bucket = buckets.get((source, tag))
-            return bucket[0] if bucket else None
-        # Wildcard: the head of the matching index view is the earliest
-        # match — O(1) amortized instead of a min-seq scan over every
-        # bucket head.
-        return self._wild_index(dst, buckets).head(source, tag)
 
     def _take_unexpected(
         self, dst: int, source: int, tag: int
@@ -522,19 +465,6 @@ class MatchingEngine:
             done = max(env.available_at, now)
         status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
         recv_req.complete_at(done, (env.payload, status))
-
-    def _notify_probes(self, env: Envelope) -> None:
-        probes = self._probes.get(env.dst)
-        if not probes:
-            return
-        remaining = []
-        for pw in probes:
-            if env.matches(pw.source, pw.tag):
-                status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
-                pw.request.complete_at(env.available_at, status)
-            else:
-                remaining.append(pw)
-        self._probes[env.dst] = remaining
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < len(self.world_ranks):

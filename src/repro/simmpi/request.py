@@ -3,7 +3,9 @@
 A :class:`Request` completes at a virtual time decided by the matching
 engine or a collective cost solver; processes observe completion through
 ``test`` (non-blocking, mirrors MPI_Test) or ``wait`` (blocking, mirrors
-MPI_Wait), plus the ``waitall/waitany/testall`` family.
+MPI_Wait), and the session through ``on_complete`` observers.  The
+``waitall/waitany/testall`` family is the upper half's, over virtual
+requests (:mod:`repro.mana.vcomm`).
 
 Completed requests behave like MPI_REQUEST_NULL: testing them again is
 legal and instantaneous.
@@ -12,19 +14,12 @@ legal and instantaneous.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from ..des import Simulator, Waiter
 from .errors import RequestError
 
-__all__ = [
-    "Request",
-    "completed_request",
-    "test_all",
-    "wait_all",
-    "wait_any",
-    "wait_some",
-]
+__all__ = ["Request"]
 
 
 class Request:
@@ -38,8 +33,7 @@ class Request:
         self._done = False
         self._value: Any = None
         self._observers: list[Callable[["Request"], None]] = []
-        #: Free-form metadata (comm label, peer, tag) for diagnostics and
-        #: for the checkpoint drain bookkeeping.
+        #: Free-form metadata (comm label, peer, tag) for diagnostics.
         self.meta = meta or {}
 
     # -- completion (engine side) ----------------------------------------
@@ -95,81 +89,3 @@ class Request:
     def __repr__(self) -> str:  # pragma: no cover
         state = "done" if self._done else "pending"
         return f"<Request {self.kind} {state} {self.meta or ''}>"
-
-
-def completed_request(sim: Simulator, value: Any = None, kind: str = "null") -> Request:
-    """A pre-completed request (the MPI_REQUEST_NULL analog)."""
-    req = Request(sim, kind)
-    req._done = True
-    req._value = value
-    return req
-
-
-def test_all(requests: Iterable[Request]) -> tuple[bool, list[Any] | None]:
-    """MPI_Testall: flag plus values if *all* are complete."""
-    reqs = list(requests)
-    if all(r.done for r in reqs):
-        return True, [r.value for r in reqs]
-    return False, None
-
-
-def wait_all(sim: Simulator, requests: Iterable[Request]) -> list[Any]:
-    """MPI_Waitall: block until every request completes; returns values."""
-    reqs = list(requests)
-    pending = [r for r in reqs if not r.done]
-    if pending:
-        w = Waiter(sim, label="waitall")
-        remaining = {"n": len(pending)}
-
-        def observer(_req: Request) -> None:
-            remaining["n"] -= 1
-            if remaining["n"] == 0:
-                w.fire()
-
-        for r in pending:
-            r.on_complete(observer)
-        w.wait()
-    return [r.value for r in reqs]
-
-
-def wait_any(sim: Simulator, requests: Sequence[Request]) -> tuple[int, Any]:
-    """MPI_Waitany: block until one completes; returns (index, value).
-
-    If several are already complete, the lowest index wins (deterministic,
-    like most MPI implementations).
-    """
-    reqs = list(requests)
-    if not reqs:
-        raise RequestError("wait_any on empty request list")
-    for i, r in enumerate(reqs):
-        if r.done:
-            return i, r.value
-    w = Waiter(sim, label="waitany")
-    fired = {"idx": -1}
-
-    def make_observer(idx: int) -> Callable[[Request], None]:
-        def observer(_req: Request) -> None:
-            if fired["idx"] < 0:
-                fired["idx"] = idx
-                w.fire()
-
-        return observer
-
-    for i, r in enumerate(reqs):
-        r.on_complete(make_observer(i))
-    w.wait()
-    idx = fired["idx"]
-    return idx, reqs[idx].value
-
-
-def wait_some(sim: Simulator, requests: Sequence[Request]) -> list[tuple[int, Any]]:
-    """MPI_Waitsome: block until at least one completes; return all that did."""
-    reqs = list(requests)
-    if not reqs:
-        raise RequestError("wait_some on empty request list")
-    ready = [(i, r.value) for i, r in enumerate(reqs) if r.done]
-    if ready:
-        return ready
-    idx, value = wait_any(sim, reqs)
-    # Collect anything else that completed at the same instant.
-    return [(i, r.value) for i, r in enumerate(reqs) if r.done]

@@ -1,24 +1,26 @@
-"""The simulated MPI job: process registry, contexts, bootstrap.
+"""The simulated MPI job: contexts, engines, collective sites, counters.
 
 A :class:`World` glues together the DES kernel, the topology/cost model,
 the matching engines (one per communicator context), and the collective
 sites.  It is the "lower half" of the MANA split process: everything in
-here is discarded at checkpoint time and rebuilt at restart.
+here is discarded at checkpoint time and rebuilt at restart.  Ranks are
+launched by :func:`repro.harness.runner.launch_run`, and every call that
+acts for a rank takes that rank's world rank from its caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
-from ..des import Gate, SimProcess, Simulator, Waiter
-from ..netmodel import ClusterTopology, make_topology
+from ..des import Simulator, Waiter
+from ..netmodel import ClusterTopology
 from .collectives import CollectiveSite
 from .comm import Communicator
-from .errors import CommunicatorError, SimMpiError
+from .errors import CommunicatorError
 from .group import Group
 from .matching import MatchingEngine
 
@@ -47,31 +49,16 @@ class WorldStats:
 class World:
     """One simulated MPI job (the lower half)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        topo: "ClusterTopology | None" = None,
-        *,
-        nprocs: int | None = None,
-        eager_threshold: int = 65536,
-        label: str = "world",
-    ):
-        if topo is None:
-            if nprocs is None:
-                raise SimMpiError("provide a topology or nprocs")
-            topo = make_topology(nprocs)
+    def __init__(self, sim: Simulator, topo: ClusterTopology):
         self.sim = sim
         self.topo = topo
         self.params = topo.params
         self.tuning = topo.params.tuning
         self.overheads = topo.params.overheads
         self.nprocs = topo.nprocs
-        self.eager_threshold = eager_threshold
-        self.label = label
 
         self.stats = WorldStats(self.nprocs)
 
-        self._rank_of_proc: dict[SimProcess, int] = {}
         self._next_context = 0
         self._engines: dict[int, MatchingEngine] = {}
         self._sites: dict[tuple[int, int], CollectiveSite] = {}
@@ -83,70 +70,16 @@ class World:
         world_group = Group(range(self.nprocs))
         self.comm_world = self._new_communicator(world_group, "COMM_WORLD")
 
-    # ------------------------------------------------------------------ #
-    # Process registry
-    # ------------------------------------------------------------------ #
-
-    def register_process(self, proc: SimProcess, rank: int) -> None:
-        """Bind a simulated process to a world rank."""
-        if not 0 <= rank < self.nprocs:
-            raise SimMpiError(f"rank {rank} out of range [0,{self.nprocs})")
-        self._rank_of_proc[proc] = rank
-
     def close(self) -> None:
-        """Teardown: drop the lower half wholesale — rank processes,
-        matching engines and open collective sites (their pending
-        requests' completion hooks point back at the sessions) — and cut
-        every communicator's link back here, so refcounting frees the
-        job once its owner lets go.  ``stats`` stay readable."""
-        self._rank_of_proc.clear()
+        """Teardown: drop the lower half wholesale — matching engines
+        and open collective sites (their pending requests' completion
+        hooks point back at the sessions) — and cut every communicator's
+        link back here, so refcounting frees the job once its owner lets
+        go.  ``stats`` stay readable."""
         self._engines.clear()
         self._sites.clear()
         for comm in (self.comm_world, *self._comm_registry.values()):
             comm.world = None
-
-    def current_world_rank(self) -> int:
-        proc = self.sim.current_process()
-        try:
-            return self._rank_of_proc[proc]
-        except KeyError:
-            raise SimMpiError(
-                f"process {proc.name!r} is not registered as an MPI rank"
-            ) from None
-
-    # ------------------------------------------------------------------ #
-    # Job bootstrap
-    # ------------------------------------------------------------------ #
-
-    def launch(
-        self,
-        main: Callable[..., Any],
-        *args: Any,
-        name_prefix: str = "rank",
-    ) -> list[SimProcess]:
-        """Spawn one simulated process per rank running ``main(comm, *args)``.
-
-        All ranks pass a startup gate before ``main`` begins, mirroring
-        ``MPI_Init`` returning everywhere before timing starts.
-        """
-        gate = Gate(self.sim, self.nprocs, label="mpi_init")
-        procs = []
-        for rank in range(self.nprocs):
-
-            def body(rank: int = rank) -> Any:
-                gate.arrive_and_wait()
-                return main(self.comm_world, *args)
-
-            proc = self.sim.spawn(body, name=f"{name_prefix}{rank}")
-            self.register_process(proc, rank)
-            procs.append(proc)
-        return procs
-
-    def run(self, main: Callable[..., Any], *args: Any) -> list[Any]:
-        """Launch, run the simulation to completion, return per-rank results."""
-        procs = self.launch(main, *args)
-        self.sim.run()
-        return [p.result for p in procs]
 
     # ------------------------------------------------------------------ #
     # Counters
@@ -170,11 +103,7 @@ class World:
     def _new_communicator(self, group: Group, label: str) -> Communicator:
         comm = Communicator(self, group, self._new_context_id(), label)
         self._engines[comm.context_id] = MatchingEngine(
-            self.sim,
-            self.topo,
-            group.world_ranks,
-            eager_threshold=self.eager_threshold,
-            label=label,
+            self.sim, self.topo, group.world_ranks, label=label
         )
         self._call_counters[comm.context_id] = [0] * group.size
         return comm
@@ -216,27 +145,32 @@ class World:
         return len(self._sites)
 
     # ------------------------------------------------------------------ #
-    # Communicator creation (collective operations)
+    # Communicator creation (collective operations; ``caller`` is the
+    # calling rank's world rank)
     # ------------------------------------------------------------------ #
 
-    def comm_dup(self, comm: Communicator, label: str | None = None) -> Communicator:
-        me = comm.rank()
+    def comm_dup(
+        self, comm: Communicator, caller: int, label: str | None = None
+    ) -> Communicator:
+        """MPI_Comm_dup: a new context over the identical group."""
+        me = comm.group.rank_of(caller)
         # The pre-call collective counter identifies this dup instance:
         # by MPI rules, all members have issued the same number of prior
         # collectives on this communicator.
         call_no = self._call_counters[comm.context_id][me]
-        comm.allgather(("dup", call_no))
+        comm._collective(caller, "allgather", ("dup", call_no))
         key = (comm.context_id, "dup", call_no)
         return self._registry_get_or_create(key, comm.group, label or f"{comm.label}.dup")
 
     def comm_split(
-        self, comm: Communicator, color: "int | None", key: int | None
+        self, comm: Communicator, caller: int, color: "int | None", key: int | None
     ) -> "Communicator | None":
-        me = comm.rank()
-        wr = comm.group.world_rank(me)
+        """MPI_Comm_split: partition members by ``color``, order by
+        ``key``; ``color=None`` (MPI_UNDEFINED) returns ``None``."""
+        me = comm.group.rank_of(caller)
         call_no = self._call_counters[comm.context_id][me]
         sort_key = key if key is not None else me
-        entries = comm.allgather((color, sort_key, wr))
+        entries = comm._collective(caller, "allgather", (color, sort_key, caller))
         if color is None:
             return None
         members = sorted((k, w) for (c, k, w) in entries if c == color)
@@ -246,12 +180,12 @@ class World:
         return self._registry_get_or_create(reg_key, group, label)
 
     def comm_create_group(
-        self, comm: Communicator, group: Group, label: str | None = None
+        self, comm: Communicator, caller: int, group: Group, label: str | None = None
     ) -> Communicator:
-        me_wr = self.current_world_rank()
-        if me_wr not in group:
+        """MPI_Comm_create_group: collective over ``group`` members only."""
+        if caller not in group:
             raise CommunicatorError(
-                f"world rank {me_wr} called create_group but is not in the group"
+                f"world rank {caller} called create_group but is not in the group"
             )
         for w in group.world_ranks:
             if w not in comm.group:
@@ -262,7 +196,7 @@ class World:
         # repeated create_group calls over the same subgroup.
         cg_key = (comm.context_id, group.world_ranks)
         counters = self._cg_counters.setdefault(cg_key, [0] * group.size)
-        me_idx = group.rank_of(me_wr)
+        me_idx = group.rank_of(caller)
         call_no = counters[me_idx]
         counters[me_idx] += 1
         key = ("create", comm.context_id, group.world_ranks, call_no)

@@ -1,15 +1,12 @@
-"""Shared utilities: stable hashing, statistics, run records, table rendering."""
+"""Shared utilities: stable hashing, statistics, table rendering."""
 
 from .hashing import stable_hash_ranks
-from .records import RunRecord, Series
-from .stats import OnlineStats, mean, overhead_pct, stddev
+from .records import Series
+from .stats import mean, overhead_pct
 
 __all__ = [
     "stable_hash_ranks",
-    "OnlineStats",
     "mean",
-    "stddev",
     "overhead_pct",
-    "RunRecord",
     "Series",
 ]

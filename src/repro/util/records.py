@@ -1,4 +1,4 @@
-"""Run records and plain-text table/series rendering for the harness.
+"""Plain-text table/series rendering for the harness.
 
 The paper reports results as tables (Table 1) and bar/line figures
 (Figures 5-9).  We regenerate them as aligned text tables so a terminal
@@ -8,46 +8,7 @@ diff against the paper's numbers is easy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
-
-
-@dataclass
-class RunRecord:
-    """Summary of one application run under one protocol.
-
-    Attributes:
-        app: application name (e.g. ``"minivasp"``).
-        protocol: a ``repro.core.PROTOCOLS`` key.
-        nprocs: number of simulated MPI processes.
-        nnodes: number of simulated nodes.
-        runtime: virtual wall time of the run, seconds.
-        coll_calls: total collective communication calls across ranks.
-        p2p_calls: total point-to-point calls across ranks.
-        extra: free-form per-experiment extras (checkpoint time, etc).
-    """
-
-    app: str
-    protocol: str
-    nprocs: int
-    nnodes: int
-    runtime: float
-    coll_calls: int = 0
-    p2p_calls: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def coll_rate(self) -> float:
-        """Mean collective calls per second per rank (Table 1 metric)."""
-        if self.runtime <= 0:
-            return 0.0
-        return self.coll_calls / self.nprocs / self.runtime
-
-    @property
-    def p2p_rate(self) -> float:
-        """Mean point-to-point calls per second per rank (Table 1 metric)."""
-        if self.runtime <= 0:
-            return 0.0
-        return self.p2p_calls / self.nprocs / self.runtime
+from typing import Any, Sequence
 
 
 @dataclass

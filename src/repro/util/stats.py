@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -11,15 +10,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Sample standard deviation (n-1); zero for fewer than two values."""
-    n = len(values)
-    if n < 2:
-        return 0.0
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (n - 1))
 
 
 def overhead_pct(measured: float, baseline: float) -> float:
@@ -31,55 +21,3 @@ def overhead_pct(measured: float, baseline: float) -> float:
     if baseline <= 0:
         raise ValueError(f"baseline must be positive, got {baseline}")
     return (measured / baseline - 1.0) * 100.0
-
-
-class OnlineStats:
-    """Welford online mean/variance accumulator.
-
-    Used where streaming many values (per-call latencies) and we only
-    need the summary — avoids keeping arrays alive.
-    """
-
-    __slots__ = ("n", "_mean", "_m2", "min", "max")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        if x < self.min:
-            self.min = x
-        if x > self.max:
-            self.max = x
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        if self.n == 0:
-            raise ValueError("no samples")
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        if self.n < 2:
-            return 0.0
-        return self._m2 / (self.n - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        if self.n == 0:
-            return "<OnlineStats empty>"
-        return f"<OnlineStats n={self.n} mean={self._mean:.6g} sd={self.stddev:.3g}>"

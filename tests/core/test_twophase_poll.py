@@ -33,7 +33,9 @@ class _LoopTwoPhase(TwoPhaseCommitProtocol):
         if self.intent:
             self.park_until_resume()
         shadow = self._shadow.get(ggid)
-        barrier_req = None if shadow is None else shadow.ibarrier()
+        barrier_req = None
+        if shadow is not None:
+            barrier_req = shadow._icollective(sess.rank, "barrier", None)
         gap = sess.overheads.ibarrier_poll_gap
         test = sess.overheads.test_call
         while barrier_req is not None:

@@ -178,10 +178,11 @@ def test_sealing_refuses_a_lower_half_reference(leak):
     cut into an image."""
     from repro.des import Simulator
     from repro.mana import Session
+    from repro.netmodel import make_topology
     from repro.simmpi import World
 
     with Simulator() as sim:
-        world = World(sim, nprocs=2)
+        world = World(sim, make_topology(2))
         sess = Session(world, 0, "cc")
         sess.app_state["k"] = 1
         sess.build_image()  # a clean upper half cuts

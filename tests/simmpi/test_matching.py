@@ -1,293 +1,273 @@
-"""Tests for the p2p matching engine via the communicator API."""
+"""Tests for the p2p matching engine through the application surface."""
 
 import numpy as np
 import pytest
 
-from repro.des import DeadlockError, Simulator
-from repro.netmodel import make_topology
-from repro.simmpi import ANY_SOURCE, ANY_TAG, World
-
-
-def run_world(nprocs, app, *, ppn=None, eager_threshold=65536, seed=0):
-    with Simulator(seed=seed) as sim:
-        topo = make_topology(nprocs, ppn=ppn)
-        world = World(sim, topo, eager_threshold=eager_threshold)
-        results = world.run(app)
-        return results, world, sim.now()
+from repro.des import DeadlockError
+from repro.simmpi import ANY_SOURCE, ANY_TAG
 
 
 class TestBasicSendRecv:
-    def test_simple_pair(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send({"x": 42}, dest=1, tag=3)
+    def test_simple_pair(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send({"x": 42}, dest=1, tag=3)
                 return None
-            return comm.recv(source=0, tag=3)
+            return ctx.world.recv(source=0, tag=3)
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == {"x": 42}
+        assert run_ranks(app, 2).per_rank[1] == {"x": 42}
 
-    def test_numpy_payload(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(np.arange(5), dest=1)
+    def test_numpy_payload(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(np.arange(5), dest=1)
                 return None
-            return comm.recv(source=0)
+            return ctx.world.recv(source=0)
 
-        results, _, _ = run_world(2, app)
-        assert results[1].tolist() == [0, 1, 2, 3, 4]
+        assert run_ranks(app, 2).per_rank[1].tolist() == [0, 1, 2, 3, 4]
 
-    def test_recv_before_send(self):
+    def test_recv_before_send(self, run_ranks):
         """Receive posted first; completes when the message lands."""
 
-        def app(comm):
-            if comm.rank() == 1:
-                return comm.recv(source=0, tag=9)
-            comm.world.sim.sleep(1e-3)
-            comm.send("late", dest=1, tag=9)
+        def app(ctx):
+            if ctx.rank == 1:
+                return ctx.world.recv(source=0, tag=9)
+            ctx.compute(1e-3)
+            ctx.world.send("late", dest=1, tag=9)
             return None
 
-        results, _, end = run_world(2, app)
-        assert results[1] == "late"
-        assert end >= 1e-3
+        res = run_ranks(app, 2)
+        assert res.per_rank[1] == "late"
+        assert res.runtime >= 1e-3
 
-    def test_transfer_takes_time(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(b"x" * 1000, dest=1)
+    def test_transfer_takes_time(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(b"x" * 1000, dest=1)
                 return None
-            comm.recv(source=0)
-            return comm.world.sim.now()
+            ctx.world.recv(source=0)
+            return ctx.now()
 
-        _, world, _ = run_world(2, app)
         # Receiver finished strictly after t=0: latency + transfer.
-        # (Result captured per rank; fetch from results instead.)
+        assert run_ranks(app, 2).per_rank[1] > 0.0
 
-    def test_recv_status_reports_source_and_tag(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(b"abc", dest=1, tag=17)
+    def test_probe_status_reports_source_tag_and_size(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(b"abc", dest=1, tag=17)
                 return None
-            payload, status = comm.recv_status(source=ANY_SOURCE, tag=ANY_TAG)
+            ctx.compute(1.0)  # let it arrive
+            status = ctx.world.iprobe(source=ANY_SOURCE, tag=ANY_TAG)
+            payload = ctx.world.recv(source=ANY_SOURCE, tag=ANY_TAG)
             return (payload, status.source, status.tag, status.nbytes)
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == (b"abc", 0, 17, 3)
+        assert run_ranks(app, 2).per_rank[1] == (b"abc", 0, 17, 3)
 
 
 class TestMatchingSemantics:
-    def test_tag_selectivity(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send("tag5", dest=1, tag=5)
-                comm.send("tag6", dest=1, tag=6)
+    def test_tag_selectivity(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send("tag5", dest=1, tag=5)
+                ctx.world.send("tag6", dest=1, tag=6)
                 return None
-            first = comm.recv(source=0, tag=6)
-            second = comm.recv(source=0, tag=5)
+            first = ctx.world.recv(source=0, tag=6)
+            second = ctx.world.recv(source=0, tag=5)
             return (first, second)
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == ("tag6", "tag5")
+        assert run_ranks(app, 2).per_rank[1] == ("tag6", "tag5")
 
-    def test_non_overtaking_same_tag(self):
+    def test_non_overtaking_same_tag(self, run_ranks):
         """Messages with the same (src, tag) must match in send order even
         though the first is big (slow) and the second small (fast)."""
 
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(np.zeros(1 << 13), dest=1, tag=1)  # 64 KiB, slow
-                comm.send("small", dest=1, tag=1)
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(np.zeros(1 << 13), dest=1, tag=1)  # 64 KiB, slow
+                ctx.world.send("small", dest=1, tag=1)
                 return None
-            first = comm.recv(source=0, tag=1)
-            second = comm.recv(source=0, tag=1)
+            first = ctx.world.recv(source=0, tag=1)
+            second = ctx.world.recv(source=0, tag=1)
             return (type(first).__name__, second)
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == ("ndarray", "small")
+        assert run_ranks(app, 2).per_rank[1] == ("ndarray", "small")
 
-    def test_any_source_matches_earliest_sent(self):
-        def app(comm):
-            me = comm.rank()
+    def test_any_source_matches_earliest_sent(self, run_ranks):
+        def app(ctx):
+            me = ctx.rank
             if me == 1:
-                comm.world.sim.sleep(1e-6)
-                comm.send("from1", dest=0, tag=2)
+                ctx.compute(1e-6)
+                ctx.world.send("from1", dest=0, tag=2)
             elif me == 2:
-                comm.send("from2", dest=0, tag=2)
+                ctx.world.send("from2", dest=0, tag=2)
             else:
-                comm.world.sim.sleep(1e-3)  # let both arrive
-                a = comm.recv(source=ANY_SOURCE, tag=2)
-                b = comm.recv(source=ANY_SOURCE, tag=2)
+                ctx.compute(1e-3)  # let both arrive
+                a = ctx.world.recv(source=ANY_SOURCE, tag=2)
+                b = ctx.world.recv(source=ANY_SOURCE, tag=2)
                 return (a, b)
             return None
 
-        results, _, _ = run_world(3, app)
-        assert results[0] == ("from2", "from1")
+        assert run_ranks(app, 3).per_rank[0] == ("from2", "from1")
 
-    def test_wildcard_tag(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send("x", dest=1, tag=44)
+    def test_wildcard_tag(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send("x", dest=1, tag=44)
                 return None
-            payload, status = comm.recv_status(source=0, tag=ANY_TAG)
-            return status.tag
+            ctx.compute(1.0)  # let it arrive
+            status = ctx.world.iprobe(source=0, tag=ANY_TAG)
+            return (status.tag, ctx.world.recv(source=0, tag=ANY_TAG))
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == 44
+        assert run_ranks(app, 2).per_rank[1] == (44, "x")
 
 
 class TestIsendIrecv:
-    def test_isend_irecv_roundtrip(self):
-        def app(comm):
-            if comm.rank() == 0:
-                req = comm.isend([1, 2, 3], dest=1, tag=0)
-                req.wait()
+    def test_isend_irecv_roundtrip(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.isend([1, 2, 3], dest=1, tag=0).wait()
                 return None
-            req = comm.irecv(source=0, tag=0)
-            payload, status = req.wait()
-            return payload
+            return ctx.world.irecv(source=0, tag=0).wait()
 
-        results, _, _ = run_world(2, app)
-        assert results[1] == [1, 2, 3]
+        assert run_ranks(app, 2).per_rank[1] == [1, 2, 3]
 
-    def test_irecv_test_polls(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.world.sim.sleep(1e-4)
-                comm.send("eventually", dest=1)
+    def test_irecv_test_polls(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.compute(1e-4)
+                ctx.world.send("eventually", dest=1)
                 return None
-            req = comm.irecv(source=0)
+            req = ctx.world.irecv(source=0)
             polls = 0
             while True:
                 flag, value = req.test()
                 if flag:
-                    return (polls, value[0])
+                    return (polls, value)
                 polls += 1
-                comm.world.sim.sleep(1e-5)
+                ctx.compute(1e-5)
 
-        results, _, _ = run_world(2, app)
-        polls, payload = results[1]
+        polls, payload = run_ranks(app, 2).per_rank[1]
         assert payload == "eventually"
         assert polls >= 5
 
-    def test_eager_send_completes_immediately(self):
-        def app(comm):
-            if comm.rank() == 0:
-                req = comm.isend(b"small", dest=1)
-                return req.done
-            comm.world.sim.sleep(1.0)
-            comm.recv(source=0)
+    def test_eager_send_completes_immediately(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                return ctx.world.isend(b"small", dest=1).done
+            ctx.compute(1.0)
+            ctx.world.recv(source=0)
             return None
 
-        results, _, _ = run_world(2, app)
-        assert results[0] is True
+        assert run_ranks(app, 2).per_rank[0] is True
 
 
 class TestRendezvous:
-    def test_large_send_blocks_until_recv_posted(self):
-        def app(comm):
-            if comm.rank() == 0:
+    def test_large_send_blocks_until_recv_posted(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
                 big = np.zeros(1 << 17)  # 1 MiB > 64 KiB threshold
-                comm.send(big, dest=1)
-                return comm.world.sim.now()
-            comm.world.sim.sleep(0.5)
-            comm.recv(source=0)
+                ctx.world.send(big, dest=1)
+                return ctx.now()
+            ctx.compute(0.5)
+            ctx.world.recv(source=0)
             return None
 
-        results, _, _ = run_world(2, app)
-        assert results[0] >= 0.5  # sender waited for the receiver
+        assert run_ranks(app, 2).per_rank[0] >= 0.5  # sender waited
 
-    def test_small_send_does_not_block(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(b"tiny", dest=1)
-                return comm.world.sim.now()
-            comm.world.sim.sleep(0.5)
-            comm.recv(source=0)
+    def test_small_send_does_not_block(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(b"tiny", dest=1)
+                return ctx.now()
+            ctx.compute(0.5)
+            ctx.world.recv(source=0)
             return None
 
-        results, _, _ = run_world(2, app)
-        assert results[0] < 0.1
+        assert run_ranks(app, 2).per_rank[0] < 0.1
 
-    def test_threshold_configurable(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(b"x" * 100, dest=1)  # above a 10-byte threshold
-                return comm.world.sim.now()
-            comm.world.sim.sleep(0.25)
-            comm.recv(source=0)
+    @pytest.mark.parametrize("nbytes, blocks", [(65536, False), (65537, True)])
+    def test_threshold_is_64_kib(self, run_ranks, nbytes, blocks):
+        """64 KiB still goes eagerly; one byte more waits for the receiver."""
+
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(b"x" * nbytes, dest=1)
+                return ctx.now()
+            ctx.compute(0.25)
+            ctx.world.recv(source=0)
             return None
 
-        results, _, _ = run_world(2, app, eager_threshold=10)
-        assert results[0] >= 0.25
+        assert (run_ranks(app, 2).per_rank[0] >= 0.25) is blocks
 
 
 class TestProbe:
-    def test_iprobe_sees_only_arrived(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(np.zeros(1 << 12), dest=1, tag=8)  # 32 KiB eager
+    def test_iprobe_sees_only_arrived(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(np.zeros(1 << 12), dest=1, tag=8)  # 32 KiB eager
                 return None
             # Immediately: message in flight but not arrived.
-            early = comm.iprobe(source=0, tag=8)
-            comm.world.sim.sleep(1.0)
-            late = comm.iprobe(source=0, tag=8)
-            payload = comm.recv(source=0, tag=8)
-            gone = comm.iprobe(source=0, tag=8)
+            early = ctx.world.iprobe(source=0, tag=8)
+            ctx.compute(1.0)
+            late = ctx.world.iprobe(source=0, tag=8)
+            ctx.world.recv(source=0, tag=8)
+            gone = ctx.world.iprobe(source=0, tag=8)
             return (early, late is not None, gone)
 
-        results, _, _ = run_world(2, app)
-        early, late, gone = results[1]
+        early, late, gone = run_ranks(app, 2).per_rank[1]
         assert early is None
         assert late is True
         assert gone is None
 
-    def test_blocking_probe_waits_for_arrival(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.world.sim.sleep(2e-3)
-                comm.send("probe-me", dest=1, tag=3)
-                return None
-            status = comm.probe(source=ANY_SOURCE, tag=3)
-            t = comm.world.sim.now()
-            payload = comm.recv(source=status.source, tag=3)
-            return (t >= 2e-3, payload)
-
-        results, _, _ = run_world(2, app)
-        assert results[1] == (True, "probe-me")
-
 
 class TestDeadlocks:
-    def test_mutual_recv_deadlock_detected(self):
-        def app(comm):
-            comm.recv(source=(comm.rank() + 1) % 2)
+    def test_mutual_recv_deadlock_detected(self, run_ranks):
+        def app(ctx):
+            ctx.world.recv(source=(ctx.rank + 1) % 2)
 
         with pytest.raises(DeadlockError):
-            run_world(2, app)
+            run_ranks(app, 2)
 
-    def test_rendezvous_head_to_head_deadlock_detected(self):
+    def test_rendezvous_head_to_head_deadlock_detected(self, run_ranks):
         """Two ranks doing blocking large sends to each other: classic."""
 
-        def app(comm):
-            other = 1 - comm.rank()
-            comm.send(np.zeros(1 << 17), dest=other)
-            comm.recv(source=other)
+        def app(ctx):
+            other = 1 - ctx.rank
+            ctx.world.send(np.zeros(1 << 17), dest=other)
+            ctx.world.recv(source=other)
 
         with pytest.raises(DeadlockError):
-            run_world(2, app)
+            run_ranks(app, 2)
 
 
 class TestCounters:
-    def test_p2p_counted_per_rank(self):
-        def app(comm):
-            if comm.rank() == 0:
-                comm.send(1, dest=1)
-                comm.send(2, dest=1)
-            elif comm.rank() == 1:
-                comm.recv(source=0)
-                comm.recv(source=0)
-            return None
+    """Per-rank counting itself is pinned on the lower half
+    (``test_lower_half.py``); these count what an application's calls
+    add up to."""
 
-        _, world, _ = run_world(2, app)
-        assert world.stats.p2p_calls[0] == 2
-        assert world.stats.p2p_calls[1] == 2
-        assert world.stats.total_p2p() == 4
+    def test_nonblocking_p2p_counted(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                reqs = [ctx.world.isend(i, dest=1) for i in range(2)]
+            else:
+                reqs = [ctx.world.irecv(source=0) for _ in range(2)]
+            for req in reqs:
+                req.wait()
+
+        assert run_ranks(app, 2).p2p_calls == 4
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND in CHANGES.md: blocking sends are never counted "
+        "(Session.p2p_send skips World.count_p2p)",
+    )
+    def test_blocking_send_counted(self, run_ranks):
+        def app(ctx):
+            if ctx.rank == 0:
+                ctx.world.send(1, dest=1)
+                ctx.world.send(2, dest=1)
+            else:
+                ctx.world.recv(source=0)
+                ctx.world.recv(source=0)
+
+        assert run_ranks(app, 2).p2p_calls == 4

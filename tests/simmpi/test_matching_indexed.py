@@ -1,10 +1,11 @@
 """Differential test: indexed matcher vs the pre-PR linear-scan matcher.
 
 ``_ReferenceMatcher`` below is the seed repo's ``MatchingEngine`` (linear
-scans over unexpected/posted queues), kept verbatim as the semantic
-oracle.  Randomized traffic — wildcards, rendezvous, probes, iprobes —
-is replayed against both engines in twin simulations; every observable
-(completion values, statuses, times, queue introspection) must agree.
+scans over unexpected/posted queues), kept as the semantic oracle less
+the blocking probe the engine no longer has.  Randomized traffic —
+wildcards, rendezvous, iprobes — is replayed against both engines in
+twin simulations; every observable (completion values, statuses, times,
+queue introspection) must agree.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from repro.simmpi.matching import Envelope, MatchingEngine, Status
 from repro.simmpi.request import Request
 
 
+def _matches(env, source, tag):
+    return (source == ANY_SOURCE or source == env.src) and (
+        tag == ANY_TAG or tag == env.tag
+    )
+
+
 @dataclass
 class _RefPostedRecv:
     seq: int
@@ -30,14 +37,6 @@ class _RefPostedRecv:
     tag: int
     request: Request
     posted_at: float
-
-
-@dataclass
-class _RefProbeWait:
-    dst: int
-    source: int
-    tag: int
-    request: Request
 
 
 class _ReferenceMatcher:
@@ -51,7 +50,6 @@ class _ReferenceMatcher:
         self._seq = itertools.count()
         self._unexpected: dict[int, list[Envelope]] = {}
         self._posted: dict[int, list[_RefPostedRecv]] = {}
-        self._probes: dict[int, list[_RefProbeWait]] = {}
 
     def in_flight_to(self, dst):
         return list(self._unexpected.get(dst, ()))
@@ -89,14 +87,13 @@ class _ReferenceMatcher:
         matched = self._try_match_posted(env)
         if not matched:
             self._unexpected.setdefault(dst, []).append(env)
-            self._notify_probes(env)
         return send_req
 
     def post_recv(self, dst, source, tag):
         now = self.sim.now()
         queue = self._unexpected.get(dst, [])
         for i, env in enumerate(queue):
-            if env.matches(source, tag):
+            if _matches(env, source, tag):
                 queue.pop(i)
                 req = Request(self.sim, "recv")
                 self._complete_transfer(env, req, posted_at=now)
@@ -117,27 +114,16 @@ class _ReferenceMatcher:
     def iprobe(self, dst, source, tag):
         now = self.sim.now()
         for env in self._unexpected.get(dst, ()):
-            if env.matches(source, tag) and env.available_at <= now + 1e-18:
+            if _matches(env, source, tag) and env.available_at <= now + 1e-18:
                 return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
         return None
-
-    def probe(self, dst, source, tag):
-        now = self.sim.now()
-        req = Request(self.sim, "probe")
-        for env in self._unexpected.get(dst, ()):
-            if env.matches(source, tag):
-                status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
-                req.complete_at(max(env.available_at, now), status)
-                return req
-        self._probes.setdefault(dst, []).append(_RefProbeWait(dst, source, tag, req))
-        return req
 
     def _try_match_posted(self, env):
         posted = self._posted.get(env.dst)
         if not posted:
             return False
         for i, pr in enumerate(posted):
-            if env.matches(pr.source, pr.tag):
+            if _matches(env, pr.source, pr.tag):
                 posted.pop(i)
                 self._complete_transfer(env, pr.request, posted_at=pr.posted_at)
                 return True
@@ -157,20 +143,6 @@ class _ReferenceMatcher:
         status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
         recv_req.complete_at(done, (env.payload, status))
 
-    def _notify_probes(self, env):
-        probes = self._probes.get(env.dst)
-        if not probes:
-            return
-        remaining = []
-        for pw in probes:
-            if env.matches(pw.source, pw.tag):
-                status = Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
-                pw.request.complete_at(env.available_at, status)
-            else:
-                remaining.append(pw)
-        self._probes[env.dst] = remaining
-
-
 # --------------------------------------------------------------------- #
 # Random traffic scripts
 # --------------------------------------------------------------------- #
@@ -181,8 +153,8 @@ def _random_script(seed: int, nprocs: int, n_ops: int):
     ops = []
     for _ in range(n_ops):
         kind = rng.choice(
-            ["send", "send_big", "recv", "recv_wild", "iprobe", "probe", "tick"],
-            p=[0.3, 0.05, 0.3, 0.1, 0.1, 0.05, 0.1],
+            ["send", "send_big", "recv", "recv_wild", "iprobe", "tick"],
+            p=[0.3, 0.05, 0.3, 0.1, 0.15, 0.1],
         )
         src = int(rng.integers(nprocs))
         dst = int(rng.integers(nprocs))
@@ -218,8 +190,6 @@ def _replay(engine_factory, ops, nprocs):
                 elif kind == "iprobe":
                     status = eng.iprobe(dst, src if tag % 2 else ANY_SOURCE, tag)
                     observations.append(("iprobe", sim.now(), status))
-                elif kind == "probe":
-                    pending.append(("probe", eng.probe(dst, ANY_SOURCE, tag)))
                 elif kind == "tick":
                     sim.sleep(1e-5)
                     observations.append(
@@ -271,8 +241,8 @@ def _wildcard_flood_script(seed: int, nprocs: int, n_ops: int):
     ops = []
     for _ in range(n_ops):
         kind = rng.choice(
-            ["send", "recv", "recv_wild", "iprobe", "probe", "tick"],
-            p=[0.42, 0.1, 0.28, 0.1, 0.05, 0.05],
+            ["send", "recv", "recv_wild", "iprobe", "tick"],
+            p=[0.42, 0.1, 0.28, 0.15, 0.05],
         )
         src = int(rng.integers(nprocs))
         dst = int(rng.integers(nprocs))

@@ -4,9 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.des import Simulator
-from repro.netmodel import make_topology
-from repro.simmpi import SUM, World
+from repro.simmpi import SUM
 
 _settings = settings(
     max_examples=25,
@@ -15,32 +13,26 @@ _settings = settings(
 )
 
 
-def run_world(nprocs, app, seed=0):
-    with Simulator(seed=seed) as sim:
-        world = World(sim, make_topology(nprocs))
-        return world.run(app)
-
-
 class TestMessageOrderProperty:
     @_settings
     @given(
         tags=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12)
     )
-    def test_same_tag_streams_are_fifo(self, tags):
+    def test_same_tag_streams_are_fifo(self, run_ranks, tags):
         """For each tag value, payloads are received in send order."""
 
-        def app(comm):
-            if comm.rank() == 0:
+        def app(ctx):
+            if ctx.rank == 0:
                 for i, tag in enumerate(tags):
-                    comm.send((tag, i), dest=1, tag=tag)
+                    ctx.world.send((tag, i), dest=1, tag=tag)
                 return None
             got = {t: [] for t in set(tags)}
             for tag in tags:
-                payload = comm.recv(source=0, tag=tag)
+                payload = ctx.world.recv(source=0, tag=tag)
                 got[tag].append(payload)
             return got
 
-        results = run_world(2, app)
+        results = run_ranks(app, 2).per_rank
         got = results[1]
         for tag, items in got.items():
             indices = [i for (t, i) in items]
@@ -54,19 +46,19 @@ class TestMessageOrderProperty:
             st.sampled_from([8, 1024, 32768]), min_size=10, max_size=10
         ),
     )
-    def test_mixed_sizes_never_overtake(self, n_msgs, sizes):
-        def app(comm):
-            if comm.rank() == 0:
+    def test_mixed_sizes_never_overtake(self, run_ranks, n_msgs, sizes):
+        def app(ctx):
+            if ctx.rank == 0:
                 for i in range(n_msgs):
-                    comm.send(np.full(sizes[i] // 8, float(i)), dest=1, tag=0)
+                    ctx.world.send(np.full(sizes[i] // 8, float(i)), dest=1, tag=0)
                 return None
             order = []
             for _ in range(n_msgs):
-                arr = comm.recv(source=0, tag=0)
+                arr = ctx.world.recv(source=0, tag=0)
                 order.append(int(arr[0]))
             return order
 
-        results = run_world(2, app)
+        results = run_ranks(app, 2).per_rank
         assert results[1] == list(range(n_msgs))
 
 
@@ -76,7 +68,7 @@ class TestCollectiveCorrectnessProperty:
         nprocs=st.integers(min_value=2, max_value=9),
         values=st.data(),
     )
-    def test_allreduce_equals_numpy(self, nprocs, values):
+    def test_allreduce_equals_numpy(self, run_ranks, nprocs, values):
         contributions = values.draw(
             st.lists(
                 st.integers(min_value=-1000, max_value=1000),
@@ -85,32 +77,32 @@ class TestCollectiveCorrectnessProperty:
             )
         )
 
-        def app(comm):
-            return comm.allreduce(contributions[comm.rank()], op=SUM)
+        def app(ctx):
+            return ctx.world.allreduce(contributions[ctx.rank], op=SUM)
 
-        results = run_world(nprocs, app)
+        results = run_ranks(app, nprocs).per_rank
         assert all(r == sum(contributions) for r in results)
 
     @_settings
     @given(nprocs=st.integers(min_value=2, max_value=8), root=st.data())
-    def test_bcast_delivers_root_value(self, nprocs, root):
+    def test_bcast_delivers_root_value(self, run_ranks, nprocs, root):
         r = root.draw(st.integers(min_value=0, max_value=nprocs - 1))
 
-        def app(comm):
-            value = ("payload", r) if comm.rank() == r else None
-            return comm.bcast(value, root=r)
+        def app(ctx):
+            value = ("payload", r) if ctx.rank == r else None
+            return ctx.world.bcast(value, root=r)
 
-        results = run_world(nprocs, app)
+        results = run_ranks(app, nprocs).per_rank
         assert all(x == ("payload", r) for x in results)
 
     @_settings
     @given(nprocs=st.integers(min_value=2, max_value=7))
-    def test_alltoall_is_transpose(self, nprocs):
-        def app(comm):
-            me = comm.rank()
-            return comm.alltoall([(me, j) for j in range(comm.size)])
+    def test_alltoall_is_transpose(self, run_ranks, nprocs):
+        def app(ctx):
+            me = ctx.rank
+            return ctx.world.alltoall([(me, j) for j in range(ctx.world.size)])
 
-        results = run_world(nprocs, app)
+        results = run_ranks(app, nprocs).per_rank
         for me, row in enumerate(results):
             assert row == [(j, me) for j in range(nprocs)]
 
@@ -121,7 +113,7 @@ class TestCollectiveCorrectnessProperty:
         seed=st.integers(min_value=0, max_value=100),
     )
     def test_random_collective_sequences_terminate_consistently(
-        self, nprocs, nops, seed
+        self, run_ranks, nprocs, nops, seed
     ):
         """A random but identical sequence of collectives on every rank
         runs to completion and produces rank-consistent results."""
@@ -129,22 +121,22 @@ class TestCollectiveCorrectnessProperty:
         ops = rng.choice(["barrier", "allreduce", "bcast", "allgather"], size=nops)
         roots = rng.integers(0, nprocs, size=nops)
 
-        def app(comm):
+        def app(ctx):
             out = []
-            me = comm.rank()
+            me = ctx.rank
             for op, root in zip(ops, roots):
                 if op == "barrier":
-                    comm.barrier()
+                    ctx.world.barrier()
                     out.append("b")
                 elif op == "allreduce":
-                    out.append(comm.allreduce(me + 1, op=SUM))
+                    out.append(ctx.world.allreduce(me + 1, op=SUM))
                 elif op == "bcast":
-                    out.append(comm.bcast(("v", int(root)) if me == root else None, root=int(root)))
+                    out.append(ctx.world.bcast(("v", int(root)) if me == root else None, root=int(root)))
                 elif op == "allgather":
-                    out.append(tuple(comm.allgather(me)))
+                    out.append(tuple(ctx.world.allgather(me)))
             return out
 
-        results = run_world(nprocs, app)
+        results = run_ranks(app, nprocs).per_rank
         for r in results[1:]:
             # Collective outputs agree across ranks for these rootless /
             # root-consistent ops.
@@ -154,17 +146,15 @@ class TestCollectiveCorrectnessProperty:
 class TestClockMonotonicity:
     @_settings
     @given(seed=st.integers(min_value=0, max_value=50))
-    def test_virtual_time_nonnegative_and_deterministic(self, seed):
-        def app(comm):
-            comm.barrier()
-            comm.allreduce(comm.rank(), op=SUM)
+    def test_virtual_time_nonnegative_and_deterministic(self, run_ranks, seed):
+        def app(ctx):
+            ctx.world.barrier()
+            ctx.world.allreduce(ctx.rank, op=SUM)
             return None
 
         def run_once():
-            with Simulator(seed=seed) as sim:
-                world = World(sim, make_topology(5))
-                world.run(app)
-                return sim.now(), sim.event_count
+            res = run_ranks(app, 5, seed=seed)
+            return res.runtime, res.sim_events
 
         a = run_once()
         b = run_once()

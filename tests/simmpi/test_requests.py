@@ -1,10 +1,12 @@
-"""Tests for the request family: test/wait/waitall/waitany/waitsome."""
+"""Tests for lower-half requests: completion, test, wait, observers.
+
+The wait/test family over several requests is the upper half's
+(``repro.mana.vcomm``) and is tested with it."""
 
 import pytest
 
 from repro.des import Simulator
-from repro.simmpi import Request, completed_request, wait_all, wait_any, wait_some
-from repro.simmpi import test_all as request_test_all
+from repro.simmpi import Request
 from repro.simmpi.errors import RequestError
 
 
@@ -49,90 +51,6 @@ def test_complete_at_future_time():
         return (value, sim.now())
 
     assert in_sim(body) == ("later", 5.0)
-
-
-def test_completed_request_is_null_like():
-    def body(sim):
-        req = completed_request(sim, value="v")
-        assert req.done
-        assert req.wait() == "v"
-        return True
-
-    assert in_sim(body)
-
-
-def test_wait_all_blocks_for_slowest():
-    def body(sim):
-        reqs = [Request(sim, f"r{i}") for i in range(3)]
-        for i, r in enumerate(reqs):
-            r.complete_at(float(i + 1), i * 10)
-        values = wait_all(sim, reqs)
-        return (values, sim.now())
-
-    assert in_sim(body) == ([0, 10, 20], 3.0)
-
-
-def test_wait_all_empty():
-    def body(sim):
-        return wait_all(sim, [])
-
-    assert in_sim(body) == []
-
-
-def test_wait_any_returns_earliest():
-    def body(sim):
-        reqs = [Request(sim, f"r{i}") for i in range(3)]
-        reqs[2].complete_at(1.0, "fast")
-        reqs[0].complete_at(9.0, "slow")
-        reqs[1].complete_at(5.0, "mid")
-        idx, value = wait_any(sim, reqs)
-        return (idx, value, sim.now())
-
-    assert in_sim(body) == (2, "fast", 1.0)
-
-
-def test_wait_any_prefers_lowest_completed_index():
-    def body(sim):
-        reqs = [completed_request(sim, i) for i in range(3)]
-        return wait_any(sim, reqs)
-
-    assert in_sim(body) == (0, 0)
-
-
-def test_wait_any_empty_raises():
-    def body(sim):
-        with pytest.raises(RequestError):
-            wait_any(sim, [])
-        return True
-
-    assert in_sim(body)
-
-
-def test_wait_some_collects_simultaneous():
-    def body(sim):
-        reqs = [Request(sim, f"r{i}") for i in range(4)]
-        reqs[1].complete_at(2.0, "b")
-        reqs[3].complete_at(2.0, "d")
-        reqs[0].complete_at(7.0, "a")
-        reqs[2].complete_at(9.0, "c")
-        ready = wait_some(sim, reqs)
-        return (ready, sim.now())
-
-    ready, t = in_sim(body)
-    assert t == 2.0
-    assert sorted(ready) == [(1, "b"), (3, "d")]
-
-
-def test_test_all():
-    def body(sim):
-        reqs = [Request(sim, "a"), Request(sim, "b")]
-        flag, values = request_test_all(reqs)
-        assert not flag and values is None
-        reqs[0].complete(1)
-        reqs[1].complete(2)
-        return request_test_all(reqs)
-
-    assert in_sim(body) == (True, [1, 2])
 
 
 def test_on_complete_observer_order():

@@ -1,21 +1,6 @@
 """Tests for run records and table rendering."""
 
-from repro.util.records import RunRecord, Series, format_series_table, format_table
-
-
-def test_run_record_rates():
-    rec = RunRecord(
-        app="minivasp", protocol="cc", nprocs=8, nnodes=1,
-        runtime=2.0, coll_calls=1600, p2p_calls=320,
-    )
-    assert rec.coll_rate == 100.0  # 1600 / 8 ranks / 2 s
-    assert rec.p2p_rate == 20.0
-
-
-def test_run_record_zero_runtime():
-    rec = RunRecord("a", "native", 4, 1, 0.0, 10, 10)
-    assert rec.coll_rate == 0.0
-    assert rec.p2p_rate == 0.0
+from repro.util.records import Series, format_series_table, format_table
 
 
 def test_series_add_and_pairs():

@@ -1,12 +1,8 @@
 """Tests for statistics helpers."""
 
-import math
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.util.stats import OnlineStats, mean, overhead_pct, stddev
+from repro.util.stats import mean, overhead_pct
 
 
 def test_mean_basic():
@@ -18,16 +14,6 @@ def test_mean_empty_raises():
         mean([])
 
 
-def test_stddev_known():
-    assert stddev([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) == pytest.approx(
-        math.sqrt(32 / 7)
-    )
-
-
-def test_stddev_single_is_zero():
-    assert stddev([5.0]) == 0.0
-
-
 def test_overhead_pct():
     assert overhead_pct(110.0, 100.0) == pytest.approx(10.0)
     assert overhead_pct(100.0, 100.0) == pytest.approx(0.0)
@@ -37,27 +23,3 @@ def test_overhead_pct():
 def test_overhead_pct_zero_baseline_raises():
     with pytest.raises(ValueError):
         overhead_pct(1.0, 0.0)
-
-
-def test_online_stats_matches_batch():
-    data = [1.5, 2.5, -3.0, 7.25, 0.0, 2.0]
-    s = OnlineStats()
-    s.extend(data)
-    assert s.n == len(data)
-    assert s.mean == pytest.approx(mean(data))
-    assert s.stddev == pytest.approx(stddev(data))
-    assert s.min == -3.0
-    assert s.max == 7.25
-
-
-def test_online_stats_empty_mean_raises():
-    with pytest.raises(ValueError):
-        OnlineStats().mean
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=100))
-def test_online_stats_property(data):
-    s = OnlineStats()
-    s.extend(data)
-    assert s.mean == pytest.approx(mean(data), rel=1e-9, abs=1e-9)
-    assert s.stddev == pytest.approx(stddev(data), rel=1e-6, abs=1e-6)
